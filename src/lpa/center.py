@@ -266,24 +266,32 @@ def oracle_commutant(
 ) -> list[AlgebraElement]:
     """Brute-force commutant: solve exactly for combinations of all
     normal-form monomials of the degree (bounded length) that commute
-    with every generator."""
-    cands = alg.normal_monomials(degree, max_len)
+    with every generator.
+
+    Candidates alpha beta* with s(alpha) != s(beta) are dropped before the
+    matrix is built; the kernel is the same.  For such a candidate m,
+    [m, s(alpha)] = -m, and no other candidate's commutator with a vertex
+    contains m (a vertex commutator is a multiple of the candidate
+    itself).  So the row of (s(alpha), m) is a unit row on m's column,
+    which forces that coordinate to 0 in every kernel vector, and deleting
+    the column together with that row leaves the other coordinates'
+    solutions unchanged.
+    """
+    cands = [
+        m
+        for m in alg.normal_monomials(degree, max_len)
+        if m.alpha.source == m.beta.source
+    ]
     if not cands:
         return []
-    rows_by_key: dict[tuple, dict] = {}
-    row_order: list[tuple] = []
-    for label, gen in alg.generators():
-        for j, m in enumerate(cands):
-            elem = AlgebraElement(alg, {m: alg.field.one})
-            com = alg.commutator(elem, gen)
+    elems = [AlgebraElement(alg, {m: alg.field.one}) for m in cands]
+    rows: dict[tuple, dict] = {}
+    for _label, kind, gid in alg.generator_labels():
+        for j, elem in enumerate(elems):
+            com = alg.generator_commutator(elem, kind, gid)
             for mm, k in com.sorted_terms():
-                key = (label, mm)
-                if key not in rows_by_key:
-                    rows_by_key[key] = {}
-                    row_order.append(key)
-                rows_by_key[key][j] = rows_by_key[key].get(j, alg.field.zero) + k
-    rows = [rows_by_key[key] for key in row_order]
-    vecs = kernel_basis(rows, len(cands), alg.field)
+                rows.setdefault((kind, gid, mm), {})[j] = k
+    vecs = kernel_basis(list(rows.values()), len(cands), alg.field)
     out = []
     for vec in vecs:
         terms = {cands[j]: k for j, k in vec.items() if k != alg.field.zero}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .fields import QQ
-from .graphs import Graph, GraphError, simple_cycles, cycle_exits
+from .graphs import Graph
 
 
 class EngineError(ValueError):
@@ -304,12 +304,6 @@ class LeavittAlgebra:
             return Monomial(m1.alpha, beta)
         return None
 
-    def mono_mul(self, m1: Monomial, m2: Monomial) -> AlgebraElement:
-        raw = self.mono_mul_raw(m1, m2)
-        if raw is None:
-            return self.zero()
-        return self.normal_form([(raw, self.field.one)])
-
     def multiply(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         raw = []
         for m1, k1 in x.terms.items():
@@ -346,9 +340,110 @@ class LeavittAlgebra:
         for e in self.graph.edges:
             yield e.id + "*", self.ghost(e.id)
 
+    def generator_labels(self):
+        """(label, kind, id) for every generator, in the order of generators().
+
+        kind is "vertex", "edge" or "ghost"; it keeps the generators apart
+        where a vertex id equals an edge id.
+        """
+        for v in self.graph.vertices:
+            yield v, "vertex", v
+        for e in self.graph.edges:
+            yield e.id, "edge", e.id
+        for e in self.graph.edges:
+            yield e.id + "*", "ghost", e.id
+
+    def generator_commutator(
+        self, x: AlgebraElement, kind: str, gid: str
+    ) -> AlgebraElement:
+        """[x, g] for the generator g = vertex v, edge e or ghost e*, in
+        closed form; x must be in normal form.
+
+        Equal to ``commutator(x, g)``, but g is never built and neither
+        ``multiply`` nor ``normal_form`` runs.  Per monomial m = alpha beta*
+        (write a = s(e), b = r(e)):
+
+        - vertex v: [m, v] = ([s(beta)=v] - [s(alpha)=v]) m, already normal.
+        - edge e: m e is alpha e when beta is trivial at a, alpha (beta')*
+          when beta = e beta', else 0.  e m is (e alpha) beta* when
+          s(alpha) = b, else 0.  Cutting the front edge off beta, or putting
+          e in front of a nonempty alpha, leaves the last edges of alpha and
+          beta as they were, so the result is normal.  The one exception:
+          alpha trivial, beta = beta0 e and e special at a.  Then
+          e m = e e* beta0* needs the range relation e e* = a - sum_{f != e}
+          f f* once, giving a beta0* - sum_{f != e} f (beta0 f)*, which is
+          normal.
+        - ghost e*: the mirror.  m e* is alpha (e beta)* when s(beta) = b,
+          else 0, and needs the rewrite exactly when beta is trivial,
+          alpha = alpha0 e and e is special at a: alpha0 a* - sum_{f != e}
+          (alpha0 f) f*.  e* m is alpha' beta* when alpha = e alpha',
+          b (beta e)* when alpha is trivial at a, else 0.
+        """
+        zero = self.field.zero
+        out: dict[Monomial, object] = {}
+
+        def add(alpha, beta, k):
+            m = Monomial(alpha, beta)
+            acc = out.get(m)
+            if acc is None:
+                out[m] = k
+            elif acc + k == zero:
+                del out[m]
+            else:
+                out[m] = acc + k
+
+        if kind == "vertex":
+            self.graph.check_vertex(gid)
+            for m, k in x.terms.items():
+                if m.alpha.source != m.beta.source:
+                    if m.beta.source == gid:
+                        out[m] = k
+                    elif m.alpha.source == gid:
+                        out[m] = -k
+            return AlgebraElement(self, out)
+        if kind not in ("edge", "ghost"):
+            raise EngineError(f"unknown generator kind: {kind!r}")
+        e = self.graph.edge(gid)
+        a, b, ge = e.src, e.dst, (gid,)
+        special = self._special[a] == gid
+        others = ()
+        if special:
+            others = [(f.id,) for f in self.graph.out_edges(a) if f.id != gid]
+        for m, k in x.terms.items():
+            alpha, beta = m.alpha, m.beta
+            p, q = alpha.edges, beta.edges
+            if kind == "edge":
+                if not q:
+                    if beta.source == a:
+                        add(GPath(alpha.source, p + ge), GPath(b), k)
+                elif q[0] == gid:
+                    add(alpha, GPath(b, q[1:]), k)
+                if alpha.source != b:
+                    continue
+                if special and not p and q and q[-1] == gid:
+                    add(GPath(a), GPath(beta.source, q[:-1]), -k)
+                    for f in others:
+                        add(GPath(a, f), GPath(beta.source, q[:-1] + f), k)
+                else:
+                    add(GPath(a, ge + p), beta, -k)
+            else:
+                if beta.source == b:
+                    if special and not q and p and p[-1] == gid:
+                        add(GPath(alpha.source, p[:-1]), GPath(a), k)
+                        for f in others:
+                            add(GPath(alpha.source, p[:-1] + f), GPath(a, f), -k)
+                    else:
+                        add(alpha, GPath(a, ge + q), k)
+                if not p:
+                    if alpha.source == a:
+                        add(GPath(b), GPath(beta.source, q + ge), -k)
+                elif p[0] == gid:
+                    add(GPath(b, p[1:]), beta, -k)
+        return AlgebraElement(self, out)
+
     def is_central(self, x: AlgebraElement) -> CentralityResult:
-        for label, gen in self.generators():
-            c = self.commutator(x, gen)
+        for label, kind, gid in self.generator_labels():
+            c = self.generator_commutator(x, kind, gid)
             if c:
                 return CentralityResult(False, label, c)
         return CentralityResult(True)
@@ -514,9 +609,3 @@ class LeavittAlgebra:
             raw.append((self.monomial(alpha, beta), k))
         return self.normal_form(raw)
 
-    # -- no-exit cycles, shared with callers --------------------------------------
-
-    def no_exit_cycles(self):
-        return [
-            c for c in simple_cycles(self.graph) if not cycle_exits(self.graph, c)
-        ]

@@ -218,6 +218,10 @@ def parse_graph(text: str) -> Graph:
     for ed in edge_docs:
         if not isinstance(ed, dict) or not {"id", "src", "dst"} <= set(ed):
             raise GraphError(f"malformed edge record: {ed!r}")
+        if not all(isinstance(ed[k], str) for k in ("id", "src", "dst")) or not ed["id"]:
+            raise GraphError(
+                f"edge id, src and dst must be strings, the id nonempty: {ed!r}"
+            )
         edges.append(Edge(id=ed["id"], src=ed["src"], dst=ed["dst"]))
     return Graph(vertices, edges)
 

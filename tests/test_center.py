@@ -9,15 +9,17 @@ from lpa.center import (
     center_report,
     check_oracle_bound,
     extended_centroid_report,
+    kernel_basis,
     oracle_commutant,
     required_oracle_bound,
     same_span,
     verify_basis,
 )
 from lpa.classify import x_decomposition
-from lpa.engine import LeavittAlgebra
-from lpa.fixtures import graph
-from lpa.graphs import disjoint_union
+from lpa.engine import AlgebraElement, LeavittAlgebra
+from lpa.fields import QQ, PrimeField
+from lpa.fixtures import DOCUMENTS, graph
+from lpa.graphs import Edge, Graph, disjoint_union
 
 
 def alg_of(name):
@@ -205,6 +207,33 @@ def test_oracle_agrees_with_basis_on_fixtures():
             bound = required_oracle_bound(elems)
             comm = oracle_commutant(alg, n, bound)
             assert same_span(alg, [b.element for b in elems], comm), (name, n)
+
+
+def unpruned_commutant(alg, degree, max_len):
+    """Kernel over every normal monomial, rows from the reference commutator."""
+    cands = alg.normal_monomials(degree, max_len)
+    rows: dict[tuple, dict] = {}
+    for j, m in enumerate(cands):
+        elem = AlgebraElement(alg, {m: alg.field.one})
+        for i, (_label, gen) in enumerate(alg.generators()):
+            for mm, k in alg.commutator(elem, gen).terms.items():
+                rows.setdefault((i, mm), {})[j] = k
+    vecs = kernel_basis(list(rows.values()), len(cands), alg.field)
+    return [AlgebraElement(alg, {cands[j]: k for j, k in v.items()}) for v in vecs]
+
+
+R3 = Graph(["v"], [Edge(f"e{i}", "v", "v") for i in (1, 2, 3)])
+
+
+@pytest.mark.parametrize(
+    "g, field",
+    [(graph(name), QQ) for name in DOCUMENTS] + [(R3, QQ), (R3, PrimeField(7))],
+    ids=list(DOCUMENTS) + ["R3-q", "R3-p7"],
+)
+def test_oracle_pruning_keeps_kernel(g, field):
+    alg = LeavittAlgebra(g, field)
+    for n in range(-2, 3):
+        assert oracle_commutant(alg, n, 4) == unpruned_commutant(alg, n, 4), n
 
 
 def test_oracle_bound_check():

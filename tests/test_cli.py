@@ -61,6 +61,27 @@ def test_classify_malformed_exits_2(tmp_path):
     assert code == 2 and "input error" in err
 
 
+INT_EDGE_ID = {"vertices": ["u", "v"], "edges": [{"id": 1, "src": "u", "dst": "v"}]}
+INT_AND_STR_EDGE_IDS = {
+    "vertices": ["u", "v"],
+    "edges": [{"id": 1, "src": "u", "dst": "v"}, {"id": "b", "src": "u", "dst": "v"}],
+}
+EMPTY_EDGE_ID = {"vertices": ["u"], "edges": [{"id": "", "src": "u", "dst": "u"}]}
+LIST_EDGE_SOURCE = {"vertices": ["u"], "edges": [{"id": "a", "src": ["u"], "dst": "u"}]}
+
+
+@pytest.mark.parametrize(
+    "doc", [INT_EDGE_ID, INT_AND_STR_EDGE_IDS, EMPTY_EDGE_ID, LIST_EDGE_SOURCE]
+)
+@pytest.mark.parametrize("command", ["classify", "center"])
+def test_non_string_edge_fields_exit_2(tmp_path, doc, command):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(command, str(path))
+    assert code == 2 and out == "" and "input error" in err
+    assert "Traceback" not in err
+
+
 def test_classify_missing_file_exits_2(tmp_path):
     code, _out, err = run_cli("classify", str(tmp_path / "nope.json"))
     assert code == 2

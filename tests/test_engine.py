@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lpa.engine import EngineError, LeavittAlgebra, Monomial
 from lpa.fields import PrimeField
 from lpa.fixtures import graph
+from lpa.graphs import Edge, Graph
 from lpa.randomgen import random_graph
 
 
@@ -187,6 +188,68 @@ def test_is_central_examples():
     toe = alg_of("g_toeplitz")
     res = toe.is_central(toe.vertex("u"))
     assert not res.central and res.witness == "f"
+
+
+def rose(k):
+    return Graph(["v"], [Edge(f"e{i}", "v", "v") for i in range(1, k + 1)])
+
+
+# Graphs whose vertices emit several edges, so that both special-edge
+# rewrites in the closed-form generator action run: roses (loops) and a
+# vertex with parallel and loop exits.
+MULTI_EXIT = [
+    rose(1),
+    rose(2),
+    rose(3),
+    Graph(
+        ["u", "v", "w"],
+        [Edge("a", "u", "v"), Edge("b", "u", "v"), Edge("c", "u", "u"),
+         Edge("d", "v", "w"), Edge("f", "v", "u")],
+    ),
+]
+
+
+@given(
+    st.one_of(
+        st.integers(0, 10**6).map(lambda s: random_graph(random.Random(s), 5, 10)),
+        st.sampled_from(MULTI_EXIT),
+    ),
+    st.sampled_from([None, PrimeField(7)]),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_generator_commutator_matches_reference(g, field, salt):
+    alg = LeavittAlgebra(g) if field is None else LeavittAlgebra(g, field)
+    rng = random.Random(salt)
+    for _ in range(3):
+        x = random_element(alg, rng, 4)
+        witness = None
+        for (label, gen), (label2, kind, gid) in zip(
+            alg.generators(), alg.generator_labels()
+        ):
+            assert label2 == label
+            ref = alg.commutator(x, gen)
+            assert alg.generator_commutator(x, kind, gid) == ref, (label, x)
+            if ref and witness is None:
+                witness = (label, ref)
+        res = alg.is_central(x)
+        if witness is None:
+            assert res.central and res.witness is None
+        else:
+            assert not res.central
+            assert (res.witness, res.commutator) == witness
+
+
+def test_generator_commutator_rewrite_branches():
+    alg = alg_of("g_r2")  # one vertex v, loops e1 (special) and e2
+    e1, e2 = alg.edge("e1"), alg.edge("e2")
+    g1, g2 = alg.ghost("e1"), alg.ghost("e2")
+    # [e1*, e1] = e1* e1 - e1 e1* = v - (v - e2 e2*) = e2 e2*
+    assert alg.generator_commutator(g1, "edge", "e1") == e2 * g2
+    # [e1, e1*] = -e2 e2*
+    assert alg.generator_commutator(e1, "ghost", "e1") == (e2 * g2).scale(-1)
+    with pytest.raises(EngineError):
+        alg.generator_commutator(e1, "loop", "e1")
 
 
 # -- corner reduction --------------------------------------------------------
