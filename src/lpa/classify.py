@@ -4,19 +4,20 @@ the ~ relation, the X_f decomposition, ideal structure, and primeness."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import reduce
+from operator import and_
 from typing import Optional
 
 from .graphs import (
     INFINITE,
     Cycle,
     Graph,
+    InvariantError,
+    _linked_groups,
     count_paths_into,
     cycle_exits,
-    cycle_vertices,
     simple_cycles,
-    tree,
-    tree_of_set,
+    tree_bits_of_set,
 )
 from .hereditary import (
     EntryPathSet,
@@ -88,31 +89,40 @@ class ClassificationReport:
 
 def line_points(g: Graph) -> frozenset[str]:
     """Vertices whose tree has no bifurcations and no cycle vertices."""
-    cyc = cycle_vertices(g)
-    out = set()
-    for v in g.vertices:
-        t = tree(g, v)
-        if not (t & cyc) and not any(g.is_bifurcation(w) for w in t):
-            out.add(v)
-    return frozenset(out)
+    blocked = g.cycle_bits() | g.bifurcation_bits()
+    return frozenset(v for v in g.vertices if not g.tree_bits(v) & blocked)
 
 
-def _wrap_count(g: Graph, c: Cycle):
+def _wrap_count(g: Graph, c: Cycle, entry_count):
     """Paths ending at c^0 that miss at least one edge of c.
 
-    Inclusion-exclusion over the avoided edge subsets; cycle length is
-    bounded by the vertex count, so the subset lattice stays small.
+    `entry_count` is the number of paths into c^0 that share no edge
+    with c.  The count is INFINITE exactly when a simple cycle d != c
+    reaches c^0, and otherwise it is entry_count * |c|:
+
+    1. Infinite.  A simple cycle that contains every edge of c is c, so
+       d misses some edge e of c.  A shortest path from d to c^0 misses
+       every edge of c, because all its edges start outside c^0.  Going
+       round d any number of times before that path gives infinitely
+       many paths that miss e.  Such a d exists exactly when some edge
+       outside c lies on a cycle (its source is in the tree of its
+       target) and its target reaches c^0: the edge closes a simple
+       cycle through itself, and every d has an edge outside c.
+    2. Finite.  With no such d, a path ending at c^0 can leave c^0 or
+       take an edge outside c only before it first meets c^0: any later
+       detour would close a walk back to c^0 through an edge outside c,
+       hence a cycle other than c that reaches c^0.  So the path is an
+       entry path (one of the entry_count paths, length 0 included)
+       followed by k steps round c, and it misses an edge of c exactly
+       when k < |c|.
     """
-    edges = sorted(c.edge_set)
-    for e in edges:
-        if count_paths_into(g, c.vertex_set, {e}) is INFINITE:
-            return INFINITE
-    total = 0
-    for r in range(1, len(edges) + 1):
-        sign = 1 if r % 2 == 1 else -1
-        for subset in combinations(edges, r):
-            total += sign * count_paths_into(g, c.vertex_set, subset)
-    return total
+    on_c = g.vertex_bits(c.vertex_set)
+    for e in g.edges:
+        if e.id not in c.edge_set:
+            t = g.tree_bits(e.dst)
+            if t & on_c and t >> g.vertex_order(e.src) & 1:
+                return INFINITE
+    return entry_count * len(c)
 
 
 def classify_cycles(g: Graph) -> list[CycleInfo]:
@@ -120,12 +130,10 @@ def classify_cycles(g: Graph) -> list[CycleInfo]:
     for c in simple_cycles(g):
         exits = cycle_exits(g, c)
         has_exits = bool(exits)
-        reachable = tree_of_set(g, c.vertex_set)
-        is_extreme = has_exits and all(
-            tree(g, w) & c.vertex_set for w in reachable
-        )
+        # every vertex c reaches returns to c iff T(c^0) is c's component
+        is_extreme = has_exits and g.tree_bits(c.base) == g.component_bits(c.base)
         entry_count = count_paths_into(g, c.vertex_set, c.edge_set)
-        wrap_count = _wrap_count(g, c)
+        wrap_count = _wrap_count(g, c, entry_count)
         in_s = (not has_exits) and wrap_count is not INFINITE
         infos.append(
             CycleInfo(
@@ -141,37 +149,25 @@ def classify_cycles(g: Graph) -> list[CycleInfo]:
 
 
 def extreme_classes(g: Graph, infos=None) -> list[ExtremeClass]:
-    """Partition extreme cycles by connectivity; carries c~^0 = T(c^0)."""
+    """Partition extreme cycles by connectivity; carries c~^0 = T(c^0).
+
+    The tree of an extreme cycle is its strongly connected component, so
+    two extreme cycles are connected exactly when their trees are equal.
+    """
     if infos is None:
         infos = classify_cycles(g)
-    ext = [ci.cycle for ci in infos if ci.is_extreme]
-    parent = list(range(len(ext)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    trees = [tree_of_set(g, c.vertex_set) for c in ext]
-    for i, c in enumerate(ext):
-        for j, d in enumerate(ext):
-            if i < j and (trees[i] & d.vertex_set or trees[j] & c.vertex_set):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(ext)):
-        groups.setdefault(find(i), []).append(i)
-    out = []
-    for idxs in groups.values():
-        cycles = tuple(sorted((ext[i] for i in idxs), key=lambda c: (len(c), c.base, c.edges)))
-        vertices = frozenset().union(*(trees[i] for i in idxs)) if idxs else frozenset()
-        out.append(
-            ExtremeClass(
-                class_id=min(c.base for c in cycles),
-                cycles=cycles,
-                vertices=vertices,
-            )
+    groups: dict[int, list[Cycle]] = {}
+    for ci in infos:
+        if ci.is_extreme:
+            groups.setdefault(g.tree_bits(ci.cycle.base), []).append(ci.cycle)
+    out = [
+        ExtremeClass(
+            class_id=min(c.base for c in cycles),
+            cycles=tuple(sorted(cycles, key=lambda c: (len(c), c.base, c.edges))),
+            vertices=g.vertices_of(bits),
         )
+        for bits, cycles in groups.items()
+    ]
     out.sort(key=lambda xc: xc.class_id)
     return out
 
@@ -184,64 +180,37 @@ def p_binf(g: Graph) -> frozenset[str]:
 
 
 def sim_classes(g: Graph) -> list[frozenset[str]]:
-    """Equivalence classes of ~ (transitive closure of ~1) on all vertices."""
-    verts = list(g.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
+    """Equivalence classes of ~ (transitive closure of ~1) on all vertices.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(a, b):
-        ra, rb = find(index[a]), find(index[b])
-        if ra != rb:
-            parent[ra] = rb
-
-    trees = {v: tree(g, v) for v in verts}
-    bifs = {v for v in verts if g.is_bifurcation(v)}
-    cyc = cycle_vertices(g)
-
-    # rule (ii): a cycle vertex relates everything it reaches
-    for w in cyc:
-        for u in trees[w]:
-            union(w, u)
-    # rule (i): comparable vertices with bifurcation-free trees
-    for u in verts:
-        for v in verts:
-            if u < v and (v in trees[u] or u in trees[v]):
-                if not ((trees[u] | trees[v]) & bifs):
-                    union(u, v)
-
-    groups: dict[int, list[str]] = {}
-    for v in verts:
-        groups.setdefault(find(index[v]), []).append(v)
-    classes = [frozenset(vs) for vs in groups.values()]
-    classes.sort(key=lambda c: min(g.vertex_order(v) for v in c))
-    return classes
+    Both rules come down to linking the two ends of single edges.  Rule
+    (ii) relates a cycle vertex to everything in its tree, and that tree
+    is joined up by the edges leaving its members.  Rule (i) relates
+    comparable vertices whose trees have no bifurcation; such a vertex
+    has at most one edge, and its target's tree lies inside its own.
+    """
+    bifs = g.bifurcation_bits()
+    below_cycle = tree_bits_of_set(g, g.vertices_of(g.cycle_bits()))
+    linking = [
+        e
+        for e in g.edges
+        if below_cycle >> g.vertex_order(e.src) & 1 or not g.tree_bits(e.src) & bifs
+    ]
+    return [frozenset(vs) for vs in _linked_groups(g, linking)]
 
 
 def x_decomposition(g: Graph) -> ClassificationReport:
     infos = classify_cycles(g)
     pl = line_points(g)
-    pc = frozenset().union(
-        *(ci.cycle.vertex_set for ci in infos if not ci.has_exits)
-    ) if any(not ci.has_exits for ci in infos) else frozenset()
+    pc = frozenset().union(*(ci.cycle.vertex_set for ci in infos if not ci.has_exits))
     pc_plus = frozenset().union(
         *(
             ci.cycle.vertex_set
             for ci in infos
             if not ci.has_exits and ci.wrap_count is INFINITE
         )
-    ) if any(not ci.has_exits and ci.wrap_count is INFINITE for ci in infos) else frozenset()
-    pe = frozenset().union(
-        *(ci.cycle.vertex_set for ci in infos if ci.has_exits)
-    ) if any(ci.has_exits for ci in infos) else frozenset()
-    pec = frozenset().union(
-        *(ci.cycle.vertex_set for ci in infos if ci.is_extreme)
-    ) if any(ci.is_extreme for ci in infos) else frozenset()
+    )
+    pe = frozenset().union(*(ci.cycle.vertex_set for ci in infos if ci.has_exits))
+    pec = frozenset().union(*(ci.cycle.vertex_set for ci in infos if ci.is_extreme))
     p = pl | pc | pec
     classes = sim_classes(g)
     s_cycles = [ci.cycle for ci in infos if ci.in_S]
@@ -273,12 +242,8 @@ def x_decomposition(g: Graph) -> ClassificationReport:
             )
         )
 
-    h_f = frozenset().union(
-        *(xc.closure for xc in x_classes if xc.is_finite)
-    ) if any(xc.is_finite for xc in x_classes) else frozenset()
-    h_inf = frozenset().union(
-        *(xc.closure for xc in x_classes if not xc.is_finite)
-    ) if any(not xc.is_finite for xc in x_classes) else frozenset()
+    h_f = frozenset().union(*(xc.closure for xc in x_classes if xc.is_finite))
+    h_inf = frozenset().union(*(xc.closure for xc in x_classes if not xc.is_finite))
     h_inf |= p_binf(g)
 
     return ClassificationReport(
@@ -308,9 +273,9 @@ class PisCertificate:
 
 def is_purely_infinite_simple(g: Graph) -> PisCertificate:
     """Graph-side criteria: cycle reach, Condition (L), trivial H-lattice."""
-    cyc = cycle_vertices(g)
+    cyc = g.cycle_bits()
     for v in g.vertices:
-        if not (tree(g, v) & cyc):
+        if not g.tree_bits(v) & cyc:
             return PisCertificate(False, "connects-to-cycle", v)
     for c in simple_cycles(g):
         if not cycle_exits(g, c):
@@ -392,11 +357,14 @@ class PrimeTrichotomy:
 
 
 def prime_trichotomy(g: Graph, report: Optional[ClassificationReport] = None) -> PrimeTrichotomy:
-    trees = {v: tree(g, v) for v in g.vertices}
-    for u in g.vertices:
-        for v in g.vertices:
-            if not (trees[u] & trees[v]):
-                return PrimeTrichotomy(kind="not-prime", witness=(u, v))
+    trees = [g.tree_bits(v) for v in g.vertices]
+    # the trees meet pairwise iff they share a vertex (the one terminal
+    # component), so the pair search runs only when a witness exists
+    if not reduce(and_, trees):
+        for u, tu in zip(g.vertices, trees):
+            for v, tv in zip(g.vertices, trees):
+                if not tu & tv:
+                    return PrimeTrichotomy(kind="not-prime", witness=(u, v))
     if report is None:
         report = x_decomposition(g)
     sinks = g.sinks()
@@ -416,4 +384,4 @@ def prime_trichotomy(g: Graph, report: Optional[ClassificationReport] = None) ->
     if report.x_ec:
         assert len(report.x_ec) == 1, "downward-directed graph with two extreme classes"
         return PrimeTrichotomy(kind="extreme-case", witness=report.x_ec[0])
-    raise RuntimeError("prime finite graph with empty P; internal invariant breach")
+    raise InvariantError("prime finite graph with empty P")

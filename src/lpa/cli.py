@@ -21,7 +21,7 @@ from .center import (
     same_span,
 )
 from .fields import PrimeField, QQ
-from .graphs import Graph, GraphError, parse_graph
+from .graphs import Graph, GraphError, InvariantError, parse_graph
 from .randomgen import graph_stream
 from .reports import Envelope, build_envelope, load_schema, render_text
 
@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     except (GraphError, json.JSONDecodeError, ValueError) as exc:
         print(f"lpa: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (AssertionError, RuntimeError) as exc:
+    except (AssertionError, InvariantError) as exc:
         print(f"lpa: internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_INTERNAL

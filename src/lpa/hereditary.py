@@ -9,8 +9,7 @@ from .graphs import (
     Edge,
     Graph,
     GraphError,
-    connects_to,
-    tree,
+    tree_bits_of_set,
 )
 
 
@@ -71,10 +70,7 @@ class EntryPathSet:
 
 def hereditary_closure(g: Graph, X) -> HereditarySet:
     """Least hereditary set containing X: the union of the trees T(v)."""
-    members: set[str] = set()
-    for v in X:
-        members |= tree(g, v)
-    return HereditarySet(g, frozenset(members))
+    return HereditarySet(g, g.vertices_of(tree_bits_of_set(g, X)))
 
 
 def saturated_closure(g: Graph, H: HereditarySet) -> HereditarySet:
@@ -123,8 +119,9 @@ def saturation_levels(g: Graph, H: HereditarySet) -> dict[str, int]:
 def entry_paths(g: Graph, H: HereditarySet) -> EntryPathSet:
     """F_E(H), or INFINITE when an outside cycle can feed H."""
     H.require_hereditary()
+    inside = g.vertex_bits(H.members)
     outside_reaching = {
-        v for v in g.vertices if v not in H.members and connects_to(g, v, H.members)
+        v for v in g.vertices if v not in H.members and g.tree_bits(v) & inside
     }
     # a cycle among outside vertices that reach H forces infinitely many paths
     indeg = {v: 0 for v in outside_reaching}
@@ -146,17 +143,16 @@ def entry_paths(g: Graph, H: HereditarySet) -> EntryPathSet:
         return EntryPathSet(H, INFINITE)
 
     paths: list[tuple[str, ...]] = []
-
-    def walk(at: str, acc: tuple[str, ...]):
+    stack: list[tuple[str, tuple[str, ...]]] = [
+        (v, ()) for v in g.vertices if v in outside_reaching
+    ]
+    while stack:
+        at, acc = stack.pop()
         for e in g.out_edges(at):
             if e.dst in H.members:
                 paths.append(acc + (e.id,))
             elif e.dst in outside_reaching:
-                walk(e.dst, acc + (e.id,))
-
-    for v in g.vertices:
-        if v in outside_reaching:
-            walk(v, ())
+                stack.append((e.dst, acc + (e.id,)))
     paths.sort(key=lambda p: (len(p), p))
     return EntryPathSet(H, tuple(paths))
 
@@ -188,7 +184,8 @@ def is_dense_ideal(g: Graph, H: HereditarySet) -> bool:
     Connectivity is tested against the literal member set, so the test is
     meaningful for arbitrary vertex sets, not only hereditary ones.
     """
-    return all(connects_to(g, v, H.members) for v in g.vertices)
+    inside = g.vertex_bits(H.members)
+    return all(g.tree_bits(v) & inside for v in g.vertices)
 
 
 def resolve_vertex(g: Graph, v: str, H: HereditarySet) -> list[tuple[str, ...]]:
@@ -202,13 +199,13 @@ def resolve_vertex(g: Graph, v: str, H: HereditarySet) -> list[tuple[str, ...]]:
     if v not in levels:
         raise GraphError(f"vertex {v!r} is outside the saturated closure")
 
-    def expand(u: str) -> list[tuple[str, ...]]:
+    # depth-first over the unfolding, edges in declared order
+    out: list[tuple[str, ...]] = []
+    stack: list[tuple[str, tuple[str, ...]]] = [(v, ())]
+    while stack:
+        u, path = stack.pop()
         if u in H.members:
-            return [()]
-        out = []
-        for e in g.out_edges(u):
-            for rest in expand(e.dst):
-                out.append((e.id,) + rest)
-        return out
-
-    return expand(v)
+            out.append(path)
+        else:
+            stack.extend((e.dst, path + (e.id,)) for e in reversed(g.out_edges(u)))
+    return out

@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from lpa.cli import main
+from lpa.graphs import InvariantError
 from lpa.reports import build_envelope, load_schema
 from lpa.fixtures import DOCUMENTS, graph
 
@@ -173,3 +174,34 @@ def test_envelope_schema_on_all_fixtures(schema):
 def test_envelope_byte_identical():
     g = graph("g_ext2")
     assert build_envelope(g, verify=True).dumps() == build_envelope(g, verify=True).dumps()
+
+
+def test_classify_long_line_exits_0(tmp_path):
+    n = 1100
+    vs = [f"v{i:04d}" for i in range(n)]
+    doc = {
+        "vertices": vs,
+        "edges": [{"id": f"e{i}", "src": vs[i], "dst": vs[i + 1]} for i in range(n - 1)],
+    }
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("classify", str(path))
+    assert code == 0, err
+    assert json.loads(out)["classification"]["p_l"] == vs
+
+
+@pytest.mark.parametrize(
+    "exc, code, breach",
+    [(InvariantError("two sinks"), 5, True), (RecursionError("too deep"), None, False)],
+)
+def test_only_invariant_errors_exit_5(monkeypatch, capsys, exc, code, breach):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("lpa.cli.build_envelope", fail)
+    if code is None:
+        with pytest.raises(type(exc)):
+            main(["classify", str(FIXTURES / "g_loop.json")])
+    else:
+        assert main(["classify", str(FIXTURES / "g_loop.json")]) == code
+    assert ("internal invariant breach" in capsys.readouterr().err) == breach

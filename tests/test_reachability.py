@@ -1,0 +1,399 @@
+"""The reachability index against the implementations it replaced.
+
+The references below are the earlier direct computations: a fresh search
+per tree, all-pairs tree intersections, and inclusion-exclusion for the
+wrap count.  They are kept here, off the production path, as oracles.
+"""
+
+import random
+import sys
+from itertools import combinations
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import lpa.classify
+from lpa.classify import (
+    CycleInfo,
+    ExtremeClass,
+    classify_cycles,
+    extreme_classes,
+    line_points,
+    prime_trichotomy,
+    sim_classes,
+    x_decomposition,
+)
+from lpa.graphs import (
+    INFINITE,
+    Edge,
+    Graph,
+    connects_to,
+    count_paths_into,
+    cycle_exits,
+    cycle_vertices,
+    make_cycle,
+    simple_cycles,
+    tree,
+    tree_bits_of_set,
+)
+from lpa.hereditary import (
+    EntryPathSet,
+    HereditarySet,
+    entry_paths,
+    hereditary_closure,
+    is_dense_ideal,
+    resolve_vertex,
+    saturated_closure,
+)
+from lpa.randomgen import random_graph
+
+
+def line(n):
+    vs = [f"v{i:05d}" for i in range(n)]
+    return Graph(vs, [Edge(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+
+
+def cycle_with_tail(n):
+    """C_n: a no-exit n-cycle plus one entry edge from a tail vertex t."""
+    vs = [f"v{i}" for i in range(1, n + 1)]
+    es = [Edge(f"e{i}", vs[i - 1], vs[i % n]) for i in range(1, n + 1)]
+    return Graph(vs + ["t"], es + [Edge("f", "t", "v1")])
+
+
+def rose(n):
+    return Graph(["v"], [Edge(f"e{i}", "v", "v") for i in range(1, n + 1)])
+
+
+graphs = st.one_of(
+    st.integers(0, 10**6).map(lambda s: random_graph(random.Random(s), 7, 12)),
+    st.integers(1, 6).map(rose),
+    st.integers(1, 8).map(cycle_with_tail),
+)
+
+
+# -- reference implementations ----------------------------------------------------
+
+
+def ref_tree(g, v):
+    g.check_vertex(v)
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for e in g.out_edges(u):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return frozenset(seen)
+
+
+def ref_simple_cycles(g):
+    found = []
+    for start in sorted(g.vertices):
+        def walk(at, path, used):
+            for e in g.out_edges(at):
+                if e.dst == start:
+                    found.append(make_cycle(g, path + [e.id]))
+                elif e.dst > start and e.dst not in used:
+                    used.add(e.dst)
+                    path.append(e.id)
+                    walk(e.dst, path, used)
+                    path.pop()
+                    used.remove(e.dst)
+
+        walk(start, [], {start})
+    found.sort(key=lambda c: (len(c), c.base, c.edges))
+    return found
+
+
+def ref_cycle_vertices(g):
+    return frozenset(
+        v for v in g.vertices if any(v in ref_tree(g, e.dst) for e in g.out_edges(v))
+    )
+
+
+def ref_line_points(g):
+    cyc = ref_cycle_vertices(g)
+    return frozenset(
+        v
+        for v in g.vertices
+        if not (ref_tree(g, v) & cyc)
+        and not any(g.is_bifurcation(w) for w in ref_tree(g, v))
+    )
+
+
+def ref_wrap_count(g, c):
+    """Inclusion-exclusion over the avoided edge subsets of c."""
+    assert len(c) <= 8, "2^|c| path counts: keep the reference to short cycles"
+    edges = sorted(c.edge_set)
+    for e in edges:
+        if count_paths_into(g, c.vertex_set, {e}) is INFINITE:
+            return INFINITE
+    total = 0
+    for r in range(1, len(edges) + 1):
+        sign = 1 if r % 2 == 1 else -1
+        for subset in combinations(edges, r):
+            total += sign * count_paths_into(g, c.vertex_set, subset)
+    return total
+
+
+def ref_classify_cycles(g):
+    infos = []
+    for c in ref_simple_cycles(g):
+        has_exits = bool(cycle_exits(g, c))
+        reachable = frozenset().union(*(ref_tree(g, v) for v in c.vertex_set))
+        is_extreme = has_exits and all(ref_tree(g, w) & c.vertex_set for w in reachable)
+        wrap_count = ref_wrap_count(g, c)
+        infos.append(
+            CycleInfo(
+                cycle=c,
+                has_exits=has_exits,
+                is_extreme=is_extreme,
+                in_S=not has_exits and wrap_count is not INFINITE,
+                entry_count=count_paths_into(g, c.vertex_set, c.edge_set),
+                wrap_count=wrap_count,
+            )
+        )
+    return infos
+
+
+def _union_find_classes(n, related):
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in related:
+        a, b = find(i), find(j)
+        if a != b:
+            parent[a] = b
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def ref_extreme_classes(g, infos=None):
+    if infos is None:
+        infos = ref_classify_cycles(g)
+    ext = [ci.cycle for ci in infos if ci.is_extreme]
+    trees = [frozenset().union(*(ref_tree(g, v) for v in c.vertex_set)) for c in ext]
+    related = [
+        (i, j)
+        for i, c in enumerate(ext)
+        for j, d in enumerate(ext)
+        if i < j and (trees[i] & d.vertex_set or trees[j] & c.vertex_set)
+    ]
+    out = []
+    for idxs in _union_find_classes(len(ext), related):
+        cycles = tuple(sorted((ext[i] for i in idxs), key=lambda c: (len(c), c.base, c.edges)))
+        out.append(
+            ExtremeClass(
+                class_id=min(c.base for c in cycles),
+                cycles=cycles,
+                vertices=frozenset().union(*(trees[i] for i in idxs)),
+            )
+        )
+    out.sort(key=lambda xc: xc.class_id)
+    return out
+
+
+def ref_sim_classes(g):
+    verts = list(g.vertices)
+    trees = [ref_tree(g, v) for v in verts]
+    bifs = {v for v in verts if g.is_bifurcation(v)}
+    cyc = ref_cycle_vertices(g)
+    related = []
+    for i, w in enumerate(verts):
+        if w in cyc:
+            related += [(i, verts.index(u)) for u in trees[i]]
+    for i, u in enumerate(verts):
+        for j, v in enumerate(verts):
+            if u < v and (v in trees[i] or u in trees[j]) and not ((trees[i] | trees[j]) & bifs):
+                related.append((i, j))
+    classes = [frozenset(verts[i] for i in idxs) for idxs in _union_find_classes(len(verts), related)]
+    classes.sort(key=lambda c: min(g.vertex_order(v) for v in c))
+    return classes
+
+
+def ref_not_prime_witness(g):
+    trees = {v: ref_tree(g, v) for v in g.vertices}
+    for u in g.vertices:
+        for v in g.vertices:
+            if not (trees[u] & trees[v]):
+                return (u, v)
+    return None
+
+
+def ref_hereditary_closure(g, X):
+    return HereditarySet(g, frozenset().union(*(ref_tree(g, v) for v in X)))
+
+
+def ref_entry_paths(g, H):
+    outside_reaching = {
+        v for v in g.vertices if v not in H.members and ref_tree(g, v) & H.members
+    }
+    indeg = {v: 0 for v in outside_reaching}
+    succ = {v: [] for v in outside_reaching}
+    for e in g.edges:
+        if e.src in outside_reaching and e.dst in outside_reaching:
+            succ[e.src].append(e.dst)
+            indeg[e.dst] += 1
+    queue = [v for v in outside_reaching if indeg[v] == 0]
+    seen = 0
+    while queue:
+        u = queue.pop()
+        seen += 1
+        for w in succ[u]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    if seen != len(outside_reaching):
+        return EntryPathSet(H, INFINITE)
+    paths = []
+
+    def walk(at, acc):
+        for e in g.out_edges(at):
+            if e.dst in H.members:
+                paths.append(acc + (e.id,))
+            elif e.dst in outside_reaching:
+                walk(e.dst, acc + (e.id,))
+
+    for v in g.vertices:
+        if v in outside_reaching:
+            walk(v, ())
+    paths.sort(key=lambda p: (len(p), p))
+    return EntryPathSet(H, tuple(paths))
+
+
+def ref_resolve_vertex(g, v, H):
+    def expand(u):
+        if u in H.members:
+            return [()]
+        return [(e.id,) + rest for e in g.out_edges(u) for rest in expand(e.dst)]
+
+    return expand(v)
+
+
+# -- equivalence ---------------------------------------------------------------------
+
+
+@given(graphs, st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_trees_and_connectivity_match_reference(g, salt):
+    rng = random.Random(salt)
+    for v in g.vertices:
+        assert tree(g, v) == ref_tree(g, v)
+        hs = {w for w in g.vertices if rng.random() < 0.3}
+        assert connects_to(g, v, hs) == bool(ref_tree(g, v) & hs)
+        union = g.vertices_of(tree_bits_of_set(g, hs))
+        assert union == frozenset().union(*(ref_tree(g, w) for w in hs))
+    assert cycle_vertices(g) == ref_cycle_vertices(g)
+    assert line_points(g) == ref_line_points(g)
+
+
+@given(graphs)
+@settings(max_examples=150, deadline=None)
+def test_classes_and_primeness_match_reference(g):
+    assert sim_classes(g) == ref_sim_classes(g)
+    witness = ref_not_prime_witness(g)
+    pt = prime_trichotomy(g)
+    if witness is None:
+        assert pt.kind != "not-prime"
+    else:
+        assert (pt.kind, pt.witness) == ("not-prime", witness)
+
+
+@given(graphs)
+@settings(max_examples=150, deadline=None)
+def test_cycle_infos_match_reference(g):
+    """Every CycleInfo field, the wrap count against inclusion-exclusion."""
+    assert simple_cycles(g) == ref_simple_cycles(g)
+    infos = classify_cycles(g)
+    assert infos == ref_classify_cycles(g)
+    assert extreme_classes(g, infos) == ref_extreme_classes(g, infos)
+
+
+@given(graphs)
+@settings(max_examples=100, deadline=None)
+def test_x_decomposition_matches_reference(g):
+    with mock.patch.multiple(
+        lpa.classify,
+        classify_cycles=ref_classify_cycles,
+        line_points=ref_line_points,
+        sim_classes=ref_sim_classes,
+        extreme_classes=ref_extreme_classes,
+        hereditary_closure=ref_hereditary_closure,
+        entry_paths=ref_entry_paths,
+    ):
+        expected = x_decomposition(g)
+    assert x_decomposition(g) == expected
+
+
+@given(graphs, st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_hereditary_readers_match_reference(g, salt):
+    rng = random.Random(salt)
+    seed = {v for v in g.vertices if rng.random() < 0.4}
+    h = hereditary_closure(g, seed)
+    assert h == ref_hereditary_closure(g, seed)
+    assert entry_paths(g, h) == ref_entry_paths(g, h)
+    assert is_dense_ideal(g, h) == all(ref_tree(g, v) & h.members for v in g.vertices)
+    if h.members:
+        for v in saturated_closure(g, h).members:
+            assert resolve_vertex(g, v, h) == ref_resolve_vertex(g, v, h)
+
+
+@given(graphs)
+@settings(max_examples=100, deadline=None)
+def test_components_and_trees_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    G = nx.MultiDiGraph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from((e.src, e.dst) for e in g.edges)
+    sccs = {frozenset(c) for c in nx.strongly_connected_components(G)}
+    assert {g.vertices_of(g.component_bits(v)) for v in g.vertices} == sccs
+    for v in g.vertices:
+        assert tree(g, v) == nx.descendants(G, v) | {v}
+    on_cycles = {v for c in sccs if len(c) > 1 for v in c} | set(nx.nodes_with_selfloops(G))
+    assert cycle_vertices(g) == on_cycles
+
+
+# -- work and depth ------------------------------------------------------------------
+
+
+def test_wrap_count_is_closed_form():
+    """At most |c| + 2 path counts per cycle: no subset loop."""
+    g = cycle_with_tail(12)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return count_paths_into(*args, **kwargs)
+
+    with mock.patch.object(lpa.classify, "count_paths_into", counting):
+        rep = x_decomposition(g)
+    (ci,) = rep.cycles
+    assert ci.wrap_count == 12 * ci.entry_count == 156
+    assert len(calls) <= len(ci.cycle) + 2
+
+
+def test_deep_graphs_need_no_recursion():
+    n = 600
+    g = line(n)
+    ring = Graph(g.vertices, g.edges + (Edge("back", g.vertices[-1], g.vertices[0]),))
+    sink = HereditarySet(g, frozenset({g.vertices[-1]}))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        (c,) = simple_cycles(ring)
+        paths = entry_paths(g, sink).paths
+        resolved = resolve_vertex(g, g.vertices[0], sink)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(c) == n
+    assert len(paths) == n - 1 and len(paths[-1]) == n - 1
+    assert resolved == [tuple(e.id for e in g.edges)]
