@@ -170,17 +170,12 @@ def center_report(
         for xc in report.x_f
         if xc.class_type == "cycle_degenerate"
     )
-    centroid = ExtendedCentroidReport(
-        sinks=len(alg.graph.sinks()),
-        no_exit_cycles=sum(1 for ci in report.cycles if not ci.has_exits),
-        extreme_classes=len(report.x_ec),
-    )
     return CenterReport(
         graph=alg.graph,
         basis_zero=b0,
         basis_nonzero=bn,
         iso_type=iso,
-        centroid=centroid,
+        centroid=extended_centroid_report(alg.graph, report),
         divergence_flags=flags,
         degree_window=degree_window,
     )

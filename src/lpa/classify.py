@@ -82,10 +82,6 @@ class ClassificationReport:
     def x_f(self) -> tuple[XClass, ...]:
         return tuple(c for c in self.x_classes if c.is_finite)
 
-    @property
-    def x_inf(self) -> tuple[XClass, ...]:
-        return tuple(c for c in self.x_classes if not c.is_finite)
-
 
 def line_points(g: Graph) -> frozenset[str]:
     """Vertices whose tree has no bifurcations and no cycle vertices."""
@@ -172,13 +168,6 @@ def extreme_classes(g: Graph, infos=None) -> list[ExtremeClass]:
     return out
 
 
-def p_binf(g: Graph) -> frozenset[str]:
-    """Vertices whose tree meets infinitely many distinct bifurcations.
-
-    Empty on every finite graph; kept so reports carry the field."""
-    return frozenset()
-
-
 def sim_classes(g: Graph) -> list[frozenset[str]]:
     """Equivalence classes of ~ (transitive closure of ~1) on all vertices.
 
@@ -244,7 +233,6 @@ def x_decomposition(g: Graph) -> ClassificationReport:
 
     h_f = frozenset().union(*(xc.closure for xc in x_classes if xc.is_finite))
     h_inf = frozenset().union(*(xc.closure for xc in x_classes if not xc.is_finite))
-    h_inf |= p_binf(g)
 
     return ClassificationReport(
         graph=g,
@@ -254,7 +242,9 @@ def x_decomposition(g: Graph) -> ClassificationReport:
         p_c_minus=pc - pc_plus,
         p_e=pe,
         p_ec=pec,
-        p_binf=p_binf(g),
+        # the vertices whose tree meets infinitely many bifurcations: none
+        # on a finite graph, so the report carries the field empty
+        p_binf=frozenset(),
         cycles=tuple(infos),
         x_ec=tuple(extreme_classes(g, infos)),
         sim_classes=tuple(classes),

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .center import (
@@ -30,24 +29,6 @@ EXIT_INPUT = 2
 EXIT_VERIFY = 3
 EXIT_ORACLE = 4
 EXIT_INTERNAL = 5
-
-
-@dataclass
-class RunConfig:
-    """Everything one CLI invocation needs; determinism contract keys off this."""
-
-    command: str
-    path: Optional[str] = None
-    fmt: str = "json"
-    field: object = QQ
-    verify: bool = False
-    oracle: bool = False
-    max_len: Optional[int] = None
-    degrees: Optional[int] = None
-    seed: int = 0
-    count: int = 0
-    max_vertices: int = 0
-    max_edges: int = 0
 
 
 def _parse_field(text: str):
@@ -148,60 +129,60 @@ def _run_oracle(env: Envelope, max_len: Optional[int]) -> bool:
     return agrees_all
 
 
-def cmd_classify(cfg: RunConfig, out) -> int:
-    g = _read_graph(cfg.path)
+def cmd_classify(args: argparse.Namespace, out) -> int:
+    g = _read_graph(args.path)
     env = build_envelope(g, with_center=False)
-    _emit(env, cfg.fmt, out)
+    _emit(env, args.fmt, out)
     return EXIT_OK
 
 
-def cmd_center(cfg: RunConfig, out) -> int:
-    g = _read_graph(cfg.path)
+def cmd_center(args: argparse.Namespace, out) -> int:
+    g = _read_graph(args.path)
     env = build_envelope(
         g,
-        field=cfg.field,
+        field=args.field,
         with_center=True,
-        degree_window=cfg.degrees,
-        verify=cfg.verify,
+        degree_window=args.degrees,
+        verify=args.verify,
     )
     code = EXIT_OK
-    if cfg.oracle:
+    if args.oracle:
         try:
-            if not _run_oracle(env, cfg.max_len):
+            if not _run_oracle(env, args.max_len):
                 code = EXIT_ORACLE
         except OracleBoundError as exc:
-            _emit(env, cfg.fmt, out)
+            _emit(env, args.fmt, out)
             print(f"lpa: oracle bound too small: {exc}", file=sys.stderr)
             return EXIT_ORACLE
-    if cfg.verify and _verification_failed(env):
+    if args.verify and _verification_failed(env):
         code = EXIT_VERIFY
-    _emit(env, cfg.fmt, out)
+    _emit(env, args.fmt, out)
     return code
 
 
-def cmd_random(cfg: RunConfig, out) -> int:
-    if cfg.max_vertices < 1:
+def cmd_random(args: argparse.Namespace, out) -> int:
+    if args.max_vertices < 1:
         raise GraphError("--max-vertices must be at least 1")
-    if cfg.max_edges < 0:
+    if args.max_edges < 0:
         raise GraphError("--max-edges must be nonnegative")
-    if cfg.count < 0:
+    if args.count < 0:
         raise GraphError("--count must be nonnegative")
     passed = 0
     total = 0
     for index, g in enumerate(
-        graph_stream(cfg.seed, cfg.count, cfg.max_vertices, cfg.max_edges)
+        graph_stream(args.seed, args.count, args.max_vertices, args.max_edges)
     ):
         env = build_envelope(g, with_center=True, verify=True)
         total += 1
         ok = not _verification_failed(env)
         passed += ok
-        if cfg.fmt == "json":
+        if args.fmt == "json":
             doc = env.to_json()
             doc["index"] = index
             out.write(json.dumps(doc, indent=2) + "\n")
         else:
             out.write(f"--- graph {index} ---\n")
-            _emit(env, cfg.fmt, out)
+            _emit(env, args.fmt, out)
     out.write(f"summary: {passed}/{total} verified\n")
     return EXIT_OK if passed == total else EXIT_VERIFY
 
@@ -214,31 +195,17 @@ def cmd_schema(out) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        path=getattr(args, "path", None),
-        fmt=getattr(args, "fmt", "json"),
-        field=getattr(args, "field", QQ),
-        verify=getattr(args, "verify", False),
-        oracle=getattr(args, "oracle", False),
-        max_len=getattr(args, "max_len", None),
-        degrees=getattr(args, "degrees", None),
-        seed=getattr(args, "seed", 0),
-        count=getattr(args, "count", 0),
-        max_vertices=getattr(args, "max_vertices", 0),
-        max_edges=getattr(args, "max_edges", 0),
-    )
     out = sys.stdout
     try:
-        if cfg.command == "classify":
-            return cmd_classify(cfg, out)
-        if cfg.command == "center":
-            return cmd_center(cfg, out)
-        if cfg.command == "random":
-            return cmd_random(cfg, out)
-        if cfg.command == "schema":
+        if args.command == "classify":
+            return cmd_classify(args, out)
+        if args.command == "center":
+            return cmd_center(args, out)
+        if args.command == "random":
+            return cmd_random(args, out)
+        if args.command == "schema":
             return cmd_schema(out)
-        parser.error(f"unknown command {cfg.command!r}")
+        parser.error(f"unknown command {args.command!r}")
     except (GraphError, json.JSONDecodeError, ValueError) as exc:
         print(f"lpa: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

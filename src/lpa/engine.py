@@ -139,17 +139,6 @@ class CentralityResult:
         return self.central
 
 
-@dataclass(frozen=True)
-class CornerReduction:
-    kind: str  # "vertex" | "laurent" | "inconclusive"
-    alpha: Optional[GPath] = None
-    beta: Optional[GPath] = None
-    element: Optional[AlgebraElement] = None
-    scalar: object = None
-    vertex: Optional[str] = None
-    cycle_base: Optional[str] = None
-
-
 class LeavittAlgebra:
     """Arithmetic context: a finite graph plus an exact coefficient field."""
 
@@ -318,12 +307,6 @@ class LeavittAlgebra:
 
     # -- structure maps --------------------------------------------------------
 
-    def homogeneous_components(self, x: AlgebraElement) -> dict[int, AlgebraElement]:
-        split: dict[int, dict] = {}
-        for m, k in x.terms.items():
-            split.setdefault(m.degree, {})[m] = k
-        return {n: AlgebraElement(self, terms) for n, terms in sorted(split.items())}
-
     def involution(self, x: AlgebraElement) -> AlgebraElement:
         return self.normal_form(
             [(Monomial(m.beta, m.alpha), k) for m, k in x.terms.items()]
@@ -448,7 +431,7 @@ class LeavittAlgebra:
                 return CentralityResult(False, label, c)
         return CentralityResult(True)
 
-    # -- bounded corner search ------------------------------------------------------
+    # -- bounded enumeration ------------------------------------------------
 
     def enumerate_paths(self, max_len: int) -> list[GPath]:
         paths = [self.trivial_path(v) for v in self.graph.vertices]
@@ -483,88 +466,6 @@ class LeavittAlgebra:
                             out.append(m)
         out.sort(key=lambda m: m.sort_key())
         return out
-
-    def _no_exit_cycle_rotation(self, u: str) -> Optional[GPath]:
-        """The rotation c_u of a no-exit cycle through u, if one exists."""
-        edges = []
-        at = u
-        while True:
-            out = self.graph.out_edges(at)
-            if len(out) != 1:
-                return None
-            edges.append(out[0].id)
-            at = out[0].dst
-            if at == u:
-                return GPath(u, tuple(edges))
-            if len(edges) > len(self.graph.vertices):
-                return None
-
-    def laurent_support(self, x: AlgebraElement):
-        """(base vertex, rotation) if x lives in the Laurent corner of a
-        no-exit cycle: every monomial a power of c_u or of c_u*."""
-        if not x.terms:
-            return None
-        sources = {m.alpha.source for m in x.terms} | {m.beta.source for m in x.terms}
-        if len(sources) != 1:
-            return None
-        u = sources.pop()
-        rot = self._no_exit_cycle_rotation(u)
-        if rot is None:
-            return None
-        n = len(rot.edges)
-
-        def is_power(p: GPath) -> bool:
-            if len(p.edges) % n != 0:
-                return False
-            return all(
-                p.edges[i] == rot.edges[i % n] for i in range(len(p.edges))
-            )
-
-        for m in x.terms:
-            if m.alpha.edges and m.beta.edges:
-                return None
-            if not (is_power(m.alpha) and is_power(m.beta)):
-                return None
-        return u, rot
-
-    def reduce_to_corner(self, x: AlgebraElement, max_len: int) -> CornerReduction:
-        """Search alpha* x beta for a scalar-vertex or Laurent corner form."""
-        if not x.terms:
-            raise EngineError("reduce_to_corner requires a nonzero element")
-        paths = self.enumerate_paths(max_len)
-        for alpha in paths:
-            left = self.normal_form(
-                [(Monomial(self.trivial_path(self.path_range(alpha)), alpha), self.field.one)]
-            )
-            lx = left * x
-            if not lx:
-                continue
-            for beta in paths:
-                y = lx * self.path_element(beta)
-                if not y:
-                    continue
-                if len(y.terms) == 1:
-                    (m, k), = y.terms.items()
-                    if not m.alpha.edges and not m.beta.edges:
-                        return CornerReduction(
-                            kind="vertex",
-                            alpha=alpha,
-                            beta=beta,
-                            element=y,
-                            scalar=k,
-                            vertex=m.alpha.source,
-                        )
-                support = self.laurent_support(y)
-                if support is not None:
-                    u, _rot = support
-                    return CornerReduction(
-                        kind="laurent",
-                        alpha=alpha,
-                        beta=beta,
-                        element=y,
-                        cycle_base=u,
-                    )
-        return CornerReduction(kind="inconclusive")
 
     # -- rendering --------------------------------------------------------------
 

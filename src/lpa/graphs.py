@@ -75,7 +75,6 @@ class Graph:
         self._vertex_set = seen
         self._edge_by_id: dict[str, Edge] = {}
         self._out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        self._in: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
             if e.id in self._edge_by_id:
                 raise GraphError(f"duplicate edge id: {e.id!r}")
@@ -85,7 +84,6 @@ class Graph:
                 raise GraphError(f"edge {e.id!r} has undeclared target: {e.dst!r}")
             self._edge_by_id[e.id] = e
             self._out[e.src].append(e)
-            self._in[e.dst].append(e)
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self._index: Optional[_ReachIndex] = None
 
@@ -110,10 +108,6 @@ class Graph:
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         self.check_vertex(v)
         return tuple(self._out[v])
-
-    def in_edges(self, v: str) -> tuple[Edge, ...]:
-        self.check_vertex(v)
-        return tuple(self._in[v])
 
     def is_sink(self, v: str) -> bool:
         return not self.out_edges(v)
@@ -385,16 +379,6 @@ def connects_to(g: Graph, v: str, H: Iterable[str]) -> bool:
 # -- components ------------------------------------------------------------
 
 
-def connected_components(g: Graph) -> list[Graph]:
-    """Split into maximal components of the underlying undirected graph."""
-    comps = []
-    for vs in _linked_groups(g, g.edges):
-        vset = set(vs)
-        es = [e for e in g.edges if e.src in vset]
-        comps.append(Graph(vs, es))
-    return comps
-
-
 def _linked_groups(g: Graph, edges: Iterable[Edge]) -> list[list[str]]:
     """Vertices grouped by undirected connection through `edges`.
 
@@ -525,12 +509,8 @@ def count_paths_into(g: Graph, targets: Iterable[str], forbidden: Iterable[str] 
 
     # f(v) = number of paths from v ending in targets; total over sources
     f = {v: 0 for v in reach}
-    out_in_reach: dict[str, list[str]] = {v: [] for v in reach}
-    for e in allowed:
-        if e.src in reach and e.dst in reach:
-            out_in_reach[e.src].append(e.dst)
     for v in reversed(topo):
-        f[v] = (1 if v in tset else 0) + sum(f[w] for w in out_in_reach[v])
+        f[v] = (1 if v in tset else 0) + sum(f[w] for w in sub[v])
     return sum(f.values())
 
 

@@ -48,9 +48,6 @@ class HereditarySet:
         if not self.is_hereditary:
             raise NotHereditaryError(f"set is not hereditary: {sorted(self.members)}")
 
-    def sorted_members(self) -> list[str]:
-        return self.graph.sorted_vertices(self.members)
-
 
 @dataclass(frozen=True)
 class EntryPathSet:
@@ -92,28 +89,6 @@ def saturated_closure(g: Graph, H: HereditarySet) -> HereditarySet:
                 members.add(v)
                 changed = True
     return HereditarySet(g, frozenset(members))
-
-
-def saturation_levels(g: Graph, H: HereditarySet) -> dict[str, int]:
-    """Level of each closure vertex in the saturation iteration (H at 0)."""
-    H.require_hereditary()
-    levels = {v: 0 for v in H.members}
-    changed = True
-    level = 0
-    while changed:
-        changed = False
-        level += 1
-        fresh = []
-        for v in g.vertices:
-            if v in levels:
-                continue
-            out = g.out_edges(v)
-            if out and all(e.dst in levels for e in out):
-                fresh.append(v)
-        for v in fresh:
-            levels[v] = level
-            changed = True
-    return levels
 
 
 def entry_paths(g: Graph, H: HereditarySet) -> EntryPathSet:
@@ -191,12 +166,12 @@ def is_dense_ideal(g: Graph, H: HereditarySet) -> bool:
 def resolve_vertex(g: Graph, v: str, H: HereditarySet) -> list[tuple[str, ...]]:
     """Paths alpha_i with ranges in H such that sum alpha_i alpha_i^* = v.
 
-    Follows the saturation levels downward; the identity itself is checked
-    by the symbolic engine elsewhere.  A length-0 path is the empty tuple.
+    Unfolds the out-edges of v until every branch lands in H; that
+    unfolding is finite exactly when v lies in the saturated closure of H.
+    The identity itself is checked by the symbolic engine elsewhere.  A
+    length-0 path is the empty tuple.
     """
-    H.require_hereditary()
-    levels = saturation_levels(g, H)
-    if v not in levels:
+    if v not in saturated_closure(g, H).members:
         raise GraphError(f"vertex {v!r} is outside the saturated closure")
 
     # depth-first over the unfolding, edges in declared order

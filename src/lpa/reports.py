@@ -15,6 +15,7 @@ from .center import (
 )
 from .classify import (
     ClassificationReport,
+    ExtremeClass,
     IdealStructureReport,
     PrimeTrichotomy,
     ideal_structure,
@@ -22,7 +23,7 @@ from .classify import (
     x_decomposition,
 )
 from .engine import LeavittAlgebra
-from .graphs import INFINITE, Graph
+from .graphs import INFINITE, Cycle, Graph
 from .fields import QQ
 
 
@@ -142,13 +143,11 @@ def _center_json(alg: LeavittAlgebra, rep: CenterReport) -> dict:
 
 def _prime_json(pt: PrimeTrichotomy) -> dict:
     witness = pt.witness
-    if witness is not None and not isinstance(witness, (str, tuple, list)):
-        # Cycle or ExtremeClass witnesses
-        if hasattr(witness, "edges"):
-            witness = list(witness.edges)
-        elif hasattr(witness, "class_id"):
-            witness = witness.class_id
-    if isinstance(witness, tuple):
+    if isinstance(witness, Cycle):
+        witness = list(witness.edges)
+    elif isinstance(witness, ExtremeClass):
+        witness = witness.class_id
+    elif isinstance(witness, tuple):
         witness = list(witness)
     return {
         "kind": pt.kind,

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from lpa.fixtures import graph
+from corpus import FIXTURE_NAMES, graph
 from lpa.randomgen import graph_stream
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
@@ -30,8 +30,6 @@ def pytest_terminal_summary(terminalreporter):
         num, _, name = key.partition(" ")
         verdict = _ACCEPTANCE_RESULTS[key]
         terminalreporter.write_line(f"  criterion {int(num)} ({name}): {verdict}")
-
-FIXTURE_NAMES = ["g_loop", "g_line3", "g_toeplitz", "g_r2", "g_ext2", "g_cwe"]
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,6 @@ from lpa.center import (
 )
 from lpa.classify import prime_trichotomy, x_decomposition
 from lpa.engine import LeavittAlgebra, Monomial
-from lpa.fixtures import graph
 from lpa.graphs import disjoint_union, tree
 from lpa.hereditary import (
     HereditarySet,
@@ -25,6 +24,7 @@ from lpa.hereditary import (
 )
 from lpa.randomgen import random_graph
 from lpa.reports import build_envelope
+from corpus import graph
 
 
 def all_basis_elements(alg, rep=None, degree_window=None):

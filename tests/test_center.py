@@ -18,8 +18,8 @@ from lpa.center import (
 from lpa.classify import x_decomposition
 from lpa.engine import AlgebraElement, LeavittAlgebra
 from lpa.fields import QQ, PrimeField
-from lpa.fixtures import DOCUMENTS, graph
 from lpa.graphs import Edge, Graph, disjoint_union
+from corpus import FIXTURE_NAMES, graph
 
 
 def alg_of(name):
@@ -227,8 +227,8 @@ R3 = Graph(["v"], [Edge(f"e{i}", "v", "v") for i in (1, 2, 3)])
 
 @pytest.mark.parametrize(
     "g, field",
-    [(graph(name), QQ) for name in DOCUMENTS] + [(R3, QQ), (R3, PrimeField(7))],
-    ids=list(DOCUMENTS) + ["R3-q", "R3-p7"],
+    [(graph(name), QQ) for name in FIXTURE_NAMES] + [(R3, QQ), (R3, PrimeField(7))],
+    ids=FIXTURE_NAMES + ["R3-q", "R3-p7"],
 )
 def test_oracle_pruning_keeps_kernel(g, field):
     alg = LeavittAlgebra(g, field)

@@ -8,12 +8,10 @@ from lpa.classify import (
     ideal_structure,
     is_purely_infinite_simple,
     line_points,
-    p_binf,
     prime_trichotomy,
     sim_classes,
     x_decomposition,
 )
-from lpa.fixtures import graph
 from lpa.graphs import INFINITE, disjoint_union, tree
 from lpa.hereditary import (
     HereditarySet,
@@ -23,6 +21,7 @@ from lpa.hereditary import (
     saturated_closure,
 )
 from lpa.randomgen import random_graph
+from corpus import graph
 
 
 def random_graphs(max_vertices=5, max_edges=8):
@@ -107,7 +106,7 @@ def test_extreme_class_laws(g):
 
 def test_p_binf_empty_on_finite_graphs():
     for name in ("g_cwe", "g_r2", "g_line3"):
-        assert p_binf(graph(name)) == frozenset()
+        assert x_decomposition(graph(name)).p_binf == frozenset()
 
 
 # -- similarity classes -----------------------------------------------------------

@@ -1,7 +1,7 @@
+import hashlib
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import jsonschema
 import pytest
@@ -9,9 +9,8 @@ import pytest
 from lpa.cli import main
 from lpa.graphs import InvariantError
 from lpa.reports import build_envelope, load_schema
-from lpa.fixtures import DOCUMENTS, graph
+from corpus import FIXTURE_NAMES, FIXTURES, graph
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def run_cli(*args):
@@ -26,12 +25,6 @@ def run_cli(*args):
 @pytest.fixture(scope="module")
 def schema():
     return load_schema()
-
-
-def test_fixture_files_match_inline_corpus():
-    for name, doc in DOCUMENTS.items():
-        on_disk = json.loads((FIXTURES / f"{name}.json").read_text())
-        assert on_disk == doc
 
 
 def test_classify_toeplitz(schema):
@@ -166,7 +159,7 @@ def test_text_format_rendering(capsys):
 
 
 def test_envelope_schema_on_all_fixtures(schema):
-    for name in DOCUMENTS:
+    for name in FIXTURE_NAMES:
         env = build_envelope(graph(name), verify=True)
         jsonschema.validate(env.to_json(), schema)
 
@@ -205,3 +198,83 @@ def test_only_invariant_errors_exit_5(monkeypatch, capsys, exc, code, breach):
     else:
         assert main(["classify", str(FIXTURES / "g_loop.json")]) == code
     assert ("internal invariant breach" in capsys.readouterr().err) == breach
+
+
+# SHA-256 of stdout for each command, recorded from the CLI at the commit
+# before the corner-reduction API, the inline fixture corpus and the other
+# code no command reaches were deleted; any change to these bytes is a
+# change of behaviour.  Fixture names stand for their fixtures/*.json path.
+VERIFY_ORACLE = ("--verify", "--oracle")
+CAMPAIGN500 = ("--seed", "20260823", "--count", "500", "--max-vertices", "6", "--max-edges", "12")
+CLI_DIGESTS = {
+    "classify-g_cwe": (
+        ("classify", "g_cwe"),
+        "efde74235d8019fc3f928fc8ed0cbc7a9c3fb9a05db8cfa3f27c5b59e86cd514",
+    ),
+    "classify-g_ext2": (
+        ("classify", "g_ext2"),
+        "0a087440f69cdcea9dc00bc6a41cc7ac2efe9851e075e6f8b7e33f6cd505111d",
+    ),
+    "classify-g_line3": (
+        ("classify", "g_line3"),
+        "e8a34240d7bae8ae1b6f30192b987416a29748b0cb78c5b179497253e69e3831",
+    ),
+    "classify-g_loop": (
+        ("classify", "g_loop"),
+        "14e9bb377cdfa1aa7e2259c7ed263cdaea57bdaaf9191d0f9f6e6c43b246f2ba",
+    ),
+    "classify-g_r2": (
+        ("classify", "g_r2"),
+        "40fd0748435ffe7c1c10b9a2c9260e314b1e800cbb6e12d78bce72b554660e26",
+    ),
+    "classify-g_toeplitz": (
+        ("classify", "g_toeplitz"),
+        "973867d1a461e7bd386f1ed705b485848d3b943c9573133706ec8bc03a8a590f",
+    ),
+    "center-g_cwe": (
+        ("center", "g_cwe", *VERIFY_ORACLE),
+        "3788f229af0280b57ed0985a5f27592979bcd1258a989c87dedf1e39ca2c522b",
+    ),
+    "center-g_ext2": (
+        ("center", "g_ext2", *VERIFY_ORACLE),
+        "448c12cf53296617294b91dabf579e60faefa1fb82e9d84e751a9c54921a57d5",
+    ),
+    "center-g_line3": (
+        ("center", "g_line3", *VERIFY_ORACLE),
+        "ed9d205a93c4c76542686501ad4242f9dd918a7de31dd11a0d5e64f232dab72d",
+    ),
+    "center-g_loop": (
+        ("center", "g_loop", *VERIFY_ORACLE),
+        "8a1a67544bc052f5977d6509816cc2afb7b3ffc4827d29308c6b084e89c54f0a",
+    ),
+    "center-g_r2": (
+        ("center", "g_r2", *VERIFY_ORACLE),
+        "aaa26c36edc53267e2846665cc9e75a57c0a082e5e79e0a4aa009e0b9a1c25ac",
+    ),
+    "center-g_toeplitz": (
+        ("center", "g_toeplitz", *VERIFY_ORACLE),
+        "9b53f6c91ada0889ea69391dc8f97120b4321a669178607a33237e2183c3fc52",
+    ),
+    "classify-g_toeplitz-text": (
+        ("classify", "g_toeplitz", "--format", "text"),
+        "f4a764ba264809ee7951725f7ea5ea80b9bd945b45474a1507d88faaa43435c2",
+    ),
+    "center-g_ext2-text": (
+        ("center", "g_ext2", *VERIFY_ORACLE, "--format", "text"),
+        "14aaab2862d33d1b9739f492cab2de52ec58dcd65db79c4bcaa2630025ccbd9d",
+    ),
+    "random-campaign500": (
+        ("random", *CAMPAIGN500),
+        "b70eeeaf30bbbeb8e42ed3dab291cd7a4161e5ba3e0dd6bc1fcf083d178975f5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CLI_DIGESTS)
+def test_cli_output_bytes_unchanged(case, capsys):
+    args, digest = CLI_DIGESTS[case]
+    if args[0] != "random":
+        args = (args[0], str(FIXTURES / f"{args[1]}.json"), *args[2:])
+    assert main(list(args)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,14 +1,13 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpa.engine import EngineError, LeavittAlgebra, Monomial
 from lpa.fields import PrimeField
-from lpa.fixtures import graph
 from lpa.graphs import Edge, Graph
 from lpa.randomgen import random_graph
+from corpus import graph
 
 
 def alg_of(name, field=None):
@@ -120,36 +119,6 @@ def test_mixed_algebra_rejected():
         a.vertex("v") + b.vertex("v")
 
 
-# -- grading -----------------------------------------------------------------
-
-
-def test_homogeneous_components_examples():
-    alg = alg_of("g_loop")
-    x = alg.edge("c") + alg.vertex("v")
-    comps = alg.homogeneous_components(x)
-    assert set(comps) == {0, 1}
-    assert comps[0] == alg.vertex("v") and comps[1] == alg.edge("c")
-
-    line = alg_of("g_line3")
-    y = line.edge("e1") + line.ghost("e1")
-    comps = line.homogeneous_components(y)
-    assert set(comps) == {-1, 1}
-
-
-@given(random_algebras(), st.integers(0, 10**6))
-@settings(max_examples=60, deadline=None)
-def test_components_recombine_and_grade_products(alg, salt):
-    rng = random.Random(salt)
-    x = random_element(alg, rng)
-    comps = alg.homogeneous_components(x)
-    total = alg.zero()
-    for n, part in comps.items():
-        for m in part.monomials():
-            assert m.degree == n
-        total = total + part
-    assert total == x
-
-
 # -- involution --------------------------------------------------------------
 
 
@@ -250,35 +219,6 @@ def test_generator_commutator_rewrite_branches():
     assert alg.generator_commutator(e1, "ghost", "e1") == (e2 * g2).scale(-1)
     with pytest.raises(EngineError):
         alg.generator_commutator(e1, "loop", "e1")
-
-
-# -- corner reduction --------------------------------------------------------
-
-
-def test_reduce_to_corner_laurent():
-    loop = alg_of("g_loop")
-    c = loop.edge("c")
-    red = loop.reduce_to_corner(c + c * c, 2)
-    assert red.kind == "laurent" and red.cycle_base == "v"
-
-
-def test_reduce_to_corner_vertex_line3():
-    line = alg_of("g_line3")
-    red = line.reduce_to_corner(line.edge("e1"), 2)
-    assert red.kind == "vertex"
-    assert red.vertex == "v2" and red.scalar == Fraction(1)
-
-
-def test_reduce_to_corner_vertex_r2():
-    alg = alg_of("g_r2")
-    x = alg.edge("e1") * alg.ghost("e2")
-    red = alg.reduce_to_corner(x, 2)
-    assert red.kind == "vertex" and red.vertex == "v" and red.scalar == Fraction(1)
-
-
-def test_reduce_to_corner_rejects_zero():
-    with pytest.raises(EngineError):
-        alg_of("g_loop").reduce_to_corner(alg_of("g_loop").zero(), 1)
 
 
 # -- dimension checks ----------------------------------------------------------

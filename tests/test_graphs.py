@@ -3,17 +3,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpa.fixtures import DOCUMENTS, graph
 from lpa.graphs import (
     INFINITE,
     Edge,
     Graph,
     GraphError,
-    connected_components,
     connects_to,
     count_paths_into,
     cycle_exits,
-    disjoint_union,
     enumerate_paths_into,
     make_cycle,
     parse_graph,
@@ -21,6 +18,7 @@ from lpa.graphs import (
     tree,
 )
 from lpa.randomgen import random_graph
+from corpus import graph
 
 import random
 
@@ -117,34 +115,6 @@ def test_tree_reflexive_and_transitive(g):
         assert v in t
         for w in t:
             assert tree(g, w) <= t
-
-
-# -- components --------------------------------------------------------------
-
-
-def test_components_loop():
-    comps = connected_components(graph("g_loop"))
-    assert len(comps) == 1 and comps[0] == graph("g_loop")
-
-
-def test_components_disjoint_union():
-    g = disjoint_union(graph("g_loop"), graph("g_line3"))
-    sizes = sorted(len(c.vertices) for c in connected_components(g))
-    assert sizes == [1, 3]
-
-
-def test_components_toeplitz():
-    assert len(connected_components(graph("g_toeplitz"))) == 1
-
-
-@given(random_graphs())
-@settings(max_examples=100, deadline=None)
-def test_components_partition_exactly(g):
-    comps = connected_components(g)
-    vs = [v for c in comps for v in c.vertices]
-    es = [e.id for c in comps for e in c.edges]
-    assert sorted(vs) == sorted(g.vertices)
-    assert sorted(es) == sorted(e.id for e in g.edges)
 
 
 # -- cycles ------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpa.engine import LeavittAlgebra
-from lpa.fixtures import graph
 from lpa.graphs import GraphError
 from lpa.hereditary import (
     HereditarySet,
@@ -18,6 +17,7 @@ from lpa.hereditary import (
     saturated_closure,
 )
 from lpa.randomgen import random_graph
+from corpus import graph
 
 
 def random_hereditary(g, rng):
