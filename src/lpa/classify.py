@@ -15,7 +15,6 @@ from .graphs import (
     InvariantError,
     _linked_groups,
     count_paths_into,
-    cycle_exits,
     simple_cycles,
     tree_bits_of_set,
 )
@@ -123,9 +122,10 @@ def _wrap_count(g: Graph, c: Cycle, entry_count):
 
 def classify_cycles(g: Graph) -> list[CycleInfo]:
     infos = []
+    bifs = g.bifurcation_bits()
     for c in simple_cycles(g):
-        exits = cycle_exits(g, c)
-        has_exits = bool(exits)
+        # a simple cycle has one edge at each vertex: an exit is a second one
+        has_exits = bool(g.vertex_bits(c.vertex_set) & bifs)
         # every vertex c reaches returns to c iff T(c^0) is c's component
         is_extreme = has_exits and g.tree_bits(c.base) == g.component_bits(c.base)
         entry_count = count_paths_into(g, c.vertex_set, c.edge_set)
@@ -262,14 +262,23 @@ class PisCertificate:
 
 
 def is_purely_infinite_simple(g: Graph) -> PisCertificate:
-    """Graph-side criteria: cycle reach, Condition (L), trivial H-lattice."""
+    """Graph-side criteria: cycle reach, Condition (L), trivial H-lattice.
+
+    A cycle without exits is a cyclic strongly connected component with no
+    bifurcation.  The "exit" witness is the base of the first one in
+    `simple_cycles` order, the least (length, least vertex).
+    """
     cyc = g.cycle_bits()
     for v in g.vertices:
         if not g.tree_bits(v) & cyc:
             return PisCertificate(False, "connects-to-cycle", v)
-    for c in simple_cycles(g):
-        if not cycle_exits(g, c):
-            return PisCertificate(False, "exit", c.base)
+    exitless = [
+        (c.bit_count(), min(g.vertices_of(c)))
+        for c in {g.component_bits(v) for v in g.vertices_of(cyc)}
+        if not c & g.bifurcation_bits()
+    ]
+    if exitless:
+        return PisCertificate(False, "exit", min(exitless)[1])
     everything = frozenset(g.vertices)
     for v in g.vertices:
         closure = saturated_closure(g, hereditary_closure(g, {v}))

@@ -202,9 +202,6 @@ class LeavittAlgebra:
     def zero(self) -> AlgebraElement:
         return AlgebraElement(self, {})
 
-    def element(self, raw_terms) -> AlgebraElement:
-        return self.normal_form(raw_terms)
-
     def vertex(self, v: str) -> AlgebraElement:
         t = self.trivial_path(v)
         return self.normal_form([(Monomial(t, t), self.field.one)])

@@ -78,21 +78,31 @@ class ModInt:
         return f"{self.value} (mod {self.p})"
 
 
+# Miller-Rabin over the primes up to 41 is exact below PRIME_LIMIT
+# (Sorenson and Webster, 2015)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        xs = [pow(a, d << i, p) for i in range(s)]  # a^d, a^2d, ..., a^((p-1)/2)
+        if xs[0] != 1 and p - 1 not in xs:
             return False
-        d += 1
     return True
 
 
 class PrimeField:
-    """Integers modulo a prime p."""
+    """Integers modulo a prime p, for p below PRIME_LIMIT."""
 
     def __init__(self, p: int):
+        if p >= PRIME_LIMIT:
+            raise ValueError(f"{p} is too large: primes must be below {PRIME_LIMIT}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

@@ -36,8 +36,6 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
-Count = "int | _Infinite"
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -332,7 +330,8 @@ def parse_graph(text: str) -> Graph:
     """Parse the JSON graph document format into a validated Graph."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deeply to decode
         raise GraphError(f"malformed graph document: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphError("graph document must be a JSON object")
@@ -443,18 +442,6 @@ def simple_cycles(g: Graph) -> list[Cycle]:
 def cycle_vertices(g: Graph) -> frozenset[str]:
     """Vertices lying on at least one cycle."""
     return g.vertices_of(g.cycle_bits())
-
-
-def cycle_exits(g: Graph, c: Cycle) -> frozenset[str]:
-    """Edges leaving the cycle: source on the cycle, edge not in it."""
-    for eid in c.edges:
-        g.edge(eid)
-    exits = set()
-    for v in c.vertex_set:
-        for e in g.out_edges(v):
-            if e.id not in c.edge_set:
-                exits.add(e.id)
-    return frozenset(exits)
 
 
 # -- path counting ---------------------------------------------------------

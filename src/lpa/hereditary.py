@@ -19,12 +19,11 @@ class NotHereditaryError(ValueError):
 
 @dataclass(frozen=True)
 class HereditarySet:
-    """A vertex subset with its hereditary/saturated status precomputed."""
+    """A vertex subset with its hereditary status precomputed."""
 
     graph: Graph
     members: frozenset[str]
     is_hereditary: bool = field(init=False)
-    is_saturated: bool = field(init=False)
 
     def __post_init__(self):
         g = self.graph
@@ -33,16 +32,7 @@ class HereditarySet:
         hereditary = all(
             e.dst in self.members for v in self.members for e in g.out_edges(v)
         )
-        saturated = True
-        for v in g.vertices:
-            if v in self.members:
-                continue
-            out = g.out_edges(v)
-            if out and all(e.dst in self.members for e in out):
-                saturated = False
-                break
         object.__setattr__(self, "is_hereditary", hereditary)
-        object.__setattr__(self, "is_saturated", saturated)
 
     def require_hereditary(self) -> None:
         if not self.is_hereditary:
@@ -71,24 +61,19 @@ def hereditary_closure(g: Graph, X) -> HereditarySet:
 
 
 def saturated_closure(g: Graph, H: HereditarySet) -> HereditarySet:
-    """Least fixed point of the saturation step over a hereditary set.
+    """Least saturated set containing the hereditary set H: the vertices w
+    whose tree T(w) holds no sink and no cycle vertex outside H.
 
-    Vertices are examined in declared order; a full pass that adds
-    nothing terminates the iteration.
+    Saturation, which adds a non-sink whose edges all land inside, never
+    adds such a vertex x: the first vertex of a cycle to be added would
+    need its successor on the cycle inside before it.  Nor any w above x,
+    since a path from w to x never enters the hereditary H.  Below any
+    other w, the part outside H is acyclic and free of sinks, and
+    saturation fills it in order of the longest path into H.
     """
     H.require_hereditary()
-    members = set(H.members)
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            if v in members:
-                continue
-            out = g.out_edges(v)
-            if out and all(e.dst in members for e in out):
-                members.add(v)
-                changed = True
-    return HereditarySet(g, frozenset(members))
+    outside = (g.cycle_bits() | g.vertex_bits(g.sinks())) & ~g.vertex_bits(H.members)
+    return HereditarySet(g, frozenset(v for v in g.vertices if not g.tree_bits(v) & outside))
 
 
 def entry_paths(g: Graph, H: HereditarySet) -> EntryPathSet:
@@ -98,23 +83,9 @@ def entry_paths(g: Graph, H: HereditarySet) -> EntryPathSet:
     outside_reaching = {
         v for v in g.vertices if v not in H.members and g.tree_bits(v) & inside
     }
-    # a cycle among outside vertices that reach H forces infinitely many paths
-    indeg = {v: 0 for v in outside_reaching}
-    succ = {v: [] for v in outside_reaching}
-    for e in g.edges:
-        if e.src in outside_reaching and e.dst in outside_reaching:
-            succ[e.src].append(e.dst)
-            indeg[e.dst] += 1
-    queue = [v for v in outside_reaching if indeg[v] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for w in succ[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != len(outside_reaching):
+    # a cycle through an outside vertex that reaches H: every vertex on it
+    # reaches H too, and none is inside, since H is hereditary
+    if g.vertex_bits(outside_reaching) & g.cycle_bits():
         return EntryPathSet(H, INFINITE)
 
     paths: list[tuple[str, ...]] = []

@@ -1,12 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpa.cli import main
+from lpa.fields import PRIME_LIMIT
 from lpa.graphs import InvariantError
 from lpa.reports import build_envelope, load_schema
 from corpus import FIXTURE_NAMES, FIXTURES, graph
@@ -76,6 +80,15 @@ def test_non_string_edge_fields_exit_2(tmp_path, doc, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["classify", "center"])
+def test_deeply_nested_document_exits_2(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(command, str(path))
+    assert code == 2 and out == "" and "malformed graph document" in err
+    assert "Traceback" not in err
+
+
 def test_classify_missing_file_exits_2(tmp_path):
     code, _out, err = run_cli("classify", str(tmp_path / "nope.json"))
     assert code == 2
@@ -122,6 +135,32 @@ def test_center_bad_field_is_usage_error():
         "center", str(FIXTURES / "g_loop.json"), "--field", "p:4"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "p, prime",
+    [
+        (561, False),  # Carmichael numbers
+        (41041, False),
+        (10**18 + 3, True),
+        (10**18 + 1, False),
+        (1, False),
+        (4, False),
+        (0, False),
+        (PRIME_LIMIT - 2, False),  # 17 divides it
+        (PRIME_LIMIT - 168, True),  # the largest prime below the limit
+        (PRIME_LIMIT, False),  # beyond the exact range: rejected, not tested
+    ],
+)
+def test_center_field_primality(capsys, p, prime):
+    argv = ["center", str(FIXTURES / "g_loop.json"), "--field", f"p:{p}"]
+    if prime:
+        assert main(argv) == 0
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--field" in capsys.readouterr().err
 
 
 def test_random_deterministic_and_verified():
@@ -278,3 +317,69 @@ def test_cli_output_bytes_unchanged(case, capsys):
     assert main(list(args)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# -- every document ends in a report or a clean input error ---------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+names = st.sampled_from(["u", "v", "w", "x", "y"])
+
+
+@st.composite
+def graph_documents(draw, strict=True):
+    """Up to 5 vertices and 8 edges.  Unless `strict`, an edge may name an
+    undeclared vertex or repeat an id."""
+    vertices = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+    ends = st.sampled_from(vertices) if strict else names
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=8))
+    ids = [f"e{j}" for j in range(len(pairs))]
+    if not strict:
+        ids = draw(st.lists(st.sampled_from("abc"), min_size=len(pairs), max_size=len(pairs)))
+    return {
+        "vertices": vertices,
+        "edges": [{"id": i, "src": s, "dst": d} for i, (s, d) in zip(ids, pairs)],
+    }
+
+
+@st.composite
+def wrong_fields(draw):
+    doc = draw(graph_documents())
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(["vertices", "edges"]))] = draw(json_values)
+    elif doc["edges"]:
+        doc["edges"][0][draw(st.sampled_from(["id", "src", "dst"]))] = draw(json_values)
+    return json.dumps(doc)
+
+
+documents = st.one_of(
+    graph_documents().map(json.dumps),
+    st.one_of(
+        graph_documents(strict=False).map(json.dumps),
+        wrong_fields(),
+        st.integers(1, 100_000).map(lambda depth: "[" * depth + "]" * depth),
+        st.integers(1, 100_000).map(lambda depth: '{"a":' * depth + "1" + "}" * depth),
+        json_values.filter(lambda v: not isinstance(v, dict)).map(json.dumps),
+        st.text(max_size=10),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents") / "g.json"
+
+
+@given(documents, st.sampled_from([["classify"], ["center", "--verify"]]))
+@settings(max_examples=200, deadline=None)
+def test_any_document_ends_cleanly(schema, document_path, text, command):
+    document_path.write_text(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command[0], str(document_path), *command[1:]])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        jsonschema.validate(json.loads(out.getvalue()), schema)

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpa.classify import classify_cycles
 from lpa.graphs import (
     INFINITE,
     Edge,
@@ -10,7 +11,6 @@ from lpa.graphs import (
     GraphError,
     connects_to,
     count_paths_into,
-    cycle_exits,
     enumerate_paths_into,
     make_cycle,
     parse_graph,
@@ -156,13 +156,12 @@ def test_simple_cycles_each_once_and_canonical(g):
 
 
 def test_cycle_exits_examples():
-    g = graph("g_loop")
-    assert cycle_exits(g, simple_cycles(g)[0]) == frozenset()
-    g = graph("g_toeplitz")
-    assert cycle_exits(g, simple_cycles(g)[0]) == {"f"}
-    g = graph("g_ext2")
-    (ce, _cfg) = simple_cycles(g)
-    assert cycle_exits(g, ce) == {"f"}
+    (loop,) = classify_cycles(graph("g_loop"))
+    assert not loop.has_exits
+    (toeplitz,) = classify_cycles(graph("g_toeplitz"))
+    assert toeplitz.has_exits  # the edge f
+    ce, _cfg = classify_cycles(graph("g_ext2"))
+    assert ce.cycle.edges == ("e",) and ce.has_exits  # the edge f
 
 
 # -- path counting -----------------------------------------------------------

@@ -1,8 +1,10 @@
 """The reachability index against the implementations it replaced.
 
 The references below are the earlier direct computations: a fresh search
-per tree, all-pairs tree intersections, and inclusion-exclusion for the
-wrap count.  They are kept here, off the production path, as oracles.
+per tree, all-pairs tree intersections, inclusion-exclusion for the wrap
+count, the saturation fixpoint, a Kahn pass for infinite entry paths and
+cycle enumeration for Condition (L).  They are kept here, off the
+production path, as oracles.
 """
 
 import random
@@ -17,8 +19,10 @@ import lpa.classify
 from lpa.classify import (
     CycleInfo,
     ExtremeClass,
+    PisCertificate,
     classify_cycles,
     extreme_classes,
+    is_purely_infinite_simple,
     line_points,
     prime_trichotomy,
     sim_classes,
@@ -30,7 +34,6 @@ from lpa.graphs import (
     Graph,
     connects_to,
     count_paths_into,
-    cycle_exits,
     cycle_vertices,
     make_cycle,
     simple_cycles,
@@ -65,11 +68,35 @@ def rose(n):
     return Graph(["v"], [Edge(f"e{i}", "v", "v") for i in range(1, n + 1)])
 
 
+def ladder(n):
+    """n vertices declared source-first, v_i -> v_{i+1} by two edges."""
+    vs = [f"v{i:04d}" for i in range(n)]
+    es = [Edge(f"{k}{i}", vs[i], vs[i + 1]) for i in range(n - 1) for k in "ab"]
+    return Graph(vs, es)
+
+
+def shuffled_graph(seed):
+    """10 to 14 vertices whose names are shuffled, so that lexicographic
+    order (v10 < v2) and declared order differ.  Every vertex has an edge,
+    so every vertex reaches a cycle; a few more edges make exits."""
+    rng = random.Random(seed)
+    n = rng.randint(10, 14)
+    vs = [f"v{i}" for i in range(n)]
+    rng.shuffle(vs)
+    es = [Edge(f"e{i}", v, rng.choice(vs)) for i, v in enumerate(vs)]
+    es += [Edge(f"f{j}", rng.choice(vs), rng.choice(vs)) for j in range(rng.randint(0, 4))]
+    if rng.random() < 0.3:  # a sink, dropping the edges out of it
+        sink = rng.choice(vs)
+        es = [e for e in es if e.src != sink]
+    return Graph(vs, es)
+
+
 graphs = st.one_of(
     st.integers(0, 10**6).map(lambda s: random_graph(random.Random(s), 7, 12)),
     st.integers(1, 6).map(rose),
     st.integers(1, 8).map(cycle_with_tail),
 )
+shuffled_graphs = st.integers(0, 10**6).map(shuffled_graph)
 
 
 # -- reference implementations ----------------------------------------------------
@@ -136,6 +163,13 @@ def ref_wrap_count(g, c):
         for subset in combinations(edges, r):
             total += sign * count_paths_into(g, c.vertex_set, subset)
     return total
+
+
+def cycle_exits(g, c):
+    """Edges leaving the cycle: source on the cycle, edge not in it."""
+    return frozenset(
+        e.id for v in c.vertex_set for e in g.out_edges(v) if e.id not in c.edge_set
+    )
 
 
 def ref_classify_cycles(g):
@@ -232,6 +266,30 @@ def ref_hereditary_closure(g, X):
     return HereditarySet(g, frozenset().union(*(ref_tree(g, v) for v in X)))
 
 
+def ref_is_saturated(g, members):
+    """No vertex outside `members` has edges, all of them landing inside."""
+    for v in g.vertices:
+        out = g.out_edges(v)
+        if v not in members and out and all(e.dst in members for e in out):
+            return False
+    return True
+
+
+def ref_saturated_closure(g, H):
+    """The saturation step repeated over all vertices until a pass adds none."""
+    H.require_hereditary()
+    members = set(H.members)
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices:
+            out = g.out_edges(v)
+            if v not in members and out and all(e.dst in members for e in out):
+                members.add(v)
+                changed = True
+    return HereditarySet(g, frozenset(members))
+
+
 def ref_entry_paths(g, H):
     outside_reaching = {
         v for v in g.vertices if v not in H.members and ref_tree(g, v) & H.members
@@ -267,6 +325,22 @@ def ref_entry_paths(g, H):
             walk(v, ())
     paths.sort(key=lambda p: (len(p), p))
     return EntryPathSet(H, tuple(paths))
+
+
+def ref_is_purely_infinite_simple(g):
+    """Condition (L) by enumerating the simple cycles and their exits."""
+    cyc = ref_cycle_vertices(g)
+    for v in g.vertices:
+        if not ref_tree(g, v) & cyc:
+            return PisCertificate(False, "connects-to-cycle", v)
+    for c in ref_simple_cycles(g):
+        if not cycle_exits(g, c):
+            return PisCertificate(False, "exit", c.base)
+    everything = frozenset(g.vertices)
+    for v in g.vertices:
+        if ref_saturated_closure(g, ref_hereditary_closure(g, {v})).members != everything:
+            return PisCertificate(False, "lattice", v)
+    return PisCertificate(True)
 
 
 def ref_resolve_vertex(g, v, H):
@@ -327,6 +401,7 @@ def test_x_decomposition_matches_reference(g):
         sim_classes=ref_sim_classes,
         extreme_classes=ref_extreme_classes,
         hereditary_closure=ref_hereditary_closure,
+        saturated_closure=ref_saturated_closure,
         entry_paths=ref_entry_paths,
     ):
         expected = x_decomposition(g)
@@ -345,6 +420,28 @@ def test_hereditary_readers_match_reference(g, salt):
     if h.members:
         for v in saturated_closure(g, h).members:
             assert resolve_vertex(g, v, h) == ref_resolve_vertex(g, v, h)
+
+
+@given(st.one_of(graphs, shuffled_graphs), st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_saturation_and_entry_paths_match_reference(g, salt):
+    rng = random.Random(salt)
+    h = hereditary_closure(g, {v for v in g.vertices if rng.random() < 0.3})
+    sat = saturated_closure(g, h)
+    assert sat == ref_saturated_closure(g, h)
+    assert sat.is_hereditary and ref_is_saturated(g, sat.members)
+    assert entry_paths(g, h) == ref_entry_paths(g, h)
+    assert entry_paths(g, sat) == ref_entry_paths(g, sat)
+
+
+@given(st.one_of(graphs, shuffled_graphs))
+@settings(max_examples=200, deadline=None)
+def test_condition_l_matches_reference(g):
+    """Verdict, failing condition and witness, also when the least vertex
+    of an exitless cycle is not its first in declared order."""
+    assert is_purely_infinite_simple(g) == ref_is_purely_infinite_simple(g)
+    for ci in classify_cycles(g):
+        assert ci.has_exits == bool(cycle_exits(g, ci.cycle))
 
 
 @given(graphs)
@@ -379,6 +476,25 @@ def test_wrap_count_is_closed_form():
     (ci,) = rep.cycles
     assert ci.wrap_count == 12 * ci.entry_count == 156
     assert len(calls) <= len(ci.cycle) + 2
+
+
+def test_saturated_closure_is_closed_form():
+    """At most 2|V| out_edges calls (the two HereditarySet checks): no
+    rescanning pass per added vertex on a ladder saturated from its sink."""
+    g = ladder(1000)
+    h = hereditary_closure(g, {g.vertices[-1]})
+    calls = 0
+    out_edges = Graph.out_edges
+
+    def counting(self, v):
+        nonlocal calls
+        calls += 1
+        return out_edges(self, v)
+
+    with mock.patch.object(Graph, "out_edges", counting):
+        sat = saturated_closure(g, h)
+    assert sat.members == frozenset(g.vertices)
+    assert calls <= 2 * len(g.vertices)
 
 
 def test_deep_graphs_need_no_recursion():
