@@ -53,7 +53,6 @@ class ExtendedCentroidReport:
 
 @dataclass(frozen=True)
 class CenterReport:
-    graph: Graph
     basis_zero: tuple[CentralBasisElement, ...]
     basis_nonzero: dict  # degree -> tuple[CentralBasisElement, ...]
     iso_type: dict  # {"K": count, "Laurent": count}
@@ -171,7 +170,6 @@ def center_report(
         if xc.class_type == "cycle_degenerate"
     )
     return CenterReport(
-        graph=alg.graph,
         basis_zero=b0,
         basis_nonzero=bn,
         iso_type=iso,
@@ -279,13 +277,12 @@ def oracle_commutant(
     ]
     if not cands:
         return []
-    elems = [AlgebraElement(alg, {m: alg.field.one}) for m in cands]
     rows: dict[tuple, dict] = {}
-    for _label, kind, gid in alg.generator_labels():
-        for j, elem in enumerate(elems):
-            com = alg.generator_commutator(elem, kind, gid)
-            for mm, k in com.sorted_terms():
-                rows.setdefault((kind, gid, mm), {})[j] = k
+    for j, m in enumerate(cands):
+        coms = alg.commutators(AlgebraElement(alg, {m: alg.field.one}))
+        for generator, com in coms.items():
+            for mm, k in com.terms.items():
+                rows.setdefault((generator, mm), {})[j] = k
     vecs = kernel_basis(list(rows.values()), len(cands), alg.field)
     out = []
     for vec in vecs:

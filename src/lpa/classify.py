@@ -58,7 +58,6 @@ class XClass:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    graph: Graph
     p_l: frozenset[str]
     p_c: frozenset[str]
     p_c_plus: frozenset[str]
@@ -235,7 +234,6 @@ def x_decomposition(g: Graph) -> ClassificationReport:
     h_inf = frozenset().union(*(xc.closure for xc in x_classes if not xc.is_finite))
 
     return ClassificationReport(
-        graph=g,
         p_l=pl,
         p_c=pc,
         p_c_plus=pc_plus,

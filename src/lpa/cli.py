@@ -137,6 +137,10 @@ def cmd_classify(args: argparse.Namespace, out) -> int:
 
 
 def cmd_center(args: argparse.Namespace, out) -> int:
+    if args.degrees is not None and args.degrees < 0:
+        raise GraphError("--degrees must be nonnegative")
+    if args.max_len is not None and args.max_len < 0:
+        raise GraphError("--max-len must be nonnegative")
     g = _read_graph(args.path)
     env = build_envelope(
         g,
@@ -193,8 +197,7 @@ def cmd_schema(out) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
         if args.command == "classify":
@@ -203,16 +206,13 @@ def main(argv=None) -> int:
             return cmd_center(args, out)
         if args.command == "random":
             return cmd_random(args, out)
-        if args.command == "schema":
-            return cmd_schema(out)
-        parser.error(f"unknown command {args.command!r}")
-    except (GraphError, json.JSONDecodeError, ValueError) as exc:
+        return cmd_schema(out)
+    except ValueError as exc:
         print(f"lpa: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (AssertionError, InvariantError) as exc:
         print(f"lpa: internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -146,10 +146,13 @@ class LeavittAlgebra:
         self.graph = graph
         self.field = field
         self._special: dict[str, str] = {}
+        self._in: dict[str, list] = {v: [] for v in graph.vertices}
         for v in graph.vertices:
             out = graph.out_edges(v)
             if out:
                 self._special[v] = min(e.id for e in out)
+        for e in graph.edges:
+            self._in[e.dst].append(e)
         self._range_cache: dict[GPath, str] = {}
 
     # -- paths and monomials ----------------------------------------------
@@ -333,98 +336,89 @@ class LeavittAlgebra:
         for e in self.graph.edges:
             yield e.id + "*", "ghost", e.id
 
-    def generator_commutator(
-        self, x: AlgebraElement, kind: str, gid: str
-    ) -> AlgebraElement:
-        """[x, g] for the generator g = vertex v, edge e or ghost e*, in
-        closed form; x must be in normal form.
+    def commutators(self, x: AlgebraElement) -> dict:
+        """{(kind, id): [x, g]} for every generator g with [x, g] != 0, keyed
+        as in generator_labels(); x must be in normal form.
 
-        Equal to ``commutator(x, g)``, but g is never built and neither
-        ``multiply`` nor ``normal_form`` runs.  Per monomial m = alpha beta*
-        (write a = s(e), b = r(e)):
+        Equal to ``commutator(x, g)`` for each g, from one pass over x's
+        terms: g is never built and neither ``multiply`` nor ``normal_form``
+        runs.  A monomial m = alpha beta* meets only the generators below,
+        and each result is normal (for an edge e write a = s(e), b = r(e)):
 
-        - vertex v: [m, v] = ([s(beta)=v] - [s(alpha)=v]) m, already normal.
+        - vertex v: [m, v] = ([s(beta)=v] - [s(alpha)=v]) m, so only s(alpha)
+          and s(beta) act, and only when they differ.
         - edge e: m e is alpha e when beta is trivial at a, alpha (beta')*
-          when beta = e beta', else 0.  e m is (e alpha) beta* when
-          s(alpha) = b, else 0.  Cutting the front edge off beta, or putting
-          e in front of a nonempty alpha, leaves the last edges of alpha and
-          beta as they were, so the result is normal.  The one exception:
-          alpha trivial, beta = beta0 e and e special at a.  Then
-          e m = e e* beta0* needs the range relation e e* = a - sum_{f != e}
-          f f* once, giving a beta0* - sum_{f != e} f (beta0 f)*, which is
-          normal.
-        - ghost e*: the mirror.  m e* is alpha (e beta)* when s(beta) = b,
-          else 0, and needs the rewrite exactly when beta is trivial,
-          alpha = alpha0 e and e is special at a: alpha0 a* - sum_{f != e}
-          (alpha0 f) f*.  e* m is alpha' beta* when alpha = e alpha',
-          b (beta e)* when alpha is trivial at a, else 0.
+          when beta = e beta', else 0, so only the edges out of s(beta) (beta
+          trivial) or beta's first edge act.  e m is (e alpha) beta* when
+          s(alpha) = b, else 0, so only the edges into s(alpha) act.  Cutting
+          the front edge off beta, or putting e in front of a nonempty alpha,
+          leaves the last edges of alpha and beta as they were, so the
+          result is normal.  The one exception: alpha trivial, beta = beta0 e
+          and e special at a.  Then e m = e e* beta0* needs the range
+          relation e e* = a - sum_{f != e} f f* once, giving
+          a beta0* - sum_{f != e} f (beta0 f)*, which is normal.
+        - ghost e*: [x, e*] = -([x*, e])*, because (x e* - e* x)* =
+          e x* - x* e.  The swap alpha beta* -> beta alpha* keeps normal
+          form, since the condition is symmetric in alpha and beta, so the
+          edge case runs on the swapped term and its results are swapped
+          back and negated.
         """
         zero = self.field.zero
-        out: dict[Monomial, object] = {}
+        out_edges = self.graph.out_edges
+        acc: dict[tuple, dict] = {}
 
-        def add(alpha, beta, k):
-            m = Monomial(alpha, beta)
-            acc = out.get(m)
-            if acc is None:
-                out[m] = k
-            elif acc + k == zero:
-                del out[m]
+        def add(key, m, k):
+            terms = acc.get(key)
+            if terms is None:
+                acc[key] = {m: k}
+            elif m not in terms:
+                terms[m] = k
+            elif terms[m] + k == zero:
+                del terms[m]
             else:
-                out[m] = acc + k
+                terms[m] += k
 
-        if kind == "vertex":
-            self.graph.check_vertex(gid)
-            for m, k in x.terms.items():
-                if m.alpha.source != m.beta.source:
-                    if m.beta.source == gid:
-                        out[m] = k
-                    elif m.alpha.source == gid:
-                        out[m] = -k
-            return AlgebraElement(self, out)
-        if kind not in ("edge", "ghost"):
-            raise EngineError(f"unknown generator kind: {kind!r}")
-        e = self.graph.edge(gid)
-        a, b, ge = e.src, e.dst, (gid,)
-        special = self._special[a] == gid
-        others = ()
-        if special:
-            others = [(f.id,) for f in self.graph.out_edges(a) if f.id != gid]
+        def to_edge(eid, alpha, beta, k):
+            add(("edge", eid), Monomial(alpha, beta), k)
+
+        def to_ghost(eid, alpha, beta, k):
+            add(("ghost", eid), Monomial(beta, alpha), k)
+
+        def edge_terms(alpha, beta, k, neg_k, emit):
+            p, q = alpha.edges, beta.edges
+            if q:
+                e = self.graph.edge(q[0])
+                emit(e.id, alpha, GPath(e.dst, q[1:]), k)
+            else:
+                for e in out_edges(beta.source):
+                    emit(e.id, GPath(alpha.source, p + (e.id,)), GPath(e.dst), k)
+            for e in self._in[alpha.source]:
+                a = e.src
+                if not p and q[-1:] == (e.id,) and self._special[a] == e.id:
+                    beta0 = q[:-1]
+                    emit(e.id, GPath(a), GPath(beta.source, beta0), neg_k)
+                    for f in out_edges(a):
+                        if f.id != e.id:
+                            fe = (f.id,)
+                            emit(e.id, GPath(a, fe), GPath(beta.source, beta0 + fe), k)
+                else:
+                    emit(e.id, GPath(a, (e.id,) + p), beta, neg_k)
+
         for m, k in x.terms.items():
             alpha, beta = m.alpha, m.beta
-            p, q = alpha.edges, beta.edges
-            if kind == "edge":
-                if not q:
-                    if beta.source == a:
-                        add(GPath(alpha.source, p + ge), GPath(b), k)
-                elif q[0] == gid:
-                    add(alpha, GPath(b, q[1:]), k)
-                if alpha.source != b:
-                    continue
-                if special and not p and q and q[-1] == gid:
-                    add(GPath(a), GPath(beta.source, q[:-1]), -k)
-                    for f in others:
-                        add(GPath(a, f), GPath(beta.source, q[:-1] + f), k)
-                else:
-                    add(GPath(a, ge + p), beta, -k)
-            else:
-                if beta.source == b:
-                    if special and not q and p and p[-1] == gid:
-                        add(GPath(alpha.source, p[:-1]), GPath(a), k)
-                        for f in others:
-                            add(GPath(alpha.source, p[:-1] + f), GPath(a, f), -k)
-                    else:
-                        add(alpha, GPath(a, ge + q), k)
-                if not p:
-                    if alpha.source == a:
-                        add(GPath(b), GPath(beta.source, q + ge), -k)
-                elif p[0] == gid:
-                    add(GPath(b, p[1:]), beta, -k)
-        return AlgebraElement(self, out)
+            neg_k = -k
+            if alpha.source != beta.source:
+                add(("vertex", beta.source), m, k)
+                add(("vertex", alpha.source), m, neg_k)
+            edge_terms(alpha, beta, k, neg_k, to_edge)
+            edge_terms(beta, alpha, neg_k, k, to_ghost)
+        return {key: AlgebraElement(self, terms) for key, terms in acc.items() if terms}
 
     def is_central(self, x: AlgebraElement) -> CentralityResult:
+        coms = self.commutators(x)
         for label, kind, gid in self.generator_labels():
-            c = self.generator_commutator(x, kind, gid)
-            if c:
+            c = coms.get((kind, gid))
+            if c is not None:
                 return CentralityResult(False, label, c)
         return CentralityResult(True)
 

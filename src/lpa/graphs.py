@@ -72,7 +72,7 @@ class Graph:
             seen.add(v)
         self._vertex_set = seen
         self._edge_by_id: dict[str, Edge] = {}
-        self._out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
             if e.id in self._edge_by_id:
                 raise GraphError(f"duplicate edge id: {e.id!r}")
@@ -81,7 +81,8 @@ class Graph:
             if e.dst not in self._vertex_set:
                 raise GraphError(f"edge {e.id!r} has undeclared target: {e.dst!r}")
             self._edge_by_id[e.id] = e
-            self._out[e.src].append(e)
+            out[e.src].append(e)
+        self._out = {v: tuple(es) for v, es in out.items()}
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self._index: Optional[_ReachIndex] = None
 
@@ -105,16 +106,10 @@ class Graph:
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         self.check_vertex(v)
-        return tuple(self._out[v])
-
-    def is_sink(self, v: str) -> bool:
-        return not self.out_edges(v)
+        return self._out[v]
 
     def sinks(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if not self._out[v])
-
-    def is_bifurcation(self, v: str) -> bool:
-        return len(self.out_edges(v)) >= 2
 
     def vertex_order(self, v: str) -> int:
         return self._vertex_index[v]

@@ -173,7 +173,7 @@ def test_classification_invariants(g):
                 if not ci.has_exits and ci.cycle.vertex_set <= xc.closure
             ]
             assert len(inside) == 1 and inside[0].in_S
-            assert not any(g.is_sink(v) for v in xc.members)
+            assert all(g.out_edges(v) for v in xc.members)
 
 
 # -- ideal structure -----------------------------------------------------------

@@ -208,6 +208,19 @@ def test_envelope_byte_identical():
     assert build_envelope(g, verify=True).dumps() == build_envelope(g, verify=True).dumps()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--degrees", "-1"), "--degrees must be nonnegative"),
+        (("--oracle", "--max-len", "-1"), "--max-len must be nonnegative"),
+    ],
+)
+def test_center_negative_bound_is_usage_error(args, message):
+    code, out, err = run_cli("center", str(FIXTURES / "g_loop.json"), *args)
+    assert code == 2 and out == ""
+    assert f"input error: {message}" in err
+
+
 def test_classify_long_line_exits_0(tmp_path):
     n = 1100
     vs = [f"v{i:04d}" for i in range(n)]
@@ -306,13 +319,59 @@ CLI_DIGESTS = {
         ("random", *CAMPAIGN500),
         "b70eeeaf30bbbeb8e42ed3dab291cd7a4161e5ba3e0dd6bc1fcf083d178975f5",
     ),
+    "center-two_cycle": (
+        ("center", "two_cycle", *VERIFY_ORACLE),
+        "7f6662cd02ccd60622c05b9205d33a6ee6d758eaf39d26cdaf1b6ebb36becdbf",
+    ),
+    "center-multi_exit-p7": (
+        ("center", "multi_exit", *VERIFY_ORACLE, "--field", "p:7", "--max-len", "4"),
+        "0c706d35f4d216144cbebe4ff69474ebd675f8a42cce6ac0bc17d8e57b2e6e72",
+    ),
+    "center-line3000": (
+        ("center", "line3000", "--verify"),
+        "1604b11f6f5960cd100a6d27800e2ac1277dc3256bdee498b75ebd8a8d396378",
+    ),
+}
+
+
+def _line(n):
+    vs = [f"v{i}" for i in range(n)]
+    return {
+        "vertices": vs,
+        "edges": [{"id": f"e{i}", "src": vs[i], "dst": vs[i + 1]} for i in range(n - 1)],
+    }
+
+
+# Graph documents that are not fixtures, recorded at the commit before the
+# per-generator commutator became one pass over the element's terms: the
+# 2-cycle u <-> v (degree window 4), a vertex with parallel edges, a loop
+# and in-degree 2, and a 3,000-vertex line.
+INLINE_GRAPHS = {
+    "two_cycle": {
+        "vertices": ["u", "v"],
+        "edges": [{"id": "e", "src": "u", "dst": "v"}, {"id": "f", "src": "v", "dst": "u"}],
+    },
+    "multi_exit": {
+        "vertices": ["u", "v", "w"],
+        "edges": [
+            {"id": i, "src": src, "dst": dst}
+            for i, src, dst in [
+                ("a", "u", "v"), ("b", "u", "v"), ("c", "u", "u"), ("d", "v", "w"), ("f", "v", "u"),
+            ]
+        ],
+    },
+    "line3000": _line(3000),
 }
 
 
 @pytest.mark.parametrize("case", CLI_DIGESTS)
-def test_cli_output_bytes_unchanged(case, capsys):
+def test_cli_output_bytes_unchanged(case, capsys, tmp_path):
     args, digest = CLI_DIGESTS[case]
-    if args[0] != "random":
+    if args[1] in INLINE_GRAPHS:
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(INLINE_GRAPHS[args[1]]))
+        args = (args[0], str(path), *args[2:])
+    elif args[0] != "random":
         args = (args[0], str(FIXTURES / f"{args[1]}.json"), *args[2:])
     assert main(list(args)) == 0
     out = capsys.readouterr().out

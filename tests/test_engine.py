@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpa.engine import EngineError, LeavittAlgebra, Monomial
+from lpa.center import basis_zero
+from lpa.engine import AlgebraElement, EngineError, LeavittAlgebra, Monomial
 from lpa.fields import PrimeField
 from lpa.graphs import Edge, Graph
 from lpa.randomgen import random_graph
@@ -192,13 +193,14 @@ def test_generator_commutator_matches_reference(g, field, salt):
     rng = random.Random(salt)
     for _ in range(3):
         x = random_element(alg, rng, 4)
+        coms = alg.commutators(x)
         witness = None
         for (label, gen), (label2, kind, gid) in zip(
             alg.generators(), alg.generator_labels()
         ):
             assert label2 == label
             ref = alg.commutator(x, gen)
-            assert alg.generator_commutator(x, kind, gid) == ref, (label, x)
+            assert coms.get((kind, gid), alg.zero()) == ref, (label, x)
             if ref and witness is None:
                 witness = (label, ref)
         res = alg.is_central(x)
@@ -214,11 +216,46 @@ def test_generator_commutator_rewrite_branches():
     e1, e2 = alg.edge("e1"), alg.edge("e2")
     g1, g2 = alg.ghost("e1"), alg.ghost("e2")
     # [e1*, e1] = e1* e1 - e1 e1* = v - (v - e2 e2*) = e2 e2*
-    assert alg.generator_commutator(g1, "edge", "e1") == e2 * g2
+    assert alg.commutators(g1)[("edge", "e1")] == e2 * g2
     # [e1, e1*] = -e2 e2*
-    assert alg.generator_commutator(e1, "ghost", "e1") == (e2 * g2).scale(-1)
-    with pytest.raises(EngineError):
-        alg.generator_commutator(e1, "loop", "e1")
+    assert alg.commutators(e1)[("ghost", "e1")] == (e2 * g2).scale(-1)
+
+
+class CountingTerms(dict):
+    """A terms dict that counts the items it yields, however it is read."""
+
+    visited = 0
+
+    def _count(self, it):
+        for item in it:
+            self.visited += 1
+            yield item
+
+    def __iter__(self):
+        return self._count(super().__iter__())
+
+    def keys(self):
+        return self._count(super().keys())
+
+    def values(self):
+        return self._count(super().values())
+
+    def items(self):
+        return self._count(super().items())
+
+
+def test_is_central_reads_terms_once():
+    """On the line L_2000 the one basis element a[c] has 2,000 terms and
+    there are 5,998 generators; a scan per generator visits ~12 M items."""
+    n = 2000
+    vs = [f"v{i}" for i in range(n)]
+    alg = LeavittAlgebra(Graph(vs, [Edge(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)]))
+    (b,) = basis_zero(alg)
+    assert len(b.element.terms) == n
+    terms = CountingTerms(b.element.terms)
+    assert alg.is_central(AlgebraElement(alg, terms)).central
+    generators = sum(1 for _ in alg.generator_labels())
+    assert terms.visited <= 3 * n + generators
 
 
 # -- dimension checks ----------------------------------------------------------

@@ -146,7 +146,7 @@ def ref_line_points(g):
         v
         for v in g.vertices
         if not (ref_tree(g, v) & cyc)
-        and not any(g.is_bifurcation(w) for w in ref_tree(g, v))
+        and not any(len(g.out_edges(w)) >= 2 for w in ref_tree(g, v))
     )
 
 
@@ -238,7 +238,7 @@ def ref_extreme_classes(g, infos=None):
 def ref_sim_classes(g):
     verts = list(g.vertices)
     trees = [ref_tree(g, v) for v in verts]
-    bifs = {v for v in verts if g.is_bifurcation(v)}
+    bifs = {v for v in verts if len(g.out_edges(v)) >= 2}
     cyc = ref_cycle_vertices(g)
     related = []
     for i, w in enumerate(verts):
