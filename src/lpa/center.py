@@ -4,10 +4,13 @@ centroid summary, and an independent brute-force commutant oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .classify import ClassificationReport, XClass, x_decomposition
 from .engine import AlgebraElement, GPath, LeavittAlgebra, Monomial
+from .fields import ModInt, PrimeField
 from .graphs import Graph
 from .hereditary import HereditarySet, entry_paths
 
@@ -199,57 +202,138 @@ def verify_basis(alg: LeavittAlgebra, elements) -> list[tuple[str, object]]:
 # -- exact linear algebra ----------------------------------------------------
 
 
-def _rref(rows: list[dict], field) -> list[dict]:
-    """Reduced row echelon form of sparse rows (col index -> scalar)."""
-    zero = field.zero
-    pivots: dict[int, dict] = {}  # pivot col -> normalized row
+def _int_row(row: dict, p) -> dict:
+    """A row as nonzero Python ints: residues over F_p; over Q, the row times
+    the lcm of its denominators and divided by the gcd of its entries (a
+    nonzero multiple of a row leaves the span, and so the RREF, unchanged)."""
+    if p is not None:
+        return {c: v for c, k in row.items() if (v := k.value)}
+    den = lcm(*(k.denominator for k in row.values()))
+    ints = {c: n * (den // k.denominator) for c, k in row.items() if (n := k.numerator)}
+    g = gcd(*ints.values())
+    return {c: k // g for c, k in ints.items()} if g > 1 else ints
+
+
+def _blocks(rows: list[dict]) -> list[list[dict]]:
+    """The nonzero rows grouped by the connected components of the
+    row/column incidence graph (a union-find over the columns)."""
+    parent: dict[int, int] = {}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
     for row in rows:
-        row = {c: k for c, k in row.items() if k != zero}
-        while row:
-            lead = min(row)
-            if lead in pivots:
-                factor = row[lead]
-                prow = pivots[lead]
-                for c, k in prow.items():
-                    s = row.get(c, zero) - factor * k
-                    if s == zero:
-                        row.pop(c, None)
-                    else:
-                        row[c] = s
+        first = None
+        for c in row:
+            root = find(parent.setdefault(c, c))
+            if first is None:
+                first = root
+            elif root != first:
+                parent[root] = first
+    blocks: dict[int, list[dict]] = {}
+    for row in rows:
+        if row:
+            blocks.setdefault(find(next(iter(row))), []).append(row)
+    return list(blocks.values())
+
+
+def _eliminate(block: list[dict], p) -> dict[int, dict]:
+    """Gauss-Jordan on one block, exactly: each row is taken to ints when
+    its turn comes, then eliminated over Z (p is None) with fraction-free
+    steps that keep every row primitive, or mod p with monic pivot rows.
+    Returns pivot column -> reduced int row; the pivot rows are kept fully
+    reduced against each other throughout."""
+    width = len({c for row in block for c in row})
+    pivots: dict[int, dict] = {}
+    for row in block:
+        if len(pivots) == width:
+            break  # full rank: every later row reduces to zero
+        row = _int_row(row, p)
+        for c in [c for c in row if c in pivots]:
+            _cancel(row, pivots[c], c, p)
+        if not row:
+            continue
+        lead = min(row)
+        if p is not None:
+            inv = pow(row[lead], -1, p)
+            row = {c: k * inv % p for c, k in row.items()}
+        for prow in pivots.values():
+            if lead in prow:
+                _cancel(prow, row, lead, p)
+        pivots[lead] = row
+    return pivots
+
+
+def _cancel(row: dict, prow: dict, c: int, p) -> None:
+    """Clear column c of row with the pivot row prow, in place."""
+    a = row[c]
+    if p is None:
+        b = prow[c]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if b != 1:
+            for j in row:
+                row[j] *= b
+        for j, k in prow.items():
+            s = row.get(j, 0) - a * k
+            if s:
+                row[j] = s
             else:
-                inv = row[lead]
-                pivots[lead] = {c: k / inv for c, k in row.items()}
-                break
-    # back-substitute for full reduction
-    for lead in sorted(pivots, reverse=True):
-        prow = pivots[lead]
-        for other_lead, orow in pivots.items():
-            if other_lead == lead:
-                continue
-            factor = orow.get(lead, zero)
-            if factor != zero:
-                for c, k in prow.items():
-                    s = orow.get(c, zero) - factor * k
-                    if s == zero:
-                        orow.pop(c, None)
-                    else:
-                        orow[c] = s
-    return [pivots[lead] for lead in sorted(pivots)]
+                del row[j]
+        g = gcd(*row.values())
+        if g > 1:
+            for j in row:
+                row[j] //= g
+    else:
+        for j, k in prow.items():
+            s = (row.get(j, 0) - a * k) % p
+            if s:
+                row[j] = s
+            else:
+                del row[j]
+
+
+def _rref(rows: list[dict], field) -> list[dict]:
+    """Reduced row echelon form of sparse rows (col index -> scalar).
+
+    The rows are split into blocks that share no column, and each block is
+    eliminated on its own in integer arithmetic.  The RREF of the matrix is
+    unique, so the pivot rows of all blocks, ordered by pivot column, are
+    the RREF of the whole.  Each pivot row goes back to the field by
+    dividing by its pivot entry.
+    """
+    p = field.p if isinstance(field, PrimeField) else None
+    reduced: dict[int, dict] = {}
+    for block in _blocks(rows):
+        for lead, row in _eliminate(block, p).items():
+            if p is None:
+                piv = row[lead]
+                reduced[lead] = {c: Fraction(k, piv) for c, k in row.items()}
+            else:
+                reduced[lead] = {c: ModInt(k, p) for c, k in row.items()}
+    return [reduced[lead] for lead in sorted(reduced)]
 
 
 def kernel_basis(rows: list[dict], ncols: int, field) -> list[dict]:
-    """Basis of the null space of the sparse constraint matrix."""
-    rref_rows = _rref(rows, field)
-    pivot_cols = {min(r) for r in rref_rows}
-    free_cols = [j for j in range(ncols) if j not in pivot_cols]
+    """Basis of the null space of the sparse constraint matrix: one vector
+    per free column f, with -k at each pivot whose RREF row has k at f."""
+    pivot_cols = set()
+    at_free: dict[int, list] = {}  # free column -> [(pivot col, entry)]
+    for r in _rref(rows, field):
+        lead = min(r)
+        pivot_cols.add(lead)
+        for c, k in r.items():
+            if c != lead:
+                at_free.setdefault(c, []).append((lead, k))
     basis = []
-    for f in free_cols:
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
         vec = {f: field.one}
-        for r in rref_rows:
-            lead = min(r)
-            k = r.get(f, field.zero)
-            if k != field.zero:
-                vec[lead] = -k
+        for lead, k in at_free.get(f, ()):
+            vec[lead] = -k
         basis.append(vec)
     return basis
 
@@ -270,25 +354,33 @@ def oracle_commutant(
     the column together with that row leaves the other coordinates'
     solutions unchanged.
     """
+    cands, rows = _oracle_matrix(alg, degree, max_len)
+    if not cands:
+        return []
+    vecs = kernel_basis(rows, len(cands), alg.field)
+    out = []
+    for vec in vecs:
+        terms = {cands[j]: k for j, k in vec.items() if k != alg.field.zero}
+        out.append(AlgebraElement(alg, terms))
+    return out
+
+
+def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
+    """The oracle's candidates and its sparse rows: one row per (generator,
+    monomial) pair, holding that monomial's coefficient in [m, generator]
+    for every candidate m."""
     cands = [
         m
         for m in alg.normal_monomials(degree, max_len)
         if m.alpha.source == m.beta.source
     ]
-    if not cands:
-        return []
     rows: dict[tuple, dict] = {}
     for j, m in enumerate(cands):
         coms = alg.commutators(AlgebraElement(alg, {m: alg.field.one}))
         for generator, com in coms.items():
             for mm, k in com.terms.items():
                 rows.setdefault((generator, mm), {})[j] = k
-    vecs = kernel_basis(list(rows.values()), len(cands), alg.field)
-    out = []
-    for vec in vecs:
-        terms = {cands[j]: k for j, k in vec.items() if k != alg.field.zero}
-        out.append(AlgebraElement(alg, terms))
-    return out
+    return cands, list(rows.values())
 
 
 def check_oracle_bound(elements, max_len: int) -> None:

@@ -439,22 +439,27 @@ class LeavittAlgebra:
         return paths
 
     def normal_monomials(self, degree: int, max_len: int) -> list[Monomial]:
-        """All normal-form monomials of a degree with |alpha|+|beta| <= max_len."""
-        paths = self.enumerate_paths(max_len)
-        by_range: dict[str, list[GPath]] = {}
-        for p in paths:
-            by_range.setdefault(self.path_range(p), []).append(p)
+        """All normal-form monomials of a degree with |alpha|+|beta| <= max_len.
+
+        A candidate has |alpha| = i and |beta| = i - degree with
+        2i - degree <= max_len, so neither side is longer than
+        (max_len + |degree|) // 2.  Paths are bucketed by (range, length),
+        and only the buckets (r, i) and (r, i - degree) are paired.
+        """
+        if abs(degree) > max_len:
+            return []
+        buckets: dict[tuple[str, int], list[GPath]] = {}
+        for p in self.enumerate_paths((max_len + abs(degree)) // 2):
+            buckets.setdefault((self.path_range(p), len(p)), []).append(p)
         out = []
-        for r, ps in by_range.items():
-            for a in ps:
-                for b in ps:
-                    if (
-                        len(a) - len(b) == degree
-                        and len(a) + len(b) <= max_len
-                    ):
-                        m = Monomial(a, b)
-                        if not self._reducible(m):
-                            out.append(m)
+        for (r, i), alphas in buckets.items():
+            if 2 * i - degree > max_len:
+                continue
+            for b in buckets.get((r, i - degree), ()):
+                for a in alphas:
+                    m = Monomial(a, b)
+                    if not self._reducible(m):
+                        out.append(m)
         out.sort(key=lambda m: m.sort_key())
         return out
 

@@ -1,0 +1,112 @@
+"""Slow references for the oracle's fast paths: the all-pairs candidate
+enumeration and the single global-pivot elimination they replaced, plus the
+graphs their equality tests draw from."""
+
+from lpa.engine import Monomial
+from lpa.graphs import Edge, Graph
+
+
+def rose(n):
+    """R_n: one vertex with n loops."""
+    return Graph(["v"], [Edge(f"e{i}", "v", "v") for i in range(1, n + 1)])
+
+
+def renamed(g, rng):
+    """g with vertices and edges renamed at random and declared in shuffled
+    order, so that lexicographic order (v10 < v2), which picks the special
+    edges and sorts the monomials, differs from declared order."""
+    vnames = dict(zip(g.vertices, rng.sample([f"v{i}" for i in range(12)], len(g.vertices))))
+    enames = dict(zip((e.id for e in g.edges), rng.sample([f"e{i}" for i in range(16)], len(g.edges))))
+    vs = [vnames[v] for v in g.vertices]
+    es = [Edge(enames[e.id], vnames[e.src], vnames[e.dst]) for e in g.edges]
+    rng.shuffle(vs)
+    rng.shuffle(es)
+    return Graph(vs, es)
+
+
+def ref_normal_monomials(alg, degree, max_len):
+    """Every pair of paths up to max_len with a common range, filtered by
+    length and degree."""
+    paths = alg.enumerate_paths(max_len)
+    by_range = {}
+    for p in paths:
+        by_range.setdefault(alg.path_range(p), []).append(p)
+    out = []
+    for ps in by_range.values():
+        for a in ps:
+            for b in ps:
+                if len(a) - len(b) == degree and len(a) + len(b) <= max_len:
+                    m = Monomial(a, b)
+                    if not alg._reducible(m):
+                        out.append(m)
+    out.sort(key=lambda m: m.sort_key())
+    return out
+
+
+def ref_rref(rows, field):
+    """Reduced row echelon form with one pivot dict over all columns and
+    field arithmetic throughout."""
+    zero = field.zero
+    pivots = {}  # pivot col -> normalized row
+    for row in rows:
+        row = {c: k for c, k in row.items() if k != zero}
+        while row:
+            lead = min(row)
+            if lead in pivots:
+                factor = row[lead]
+                for c, k in pivots[lead].items():
+                    s = row.get(c, zero) - factor * k
+                    if s == zero:
+                        row.pop(c, None)
+                    else:
+                        row[c] = s
+            else:
+                inv = row[lead]
+                pivots[lead] = {c: k / inv for c, k in row.items()}
+                break
+    for lead in sorted(pivots, reverse=True):
+        prow = pivots[lead]
+        for other_lead, orow in pivots.items():
+            if other_lead == lead:
+                continue
+            factor = orow.get(lead, zero)
+            if factor != zero:
+                for c, k in prow.items():
+                    s = orow.get(c, zero) - factor * k
+                    if s == zero:
+                        orow.pop(c, None)
+                    else:
+                        orow[c] = s
+    return [pivots[lead] for lead in sorted(pivots)]
+
+
+def ref_kernel_basis(rows, ncols, field):
+    """Null space from ref_rref, scanning every pivot row per free column."""
+    rref_rows = ref_rref(rows, field)
+    pivot_cols = {min(r) for r in rref_rows}
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = {f: field.one}
+        for r in rref_rows:
+            k = r.get(f, field.zero)
+            if k != field.zero:
+                vec[min(r)] = -k
+        basis.append(vec)
+    return basis
+
+
+def ref_same_span(alg, xs, ys):
+    """same_span with ref_rref."""
+    monomials = sorted(
+        {m for x in xs for m in x.terms} | {m for y in ys for m in y.terms},
+        key=lambda m: m.sort_key(),
+    )
+    index = {m: i for i, m in enumerate(monomials)}
+
+    def canon(elems):
+        rows = [{index[m]: k for m, k in e.terms.items()} for e in elems if e.terms]
+        return [tuple(sorted(r.items())) for r in ref_rref(rows, alg.field)]
+
+    return canon(xs) == canon(ys)

@@ -1,11 +1,18 @@
-import pytest
+import random
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import lpa.center
 from lpa.center import (
     CenterError,
     OracleBoundError,
     a_class,
     basis_n,
     basis_zero,
+    _oracle_matrix,
+    _rref,
     center_report,
     check_oracle_bound,
     extended_centroid_report,
@@ -18,8 +25,17 @@ from lpa.center import (
 from lpa.classify import x_decomposition
 from lpa.engine import AlgebraElement, LeavittAlgebra
 from lpa.fields import QQ, PrimeField
-from lpa.graphs import Edge, Graph, disjoint_union
+from lpa.graphs import disjoint_union
+from lpa.randomgen import random_graph
 from corpus import FIXTURE_NAMES, graph
+from references import (
+    ref_kernel_basis,
+    ref_normal_monomials,
+    ref_rref,
+    ref_same_span,
+    renamed,
+    rose,
+)
 
 
 def alg_of(name):
@@ -210,19 +226,20 @@ def test_oracle_agrees_with_basis_on_fixtures():
 
 
 def unpruned_commutant(alg, degree, max_len):
-    """Kernel over every normal monomial, rows from the reference commutator."""
-    cands = alg.normal_monomials(degree, max_len)
+    """Kernel over every normal monomial, with the reference enumeration,
+    rows from the reference commutator and the reference elimination."""
+    cands = ref_normal_monomials(alg, degree, max_len)
     rows: dict[tuple, dict] = {}
     for j, m in enumerate(cands):
         elem = AlgebraElement(alg, {m: alg.field.one})
         for i, (_label, gen) in enumerate(alg.generators()):
             for mm, k in alg.commutator(elem, gen).terms.items():
                 rows.setdefault((i, mm), {})[j] = k
-    vecs = kernel_basis(list(rows.values()), len(cands), alg.field)
+    vecs = ref_kernel_basis(list(rows.values()), len(cands), alg.field)
     return [AlgebraElement(alg, {cands[j]: k for j, k in v.items()}) for v in vecs]
 
 
-R3 = Graph(["v"], [Edge(f"e{i}", "v", "v") for i in (1, 2, 3)])
+R3 = rose(3)
 
 
 @pytest.mark.parametrize(
@@ -248,3 +265,84 @@ def test_same_span_detects_difference():
     alg = alg_of("g_line3")
     assert not same_span(alg, [alg.vertex("v1")], [alg.vertex("v2")])
     assert same_span(alg, [alg.vertex("v1").scale(3)], [alg.vertex("v1")])
+
+
+# -- block-wise exact elimination against the global-pivot reference ------------
+
+F7 = PrimeField(7)
+
+
+@given(st.integers(0, 10**6), st.integers(-2, 2), st.integers(0, 4), st.sampled_from([QQ, F7]))
+@settings(max_examples=80, deadline=None)
+def test_kernel_basis_matches_reference(seed, degree, max_len, field):
+    rng = random.Random(seed)
+    alg = LeavittAlgebra(renamed(random_graph(rng, 4, 6), rng), field)
+    cands, rows = _oracle_matrix(alg, degree, max_len)
+    assert kernel_basis(rows, len(cands), field) == ref_kernel_basis(rows, len(cands), field)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "p7"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_kernel_basis_matches_reference_on_roses(n, field):
+    alg = LeavittAlgebra(rose(n), field)
+    for degree in range(-2, 3):
+        cands, rows = _oracle_matrix(alg, degree, 4)
+        got = kernel_basis(rows, len(cands), field)
+        assert got == ref_kernel_basis(rows, len(cands), field), degree
+
+
+def random_span(alg, rng, coefficient):
+    paths = alg.enumerate_paths(2)
+    out = []
+    for _ in range(rng.randint(0, 4)):
+        x = alg.zero()
+        for _ in range(rng.randint(1, 3)):
+            a = rng.choice(paths)
+            b = rng.choice([p for p in paths if alg.path_range(p) == alg.path_range(a)])
+            x = x + alg.monomial_element(a, b, coefficient(rng))
+        out.append(x)
+    return out
+
+
+@given(st.integers(0, 10**6), st.sampled_from([QQ, F7]))
+@settings(max_examples=150, deadline=None)
+def test_same_span_matches_reference(seed, field):
+    # over Q the coefficients have denominators, so rows reach the
+    # elimination with entries that are not integers
+    rng = random.Random(seed)
+    alg = LeavittAlgebra(random_graph(rng, 3, 5), field)
+    if field == QQ:
+        def coefficient(rng):
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+    else:
+        def coefficient(rng):
+            return rng.randint(-8, 8)
+    xs = random_span(alg, rng, coefficient)
+    ys = [x.scale(Fraction(1, 3)) if field == QQ else x.scale(5) for x in xs]
+    ys = [y + z.scale(coefficient(rng)) for y, z in zip(ys, reversed(xs))]
+    if rng.random() < 0.5:
+        ys += random_span(alg, rng, coefficient)[:1]
+    assert same_span(alg, xs, ys) == ref_same_span(alg, xs, ys)
+    monomials = sorted({m for x in xs + ys for m in x.terms}, key=lambda m: m.sort_key())
+    index = {m: i for i, m in enumerate(monomials)}
+    rows = [{index[m]: k for m, k in e.terms.items()} for e in xs + ys]
+    assert _rref(rows, field) == ref_rref(rows, field)
+
+
+def test_oracle_blocks_are_narrow(monkeypatch):
+    # R_6 at degree 0 and L = 4: 1,296 candidates, whose constraint matrix
+    # falls apart into blocks of at most 7 columns; the global-pivot
+    # elimination handles all 1,296 columns at once.  The vertex v commutes
+    # with every generator, so its column is in no row and no block.
+    eliminate = lpa.center._eliminate
+    widths = []
+
+    def recording(block, p):
+        widths.append(len({c for row in block for c in row}))
+        return eliminate(block, p)
+
+    monkeypatch.setattr(lpa.center, "_eliminate", recording)
+    alg = LeavittAlgebra(rose(6))
+    assert len(oracle_commutant(alg, 0, 4)) == 1
+    assert sum(widths) == 1295
+    assert max(widths) <= 7

@@ -331,6 +331,14 @@ CLI_DIGESTS = {
         ("center", "line3000", "--verify"),
         "1604b11f6f5960cd100a6d27800e2ac1277dc3256bdee498b75ebd8a8d396378",
     ),
+    "center-rose6": (
+        ("center", "rose6", *VERIFY_ORACLE, "--max-len", "4"),
+        "040baf71299e133ea11cd5235473d697092f858cf74361f27a985d26ccdbd262",
+    ),
+    "center-rose6-p7": (
+        ("center", "rose6", *VERIFY_ORACLE, "--field", "p:7", "--max-len", "4"),
+        "040baf71299e133ea11cd5235473d697092f858cf74361f27a985d26ccdbd262",
+    ),
 }
 
 
@@ -345,7 +353,11 @@ def _line(n):
 # Graph documents that are not fixtures, recorded at the commit before the
 # per-generator commutator became one pass over the element's terms: the
 # 2-cycle u <-> v (degree window 4), a vertex with parallel edges, a loop
-# and in-degree 2, and a 3,000-vertex line.
+# and in-degree 2, and a 3,000-vertex line; the rose R_6 (one vertex with six
+# loops, 1,296 degree-0 oracle candidates at --max-len 4) was recorded at the
+# commit before the oracle's candidates were bucketed and its elimination
+# split into blocks.  The report carries no field, so both fields print the
+# same bytes.
 INLINE_GRAPHS = {
     "two_cycle": {
         "vertices": ["u", "v"],
@@ -361,6 +373,10 @@ INLINE_GRAPHS = {
         ],
     },
     "line3000": _line(3000),
+    "rose6": {
+        "vertices": ["v"],
+        "edges": [{"id": f"e{i}", "src": "v", "dst": "v"} for i in range(1, 7)],
+    },
 }
 
 

@@ -9,6 +9,7 @@ from lpa.fields import PrimeField
 from lpa.graphs import Edge, Graph
 from lpa.randomgen import random_graph
 from corpus import graph
+from references import ref_normal_monomials, renamed, rose
 
 
 def alg_of(name, field=None):
@@ -278,6 +279,34 @@ def test_loop_normal_monomials_are_laurent_basis():
         (m,) = ms
         assert m.alpha.edges == ("c",) * max(n, 0)
         assert m.beta.edges == ("c",) * max(-n, 0)
+
+
+@given(st.integers(0, 10**6), st.integers(-3, 3), st.integers(0, 5))
+@settings(max_examples=120, deadline=None)
+def test_normal_monomials_match_reference(seed, degree, max_len):
+    rng = random.Random(seed)
+    alg = LeavittAlgebra(renamed(random_graph(rng, 4, 5), rng))
+    assert alg.normal_monomials(degree, max_len) == ref_normal_monomials(alg, degree, max_len)
+
+
+def test_normal_monomials_enumerate_half_the_bound():
+    # on R_6 at degree 0 and L = 4 neither side of a candidate is longer
+    # than 2: 1 + 6 + 36 paths, where the all-pairs version enumerates
+    # the 1,555 paths up to length 4
+    alg = LeavittAlgebra(rose(6))
+    enumerate_paths = alg.enumerate_paths
+    bounds, sizes = [], []
+
+    def counting(max_len):
+        paths = enumerate_paths(max_len)
+        bounds.append(max_len)
+        sizes.append(len(paths))
+        return paths
+
+    alg.enumerate_paths = counting
+    assert len(alg.normal_monomials(0, 4)) == 1296
+    assert bounds and max(bounds) <= (4 + 0) // 2
+    assert sum(sizes) <= 43
 
 
 # -- ring axioms ---------------------------------------------------------------
