@@ -203,11 +203,12 @@ def verify_basis(alg: LeavittAlgebra, elements) -> list[tuple[str, object]]:
 
 
 def _int_row(row: dict, p) -> dict:
-    """A row as nonzero Python ints: residues over F_p; over Q, the row times
-    the lcm of its denominators and divided by the gcd of its entries (a
-    nonzero multiple of a row leaves the span, and so the RREF, unchanged)."""
+    """A row of field elements or ints as nonzero Python ints: residues over
+    F_p; over Q, the row times the lcm of its denominators and divided by
+    the gcd of its entries (a nonzero multiple of a row leaves the span, and
+    so the RREF, unchanged).  An int row passes over Q with denominator 1."""
     if p is not None:
-        return {c: v for c, k in row.items() if (v := k.value)}
+        return {c: v for c, k in row.items() if (v := int(k) % p)}
     den = lcm(*(k.denominator for k in row.values()))
     ints = {c: n * (den // k.denominator) for c, k in row.items() if (n := k.numerator)}
     g = gcd(*ints.values())
@@ -368,19 +369,29 @@ def oracle_commutant(
 def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
     """The oracle's candidates and its sparse rows: one row per (generator,
     monomial) pair, holding that monomial's coefficient in [m, generator]
-    for every candidate m."""
+    for every candidate m.  Each candidate is taken with coefficient 1, so
+    the generator action is integral and the rows hold Python ints; the
+    field enters only in the elimination."""
     cands = [
         m
         for m in alg.normal_monomials(degree, max_len)
         if m.alpha.source == m.beta.source
     ]
-    rows: dict[tuple, dict] = {}
+    rows: dict[tuple, dict] = {}  # generator key + term -> {candidate: int}
+
+    def add(key, term, c):  # j is the candidate the loop below is acting with
+        row = rows.setdefault(key + term, {})
+        s = row.get(j, 0) + c
+        if s:
+            row[j] = s
+        else:
+            del row[j]
+
     for j, m in enumerate(cands):
-        coms = alg.commutators(AlgebraElement(alg, {m: alg.field.one}))
-        for generator, com in coms.items():
-            for mm, k in com.terms.items():
-                rows.setdefault((generator, mm), {})[j] = k
-    return cands, list(rows.values())
+        alg.generator_action(
+            (((m.alpha.source, m.alpha.edges, m.beta.source, m.beta.edges), 1),), add
+        )
+    return cands, [row for row in rows.values() if row]
 
 
 def check_oracle_bound(elements, max_len: int) -> None:

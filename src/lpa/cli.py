@@ -180,6 +180,8 @@ def cmd_random(args: argparse.Namespace, out) -> int:
         total += 1
         ok = not _verification_failed(env)
         passed += ok
+        if not ok:
+            _report_failure(args.seed, index, g, env)
         if args.fmt == "json":
             doc = env.to_json()
             doc["index"] = index
@@ -189,6 +191,18 @@ def cmd_random(args: argparse.Namespace, out) -> int:
             _emit(env, args.fmt, out)
     out.write(f"summary: {passed}/{total} verified\n")
     return EXIT_OK if passed == total else EXIT_VERIFY
+
+
+def _report_failure(seed: int, index: int, g: Graph, env: Envelope) -> None:
+    """The replay witness of a campaign graph that failed verification: a
+    line naming the seed, the index and the first failing generator, then
+    the graph document on one line, ready for `lpa center --verify`."""
+    label, res = next((label, res) for label, res in env.verification if not res.central)
+    print(
+        f"lpa: --seed {seed} graph {index}: {label} does not commute with {res.witness}",
+        file=sys.stderr,
+    )
+    print(json.dumps(g.to_document()), file=sys.stderr)
 
 
 def cmd_schema(out) -> int:

@@ -192,11 +192,12 @@ class LeavittAlgebra:
             )
         return Monomial(alpha, beta)
 
-    def _reducible(self, m: Monomial) -> bool:
-        if not m.alpha.edges or not m.beta.edges:
+    def _reducible(self, alpha_edges: tuple, beta_edges: tuple) -> bool:
+        """alpha beta* is reducible: both end in the same special edge."""
+        if not alpha_edges or not beta_edges:
             return False
-        e = m.alpha.edges[-1]
-        if e != m.beta.edges[-1]:
+        e = alpha_edges[-1]
+        if e != beta_edges[-1]:
             return False
         return e == self._special[self.graph.edge(e).src]
 
@@ -253,7 +254,7 @@ class LeavittAlgebra:
             m, k = stack.pop()
             if k == zero:
                 continue
-            if self._reducible(m):
+            if self._reducible(m.alpha.edges, m.beta.edges):
                 s = m.alpha.edges[-1]
                 v = self.graph.edge(s).src
                 alpha1 = GPath(m.alpha.source, m.alpha.edges[:-1])
@@ -336,14 +337,18 @@ class LeavittAlgebra:
         for e in self.graph.edges:
             yield e.id + "*", "ghost", e.id
 
-    def commutators(self, x: AlgebraElement) -> dict:
-        """{(kind, id): [x, g]} for every generator g with [x, g] != 0, keyed
-        as in generator_labels(); x must be in normal form.
+    def generator_action(self, terms, add) -> None:
+        """Send [k·m, g] for every term (m, k) of terms and every generator g
+        to the accumulator add, without building g or any Monomial.
 
-        Equal to ``commutator(x, g)`` for each g, from one pass over x's
-        terms: g is never built and neither ``multiply`` nor ``normal_form``
-        runs.  A monomial m = alpha beta* meets only the generators below,
-        and each result is normal (for an edge e write a = s(e), b = r(e)):
+        A term is ((alpha source, alpha edges, beta source, beta edges), k)
+        for m = alpha beta* in normal form.  add(key, term, c) is called once
+        for every c·term that [k·m, g] contains, with key as in
+        generator_labels() and term in the same plain form; terms that
+        cancel are sent twice, with opposite coefficients.  No
+        ``multiply`` or ``normal_form`` runs.  A monomial m = alpha beta*
+        meets only the generators below, and each result is normal (for an
+        edge e write a = s(e), b = r(e)):
 
         - vertex v: [m, v] = ([s(beta)=v] - [s(alpha)=v]) m, so only s(alpha)
           and s(beta) act, and only when they differ.
@@ -363,56 +368,74 @@ class LeavittAlgebra:
           edge case runs on the swapped term and its results are swapped
           back and negated.
         """
-        zero = self.field.zero
-        out_edges = self.graph.out_edges
-        acc: dict[tuple, dict] = {}
+        special, into = self._special, self._in
+        out_edges, edge = self.graph.out_edges, self.graph.edge
 
-        def add(key, m, k):
-            terms = acc.get(key)
-            if terms is None:
-                acc[key] = {m: k}
-            elif m not in terms:
-                terms[m] = k
-            elif terms[m] + k == zero:
-                del terms[m]
-            else:
-                terms[m] += k
-
-        def to_edge(eid, alpha, beta, k):
-            add(("edge", eid), Monomial(alpha, beta), k)
-
-        def to_ghost(eid, alpha, beta, k):
-            add(("ghost", eid), Monomial(beta, alpha), k)
-
-        def edge_terms(alpha, beta, k, neg_k, emit):
-            p, q = alpha.edges, beta.edges
+        def edge_terms(sa, p, sb, q, k, neg_k):
+            # (e, c, alpha source, alpha edges, beta source, beta edges)
+            # for every term c·alpha beta* of [k·m, e]
             if q:
-                e = self.graph.edge(q[0])
-                emit(e.id, alpha, GPath(e.dst, q[1:]), k)
+                e = edge(q[0])
+                yield e.id, k, sa, p, e.dst, q[1:]
             else:
-                for e in out_edges(beta.source):
-                    emit(e.id, GPath(alpha.source, p + (e.id,)), GPath(e.dst), k)
-            for e in self._in[alpha.source]:
+                for e in out_edges(sb):
+                    yield e.id, k, sa, p + (e.id,), e.dst, ()
+            for e in into[sa]:
                 a = e.src
-                if not p and q[-1:] == (e.id,) and self._special[a] == e.id:
+                if not p and q[-1:] == (e.id,) and special[a] == e.id:
                     beta0 = q[:-1]
-                    emit(e.id, GPath(a), GPath(beta.source, beta0), neg_k)
+                    yield e.id, neg_k, a, (), sb, beta0
                     for f in out_edges(a):
                         if f.id != e.id:
                             fe = (f.id,)
-                            emit(e.id, GPath(a, fe), GPath(beta.source, beta0 + fe), k)
+                            yield e.id, k, a, fe, sb, beta0 + fe
                 else:
-                    emit(e.id, GPath(a, (e.id,) + p), beta, neg_k)
+                    yield e.id, neg_k, a, (e.id,) + p, sb, q
 
-        for m, k in x.terms.items():
-            alpha, beta = m.alpha, m.beta
+        for term, k in terms:
+            sa, p, sb, q = term
             neg_k = -k
-            if alpha.source != beta.source:
-                add(("vertex", beta.source), m, k)
-                add(("vertex", alpha.source), m, neg_k)
-            edge_terms(alpha, beta, k, neg_k, to_edge)
-            edge_terms(beta, alpha, neg_k, k, to_ghost)
-        return {key: AlgebraElement(self, terms) for key, terms in acc.items() if terms}
+            if sa != sb:
+                add(("vertex", sb), term, k)
+                add(("vertex", sa), term, neg_k)
+            for eid, c, sa1, p1, sb1, q1 in edge_terms(sa, p, sb, q, k, neg_k):
+                add(("edge", eid), (sa1, p1, sb1, q1), c)
+            for eid, c, sb1, q1, sa1, p1 in edge_terms(sb, q, sa, p, neg_k, k):
+                add(("ghost", eid), (sa1, p1, sb1, q1), c)
+
+    def commutators(self, x: AlgebraElement) -> dict:
+        """{(kind, id): [x, g]} for every generator g with [x, g] != 0, keyed
+        as in generator_labels(); x must be in normal form.
+
+        Equal to ``commutator(x, g)`` for each g, from one generator_action
+        pass over x's terms.  The terms are summed under plain tuples, and
+        Monomials are built only for the generators whose commutator is
+        nonzero, so a central x builds none.
+        """
+        zero = self.field.zero
+        acc: dict[tuple, dict] = {}
+
+        def add(key, term, c):
+            terms = acc.setdefault(key, {})
+            s = terms.get(term, zero) + c
+            if s == zero:
+                del terms[term]
+            else:
+                terms[term] = s
+
+        self.generator_action(
+            (((m.alpha.source, m.alpha.edges, m.beta.source, m.beta.edges), k)
+             for m, k in x.terms.items()),
+            add,
+        )
+        return {
+            key: AlgebraElement(
+                self,
+                {Monomial(GPath(sa, p), GPath(sb, q)): k for (sa, p, sb, q), k in terms.items()},
+            )
+            for key, terms in acc.items()
+            if terms
+        }
 
     def is_central(self, x: AlgebraElement) -> CentralityResult:
         coms = self.commutators(x)
@@ -457,9 +480,8 @@ class LeavittAlgebra:
                 continue
             for b in buckets.get((r, i - degree), ()):
                 for a in alphas:
-                    m = Monomial(a, b)
-                    if not self._reducible(m):
-                        out.append(m)
+                    if not self._reducible(a.edges, b.edges):
+                        out.append(Monomial(a, b))
         out.sort(key=lambda m: m.sort_key())
         return out
 

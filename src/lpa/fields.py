@@ -74,6 +74,9 @@ class ModInt:
     def __bool__(self):
         return self.value % self.p != 0
 
+    def __int__(self):
+        return self.value
+
     def __repr__(self):
         return f"{self.value} (mod {self.p})"
 

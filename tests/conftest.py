@@ -32,6 +32,25 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"  criterion {int(num)} ({name}): {verdict}")
 
 
+@pytest.fixture
+def count_instances(monkeypatch):
+    """count(cls) -> a one-item list that counts the instances of cls built
+    from then on, until the test ends."""
+
+    def count(cls):
+        built = [0]
+        init = cls.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+        return built
+
+    return count
+
+
 @pytest.fixture(scope="session")
 def fixture_graphs():
     return {name: graph(name) for name in FIXTURE_NAMES}

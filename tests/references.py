@@ -1,8 +1,9 @@
 """Slow references for the oracle's fast paths: the all-pairs candidate
-enumeration and the single global-pivot elimination they replaced, plus the
-graphs their equality tests draw from."""
+enumeration, the matrix built from one ``commutators`` call per candidate
+and the single global-pivot elimination they replaced, plus the graphs
+their equality tests draw from."""
 
-from lpa.engine import Monomial
+from lpa.engine import AlgebraElement, Monomial
 from lpa.graphs import Edge, Graph
 
 
@@ -36,11 +37,27 @@ def ref_normal_monomials(alg, degree, max_len):
         for a in ps:
             for b in ps:
                 if len(a) - len(b) == degree and len(a) + len(b) <= max_len:
-                    m = Monomial(a, b)
-                    if not alg._reducible(m):
-                        out.append(m)
+                    if not alg._reducible(a.edges, b.edges):
+                        out.append(Monomial(a, b))
     out.sort(key=lambda m: m.sort_key())
     return out
+
+
+def ref_oracle_matrix(alg, degree, max_len):
+    """The oracle's candidates and rows, with one ``commutators`` call per
+    candidate and rows of field elements keyed by Monomial."""
+    cands = [
+        m
+        for m in alg.normal_monomials(degree, max_len)
+        if m.alpha.source == m.beta.source
+    ]
+    rows = {}
+    for j, m in enumerate(cands):
+        coms = alg.commutators(AlgebraElement(alg, {m: alg.field.one}))
+        for generator, com in coms.items():
+            for mm, k in com.terms.items():
+                rows.setdefault((generator, mm), {})[j] = k
+    return cands, list(rows.values())
 
 
 def ref_rref(rows, field):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from lpa.center import (
     verify_basis,
 )
 from lpa.classify import x_decomposition
-from lpa.engine import AlgebraElement, LeavittAlgebra
+from lpa.engine import AlgebraElement, LeavittAlgebra, Monomial
 from lpa.fields import QQ, PrimeField
 from lpa.graphs import disjoint_union
 from lpa.randomgen import random_graph
@@ -31,6 +32,7 @@ from corpus import FIXTURE_NAMES, graph
 from references import (
     ref_kernel_basis,
     ref_normal_monomials,
+    ref_oracle_matrix,
     ref_rref,
     ref_same_span,
     renamed,
@@ -270,6 +272,31 @@ def test_same_span_detects_difference():
 # -- block-wise exact elimination against the global-pivot reference ------------
 
 F7 = PrimeField(7)
+F2 = PrimeField(2)
+
+
+def coerced(rows, field):
+    """The int rows of _oracle_matrix as field elements (ref_rref divides,
+    and int division would give floats)."""
+    return [{c: field.coerce(k) for c, k in row.items()} for row in rows]
+
+
+@given(st.integers(0, 10**6), st.integers(-2, 2), st.integers(0, 4), st.sampled_from([QQ, F7, F2]))
+@settings(max_examples=120, deadline=None)
+def test_oracle_matrix_matches_reference(seed, degree, max_len, field):
+    # the rows come out in another order, so they are compared as a multiset;
+    # in characteristic 2 the signs of the int rows collapse
+    rng = random.Random(seed)
+    alg = LeavittAlgebra(renamed(random_graph(rng, 4, 6), rng), field)
+    cands, rows = _oracle_matrix(alg, degree, max_len)
+    ref_cands, ref_rows = ref_oracle_matrix(alg, degree, max_len)
+    assert cands == ref_cands
+    assert all(type(k) is int for row in rows for k in row.values())
+
+    def multiset(rows):
+        return Counter(tuple(sorted(row.items())) for row in rows)
+
+    assert multiset(coerced(rows, field)) == multiset(ref_rows)
 
 
 @given(st.integers(0, 10**6), st.integers(-2, 2), st.integers(0, 4), st.sampled_from([QQ, F7]))
@@ -278,7 +305,8 @@ def test_kernel_basis_matches_reference(seed, degree, max_len, field):
     rng = random.Random(seed)
     alg = LeavittAlgebra(renamed(random_graph(rng, 4, 6), rng), field)
     cands, rows = _oracle_matrix(alg, degree, max_len)
-    assert kernel_basis(rows, len(cands), field) == ref_kernel_basis(rows, len(cands), field)
+    ref = ref_kernel_basis(coerced(rows, field), len(cands), field)
+    assert kernel_basis(rows, len(cands), field) == ref
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=["q", "p7"])
@@ -288,7 +316,7 @@ def test_kernel_basis_matches_reference_on_roses(n, field):
     for degree in range(-2, 3):
         cands, rows = _oracle_matrix(alg, degree, 4)
         got = kernel_basis(rows, len(cands), field)
-        assert got == ref_kernel_basis(rows, len(cands), field), degree
+        assert got == ref_kernel_basis(coerced(rows, field), len(cands), field), degree
 
 
 def random_span(alg, rng, coefficient):
@@ -346,3 +374,18 @@ def test_oracle_blocks_are_narrow(monkeypatch):
     assert len(oracle_commutant(alg, 0, 4)) == 1
     assert sum(widths) == 1295
     assert max(widths) <= 7
+
+
+def test_oracle_matrix_builds_no_elements(count_instances):
+    # R_6 at degree 0 and L = 4: 1,296 candidates and 17,710 rows.  Summing
+    # each candidate's commutators as AlgebraElements keyed by Monomial, then
+    # copying them into the rows, builds 16,836 elements and 19,487
+    # Monomials; the int rows are summed under plain tuples, and only the
+    # candidates are Monomials.
+    alg = LeavittAlgebra(rose(6))
+    monomials = count_instances(Monomial)
+    elements = count_instances(AlgebraElement)
+    cands, rows = _oracle_matrix(alg, 0, 4)
+    assert len(cands) == 1296
+    assert elements[0] == 0
+    assert monomials[0] <= len(cands)

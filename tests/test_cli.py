@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpa.cli import main
+from lpa.engine import CentralityResult, LeavittAlgebra
 from lpa.fields import PRIME_LIMIT
 from lpa.graphs import InvariantError
+from lpa.randomgen import graph_stream
 from lpa.reports import build_envelope, load_schema
 from corpus import FIXTURE_NAMES, FIXTURES, graph
 
@@ -173,6 +175,50 @@ def test_random_deterministic_and_verified():
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.strip().endswith("summary: 10/10 verified")
+
+
+def campaign_documents(out):
+    """The per-graph JSON documents that `lpa random` prints before its summary."""
+    decoder = json.JSONDecoder()
+    body = out[: out.rindex("summary:")]
+    docs, at = [], 0
+    while body[at:].strip():
+        doc, at = decoder.raw_decode(body, at)
+        docs.append(doc)
+        at += 1
+    return docs
+
+
+def test_random_failure_prints_replay_witness(monkeypatch, capsys, tmp_path):
+    """A campaign graph that fails verification is named on stderr by seed,
+    index and witness generator, followed by its document on one line, and
+    that document replays through `lpa center --verify`."""
+    args = ["random", "--seed", "11", "--count", "10", "--max-vertices", "4", "--max-edges", "6"]
+    assert main(args) == 0
+    clean = capsys.readouterr().out
+    target = list(graph_stream(11, 10, 4, 6))[6].to_document()
+    is_central = LeavittAlgebra.is_central
+
+    def fail_on_target(self, x):
+        if self.graph.to_document() != target:
+            return is_central(self, x)
+        *_, (label, _kind, _id) = self.generator_labels()
+        return CentralityResult(False, label, x)
+
+    monkeypatch.setattr(LeavittAlgebra, "is_central", fail_on_target)
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out.endswith("summary: 9/10 verified\n")
+    assert captured.out.count('"central": false') == 6  # every basis element of graph 6
+    before, after = campaign_documents(clean), campaign_documents(captured.out)
+    assert [i for i in range(10) if before[i] != after[i]] == [6]
+    assert captured.err.splitlines() == [
+        "lpa: --seed 11 graph 6: a[v1] does not commute with e5*",
+        json.dumps(target),
+    ]
+    path = tmp_path / "replay.json"
+    path.write_text(captured.err.splitlines()[1])
+    assert main(["center", str(path), "--verify"]) == 3
 
 
 def test_random_vertex_cap_zero_is_usage_error():
@@ -339,6 +385,14 @@ CLI_DIGESTS = {
         ("center", "rose6", *VERIFY_ORACLE, "--field", "p:7", "--max-len", "4"),
         "040baf71299e133ea11cd5235473d697092f858cf74361f27a985d26ccdbd262",
     ),
+    "center-multi_exit-p2": (
+        ("center", "multi_exit", *VERIFY_ORACLE, "--field", "p:2"),
+        "56dc2b93ba86a4c07e12b0c34e8d2e9e2b66d72ba0476e06ec33faeed5977fae",
+    ),
+    "center-rose4-p2": (
+        ("center", "rose4", *VERIFY_ORACLE, "--field", "p:2", "--max-len", "4"),
+        "80c066e78abe369f251f0becf0c683ed3d1dc8704dd87a685992be8c09d37405",
+    ),
 }
 
 
@@ -357,7 +411,8 @@ def _line(n):
 # loops, 1,296 degree-0 oracle candidates at --max-len 4) was recorded at the
 # commit before the oracle's candidates were bucketed and its elimination
 # split into blocks.  The report carries no field, so both fields print the
-# same bytes.
+# same bytes.  The two cases over F_2, where -1 = 1, were recorded at the
+# commit before the oracle rows became Python ints.
 INLINE_GRAPHS = {
     "two_cycle": {
         "vertices": ["u", "v"],
@@ -376,6 +431,10 @@ INLINE_GRAPHS = {
     "rose6": {
         "vertices": ["v"],
         "edges": [{"id": f"e{i}", "src": "v", "dst": "v"} for i in range(1, 7)],
+    },
+    "rose4": {
+        "vertices": ["v"],
+        "edges": [{"id": f"e{i}", "src": "v", "dst": "v"} for i in range(1, 5)],
     },
 }
 

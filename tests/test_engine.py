@@ -259,6 +259,19 @@ def test_is_central_reads_terms_once():
     assert terms.visited <= 3 * n + generators
 
 
+def test_is_central_builds_no_monomials(count_instances):
+    """The central a[c] of L_2000 commutes with all 5,998 generators, so its
+    commutators are summed under plain tuples and no Monomial is built;
+    summing them as Monomials builds 7,996."""
+    n = 2000
+    vs = [f"v{i}" for i in range(n)]
+    alg = LeavittAlgebra(Graph(vs, [Edge(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)]))
+    (b,) = basis_zero(alg)
+    built = count_instances(Monomial)
+    assert alg.is_central(b.element).central
+    assert built[0] == 0
+
+
 # -- dimension checks ----------------------------------------------------------
 
 
