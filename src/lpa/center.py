@@ -303,7 +303,8 @@ def _rref(rows: list[dict], field) -> list[dict]:
     eliminated on its own in integer arithmetic.  The RREF of the matrix is
     unique, so the pivot rows of all blocks, ordered by pivot column, are
     the RREF of the whole.  Each pivot row goes back to the field by
-    dividing by its pivot entry.
+    dividing by its pivot entry: over Q an int wherever the pivot divides
+    the entry and a Fraction otherwise, as in `Rationals`.
     """
     p = field.p if isinstance(field, PrimeField) else None
     reduced: dict[int, dict] = {}
@@ -311,7 +312,9 @@ def _rref(rows: list[dict], field) -> list[dict]:
         for lead, row in _eliminate(block, p).items():
             if p is None:
                 piv = row[lead]
-                reduced[lead] = {c: Fraction(k, piv) for c, k in row.items()}
+                reduced[lead] = {
+                    c: Fraction(k, piv) if k % piv else k // piv for c, k in row.items()
+                }
             else:
                 reduced[lead] = {c: ModInt(k, p) for c, k in row.items()}
     return [reduced[lead] for lead in sorted(reduced)]

@@ -439,10 +439,11 @@ class LeavittAlgebra:
 
     def is_central(self, x: AlgebraElement) -> CentralityResult:
         coms = self.commutators(x)
-        for label, kind, gid in self.generator_labels():
-            c = coms.get((kind, gid))
-            if c is not None:
-                return CentralityResult(False, label, c)
+        if coms:  # the witness is the first generator in generator_labels() order
+            for label, kind, gid in self.generator_labels():
+                c = coms.get((kind, gid))
+                if c is not None:
+                    return CentralityResult(False, label, c)
         return CentralityResult(True)
 
     # -- bounded enumeration ------------------------------------------------

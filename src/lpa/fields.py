@@ -7,23 +7,34 @@ from fractions import Fraction
 
 
 class Rationals:
-    """Arbitrary-precision rational field, backed by fractions.Fraction."""
+    """Arbitrary-precision rational field.
+
+    A value is a Python int when it is integral and a fractions.Fraction
+    otherwise; `coerce` and `parse` apply this rule.  An int and a Fraction
+    of equal value compare equal, hash equal and render the same, so the
+    rule changes no term dict and no output, while the usual coefficients
+    (the center's basis is built from 1 and -1) get machine-int arithmetic.
+    Nothing divides two values with `/`, so no float ever appears.
+    """
 
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
-    def coerce(n) -> Fraction:
-        return Fraction(n)
+    def coerce(n) -> int | Fraction:
+        if type(n) is int:
+            return n
+        q = Fraction(n)
+        return q.numerator if q.denominator == 1 else q
 
     @staticmethod
-    def parse(text: str) -> Fraction:
-        return Fraction(text)
+    def parse(text: str) -> int | Fraction:
+        return Rationals.coerce(Fraction(text))
 
     @staticmethod
-    def render(x: Fraction) -> str:
+    def render(x) -> str:
         return str(x)
 
     def __repr__(self):

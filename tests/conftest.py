@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -49,6 +50,22 @@ def count_instances(monkeypatch):
         return built
 
     return count
+
+
+@pytest.fixture
+def count_fractions(monkeypatch):
+    """A one-item list that counts the Fractions built from then on, until
+    the test ends.  A Fraction is made in __new__, so count_instances does
+    not see it."""
+    built = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return built
 
 
 @pytest.fixture(scope="session")

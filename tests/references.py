@@ -3,7 +3,10 @@ enumeration, the matrix built from one ``commutators`` call per candidate
 and the single global-pivot elimination they replaced, plus the graphs
 their equality tests draw from."""
 
+from fractions import Fraction
+
 from lpa.engine import AlgebraElement, Monomial
+from lpa.fields import QQ
 from lpa.graphs import Edge, Graph
 
 
@@ -62,8 +65,11 @@ def ref_oracle_matrix(alg, degree, max_len):
 
 def ref_rref(rows, field):
     """Reduced row echelon form with one pivot dict over all columns and
-    field arithmetic throughout."""
+    field arithmetic throughout.  Pivot rows are normalised by exact
+    division: in Fraction over Q, where entries may be ints and int / int
+    is a float, and in ModInt over F_p."""
     zero = field.zero
+    exact = Fraction if field == QQ else (lambda k: k)
     pivots = {}  # pivot col -> normalized row
     for row in rows:
         row = {c: k for c, k in row.items() if k != zero}
@@ -79,7 +85,7 @@ def ref_rref(rows, field):
                         row[c] = s
             else:
                 inv = row[lead]
-                pivots[lead] = {c: k / inv for c, k in row.items()}
+                pivots[lead] = {c: exact(k) / inv for c, k in row.items()}
                 break
     for lead in sorted(pivots, reverse=True):
         prow = pivots[lead]

@@ -276,8 +276,8 @@ F2 = PrimeField(2)
 
 
 def coerced(rows, field):
-    """The int rows of _oracle_matrix as field elements (ref_rref divides,
-    and int division would give floats)."""
+    """The int rows of _oracle_matrix as field elements: over F_p the
+    reference computes in ModInt, which does not mix with ints."""
     return [{c: field.coerce(k) for c, k in row.items()} for row in rows]
 
 
@@ -389,3 +389,53 @@ def test_oracle_matrix_builds_no_elements(count_instances):
     assert len(cands) == 1296
     assert elements[0] == 0
     assert monomials[0] <= len(cands)
+
+
+# -- exact coefficients over Q ---------------------------------------------------
+
+
+def test_rationals_are_ints_when_integral():
+    two = QQ.coerce(Fraction(4, 2))
+    assert type(two) is int and two == 2
+    assert type(QQ.coerce(-3)) is int
+    half = QQ.parse("-3/6")
+    assert type(half) is Fraction and half == Fraction(-1, 2)
+    assert type(QQ.parse("-4/2")) is int
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    for text in ("1", "-1", "-1/2"):
+        assert QQ.render(QQ.parse(text)) == str(Fraction(text)) == text
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_basis_coefficients_are_ints(name):
+    rep = center_report(alg_of(name))
+    elems = list(rep.basis_zero) + [b for bs in rep.basis_nonzero.values() for b in bs]
+    assert all(type(k) is int for b in elems for k in b.element.terms.values())
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["R3"])
+def test_coefficients_are_never_floats(name):
+    # every coefficient the center, the verifier and the oracle compute over Q
+    # is an int or a Fraction, also once elements with denominators enter;
+    # the oracle's kernel vectors, whose pivots divide their entries here,
+    # are ints
+    alg = LeavittAlgebra(R3) if name == "R3" else alg_of(name)
+    rep = center_report(alg)
+    basis = [b.element for b in rep.basis_zero]
+    basis += [b.element for bs in rep.basis_nonzero.values() for b in bs]
+    third = Fraction(1, 3)
+    rng = random.Random(0)
+    xs = random_span(alg, rng, lambda rng: rng.randint(-3, 3))
+    xs += [x.scale(third) for x in xs + basis]
+    coms = [c for x in xs for c in alg.commutators(x).values()]
+    assert coms or name == "g_loop"  # K[x, x^-1] is commutative
+    kernels, commutants = [], []
+    for degree in range(-2, 3):
+        cands, rows = _oracle_matrix(alg, degree, 4)
+        kernels += kernel_basis(rows, len(cands), QQ)
+        commutants += oracle_commutant(alg, degree, 4)
+    assert same_span(alg, basis, [x.scale(third) for x in basis])
+    values = [k for x in basis + xs + coms + commutants for k in x.terms.values()]
+    assert all(type(k) is int for vec in kernels for k in vec.values())
+    values += [k for vec in kernels for k in vec.values()]
+    assert {type(k) for k in values} == {int, Fraction}

@@ -393,6 +393,22 @@ CLI_DIGESTS = {
         ("center", "rose4", *VERIFY_ORACLE, "--field", "p:2", "--max-len", "4"),
         "80c066e78abe369f251f0becf0c683ed3d1dc8704dd87a685992be8c09d37405",
     ),
+    "center-campaign811": (
+        ("center", "campaign811", *VERIFY_ORACLE),
+        "ba7cff486631d0b936bd47f9c6bc58d8e2b690037d0f06ae88cf2b8082ee3607",
+    ),
+    "center-campaign811-text": (
+        ("center", "campaign811", *VERIFY_ORACLE, "--format", "text"),
+        "fac14d3d7c881a6191423aab683a5eb066c832633d82488fe9c04e0e7252f2dc",
+    ),
+    "center-campaign811-p7": (
+        ("center", "campaign811", *VERIFY_ORACLE, "--field", "p:7"),
+        "1eaf9b43df081a61975027065781db686de5491d506fcffd09093991a89e2633",
+    ),
+    "center-campaign811-p7-text": (
+        ("center", "campaign811", *VERIFY_ORACLE, "--field", "p:7", "--format", "text"),
+        "c75a2dc3ceadb3bb7a76826b60f46e7a15c7113a718f291013b04849cda789a0",
+    ),
 }
 
 
@@ -412,7 +428,11 @@ def _line(n):
 # commit before the oracle's candidates were bucketed and its elimination
 # split into blocks.  The report carries no field, so both fields print the
 # same bytes.  The two cases over F_2, where -1 = 1, were recorded at the
-# commit before the oracle rows became Python ints.
+# commit before the oracle rows became Python ints.  Graph 811 of the
+# campaign500 stream (v1 -> v4, v1 -> v2), whose a[v4] = v1 + v4 - e2 e2*
+# has a -1 coefficient, was recorded at a94bb7f, the commit before integral
+# rationals became Python ints, in JSON and text over q and over p:7 (where
+# -1 renders as 6).
 INLINE_GRAPHS = {
     "two_cycle": {
         "vertices": ["u", "v"],
@@ -435,6 +455,10 @@ INLINE_GRAPHS = {
     "rose4": {
         "vertices": ["v"],
         "edges": [{"id": f"e{i}", "src": "v", "dst": "v"} for i in range(1, 5)],
+    },
+    "campaign811": {
+        "vertices": ["v1", "v2", "v3", "v4"],
+        "edges": [{"id": "e1", "src": "v1", "dst": "v4"}, {"id": "e2", "src": "v1", "dst": "v2"}],
     },
 }
 

@@ -272,6 +272,40 @@ def test_is_central_builds_no_monomials(count_instances):
     assert built[0] == 0
 
 
+def line_a(n):
+    """The line L_n and its one basis element a[c], which has n terms."""
+    vs = [f"v{i}" for i in range(n)]
+    alg = LeavittAlgebra(Graph(vs, [Edge(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)]))
+    (b,) = basis_zero(alg)
+    return alg, b.element
+
+
+def test_is_central_reads_no_generator_labels(monkeypatch):
+    """a[c] of L_2000 has no nonzero commutator, so no witness is looked
+    for among the 5,998 generator labels."""
+    alg, x = line_a(2000)
+    walked = [0]
+    labels = alg.generator_labels
+
+    def counting():
+        for item in labels():
+            walked[0] += 1
+            yield item
+
+    monkeypatch.setattr(alg, "generator_labels", counting)
+    assert alg.is_central(x).central
+    assert walked[0] == 0
+
+
+def test_is_central_builds_no_fractions(count_fractions):
+    """Over Q the coefficients of a[c] are the int 1, so summing its
+    commutators with the 5,998 generators is int arithmetic."""
+    alg, x = line_a(2000)
+    built = count_fractions[0]
+    assert alg.is_central(x).central
+    assert count_fractions[0] == built
+
+
 # -- dimension checks ----------------------------------------------------------
 
 
