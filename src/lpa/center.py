@@ -299,16 +299,39 @@ def _cancel(row: dict, prow: dict, c: int, p) -> None:
 def _rref(rows: list[dict], field) -> list[dict]:
     """Reduced row echelon form of sparse rows (col index -> scalar).
 
-    The rows are split into blocks that share no column, and each block is
-    eliminated on its own in integer arithmetic.  The RREF of the matrix is
-    unique, so the pivot rows of all blocks, ordered by pivot column, are
-    the RREF of the whole.  Each pivot row goes back to the field by
-    dividing by its pivot entry: over Q an int wherever the pivot divides
-    the entry and a Fraction otherwise, as in `Rationals`.
+    Unit rows are settled first.  A row whose one entry k at column j is
+    nonzero in the field puts e_j in the row space R.  Every vector of R is
+    the sum of the RREF rows weighted by its own entries at the pivot
+    columns, so e_j, whose only nonzero entry is at j, makes j a pivot
+    column, and the RREF row r with pivot j is e_j: r - e_j lies in R and is
+    zero at every pivot column, so it is 0.  Every unit column j therefore
+    gives the RREF row {j: 1}, the other RREF rows are zero at j, and they
+    are the RREF of the remaining rows with the unit columns deleted.  A
+    one-entry row that is zero in the field (a multiple of p over F_p) is
+    the zero row and is dropped; a longer row over F_p whose entries are
+    multiples of p but one is left to the elimination, which reaches the
+    same RREF.
+
+    The remaining rows are split into blocks that share no column, and each
+    block is eliminated on its own in integer arithmetic.  The RREF of the
+    matrix is unique, so the pivot rows of all blocks, ordered by pivot
+    column, are the RREF of the whole.  Each pivot row goes back to the
+    field by dividing by its pivot entry: over Q an int wherever the pivot
+    divides the entry and a Fraction otherwise, as in `Rationals`.
     """
     p = field.p if isinstance(field, PrimeField) else None
-    reduced: dict[int, dict] = {}
-    for block in _blocks(rows):
+    singles = [row for row in rows if len(row) == 1]
+    if p is None:
+        units = {c for row in singles for c, k in row.items() if k}
+    else:
+        units = {c for row in singles for c, k in row.items() if int(k) % p}
+    reduced: dict[int, dict] = {c: {c: field.one} for c in units}
+    rest = [
+        row if units.isdisjoint(row) else {c: k for c, k in row.items() if c not in units}
+        for row in rows
+        if len(row) > 1
+    ]
+    for block in _blocks([row for row in rest if row]):
         for lead, row in _eliminate(block, p).items():
             if p is None:
                 piv = row[lead]

@@ -22,7 +22,7 @@ from .center import (
 from .fields import PrimeField, QQ
 from .graphs import Graph, GraphError, InvariantError, parse_graph
 from .randomgen import graph_stream
-from .reports import Envelope, build_envelope, load_schema, render_text
+from .reports import Envelope, build_envelope, json_text, load_schema, render_text
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -185,7 +185,7 @@ def cmd_random(args: argparse.Namespace, out) -> int:
         if args.fmt == "json":
             doc = env.to_json()
             doc["index"] = index
-            out.write(json.dumps(doc, indent=2) + "\n")
+            out.write(json_text(doc) + "\n")
         else:
             out.write(f"--- graph {index} ---\n")
             _emit(env, args.fmt, out)
@@ -206,7 +206,7 @@ def _report_failure(seed: int, index: int, g: Graph, env: Envelope) -> None:
 
 
 def cmd_schema(out) -> int:
-    out.write(json.dumps(load_schema(), indent=2) + "\n")
+    out.write(json_text(load_schema()) + "\n")
     return EXIT_OK
 
 

@@ -14,7 +14,8 @@ class Rationals:
     of equal value compare equal, hash equal and render the same, so the
     rule changes no term dict and no output, while the usual coefficients
     (the center's basis is built from 1 and -1) get machine-int arithmetic.
-    Nothing divides two values with `/`, so no float ever appears.
+    Nothing divides two values with `/`, and `coerce` rejects floats, so no
+    float ever appears.
     """
 
     name = "Q"
@@ -26,6 +27,7 @@ class Rationals:
     def coerce(n) -> int | Fraction:
         if type(n) is int:
             return n
+        _reject_float(n)
         q = Fraction(n)
         return q.numerator if q.denominator == 1 else q
 
@@ -48,6 +50,11 @@ class Rationals:
 
 
 QQ = Rationals()
+
+
+def _reject_float(n) -> None:
+    if isinstance(n, float):
+        raise TypeError(f"{n!r} is a float; coefficients are exact: pass an int or a Fraction")
 
 
 @dataclass(frozen=True)
@@ -125,11 +132,19 @@ class PrimeField:
         self.one = ModInt(1, p)
 
     def coerce(self, n) -> ModInt:
+        """An int, a ModInt of the same p, or a rational a/b as a * b^-1 mod
+        p; a/b with p dividing b has no value mod p (ValueError)."""
         if isinstance(n, ModInt):
             if n.p != self.p:
                 raise ValueError("mixed moduli")
             return n
-        return ModInt(int(n) % self.p, self.p)
+        if isinstance(n, int):
+            return ModInt(n % self.p, self.p)
+        _reject_float(n)
+        q = Fraction(n)
+        if q.denominator % self.p == 0:
+            raise ValueError(f"{q} has no value mod {self.p}: {self.p} divides its denominator")
+        return ModInt(q.numerator * pow(q.denominator, -1, self.p) % self.p, self.p)
 
     def parse(self, text: str) -> ModInt:
         return self.coerce(int(text))

@@ -31,6 +31,48 @@ def count_json(n):
     return "INFINITE" if n is INFINITE else n
 
 
+_string = json.encoder.encode_basestring_ascii
+# the JSON text of each scalar type a report holds, by exact type
+_SCALARS = {
+    str: _string,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def json_text(doc) -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte, for documents built from
+    str, int, bool, None, lists and dicts with str keys; any other value
+    (a float, a tuple, a non-str key) raises TypeError.  Strings go through
+    json's own C escaper; the indent-2 layout, for which json falls back to
+    its pure-Python encoder, is joined here."""
+    return _json_value(doc, "\n")
+
+
+def _json_value(v, nl: str) -> str:
+    """The indent-2 text of v, whose first line is indented by nl."""
+    t = type(v)
+    scalar = _SCALARS.get(t)
+    if scalar is not None:
+        return scalar(v)
+    if t is not dict and t is not list:
+        raise TypeError(f"{t.__name__} is not a report value")
+    if not v:
+        return "{}" if t is dict else "[]"
+    inner = nl + "  "
+    parts = []
+    if t is dict:
+        for k, x in v.items():
+            scalar = _SCALARS.get(type(x))
+            parts.append(_string(k) + ": " + (scalar(x) if scalar else _json_value(x, inner)))
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    for x in v:
+        scalar = _SCALARS.get(type(x))
+        parts.append(scalar(x) if scalar else _json_value(x, inner))
+    return "[" + inner + ("," + inner).join(parts) + nl + "]"
+
+
 def _classification_json(g: Graph, rep: ClassificationReport) -> dict:
     sv = g.sorted_vertices
     return {
@@ -200,7 +242,7 @@ class Envelope:
         return doc
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        return json_text(self.to_json())
 
 
 def build_envelope(

@@ -357,23 +357,58 @@ def test_same_span_matches_reference(seed, field):
     assert _rref(rows, field) == ref_rref(rows, field)
 
 
-def test_oracle_blocks_are_narrow(monkeypatch):
-    # R_6 at degree 0 and L = 4: 1,296 candidates, whose constraint matrix
-    # falls apart into blocks of at most 7 columns; the global-pivot
-    # elimination handles all 1,296 columns at once.  The vertex v commutes
-    # with every generator, so its column is in no row and no block.
-    eliminate = lpa.center._eliminate
-    widths = []
+def test_oracle_unit_rows_settle_every_column(monkeypatch):
+    # R_6 at degree 0 and L = 4: 1,296 candidates and 17,710 rows.  Every
+    # candidate but the vertex v, which commutes with every generator and so
+    # is in no row, has a unit row of its own, so all 1,295 pivot columns
+    # are settled before blocking; the block-wise elimination used to take
+    # all 1,295 in blocks of at most 7 columns.
+    blocked, eliminated = [], []
+    blocks, eliminate = lpa.center._blocks, lpa.center._eliminate
 
-    def recording(block, p):
-        widths.append(len({c for row in block for c in row}))
+    def recording_blocks(rows):
+        blocked.extend(rows)
+        return blocks(rows)
+
+    def recording_eliminate(block, p):
+        eliminated.extend(c for row in block for c in row)
         return eliminate(block, p)
 
-    monkeypatch.setattr(lpa.center, "_eliminate", recording)
+    monkeypatch.setattr(lpa.center, "_blocks", recording_blocks)
+    monkeypatch.setattr(lpa.center, "_eliminate", recording_eliminate)
     alg = LeavittAlgebra(rose(6))
+    cands, rows = _oracle_matrix(alg, 0, 4)
+    reduced = _rref(rows, QQ)
+    assert len(rows) == 17710
+    assert reduced == [{c: 1} for c in range(1, 1296)]
+    assert blocked == [] and eliminated == []
     assert len(oracle_commutant(alg, 0, 4)) == 1
-    assert sum(widths) == 1295
-    assert max(widths) <= 7
+
+
+@st.composite
+def rows_with_units(draw, p):
+    """Sparse int rows over 8 columns, with unit rows {j: k} planted among
+    them (some duplicated, some with k a multiple of p, which is the zero row
+    over F_p) and rows whose entries are multiples of p."""
+    modulus = p or 1
+    entries = st.integers(-9, 9) | st.integers(-3, 3).map(lambda k: k * modulus)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, 7), entries, max_size=4), max_size=8))
+    rows = [{c: k for c, k in row.items() if k} for row in rows]
+    units = draw(st.lists(st.tuples(st.integers(0, 7), entries.filter(bool)), max_size=6))
+    for c, k in units:
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, {c: k})
+        if draw(st.booleans()):
+            rows.insert(draw(st.integers(0, len(rows))), {c: -k})
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F2], ids=["q", "p7", "p2"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_rref_with_unit_rows_matches_reference(field, data):
+    rows = data.draw(rows_with_units(getattr(field, "p", None)))
+    assert _rref(rows, field) == ref_rref(coerced(rows, field), field)
 
 
 def test_oracle_matrix_builds_no_elements(count_instances):

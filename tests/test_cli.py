@@ -409,6 +409,18 @@ CLI_DIGESTS = {
         ("center", "campaign811", *VERIFY_ORACLE, "--field", "p:7", "--format", "text"),
         "c75a2dc3ceadb3bb7a76826b60f46e7a15c7113a718f291013b04849cda789a0",
     ),
+    "schema": (
+        ("schema",),
+        "620cc2bc1918223c27ef40cbc1386e0ab8037b03f08d1d941c39dd23ffcbbac5",
+    ),
+    "center-escaped": (
+        ("center", "escaped", *VERIFY_ORACLE),
+        "9433c59f98025b9faa1eb7700785402319821383f117c73899c8264f9af61112",
+    ),
+    "center-escaped-text": (
+        ("center", "escaped", *VERIFY_ORACLE, "--format", "text"),
+        "c806cc2ef7a4bb0e8b417c0fa6d654b4dfaa35e5e1af0351949fa52e6ca58fd0",
+    ),
 }
 
 
@@ -432,7 +444,9 @@ def _line(n):
 # campaign500 stream (v1 -> v4, v1 -> v2), whose a[v4] = v1 + v4 - e2 e2*
 # has a -1 coefficient, was recorded at a94bb7f, the commit before integral
 # rationals became Python ints, in JSON and text over q and over p:7 (where
-# -1 renders as 6).
+# -1 renders as 6).  `schema` and the graph whose vertex and edge names
+# need escaping in JSON (a quote, a backslash, a newline, non-ASCII) were
+# recorded at the commit before reports got their own indent-2 JSON writer.
 INLINE_GRAPHS = {
     "two_cycle": {
         "vertices": ["u", "v"],
@@ -460,18 +474,23 @@ INLINE_GRAPHS = {
         "vertices": ["v1", "v2", "v3", "v4"],
         "edges": [{"id": "e1", "src": "v1", "dst": "v4"}, {"id": "e2", "src": "v1", "dst": "v2"}],
     },
+    "escaped": {
+        "vertices": ['ü"\\x', "t\nab"],
+        "edges": [{"id": "é", "src": 'ü"\\x', "dst": "t\nab"}],
+    },
 }
 
 
 @pytest.mark.parametrize("case", CLI_DIGESTS)
 def test_cli_output_bytes_unchanged(case, capsys, tmp_path):
     args, digest = CLI_DIGESTS[case]
-    if args[1] in INLINE_GRAPHS:
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps(INLINE_GRAPHS[args[1]]))
+    if args[0] in ("classify", "center"):
+        if args[1] in INLINE_GRAPHS:
+            path = tmp_path / "g.json"
+            path.write_text(json.dumps(INLINE_GRAPHS[args[1]]))
+        else:
+            path = FIXTURES / f"{args[1]}.json"
         args = (args[0], str(path), *args[2:])
-    elif args[0] != "random":
-        args = (args[0], str(FIXTURES / f"{args[1]}.json"), *args[2:])
     assert main(list(args)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
