@@ -308,9 +308,9 @@ def _rref(rows: list[dict], field) -> list[dict]:
     gives the RREF row {j: 1}, the other RREF rows are zero at j, and they
     are the RREF of the remaining rows with the unit columns deleted.  A
     one-entry row that is zero in the field (a multiple of p over F_p) is
-    the zero row and is dropped; a longer row over F_p whose entries are
-    multiples of p but one is left to the elimination, which reaches the
-    same RREF.
+    the zero row and is dropped.  A longer row over F_p with all entries but
+    one multiples of p is left to the elimination, which reaches the same
+    RREF.
 
     The remaining rows are split into blocks that share no column, and each
     block is eliminated on its own in integer arithmetic.  The RREF of the
