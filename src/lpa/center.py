@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .classify import ClassificationReport, XClass, x_decomposition
+from .classify import ClassificationReport, XClass
 from .engine import AlgebraElement, GPath, LeavittAlgebra, Monomial
 from .fields import ModInt, PrimeField
 from .graphs import Graph
@@ -82,11 +82,7 @@ def a_class(alg: LeavittAlgebra, xclass: XClass) -> CentralBasisElement:
     )
 
 
-def basis_zero(
-    alg: LeavittAlgebra, report: Optional[ClassificationReport] = None
-) -> list[CentralBasisElement]:
-    if report is None:
-        report = x_decomposition(alg.graph)
+def basis_zero(alg: LeavittAlgebra, report: ClassificationReport) -> list[CentralBasisElement]:
     return [a_class(alg, xc) for xc in report.x_f]
 
 
@@ -94,49 +90,44 @@ def _s_cycles(report: ClassificationReport):
     return [ci.cycle for ci in report.cycles if ci.in_S]
 
 
-def basis_n(
-    alg: LeavittAlgebra, n: int, report: Optional[ClassificationReport] = None
-) -> list[CentralBasisElement]:
-    """One element per no-exit cycle in S whose length divides n."""
-    if n == 0:
-        raise CenterError("basis_n is for nonzero degrees; use basis_zero")
-    if report is None:
-        report = x_decomposition(alg.graph)
+def _laurent_basis(
+    alg: LeavittAlgebra, report: ClassificationReport, degree_window: int
+) -> dict[int, tuple[CentralBasisElement, ...]]:
+    """The nonzero-degree basis: for each no-exit cycle c in S and each
+    m >= 1 with m|c| in the window, one element at degree m|c|, the m-th
+    power of c dressed with the entry paths F_E(c^0), and its involution at
+    degree -m|c|.  Within a degree the elements follow the order of S."""
     g = alg.graph
-    out = []
+    one = alg.field.one
+    by_degree: dict[int, list[CentralBasisElement]] = {}
     for c in _s_cycles(report):
-        if abs(n) % len(c) != 0:
-            continue
-        m = abs(n) // len(c)
-        raw = []
-        one = alg.field.one
-        for u in g.sorted_vertices(c.vertex_set):
-            rot = c.rotation_at(u)
-            raw.append((Monomial(GPath(u, rot * m), alg.trivial_path(u)), one))
         eps = entry_paths(g, HereditarySet(g, c.vertex_set))
-        for p in eps.paths:
-            u = g.edge(p[-1]).dst
-            rot = c.rotation_at(u)
-            alpha = GPath(g.edge(p[0]).src, p + rot * m)
-            beta = alg.path_from_edges(p)
-            raw.append((Monomial(alpha, beta), one))
-        elem = alg.normal_form(raw)
-        if n < 0:
-            elem = alg.involution(elem)
         class_id = min(
             (xc.rep for xc in report.x_classes if c.vertex_set <= xc.members),
             default=c.base,
         )
-        out.append(
-            CentralBasisElement(
-                degree=n,
-                element=elem,
-                class_id=class_id,
-                cycle_base=c.base,
-                power=m if n > 0 else -m,
-            )
-        )
-    return out
+        for m in range(1, degree_window // len(c) + 1):
+            raw = []
+            for u in g.sorted_vertices(c.vertex_set):
+                rot = c.rotation_at(u)
+                raw.append((Monomial(GPath(u, rot * m), alg.trivial_path(u)), one))
+            for p in eps.paths:
+                rot = c.rotation_at(g.edge(p[-1]).dst)
+                alpha = GPath(g.edge(p[0]).src, p + rot * m)
+                raw.append((Monomial(alpha, alg.path_from_edges(p)), one))
+            elem = alg.normal_form(raw)
+            n = m * len(c)
+            for degree, x, power in ((n, elem, m), (-n, alg.involution(elem), -m)):
+                by_degree.setdefault(degree, []).append(
+                    CentralBasisElement(
+                        degree=degree,
+                        element=x,
+                        class_id=class_id,
+                        cycle_base=c.base,
+                        power=power,
+                    )
+                )
+    return {n: tuple(by_degree[n]) for n in sorted(by_degree)}
 
 
 def default_degree_window(report: ClassificationReport) -> int:
@@ -148,21 +139,11 @@ def default_degree_window(report: ClassificationReport) -> int:
 
 def center_report(
     alg: LeavittAlgebra,
-    report: Optional[ClassificationReport] = None,
+    report: ClassificationReport,
     degree_window: Optional[int] = None,
 ) -> CenterReport:
-    if report is None:
-        report = x_decomposition(alg.graph)
     if degree_window is None:
         degree_window = default_degree_window(report)
-    b0 = tuple(basis_zero(alg, report))
-    bn: dict[int, tuple[CentralBasisElement, ...]] = {}
-    for n in range(-degree_window, degree_window + 1):
-        if n == 0:
-            continue
-        elems = basis_n(alg, n, report)
-        if elems:
-            bn[n] = tuple(elems)
     laurent = sum(1 for xc in report.x_f if xc.class_type == "cycle_laurent")
     iso = {"K": len(report.x_f) - laurent, "Laurent": laurent}
     flags = tuple(
@@ -173,8 +154,8 @@ def center_report(
         if xc.class_type == "cycle_degenerate"
     )
     return CenterReport(
-        basis_zero=b0,
-        basis_nonzero=bn,
+        basis_zero=tuple(basis_zero(alg, report)),
+        basis_nonzero=_laurent_basis(alg, report, degree_window),
         iso_type=iso,
         centroid=extended_centroid_report(alg.graph, report),
         divergence_flags=flags,
@@ -182,11 +163,7 @@ def center_report(
     )
 
 
-def extended_centroid_report(
-    g: Graph, report: Optional[ClassificationReport] = None
-) -> ExtendedCentroidReport:
-    if report is None:
-        report = x_decomposition(g)
+def extended_centroid_report(g: Graph, report: ClassificationReport) -> ExtendedCentroidReport:
     return ExtendedCentroidReport(
         sinks=len(g.sinks()),
         no_exit_cycles=sum(1 for ci in report.cycles if not ci.has_exits),
@@ -215,40 +192,15 @@ def _int_row(row: dict, p) -> dict:
     return {c: k // g for c, k in ints.items()} if g > 1 else ints
 
 
-def _blocks(rows: list[dict]) -> list[list[dict]]:
-    """The nonzero rows grouped by the connected components of the
-    row/column incidence graph (a union-find over the columns)."""
-    parent: dict[int, int] = {}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
-    for row in rows:
-        first = None
-        for c in row:
-            root = find(parent.setdefault(c, c))
-            if first is None:
-                first = root
-            elif root != first:
-                parent[root] = first
-    blocks: dict[int, list[dict]] = {}
-    for row in rows:
-        if row:
-            blocks.setdefault(find(next(iter(row))), []).append(row)
-    return list(blocks.values())
-
-
-def _eliminate(block: list[dict], p) -> dict[int, dict]:
-    """Gauss-Jordan on one block, exactly: each row is taken to ints when
+def _eliminate(rows: list[dict], p) -> dict[int, dict]:
+    """Gauss-Jordan on the rows, exactly: each row is taken to ints when
     its turn comes, then eliminated over Z (p is None) with fraction-free
     steps that keep every row primitive, or mod p with monic pivot rows.
     Returns pivot column -> reduced int row; the pivot rows are kept fully
     reduced against each other throughout."""
-    width = len({c for row in block for c in row})
+    width = len({c for row in rows for c in row})
     pivots: dict[int, dict] = {}
-    for row in block:
+    for row in rows:
         if len(pivots) == width:
             break  # full rank: every later row reduces to zero
         row = _int_row(row, p)
@@ -312,12 +264,10 @@ def _rref(rows: list[dict], field) -> list[dict]:
     one multiples of p is left to the elimination, which reaches the same
     RREF.
 
-    The remaining rows are split into blocks that share no column, and each
-    block is eliminated on its own in integer arithmetic.  The RREF of the
-    matrix is unique, so the pivot rows of all blocks, ordered by pivot
-    column, are the RREF of the whole.  Each pivot row goes back to the
-    field by dividing by its pivot entry: over Q an int wherever the pivot
-    divides the entry and a Fraction otherwise, as in `Rationals`.
+    The remaining rows are eliminated in integer arithmetic.  Each pivot
+    row goes back to the field by dividing by its pivot entry: over Q an
+    int wherever the pivot divides the entry and a Fraction otherwise, as
+    in `Rationals`.
     """
     p = field.p if isinstance(field, PrimeField) else None
     singles = [row for row in rows if len(row) == 1]
@@ -331,15 +281,14 @@ def _rref(rows: list[dict], field) -> list[dict]:
         for row in rows
         if len(row) > 1
     ]
-    for block in _blocks([row for row in rest if row]):
-        for lead, row in _eliminate(block, p).items():
-            if p is None:
-                piv = row[lead]
-                reduced[lead] = {
-                    c: Fraction(k, piv) if k % piv else k // piv for c, k in row.items()
-                }
-            else:
-                reduced[lead] = {c: ModInt(k, p) for c, k in row.items()}
+    for lead, row in _eliminate(rest, p).items():
+        if p is None:
+            piv = row[lead]
+            reduced[lead] = {
+                c: Fraction(k, piv) if k % piv else k // piv for c, k in row.items()
+            }
+        else:
+            reduced[lead] = {c: ModInt(k, p) for c, k in row.items()}
     return [reduced[lead] for lead in sorted(reduced)]
 
 
@@ -421,12 +370,7 @@ def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
 
 
 def check_oracle_bound(elements, max_len: int) -> None:
-    """Fail fast when the bound is too small to be trustworthy.
-
-    The oracle needs to contain every emitted basis monomial and, at
-    minimum, candidates of size 2 (the alpha-alpha* terms degree-0
-    centrality hinges on).
-    """
+    """Fail fast when the bound is below `required_oracle_bound`."""
     required = required_oracle_bound(elements)
     if max_len < required:
         raise OracleBoundError(
@@ -435,13 +379,18 @@ def check_oracle_bound(elements, max_len: int) -> None:
         )
 
 
-def required_oracle_bound(elements, minimum: int = 2) -> int:
+def required_oracle_bound(elements) -> int:
+    """The least length bound that trusts the oracle on `elements`: the
+    largest |alpha| + |beta| among their monomials, and never below 2.
+    Below 2 the degree-0 candidates are the vertices alone, so the oracle
+    could not see the alpha alpha* terms that degree-0 centrality hinges
+    on."""
     sizes = [
         len(m.alpha) + len(m.beta)
         for b in elements
         for m in b.element.monomials()
     ]
-    return max([minimum] + sizes)
+    return max([2] + sizes)
 
 
 def same_span(

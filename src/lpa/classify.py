@@ -143,14 +143,12 @@ def classify_cycles(g: Graph) -> list[CycleInfo]:
     return infos
 
 
-def extreme_classes(g: Graph, infos=None) -> list[ExtremeClass]:
+def extreme_classes(g: Graph, infos: list[CycleInfo]) -> list[ExtremeClass]:
     """Partition extreme cycles by connectivity; carries c~^0 = T(c^0).
 
     The tree of an extreme cycle is its strongly connected component, so
     two extreme cycles are connected exactly when their trees are equal.
     """
-    if infos is None:
-        infos = classify_cycles(g)
     groups: dict[int, list[Cycle]] = {}
     for ci in infos:
         if ci.is_extreme:
@@ -265,6 +263,14 @@ def is_purely_infinite_simple(g: Graph) -> PisCertificate:
     A cycle without exits is a cyclic strongly connected component with no
     bifurcation.  The "exit" witness is the base of the first one in
     `simple_cycles` order, the least (length, least vertex).
+
+    The lattice is trivial when the saturated closure of every T(v) is E^0;
+    the "lattice" witness is the first v in declared order for which it is
+    not.  Once every vertex reaches a cycle there is no sink, since a
+    sink's tree is itself.  So by `saturated_closure`'s closed form,
+    cl(T(v)) is the set of w whose tree holds no cycle vertex outside T(v).
+    Every cycle vertex lies in its own tree, so cl(T(v)) = E^0 exactly when
+    T(v) holds every cycle vertex.
     """
     cyc = g.cycle_bits()
     for v in g.vertices:
@@ -277,10 +283,8 @@ def is_purely_infinite_simple(g: Graph) -> PisCertificate:
     ]
     if exitless:
         return PisCertificate(False, "exit", min(exitless)[1])
-    everything = frozenset(g.vertices)
     for v in g.vertices:
-        closure = saturated_closure(g, hereditary_closure(g, {v}))
-        if closure.members != everything:
+        if cyc & ~g.tree_bits(v):
             return PisCertificate(False, "lattice", v)
     return PisCertificate(True)
 
@@ -313,9 +317,7 @@ class IdealStructureReport:
     dense: bool
 
 
-def ideal_structure(g: Graph, report: Optional[ClassificationReport] = None) -> IdealStructureReport:
-    if report is None:
-        report = x_decomposition(g)
+def ideal_structure(g: Graph, report: ClassificationReport) -> IdealStructureReport:
     sinks = tuple(
         SinkSummand(v, count_paths_into(g, {v})) for v in g.sinks()
     )
@@ -326,14 +328,13 @@ def ideal_structure(g: Graph, report: Optional[ClassificationReport] = None) -> 
     )
     extreme = []
     for xc in report.x_ec:
-        h = HereditarySet(g, xc.vertices)
-        eps = entry_paths(g, h)
+        eps = entry_paths(g, HereditarySet(g, xc.vertices))
         if eps.is_infinite:
             extreme.append(
                 ExtremeSummand(xc, None, "entry paths infinite; certificate skipped")
             )
         else:
-            sub = restriction_graph(g, h)
+            sub = restriction_graph(g, eps)
             extreme.append(ExtremeSummand(xc, is_purely_infinite_simple(sub)))
     dense = is_dense_ideal(g, HereditarySet(g, report.p)) if report.p else False
     return IdealStructureReport(
@@ -353,7 +354,7 @@ class PrimeTrichotomy:
     note: str = "primeness tested as downward directedness (invented criterion)"
 
 
-def prime_trichotomy(g: Graph, report: Optional[ClassificationReport] = None) -> PrimeTrichotomy:
+def prime_trichotomy(g: Graph, report: ClassificationReport) -> PrimeTrichotomy:
     trees = [g.tree_bits(v) for v in g.vertices]
     # the trees meet pairwise iff they share a vertex (the one terminal
     # component), so the pair search runs only when a witness exists
@@ -362,23 +363,24 @@ def prime_trichotomy(g: Graph, report: Optional[ClassificationReport] = None) ->
             for v, tv in zip(g.vertices, trees):
                 if not tu & tv:
                     return PrimeTrichotomy(kind="not-prime", witness=(u, v))
-    if report is None:
-        report = x_decomposition(g)
     sinks = g.sinks()
     if sinks:
-        assert len(sinks) == 1, "downward-directed graph with two sinks"
+        if len(sinks) > 1:
+            raise InvariantError("downward-directed graph with two sinks")
         s = sinks[0]
         return PrimeTrichotomy(
             kind="sink-case", witness=s, matrix_size=count_paths_into(g, {s})
         )
     no_exit = [ci for ci in report.cycles if not ci.has_exits]
     if no_exit:
-        assert len(no_exit) == 1, "downward-directed graph with two no-exit cycles"
+        if len(no_exit) > 1:
+            raise InvariantError("downward-directed graph with two no-exit cycles")
         ci = no_exit[0]
         return PrimeTrichotomy(
             kind="no-exit-cycle-case", witness=ci.cycle, matrix_size=ci.wrap_count
         )
     if report.x_ec:
-        assert len(report.x_ec) == 1, "downward-directed graph with two extreme classes"
+        if len(report.x_ec) > 1:
+            raise InvariantError("downward-directed graph with two extreme classes")
         return PrimeTrichotomy(kind="extreme-case", witness=report.x_ec[0])
     raise InvariantError("prime finite graph with empty P")

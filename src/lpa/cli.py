@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"lpa: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (AssertionError, InvariantError) as exc:
+    except InvariantError as exc:
         print(f"lpa: internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -108,12 +108,12 @@ def path_vertex_id(path: tuple[str, ...]) -> str:
     return "[" + "".join(path) + "]"
 
 
-def restriction_graph(g: Graph, H: HereditarySet) -> Graph:
-    """The graph _H E whose Leavitt path algebra realizes the ideal I(H)."""
-    H.require_hereditary()
-    eps = entry_paths(g, H)
+def restriction_graph(g: Graph, eps: EntryPathSet) -> Graph:
+    """The graph _H E whose Leavitt path algebra realizes the ideal I(H),
+    built from F_E(H) as `entry_paths` gives it, with H its target."""
     if eps.is_infinite:
         raise GraphError("entry path set is infinite; restriction graph not finite")
+    H = eps.target
     vertices = [v for v in g.vertices if v in H.members]
     vertices += [path_vertex_id(p) for p in eps.paths]
     edges = [e for e in g.edges if e.src in H.members]

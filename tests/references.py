@@ -1,18 +1,42 @@
 """Slow references for the oracle's fast paths: the all-pairs candidate
 enumeration, the matrix built from one ``commutators`` call per candidate
-and the single global-pivot elimination they replaced, plus the graphs
-their equality tests draw from."""
+and the single global-pivot elimination they replaced, plus the graph
+families the tests draw from."""
 
+import random
 from fractions import Fraction
+
+from hypothesis import strategies as st
 
 from lpa.engine import AlgebraElement, Monomial
 from lpa.fields import QQ
 from lpa.graphs import Edge, Graph
+from lpa.randomgen import random_graph
 
 
 def rose(n):
     """R_n: one vertex with n loops."""
     return Graph(["v"], [Edge(f"e{i}", "v", "v") for i in range(1, n + 1)])
+
+
+def line(n):
+    """L_n: v_0 -> v_1 -> ... -> v_{n-1}, names in declared order."""
+    vs = [f"v{i:05d}" for i in range(n)]
+    return Graph(vs, [Edge(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+
+
+def cycle_with_tail(n):
+    """C_n: a no-exit n-cycle plus one entry edge from a tail vertex t."""
+    vs = [f"v{i}" for i in range(1, n + 1)]
+    es = [Edge(f"e{i}", vs[i - 1], vs[i % n]) for i in range(1, n + 1)]
+    return Graph(vs + ["t"], es + [Edge("f", "t", "v1")])
+
+
+def random_graphs(max_vertices=5, max_edges=8):
+    """Seeded `random_graph`s, shrinking towards seed 0."""
+    return st.integers(0, 10**6).map(
+        lambda s: random_graph(random.Random(s), max_vertices, max_edges)
+    )
 
 
 def renamed(g, rng):

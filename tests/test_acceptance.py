@@ -27,7 +27,7 @@ from lpa.reports import build_envelope
 from corpus import graph
 
 
-def all_basis_elements(alg, rep=None, degree_window=None):
+def all_basis_elements(alg, rep, degree_window=None):
     cr = center_report(alg, rep, degree_window)
     elems = list(cr.basis_zero)
     for _n, es in sorted(cr.basis_nonzero.items()):
@@ -49,20 +49,22 @@ def test_criterion_01_fixture_centers():
     }
     for name, iso in expected_iso.items():
         alg = LeavittAlgebra(graph(name))
-        rep = center_report(alg)
+        rep = center_report(alg, x_decomposition(alg.graph))
         assert rep.iso_type == iso, name
 
     # Toeplitz basis is exactly {u + v}
     alg = LeavittAlgebra(graph("g_toeplitz"))
-    (b,) = center_report(alg).basis_zero
+    (b,) = center_report(alg, x_decomposition(alg.graph)).basis_zero
     assert b.element == alg.vertex("u") + alg.vertex("v")
 
     # two disjoint loops: Laurent squared
     g2 = disjoint_union(graph("g_loop"), graph("g_loop"))
-    assert center_report(LeavittAlgebra(g2)).iso_type == {"K": 0, "Laurent": 2}
+    cr = center_report(LeavittAlgebra(g2), x_decomposition(g2))
+    assert cr.iso_type == {"K": 0, "Laurent": 2}
 
     # the degenerate case carries a divergence flag
-    cwe = center_report(LeavittAlgebra(graph("g_cwe")))
+    g = graph("g_cwe")
+    cwe = center_report(LeavittAlgebra(g), x_decomposition(g))
     assert cwe.divergence_flags and cwe.iso_type == {"K": 1, "Laurent": 0}
 
 
@@ -73,7 +75,7 @@ def test_criterion_02_campaign_centrality(campaign500):
     checked = 0
     for g in campaign500:
         alg = LeavittAlgebra(g)
-        _cr, elems = all_basis_elements(alg, degree_window=4)
+        _cr, elems = all_basis_elements(alg, x_decomposition(g), degree_window=4)
         for label, res in verify_basis(alg, elems):
             assert res.central, (g.to_document(), label, res.witness)
             checked += 1
@@ -84,7 +86,9 @@ def test_criterion_02_campaign_centrality(campaign500):
 
 
 def _oracle_matches(alg, degree_window=2):
-    cr, _ = all_basis_elements(alg, degree_window=max(degree_window, 2))
+    cr, _ = all_basis_elements(
+        alg, x_decomposition(alg.graph), degree_window=max(degree_window, 2)
+    )
     by_degree = {0: list(cr.basis_zero)}
     for n, es in cr.basis_nonzero.items():
         by_degree.setdefault(n, []).extend(es)
@@ -112,7 +116,7 @@ def test_criterion_03_oracle_equivalence(campaign100):
 def test_criterion_04_b0_orthogonality(campaign500):
     for g in campaign500:
         alg = LeavittAlgebra(g)
-        bs = basis_zero(alg)
+        bs = basis_zero(alg, x_decomposition(g))
         for i, a in enumerate(bs):
             assert a.element * a.element == a.element
             for b in bs[i + 1:]:
@@ -224,14 +228,14 @@ def _phi_maps(g, alg, rg):
 def test_criterion_08_restriction_graph_soundness(campaign100):
     graphs = [graph("g_ext2"), graph("g_r2")] + campaign100
     classes_checked = 0
-    from lpa.classify import extreme_classes, is_purely_infinite_simple
+    from lpa.classify import is_purely_infinite_simple
 
     for g in graphs:
-        for xc in extreme_classes(g):
-            h = HereditarySet(g, xc.vertices)
-            if entry_paths(g, h).is_infinite:
+        for xc in x_decomposition(g).x_ec:
+            eps = entry_paths(g, HereditarySet(g, xc.vertices))
+            if eps.is_infinite:
                 continue
-            rg = restriction_graph(g, h)
+            rg = restriction_graph(g, eps)
             assert is_purely_infinite_simple(rg).purely_infinite_simple
             alg = LeavittAlgebra(g)
             vmap, emap = _phi_maps(g, alg, rg)
@@ -267,11 +271,11 @@ def test_criterion_09_prime_trichotomy(campaign500):
         directed = all(
             trees[u] & trees[v] for u in g.vertices for v in g.vertices
         )
-        pt = prime_trichotomy(g)
+        rep = x_decomposition(g)
+        pt = prime_trichotomy(g, rep)
         if not directed:
             assert pt.kind == "not-prime"
             continue
-        rep = x_decomposition(g)
         sinks = g.sinks()
         no_exit = [ci for ci in rep.cycles if not ci.has_exits]
         assert pt.kind in ("sink-case", "no-exit-cycle-case", "extreme-case")

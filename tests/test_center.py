@@ -1,16 +1,15 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lpa.center
 from lpa.center import (
-    CenterError,
     OracleBoundError,
     a_class,
-    basis_n,
     basis_zero,
     _oracle_matrix,
     _rref,
@@ -30,6 +29,7 @@ from lpa.graphs import disjoint_union
 from lpa.randomgen import random_graph
 from corpus import FIXTURE_NAMES, graph
 from references import (
+    cycle_with_tail,
     ref_kernel_basis,
     ref_normal_monomials,
     ref_oracle_matrix,
@@ -42,6 +42,14 @@ from references import (
 
 def alg_of(name):
     return LeavittAlgebra(graph(name))
+
+
+def center_of(alg):
+    return center_report(alg, x_decomposition(alg.graph))
+
+
+def basis_zero_of(alg):
+    return basis_zero(alg, x_decomposition(alg.graph))
 
 
 # -- a_class ------------------------------------------------------------------
@@ -73,20 +81,20 @@ def test_a_class_line3():
 
 def test_basis_zero_loop():
     alg = alg_of("g_loop")
-    (b,) = basis_zero(alg)
+    (b,) = basis_zero_of(alg)
     assert b.element == alg.vertex("v")
 
 
 def test_basis_zero_cwe():
     alg = alg_of("g_cwe")
-    (b,) = basis_zero(alg)
+    (b,) = basis_zero_of(alg)
     assert b.element == alg.vertex("w") + alg.vertex("z")
 
 
 def test_basis_zero_disjoint_loops():
     g = disjoint_union(graph("g_loop"), graph("g_loop"))
     alg = LeavittAlgebra(g)
-    bs = basis_zero(alg)
+    bs = basis_zero_of(alg)
     assert len(bs) == 2
     assert {b.element for b in bs} == {alg.vertex("v"), alg.vertex("v'")}
 
@@ -94,49 +102,78 @@ def test_basis_zero_disjoint_loops():
 def test_basis_zero_orthogonal_idempotents():
     g = disjoint_union(graph("g_loop"), graph("g_toeplitz"))
     alg = LeavittAlgebra(g)
-    bs = basis_zero(alg)
+    bs = basis_zero_of(alg)
     for i, a in enumerate(bs):
         assert a.element * a.element == a.element
         for b in bs[i + 1:]:
             assert (a.element * b.element).is_zero()
 
 
-# -- basis_n -------------------------------------------------------------------
+# -- nonzero-degree basis ----------------------------------------------------
 
 
 def test_basis_n_loop_powers():
     alg = alg_of("g_loop")
     c = alg.edge("c")
-    (b2,) = basis_n(alg, 2)
-    assert b2.element == c * c
-    (bm1,) = basis_n(alg, -1)
-    assert bm1.element == alg.ghost("c")
+    bn = center_of(alg).basis_nonzero
+    assert list(bn) == [-2, -1, 1, 2]
+    (b2,) = bn[2]
+    assert b2.element == c * c and b2.power == 2
+    (bm1,) = bn[-1]
+    assert bm1.element == alg.ghost("c") and bm1.power == -1
 
 
 def test_basis_n_cwe_empty():
-    assert basis_n(alg_of("g_cwe"), 1) == []
-
-
-def test_basis_n_rejects_zero():
-    with pytest.raises(CenterError):
-        basis_n(alg_of("g_loop"), 0)
+    assert center_of(alg_of("g_cwe")).basis_nonzero == {}
 
 
 def test_basis_n_negative_is_involution():
-    alg = alg_of("g_toeplitz")
-    # S is empty here (loop e has an exit): no nonzero-degree basis at all
-    for n in (1, -1, 2, -2):
-        assert basis_n(alg, n) == []
+    # S is empty on the Toeplitz graph (loop e has an exit): no
+    # nonzero-degree basis at all
+    assert center_of(alg_of("g_toeplitz")).basis_nonzero == {}
+    g = disjoint_union(cycle_with_tail(2), cycle_with_tail(3))
+    alg = LeavittAlgebra(g)
+    bn = center_of(alg).basis_nonzero
+    assert list(bn) == [-6, -4, -3, -2, 2, 3, 4, 6]
+    for n in (2, 3, 4, 6):
+        assert [b.cycle_base for b in bn[n]] == [b.cycle_base for b in bn[-n]]
+        for b, bm in zip(bn[n], bn[-n]):
+            assert bm.element == alg.involution(b.element)
+            assert (bm.degree, bm.power) == (-b.degree, -b.power)
 
 
 def test_basis_n_homogeneous_and_central():
     g = disjoint_union(graph("g_loop"), graph("g_line3"))
     alg = LeavittAlgebra(g)
-    for n in (-2, -1, 1, 2):
-        for b in basis_n(alg, n):
+    bn = center_of(alg).basis_nonzero
+    assert list(bn) == [-2, -1, 1, 2]
+    for n, bs in bn.items():
+        for b in bs:
             for m in b.element.monomials():
                 assert m.degree == n
             assert alg.is_central(b.element).central
+
+
+def test_center_report_computes_each_cycle_once():
+    # C_14 has one cycle in S and the default window is 28, so its basis has
+    # elements at degrees -28, -14, 14 and 28, all dressed with the same
+    # F_E(c^0), which is found once
+    g = cycle_with_tail(14)
+    rep = x_decomposition(g)
+    alg = LeavittAlgebra(g)
+    calls = []
+    entry_paths = lpa.center.entry_paths
+
+    def counting(*args):
+        calls.append(args)
+        return entry_paths(*args)
+
+    with mock.patch.object(lpa.center, "entry_paths", counting):
+        bn = center_report(alg, rep).basis_nonzero
+    assert list(bn) == [-28, -14, 14, 28]
+    assert len(calls) == 1
+    for n in (14, 28):
+        assert bn[-n][0].element == alg.involution(bn[n][0].element)
 
 
 # -- center report ----------------------------------------------------------------
@@ -152,25 +189,25 @@ def test_center_report_fixture_iso_types():
         "g_cwe": {"K": 1, "Laurent": 0},
     }
     for name, iso in expected.items():
-        rep = center_report(alg_of(name))
+        rep = center_of(alg_of(name))
         assert rep.iso_type == iso, name
 
 
 def test_center_report_cwe_divergence_flag():
-    rep = center_report(alg_of("g_cwe"))
+    rep = center_of(alg_of("g_cwe"))
     assert len(rep.divergence_flags) == 1
-    assert not center_report(alg_of("g_loop")).divergence_flags
+    assert not center_of(alg_of("g_loop")).divergence_flags
 
 
 def test_center_report_disjoint_loops_is_laurent_squared():
     g = disjoint_union(graph("g_loop"), graph("g_loop"))
-    rep = center_report(LeavittAlgebra(g))
+    rep = center_of(LeavittAlgebra(g))
     assert rep.iso_type == {"K": 0, "Laurent": 2}
 
 
 def test_verify_basis_all_pass():
     alg = alg_of("g_loop")
-    rep = center_report(alg)
+    rep = center_of(alg)
     elems = list(rep.basis_zero)
     for es in rep.basis_nonzero.values():
         elems.extend(es)
@@ -183,11 +220,15 @@ def test_verify_basis_all_pass():
 
 
 def test_extended_centroid_examples():
-    r = extended_centroid_report(graph("g_line3"))
+    def centroid(name):
+        g = graph(name)
+        return extended_centroid_report(g, x_decomposition(g))
+
+    r = centroid("g_line3")
     assert (r.sinks, r.no_exit_cycles, r.extreme_classes) == (1, 0, 0)
-    r = extended_centroid_report(graph("g_loop"))
+    r = centroid("g_loop")
     assert (r.sinks, r.no_exit_cycles, r.extreme_classes) == (0, 1, 0)
-    r = extended_centroid_report(graph("g_ext2"))
+    r = centroid("g_ext2")
     assert (r.sinks, r.no_exit_cycles, r.extreme_classes) == (0, 0, 1)
     assert "not independently verified" in r.note
 
@@ -216,7 +257,7 @@ def test_oracle_cwe_degree_one_is_zero_space():
 def test_oracle_agrees_with_basis_on_fixtures():
     for name in ("g_loop", "g_line3", "g_toeplitz", "g_r2", "g_ext2", "g_cwe"):
         alg = alg_of(name)
-        rep = center_report(alg)
+        rep = center_of(alg)
         by_degree = {0: list(rep.basis_zero)}
         for n, es in rep.basis_nonzero.items():
             by_degree.setdefault(n, []).extend(es)
@@ -257,7 +298,7 @@ def test_oracle_pruning_keeps_kernel(g, field):
 
 def test_oracle_bound_check():
     alg = alg_of("g_line3")
-    elems = basis_zero(alg)
+    elems = basis_zero_of(alg)
     with pytest.raises(OracleBoundError):
         check_oracle_bound(elems, 1)
     check_oracle_bound(elems, 2)  # no error
@@ -269,7 +310,7 @@ def test_same_span_detects_difference():
     assert same_span(alg, [alg.vertex("v1").scale(3)], [alg.vertex("v1")])
 
 
-# -- block-wise exact elimination against the global-pivot reference ------------
+# -- exact elimination against the global-pivot reference -----------------------
 
 F7 = PrimeField(7)
 F2 = PrimeField(2)
@@ -361,27 +402,21 @@ def test_oracle_unit_rows_settle_every_column(monkeypatch):
     # R_6 at degree 0 and L = 4: 1,296 candidates and 17,710 rows.  Every
     # candidate but the vertex v, which commutes with every generator and so
     # is in no row, has a unit row of its own, so all 1,295 pivot columns
-    # are settled before blocking; the block-wise elimination used to take
-    # all 1,295 in blocks of at most 7 columns.
-    blocked, eliminated = [], []
-    blocks, eliminate = lpa.center._blocks, lpa.center._eliminate
+    # are settled and no column reaches the elimination.
+    eliminated = []
+    eliminate = lpa.center._eliminate
 
-    def recording_blocks(rows):
-        blocked.extend(rows)
-        return blocks(rows)
+    def recording_eliminate(rows, p):
+        eliminated.extend(c for row in rows for c in row)
+        return eliminate(rows, p)
 
-    def recording_eliminate(block, p):
-        eliminated.extend(c for row in block for c in row)
-        return eliminate(block, p)
-
-    monkeypatch.setattr(lpa.center, "_blocks", recording_blocks)
     monkeypatch.setattr(lpa.center, "_eliminate", recording_eliminate)
     alg = LeavittAlgebra(rose(6))
     cands, rows = _oracle_matrix(alg, 0, 4)
     reduced = _rref(rows, QQ)
     assert len(rows) == 17710
     assert reduced == [{c: 1} for c in range(1, 1296)]
-    assert blocked == [] and eliminated == []
+    assert eliminated == []
     assert len(oracle_commutant(alg, 0, 4)) == 1
 
 
@@ -443,7 +478,7 @@ def test_rationals_are_ints_when_integral():
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_basis_coefficients_are_ints(name):
-    rep = center_report(alg_of(name))
+    rep = center_of(alg_of(name))
     elems = list(rep.basis_zero) + [b for bs in rep.basis_nonzero.values() for b in bs]
     assert all(type(k) is int for b in elems for k in b.element.terms.values())
 
@@ -455,7 +490,7 @@ def test_coefficients_are_never_floats(name):
     # the oracle's kernel vectors, whose pivots divide their entries here,
     # are ints
     alg = LeavittAlgebra(R3) if name == "R3" else alg_of(name)
-    rep = center_report(alg)
+    rep = center_of(alg)
     basis = [b.element for b in rep.basis_zero]
     basis += [b.element for bs in rep.basis_nonzero.values() for b in bs]
     third = Fraction(1, 3)

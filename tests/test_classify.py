@@ -1,6 +1,5 @@
-import random
-
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import given, settings
 
 from lpa.classify import (
     classify_cycles,
@@ -12,7 +11,7 @@ from lpa.classify import (
     sim_classes,
     x_decomposition,
 )
-from lpa.graphs import INFINITE, disjoint_union, tree
+from lpa.graphs import INFINITE, InvariantError, disjoint_union, tree
 from lpa.hereditary import (
     HereditarySet,
     entry_paths,
@@ -20,15 +19,9 @@ from lpa.hereditary import (
     restriction_graph,
     saturated_closure,
 )
-from lpa.randomgen import random_graph
 from corpus import graph
+from references import random_graphs
 from test_reachability import ref_is_saturated
-
-
-def random_graphs(max_vertices=5, max_edges=8):
-    return st.integers(0, 10**6).map(
-        lambda s: random_graph(random.Random(s), max_vertices, max_edges)
-    )
 
 
 # -- line points ---------------------------------------------------------------
@@ -73,23 +66,25 @@ def test_cycle_info_invariants_on_fixtures():
 
 
 def test_extreme_classes_ext2():
-    (xc,) = extreme_classes(graph("g_ext2"))
+    g = graph("g_ext2")
+    (xc,) = extreme_classes(g, classify_cycles(g))
     assert xc.vertices == {"u", "w"} and len(xc.cycles) == 2
 
 
 def test_extreme_classes_loop_empty():
-    assert extreme_classes(graph("g_loop")) == []
+    g = graph("g_loop")
+    assert extreme_classes(g, classify_cycles(g)) == []
 
 
 def test_extreme_classes_disjoint_union():
     g = disjoint_union(graph("g_ext2"), graph("g_ext2"))
-    assert len(extreme_classes(g)) == 2
+    assert len(extreme_classes(g, classify_cycles(g))) == 2
 
 
 @given(random_graphs())
 @settings(max_examples=80, deadline=None)
 def test_extreme_class_laws(g):
-    classes = extreme_classes(g)
+    classes = extreme_classes(g, classify_cycles(g))
     for xc in classes:
         # connected cycles share their tree; the class set is that tree
         for c in xc.cycles:
@@ -180,14 +175,16 @@ def test_classification_invariants(g):
 
 
 def test_ideal_structure_line3():
-    rep = ideal_structure(graph("g_line3"))
+    g = graph("g_line3")
+    rep = ideal_structure(g, x_decomposition(g))
     (s,) = rep.sinks
     assert s.sink == "v3" and s.matrix_size == 3
     assert rep.dense
 
 
 def test_ideal_structure_loop():
-    rep = ideal_structure(graph("g_loop"))
+    g = graph("g_loop")
+    rep = ideal_structure(g, x_decomposition(g))
     (c,) = rep.no_exit_cycles
     assert c.matrix_size == 1
     assert rep.dense
@@ -196,7 +193,7 @@ def test_ideal_structure_loop():
 @given(random_graphs())
 @settings(max_examples=80, deadline=None)
 def test_density_on_every_finite_graph(g):
-    assert ideal_structure(g).dense
+    assert ideal_structure(g, x_decomposition(g)).dense
 
 
 # -- purely infinite simple ------------------------------------------------------
@@ -210,10 +207,10 @@ def test_pis_examples():
 
 def test_pis_restriction_graph_of_extreme_class():
     g = graph("g_ext2")
-    (xc,) = extreme_classes(g)
-    h = HereditarySet(g, xc.vertices)
-    if not entry_paths(g, h).is_infinite:
-        sub = restriction_graph(g, h)
+    (xc,) = extreme_classes(g, classify_cycles(g))
+    eps = entry_paths(g, HereditarySet(g, xc.vertices))
+    if not eps.is_infinite:
+        sub = restriction_graph(g, eps)
         assert is_purely_infinite_simple(sub).purely_infinite_simple
 
 
@@ -221,26 +218,37 @@ def test_pis_restriction_graph_of_extreme_class():
 
 
 def test_prime_trichotomy_line3():
-    pt = prime_trichotomy(graph("g_line3"))
+    g = graph("g_line3")
+    pt = prime_trichotomy(g, x_decomposition(g))
     assert pt.kind == "sink-case" and pt.witness == "v3" and pt.matrix_size == 3
 
 
 def test_prime_trichotomy_cwe():
-    pt = prime_trichotomy(graph("g_cwe"))
+    g = graph("g_cwe")
+    pt = prime_trichotomy(g, x_decomposition(g))
     assert pt.kind == "no-exit-cycle-case"
     assert pt.witness.edges == ("h",)
     assert pt.matrix_size is INFINITE
 
 
 def test_prime_trichotomy_ext2():
-    pt = prime_trichotomy(graph("g_ext2"))
+    g = graph("g_ext2")
+    pt = prime_trichotomy(g, x_decomposition(g))
     assert pt.kind == "extreme-case"
     assert {c.edges for c in pt.witness.cycles} == {("e",), ("f", "g")}
 
 
 def test_prime_trichotomy_not_prime():
     g = disjoint_union(graph("g_loop"), graph("g_loop"))
-    assert prime_trichotomy(g).kind == "not-prime"
+    assert prime_trichotomy(g, x_decomposition(g)).kind == "not-prime"
+
+
+def test_prime_trichotomy_checks_survive_optimisation():
+    # a downward-directed graph handed a report with two no-exit cycles
+    # breaks an invariant; the check is a raise, not an assert
+    two_loops = x_decomposition(disjoint_union(graph("g_loop"), graph("g_loop")))
+    with pytest.raises(InvariantError, match="two no-exit cycles"):
+        prime_trichotomy(graph("g_loop"), two_loops)
 
 
 def _downward_directed(g):
@@ -251,12 +259,12 @@ def _downward_directed(g):
 @given(random_graphs())
 @settings(max_examples=120, deadline=None)
 def test_prime_trichotomy_exclusive_cases(g):
-    pt = prime_trichotomy(g)
+    rep = x_decomposition(g)
+    pt = prime_trichotomy(g, rep)
     if not _downward_directed(g):
         assert pt.kind == "not-prime"
         return
     assert pt.kind in ("sink-case", "no-exit-cycle-case", "extreme-case")
-    rep = x_decomposition(g)
     sinks = g.sinks()
     no_exit = [ci for ci in rep.cycles if not ci.has_exits]
     if pt.kind == "sink-case":

@@ -283,7 +283,11 @@ def test_classify_long_line_exits_0(tmp_path):
 
 @pytest.mark.parametrize(
     "exc, code, breach",
-    [(InvariantError("two sinks"), 5, True), (RecursionError("too deep"), None, False)],
+    [
+        (InvariantError("two sinks"), 5, True),
+        (RecursionError("too deep"), None, False),
+        (AssertionError("unchecked"), None, False),
+    ],
 )
 def test_only_invariant_errors_exit_5(monkeypatch, capsys, exc, code, breach):
     def fail(*args, **kwargs):

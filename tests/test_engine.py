@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpa.center import basis_zero
+from lpa.classify import x_decomposition
 from lpa.engine import AlgebraElement, EngineError, LeavittAlgebra, Monomial
 from lpa.fields import PrimeField
 from lpa.graphs import Edge, Graph
 from lpa.randomgen import random_graph
 from corpus import graph
-from references import ref_normal_monomials, renamed, rose
+from references import line, ref_normal_monomials, renamed, rose
 
 
 def alg_of(name, field=None):
@@ -161,10 +162,6 @@ def test_is_central_examples():
     assert not res.central and res.witness == "f"
 
 
-def rose(k):
-    return Graph(["v"], [Edge(f"e{i}", "v", "v") for i in range(1, k + 1)])
-
-
 # Graphs whose vertices emit several edges, so that both special-edge
 # rewrites in the closed-form generator action run: roses (loops) and a
 # vertex with parallel and loop exits.
@@ -245,15 +242,21 @@ class CountingTerms(dict):
         return self._count(super().items())
 
 
+def line_a(n):
+    """The line L_n and its one basis element a[c], which has n terms."""
+    g = line(n)
+    alg = LeavittAlgebra(g)
+    (b,) = basis_zero(alg, x_decomposition(g))
+    return alg, b.element
+
+
 def test_is_central_reads_terms_once():
     """On the line L_2000 the one basis element a[c] has 2,000 terms and
     there are 5,998 generators; a scan per generator visits ~12 M items."""
     n = 2000
-    vs = [f"v{i}" for i in range(n)]
-    alg = LeavittAlgebra(Graph(vs, [Edge(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)]))
-    (b,) = basis_zero(alg)
-    assert len(b.element.terms) == n
-    terms = CountingTerms(b.element.terms)
+    alg, x = line_a(n)
+    assert len(x.terms) == n
+    terms = CountingTerms(x.terms)
     assert alg.is_central(AlgebraElement(alg, terms)).central
     generators = sum(1 for _ in alg.generator_labels())
     assert terms.visited <= 3 * n + generators
@@ -263,21 +266,10 @@ def test_is_central_builds_no_monomials(count_instances):
     """The central a[c] of L_2000 commutes with all 5,998 generators, so its
     commutators are summed under plain tuples and no Monomial is built;
     summing them as Monomials builds 7,996."""
-    n = 2000
-    vs = [f"v{i}" for i in range(n)]
-    alg = LeavittAlgebra(Graph(vs, [Edge(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)]))
-    (b,) = basis_zero(alg)
+    alg, x = line_a(2000)
     built = count_instances(Monomial)
-    assert alg.is_central(b.element).central
+    assert alg.is_central(x).central
     assert built[0] == 0
-
-
-def line_a(n):
-    """The line L_n and its one basis element a[c], which has n terms."""
-    vs = [f"v{i}" for i in range(n)]
-    alg = LeavittAlgebra(Graph(vs, [Edge(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)]))
-    (b,) = basis_zero(alg)
-    return alg, b.element
 
 
 def test_is_central_reads_no_generator_labels(monkeypatch):

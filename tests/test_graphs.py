@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,16 +18,8 @@ from lpa.graphs import (
     simple_cycles,
     tree,
 )
-from lpa.randomgen import random_graph
 from corpus import graph
-
-import random
-
-
-def random_graphs(max_vertices=5, max_edges=8):
-    return st.integers(min_value=0, max_value=10**6).map(
-        lambda s: random_graph(random.Random(s), max_vertices, max_edges)
-    )
+from references import random_graphs
 
 
 # -- parsing -----------------------------------------------------------------

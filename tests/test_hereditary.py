@@ -112,7 +112,7 @@ def test_entry_paths_first_entry_property():
 
 def test_restriction_graph_line3():
     g = graph("g_line3")
-    rg = restriction_graph(g, hereditary_closure(g, {"v3"}))
+    rg = restriction_graph(g, entry_paths(g, hereditary_closure(g, {"v3"})))
     assert set(rg.vertices) == {"v3", "[e2]", "[e1e2]"}
     assert len(rg.edges) == 2
     for e in rg.edges:
@@ -122,14 +122,14 @@ def test_restriction_graph_line3():
 def test_restriction_graph_whole_graph_is_identity():
     for name in ("g_loop", "g_ext2"):
         g = graph(name)
-        rg = restriction_graph(g, hereditary_closure(g, set(g.vertices)))
+        rg = restriction_graph(g, entry_paths(g, hereditary_closure(g, set(g.vertices))))
         assert rg == g
 
 
 def test_restriction_graph_infinite_rejected():
     g = graph("g_toeplitz")
     with pytest.raises(GraphError):
-        restriction_graph(g, hereditary_closure(g, {"v"}))
+        restriction_graph(g, entry_paths(g, hereditary_closure(g, {"v"})))
 
 
 def test_path_vertex_id():

@@ -2,9 +2,9 @@
 
 The references below are the earlier direct computations: a fresh search
 per tree, all-pairs tree intersections, inclusion-exclusion for the wrap
-count, the saturation fixpoint, a Kahn pass for infinite entry paths and
-cycle enumeration for Condition (L).  They are kept here, off the
-production path, as oracles.
+count, the saturation fixpoint, a Kahn pass for infinite entry paths, and
+cycle enumeration and a closure per vertex for Condition (L).  They are
+kept here, off the production path, as oracles.
 """
 
 import random
@@ -16,12 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lpa.classify
+import lpa.hereditary
 from lpa.classify import (
     CycleInfo,
     ExtremeClass,
     PisCertificate,
     classify_cycles,
     extreme_classes,
+    ideal_structure,
     is_purely_infinite_simple,
     line_points,
     prime_trichotomy,
@@ -35,6 +37,7 @@ from lpa.graphs import (
     connects_to,
     count_paths_into,
     cycle_vertices,
+    disjoint_union,
     make_cycle,
     simple_cycles,
     tree,
@@ -49,23 +52,8 @@ from lpa.hereditary import (
     resolve_vertex,
     saturated_closure,
 )
-from lpa.randomgen import random_graph
-
-
-def line(n):
-    vs = [f"v{i:05d}" for i in range(n)]
-    return Graph(vs, [Edge(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
-
-
-def cycle_with_tail(n):
-    """C_n: a no-exit n-cycle plus one entry edge from a tail vertex t."""
-    vs = [f"v{i}" for i in range(1, n + 1)]
-    es = [Edge(f"e{i}", vs[i - 1], vs[i % n]) for i in range(1, n + 1)]
-    return Graph(vs + ["t"], es + [Edge("f", "t", "v1")])
-
-
-def rose(n):
-    return Graph(["v"], [Edge(f"e{i}", "v", "v") for i in range(1, n + 1)])
+from corpus import graph
+from references import cycle_with_tail, line, random_graphs, rose
 
 
 def ladder(n):
@@ -92,7 +80,7 @@ def shuffled_graph(seed):
 
 
 graphs = st.one_of(
-    st.integers(0, 10**6).map(lambda s: random_graph(random.Random(s), 7, 12)),
+    random_graphs(7, 12),
     st.integers(1, 6).map(rose),
     st.integers(1, 8).map(cycle_with_tail),
 )
@@ -210,9 +198,7 @@ def _union_find_classes(n, related):
     return list(groups.values())
 
 
-def ref_extreme_classes(g, infos=None):
-    if infos is None:
-        infos = ref_classify_cycles(g)
+def ref_extreme_classes(g, infos):
     ext = [ci.cycle for ci in infos if ci.is_extreme]
     trees = [frozenset().union(*(ref_tree(g, v) for v in c.vertex_set)) for c in ext]
     related = [
@@ -374,7 +360,7 @@ def test_trees_and_connectivity_match_reference(g, salt):
 def test_classes_and_primeness_match_reference(g):
     assert sim_classes(g) == ref_sim_classes(g)
     witness = ref_not_prime_witness(g)
-    pt = prime_trichotomy(g)
+    pt = prime_trichotomy(g, x_decomposition(g))
     if witness is None:
         assert pt.kind != "not-prime"
     else:
@@ -476,6 +462,50 @@ def test_wrap_count_is_closed_form():
     (ci,) = rep.cycles
     assert ci.wrap_count == 12 * ci.entry_count == 156
     assert len(calls) <= len(ci.cycle) + 2
+
+
+def counted(calls, fn):
+    """fn, appending the arguments of each call to `calls`."""
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return counting
+
+
+def test_condition_l_builds_no_closures():
+    """A ring of 5 vertices, each with a loop, is purely infinite simple, so
+    every vertex reaches the lattice test; no closure is built for it."""
+    vs = [f"v{i}" for i in range(5)]
+    es = [Edge(f"e{i}", v, v) for i, v in enumerate(vs)]
+    es += [Edge(f"f{i}", v, vs[(i + 1) % 5]) for i, v in enumerate(vs)]
+    g = Graph(vs, es)
+    closures = []
+    with mock.patch.multiple(
+        lpa.classify,
+        saturated_closure=counted(closures, saturated_closure),
+        hereditary_closure=counted(closures, hereditary_closure),
+    ):
+        cert = is_purely_infinite_simple(g)
+    assert cert == PisCertificate(True)
+    assert closures == []
+
+
+def test_ideal_structure_computes_entry_paths_once_per_class():
+    """Two copies of g_ext2 under a tail vertex: two extreme classes, each
+    with finite entry paths, so each gets a restriction graph as well."""
+    g = disjoint_union(graph("g_ext2"), graph("g_ext2"))
+    g = Graph(g.vertices + ("t",), g.edges + (Edge("a", "t", "u"), Edge("b", "t", "u'")))
+    rep = x_decomposition(g)
+    assert len(rep.x_ec) == 2
+    calls = []
+    counting = counted(calls, entry_paths)
+    with mock.patch.object(lpa.classify, "entry_paths", counting), \
+            mock.patch.object(lpa.hereditary, "entry_paths", counting):
+        ideal = ideal_structure(g, rep)
+    assert [x.certificate.purely_infinite_simple for x in ideal.extreme] == [True, True]
+    assert [h.members for _g, h in calls] == [xc.vertices for xc in rep.x_ec]
 
 
 def test_saturated_closure_is_closed_form():
