@@ -329,6 +329,35 @@ def oracle_commutant(
     which forces that coordinate to 0 in every kernel vector, and deleting
     the column together with that row leaves the other coordinates'
     solutions unchanged.
+
+    Candidates that the length bound L forces to 0 are dropped as well.
+    Take m = alpha beta* with s(alpha) = s(beta) = v, not both sides
+    trivial, and |alpha| + |beta| + 2 > L, and an edge e with r(e) = v.
+
+    - beta nonempty: e m is (e alpha) beta*, unless alpha is trivial, beta
+      ends in e and e is special at s(e), when it is the range-relation
+      rewrite.  Outside that case no other candidate m' = alpha' beta'*
+      gives the term (e alpha) beta* in [m', e].  e m' gives it only for
+      m' = m, and a rewrite gives terms whose alpha is trivial or starts
+      with an edge other than e.  m' e with beta' trivial has trivial beta,
+      which beta is not.  m' e with beta' = e beta'' is alpha' beta''*, so
+      m' = (e alpha)(e beta)*, of length |m| + 2 > L: not a candidate.  So
+      the row of (edge e, (e alpha) beta*) is {m: -1}, a unit row in every
+      field, and m is 0 in every kernel vector.
+    - beta trivial: then alpha is not, and the involution, which sends
+      [x, e*] to -([x*, e])*, gives the mirror: the row of (ghost e,
+      alpha (e beta)*) is {m: 1} unless alpha ends in e and e is special
+      at s(e).
+
+    When both sides are nonempty, any edge into v forces m.  When one side
+    is trivial, the other is a cycle at v, so v has an in-edge, and the
+    exception can hold only for the cycle's last edge.  Then m is forced
+    unless that edge is v's only in-edge and is special at its source.  As
+    above, deleting the forced columns with their unit rows leaves the
+    other coordinates' solutions unchanged.  A row is the sum of the
+    candidates' contributions to it, so the rows built from the kept
+    candidates alone are the full rows restricted to the kept columns, less
+    the rows that this leaves empty.
     """
     cands, rows = _oracle_matrix(alg, degree, max_len)
     if not cands:
@@ -344,13 +373,31 @@ def oracle_commutant(
 def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
     """The oracle's candidates and its sparse rows: one row per (generator,
     monomial) pair, holding that monomial's coefficient in [m, generator]
-    for every candidate m.  Each candidate is taken with coefficient 1, so
-    the generator action is integral and the rows hold Python ints; the
-    field enters only in the elimination."""
+    for every candidate m.  The candidates are those that `oracle_commutant`
+    does not drop.  Each candidate is taken with coefficient 1, so the
+    generator action is integral and the rows hold Python ints; the field
+    enters only in the elimination."""
+    g = alg.graph
+    into: dict[str, list] = {}
+    for e in g.edges:
+        into.setdefault(e.dst, []).append(e)
+    # the vertices whose only in-edge is special at its source
+    sole_special = {
+        v for v, es in into.items() if len(es) == 1 and alg.special_edge(es[0].src) == es[0].id
+    }
+
+    def forced(v, p, q):  # m = alpha beta* with s(alpha) = s(beta) = v
+        if len(p) + len(q) + 2 <= max_len or not (p or q):
+            return False
+        if p and q:
+            return v in into
+        return v not in sole_special
+
     cands = [
         m
         for m in alg.normal_monomials(degree, max_len)
         if m.alpha.source == m.beta.source
+        and not forced(m.alpha.source, m.alpha.edges, m.beta.edges)
     ]
     rows: dict[tuple, dict] = {}  # generator key + term -> {candidate: int}
 

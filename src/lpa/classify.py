@@ -326,9 +326,14 @@ def ideal_structure(g: Graph, report: ClassificationReport) -> IdealStructureRep
         for ci in report.cycles
         if not ci.has_exits
     )
+    # F_E(H) depends only on the members of H, so an extreme class whose
+    # T(c^0) is the closure of an X-class reuses that class's entry paths
+    entry_of = {c.closure: c.entry for c in report.x_classes}
     extreme = []
     for xc in report.x_ec:
-        eps = entry_paths(g, HereditarySet(g, xc.vertices))
+        eps = entry_of.get(xc.vertices)
+        if eps is None:
+            eps = entry_paths(g, HereditarySet(g, xc.vertices))
         if eps.is_infinite:
             extreme.append(
                 ExtremeSummand(xc, None, "entry paths infinite; certificate skipped")
@@ -354,7 +359,12 @@ class PrimeTrichotomy:
     note: str = "primeness tested as downward directedness (invented criterion)"
 
 
-def prime_trichotomy(g: Graph, report: ClassificationReport) -> PrimeTrichotomy:
+def prime_trichotomy(
+    g: Graph, report: ClassificationReport, ideal: IdealStructureReport
+) -> PrimeTrichotomy:
+    """The prime case of g.  The sink case reads the sink and its matrix
+    size from `ideal`, the ideal structure of g, which has counted the paths
+    into each sink already."""
     trees = [g.tree_bits(v) for v in g.vertices]
     # the trees meet pairwise iff they share a vertex (the one terminal
     # component), so the pair search runs only when a witness exists
@@ -363,13 +373,12 @@ def prime_trichotomy(g: Graph, report: ClassificationReport) -> PrimeTrichotomy:
             for v, tv in zip(g.vertices, trees):
                 if not tu & tv:
                     return PrimeTrichotomy(kind="not-prime", witness=(u, v))
-    sinks = g.sinks()
-    if sinks:
-        if len(sinks) > 1:
+    if ideal.sinks:
+        if len(ideal.sinks) > 1:
             raise InvariantError("downward-directed graph with two sinks")
-        s = sinks[0]
+        summand = ideal.sinks[0]
         return PrimeTrichotomy(
-            kind="sink-case", witness=s, matrix_size=count_paths_into(g, {s})
+            kind="sink-case", witness=summand.sink, matrix_size=summand.matrix_size
         )
     no_exit = [ci for ci in report.cycles if not ci.has_exits]
     if no_exit:

@@ -254,7 +254,7 @@ def build_envelope(
 ) -> Envelope:
     classification = x_decomposition(g)
     ideal = ideal_structure(g, classification)
-    prime = prime_trichotomy(g, classification)
+    prime = prime_trichotomy(g, classification, ideal)
     env = Envelope(
         graph=g, classification=classification, ideal=ideal, prime=prime
     )

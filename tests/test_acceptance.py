@@ -11,7 +11,7 @@ from lpa.center import (
     same_span,
     verify_basis,
 )
-from lpa.classify import prime_trichotomy, x_decomposition
+from lpa.classify import ideal_structure, prime_trichotomy, x_decomposition
 from lpa.engine import LeavittAlgebra, Monomial
 from lpa.graphs import disjoint_union, tree
 from lpa.hereditary import (
@@ -272,7 +272,7 @@ def test_criterion_09_prime_trichotomy(campaign500):
             trees[u] & trees[v] for u in g.vertices for v in g.vertices
         )
         rep = x_decomposition(g)
-        pt = prime_trichotomy(g, rep)
+        pt = prime_trichotomy(g, rep, ideal_structure(g, rep))
         if not directed:
             assert pt.kind == "not-prime"
             continue

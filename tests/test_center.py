@@ -25,7 +25,7 @@ from lpa.center import (
 from lpa.classify import x_decomposition
 from lpa.engine import AlgebraElement, LeavittAlgebra, Monomial
 from lpa.fields import QQ, PrimeField
-from lpa.graphs import disjoint_union
+from lpa.graphs import Edge, Graph, disjoint_union
 from lpa.randomgen import random_graph
 from corpus import FIXTURE_NAMES, graph
 from references import (
@@ -322,22 +322,79 @@ def coerced(rows, field):
     return [{c: field.coerce(k) for c, k in row.items()} for row in rows]
 
 
+def multiset(rows):
+    return Counter(tuple(sorted(row.items())) for row in rows)
+
+
+def assert_matches_reference(alg, degree, max_len):
+    """_oracle_matrix against the unpruned reference matrix.  The kept
+    candidates come in the reference's order.  Each dropped one is at the
+    top length, |m| + 2 > L, and has a one-entry row in the reference that
+    is nonzero in the field.  The rows are the reference rows restricted to
+    the kept columns, less the rows that leaves empty; they come out in
+    another order, so they are compared as a multiset, and in
+    characteristic 2 the signs of the int rows collapse.  The kernel basis
+    is the reference matrix's, so the kernels are equal."""
+    field = alg.field
+    cands, rows = _oracle_matrix(alg, degree, max_len)
+    ref_cands, ref_rows = ref_oracle_matrix(alg, degree, max_len)
+    col = {m: j for j, m in enumerate(cands)}
+    assert cands == [m for m in ref_cands if m in col]
+    assert all(type(k) is int for row in rows for k in row.values())
+    units = {j for row in ref_rows if len(row) == 1 for j, k in row.items() if k != field.zero}
+    for j, m in enumerate(ref_cands):
+        if m not in col:
+            assert len(m.alpha) + len(m.beta) + 2 > max_len, m
+            assert j in units, m
+    kept = [col.get(m) for m in ref_cands]
+    restricted = [
+        {kept[j]: k for j, k in row.items() if kept[j] is not None} for row in ref_rows
+    ]
+    assert multiset(coerced(rows, field)) == multiset(row for row in restricted if row)
+    ref_index = {m: j for j, m in enumerate(ref_cands)}
+    kernel = [
+        {ref_index[cands[c]]: k for c, k in vec.items()}
+        for vec in kernel_basis(rows, len(cands), field)
+    ]
+    assert kernel == kernel_basis(ref_rows, len(ref_cands), field)
+
+
 @given(st.integers(0, 10**6), st.integers(-2, 2), st.integers(0, 4), st.sampled_from([QQ, F7, F2]))
 @settings(max_examples=120, deadline=None)
 def test_oracle_matrix_matches_reference(seed, degree, max_len, field):
-    # the rows come out in another order, so they are compared as a multiset;
-    # in characteristic 2 the signs of the int rows collapse
     rng = random.Random(seed)
     alg = LeavittAlgebra(renamed(random_graph(rng, 4, 6), rng), field)
-    cands, rows = _oracle_matrix(alg, degree, max_len)
-    ref_cands, ref_rows = ref_oracle_matrix(alg, degree, max_len)
-    assert cands == ref_cands
-    assert all(type(k) is int for row in rows for k in row.values())
+    assert_matches_reference(alg, degree, max_len)
 
-    def multiset(rows):
-        return Counter(tuple(sorted(row.items())) for row in rows)
 
-    assert multiset(coerced(rows, field)) == multiset(ref_rows)
+@given(
+    st.integers(0, 10**6) | st.integers(1, 3).map(lambda n: -n),
+    st.integers(0, 5),
+    st.sampled_from([QQ, F7, F2]),
+)
+@settings(max_examples=50, deadline=None)
+def test_oracle_drops_only_forced_candidates(seed, max_len, field):
+    # a nonnegative seed draws a renamed random graph, -n is the rose R_n;
+    # every degree the bound admits is checked
+    if seed < 0:
+        g = rose(-seed)
+    else:
+        rng = random.Random(seed)
+        g = renamed(random_graph(rng, 4, 5), rng)
+    alg = LeavittAlgebra(g, field)
+    for degree in range(-max_len, max_len + 1):
+        assert_matches_reference(alg, degree, max_len)
+
+
+def test_oracle_keeps_the_special_edge_exception():
+    # on the 2-cycle u <-> v the candidates of degree 2 at L = 2 are e f and
+    # f e, at the top length with trivial beta.  Each vertex's only in-edge
+    # is special at its source, so e* acting on e f is the range-relation
+    # rewrite and forces nothing; a rule without that exception drops both
+    # and finds no central element.
+    g = Graph(["u", "v"], [Edge("e", "u", "v"), Edge("f", "v", "u")])
+    alg = LeavittAlgebra(g)
+    assert [repr(x) for x in oracle_commutant(alg, 2, 2)] == ["1·e f + 1·f e"]
 
 
 @given(st.integers(0, 10**6), st.integers(-2, 2), st.integers(0, 4), st.sampled_from([QQ, F7]))
@@ -399,10 +456,12 @@ def test_same_span_matches_reference(seed, field):
 
 
 def test_oracle_unit_rows_settle_every_column(monkeypatch):
-    # R_6 at degree 0 and L = 4: 1,296 candidates and 17,710 rows.  Every
-    # candidate but the vertex v, which commutes with every generator and so
-    # is in no row, has a unit row of its own, so all 1,295 pivot columns
-    # are settled and no column reaches the elimination.
+    # R_6 at degree 0 and L = 4: of the 1,296 normal monomials the 1,260
+    # with |alpha| = |beta| = 2 are forced to 0 by the bound, which leaves 36
+    # candidates and 490 rows, all of them unit rows.  Every candidate but
+    # the vertex v, which commutes with every generator and so is in no row,
+    # has a unit row of its own, so all 35 pivot columns are settled and no
+    # column reaches the elimination.
     eliminated = []
     eliminate = lpa.center._eliminate
 
@@ -414,8 +473,9 @@ def test_oracle_unit_rows_settle_every_column(monkeypatch):
     alg = LeavittAlgebra(rose(6))
     cands, rows = _oracle_matrix(alg, 0, 4)
     reduced = _rref(rows, QQ)
-    assert len(rows) == 17710
-    assert reduced == [{c: 1} for c in range(1, 1296)]
+    assert len(cands) == 36
+    assert len(rows) == 490 and all(len(row) == 1 for row in rows)
+    assert reduced == [{c: 1} for c in range(1, 36)]
     assert eliminated == []
     assert len(oracle_commutant(alg, 0, 4)) == 1
 
@@ -447,18 +507,29 @@ def test_rref_with_unit_rows_matches_reference(field, data):
 
 
 def test_oracle_matrix_builds_no_elements(count_instances):
-    # R_6 at degree 0 and L = 4: 1,296 candidates and 17,710 rows.  Summing
-    # each candidate's commutators as AlgebraElements keyed by Monomial, then
-    # copying them into the rows, builds 16,836 elements and 19,487
-    # Monomials; the int rows are summed under plain tuples, and only the
-    # candidates are Monomials.
+    # R_6 at degree 0 and L = 4: 1,296 normal monomials, 36 candidates kept
+    # and 490 rows.  Summing each candidate's commutators as AlgebraElements
+    # keyed by Monomial, then copying them into the rows, builds 16,836
+    # elements and 19,487 Monomials for all 1,296; the int rows are summed
+    # under plain tuples, and only the normal monomials are Monomials.
     alg = LeavittAlgebra(rose(6))
     monomials = count_instances(Monomial)
     elements = count_instances(AlgebraElement)
     cands, rows = _oracle_matrix(alg, 0, 4)
-    assert len(cands) == 1296
+    assert len(cands) == 36
     assert elements[0] == 0
-    assert monomials[0] <= len(cands)
+    assert monomials[0] <= 1296
+
+
+def test_oracle_matrix_size_on_r8_at_length_6():
+    # R_8 at degree 0 and L = 6: of the 262,144 normal monomials the 258,048
+    # with |alpha| = |beta| = 3 are forced to 0, which leaves the 4,096 with
+    # |alpha| = |beta| <= 2 and 72,702 rows; building them all made
+    # 4,653,054 rows
+    alg = LeavittAlgebra(rose(8))
+    cands, rows = _oracle_matrix(alg, 0, 6)
+    assert len(cands) == 4096
+    assert len(rows) == 72702
 
 
 # -- exact coefficients over Q ---------------------------------------------------

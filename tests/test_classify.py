@@ -1,6 +1,9 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 
+import lpa.classify
 from lpa.classify import (
     classify_cycles,
     extreme_classes,
@@ -19,9 +22,10 @@ from lpa.hereditary import (
     restriction_graph,
     saturated_closure,
 )
+from lpa.reports import build_envelope
 from corpus import graph
 from references import random_graphs
-from test_reachability import ref_is_saturated
+from test_reachability import counted, ref_is_saturated
 
 
 # -- line points ---------------------------------------------------------------
@@ -192,6 +196,35 @@ def test_ideal_structure_loop():
 
 @given(random_graphs())
 @settings(max_examples=80, deadline=None)
+def test_ideal_structure_entry_paths_match_a_fresh_enumeration(g):
+    # an extreme class whose T(c^0) is an X-class closure reuses that
+    # class's entry paths, and its summand is the one a fresh F_E(H) gives
+    rep = x_decomposition(g)
+    calls = []
+    with mock.patch.object(lpa.classify, "entry_paths", counted(calls, entry_paths)):
+        ideal = ideal_structure(g, rep)
+    assert not {xc.closure for xc in rep.x_classes} & {h.members for _g, h in calls}
+    for summand in ideal.extreme:
+        eps = entry_paths(g, HereditarySet(g, summand.extreme_class.vertices))
+        if eps.is_infinite:
+            assert summand.certificate is None
+        else:
+            cert = is_purely_infinite_simple(restriction_graph(g, eps))
+            assert summand.certificate == cert
+
+
+def test_envelope_counts_the_paths_into_a_sink_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        lpa.classify, "count_paths_into", counted(calls, lpa.classify.count_paths_into)
+    )
+    env = build_envelope(graph("g_line3"), with_center=False)
+    assert (env.prime.kind, env.prime.witness, env.prime.matrix_size) == ("sink-case", "v3", 3)
+    assert [set(targets) for _g, targets in calls] == [{"v3"}]
+
+
+@given(random_graphs())
+@settings(max_examples=80, deadline=None)
 def test_density_on_every_finite_graph(g):
     assert ideal_structure(g, x_decomposition(g)).dense
 
@@ -217,15 +250,20 @@ def test_pis_restriction_graph_of_extreme_class():
 # -- prime trichotomy ------------------------------------------------------------
 
 
+def prime_of(g):
+    rep = x_decomposition(g)
+    return prime_trichotomy(g, rep, ideal_structure(g, rep))
+
+
 def test_prime_trichotomy_line3():
     g = graph("g_line3")
-    pt = prime_trichotomy(g, x_decomposition(g))
+    pt = prime_of(g)
     assert pt.kind == "sink-case" and pt.witness == "v3" and pt.matrix_size == 3
 
 
 def test_prime_trichotomy_cwe():
     g = graph("g_cwe")
-    pt = prime_trichotomy(g, x_decomposition(g))
+    pt = prime_of(g)
     assert pt.kind == "no-exit-cycle-case"
     assert pt.witness.edges == ("h",)
     assert pt.matrix_size is INFINITE
@@ -233,22 +271,23 @@ def test_prime_trichotomy_cwe():
 
 def test_prime_trichotomy_ext2():
     g = graph("g_ext2")
-    pt = prime_trichotomy(g, x_decomposition(g))
+    pt = prime_of(g)
     assert pt.kind == "extreme-case"
     assert {c.edges for c in pt.witness.cycles} == {("e",), ("f", "g")}
 
 
 def test_prime_trichotomy_not_prime():
     g = disjoint_union(graph("g_loop"), graph("g_loop"))
-    assert prime_trichotomy(g, x_decomposition(g)).kind == "not-prime"
+    assert prime_of(g).kind == "not-prime"
 
 
 def test_prime_trichotomy_checks_survive_optimisation():
     # a downward-directed graph handed a report with two no-exit cycles
     # breaks an invariant; the check is a raise, not an assert
-    two_loops = x_decomposition(disjoint_union(graph("g_loop"), graph("g_loop")))
+    g = graph("g_loop")
+    two_loops = x_decomposition(disjoint_union(g, g))
     with pytest.raises(InvariantError, match="two no-exit cycles"):
-        prime_trichotomy(graph("g_loop"), two_loops)
+        prime_trichotomy(g, two_loops, ideal_structure(g, x_decomposition(g)))
 
 
 def _downward_directed(g):
@@ -260,7 +299,7 @@ def _downward_directed(g):
 @settings(max_examples=120, deadline=None)
 def test_prime_trichotomy_exclusive_cases(g):
     rep = x_decomposition(g)
-    pt = prime_trichotomy(g, rep)
+    pt = prime_trichotomy(g, rep, ideal_structure(g, rep))
     if not _downward_directed(g):
         assert pt.kind == "not-prime"
         return

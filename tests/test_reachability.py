@@ -360,7 +360,8 @@ def test_trees_and_connectivity_match_reference(g, salt):
 def test_classes_and_primeness_match_reference(g):
     assert sim_classes(g) == ref_sim_classes(g)
     witness = ref_not_prime_witness(g)
-    pt = prime_trichotomy(g, x_decomposition(g))
+    rep = x_decomposition(g)
+    pt = prime_trichotomy(g, rep, ideal_structure(g, rep))
     if witness is None:
         assert pt.kind != "not-prime"
     else:
@@ -494,18 +495,21 @@ def test_condition_l_builds_no_closures():
 
 def test_ideal_structure_computes_entry_paths_once_per_class():
     """Two copies of g_ext2 under a tail vertex: two extreme classes, each
-    with finite entry paths, so each gets a restriction graph as well."""
+    with finite entry paths, so each gets a restriction graph as well.
+    Each class's T(c^0) is the closure of an X-class, so `x_decomposition`
+    enumerates its F_E(H) and `ideal_structure` reuses it."""
     g = disjoint_union(graph("g_ext2"), graph("g_ext2"))
     g = Graph(g.vertices + ("t",), g.edges + (Edge("a", "t", "u"), Edge("b", "t", "u'")))
-    rep = x_decomposition(g)
-    assert len(rep.x_ec) == 2
     calls = []
     counting = counted(calls, entry_paths)
     with mock.patch.object(lpa.classify, "entry_paths", counting), \
             mock.patch.object(lpa.hereditary, "entry_paths", counting):
+        rep = x_decomposition(g)
         ideal = ideal_structure(g, rep)
+    assert len(rep.x_ec) == 2
     assert [x.certificate.purely_infinite_simple for x in ideal.extreme] == [True, True]
-    assert [h.members for _g, h in calls] == [xc.vertices for xc in rep.x_ec]
+    assert [h.members for _g, h in calls] == [xc.closure for xc in rep.x_classes]
+    assert {xc.vertices for xc in rep.x_ec} == {h.members for _g, h in calls}
 
 
 def test_saturated_closure_is_closed_form():
