@@ -87,6 +87,35 @@ def line_points(g: Graph) -> frozenset[str]:
     return frozenset(v for v in g.vertices if not g.tree_bits(v) & blocked)
 
 
+def _entry_count(g: Graph, c: Cycle):
+    """Paths ending at c^0 that share no edge with c, length 0 included.
+
+    Every edge of c starts at c^0, so a path into c^0 cut at its first
+    vertex in c^0 uses none of c's edges, and what comes before that
+    vertex lies outside c's component K, which nothing returns to.
+
+    1. Infinite when a cycle d outside K reaches c^0: a shortest path
+       from d to c^0 shares no edge with c, and neither does d, so going
+       round d any number of times first gives infinitely many paths.
+       The index says so as K's inflow being INFINITE.
+    2. When K is exactly c (its only inner edges are c's |c| edges, and
+       then its only vertices are c^0, since any other vertex of K lies
+       on a cycle of K with an edge outside c), every edge at c^0 other
+       than c's leaves K, and no path returns to K.  So a path that
+       avoids c's edges meets c^0 only at its end: it is one of the |c|
+       trivial paths, or a path ending at the source of an edge into
+       c^0 from outside K followed by that edge.  That is |c| plus K's
+       inflow.
+    3. Otherwise count_paths_into counts on the graph without c's edges.
+    """
+    inflow = g.component_inflow(c.base)
+    if inflow is INFINITE:
+        return INFINITE
+    if g.component_edge_count(c.base) == len(c):
+        return len(c) + inflow
+    return count_paths_into(g, c.vertex_set, c.edge_set)
+
+
 def _wrap_count(g: Graph, c: Cycle, entry_count):
     """Paths ending at c^0 that miss at least one edge of c.
 
@@ -98,10 +127,12 @@ def _wrap_count(g: Graph, c: Cycle, entry_count):
        d misses some edge e of c.  A shortest path from d to c^0 misses
        every edge of c, because all its edges start outside c^0.  Going
        round d any number of times before that path gives infinitely
-       many paths that miss e.  Such a d exists exactly when some edge
-       outside c lies on a cycle (its source is in the tree of its
-       target) and its target reaches c^0: the edge closes a simple
-       cycle through itself, and every d has an edge outside c.
+       many paths that miss e.  Such a d exists exactly when c's
+       component K has an edge outside c (every edge inside a strongly
+       connected component lies on a cycle of it, which reaches c^0), or
+       when a cycle outside K reaches K, which the index records as K's
+       inflow being INFINITE.  A d inside K has an edge outside c, and a
+       d with a vertex outside K lies wholly outside it.
     2. Finite.  With no such d, a path ending at c^0 can leave c^0 or
        take an edge outside c only before it first meets c^0: any later
        detour would close a walk back to c^0 through an edge outside c,
@@ -110,12 +141,8 @@ def _wrap_count(g: Graph, c: Cycle, entry_count):
        followed by k steps round c, and it misses an edge of c exactly
        when k < |c|.
     """
-    on_c = g.vertex_bits(c.vertex_set)
-    for e in g.edges:
-        if e.id not in c.edge_set:
-            t = g.tree_bits(e.dst)
-            if t & on_c and t >> g.vertex_order(e.src) & 1:
-                return INFINITE
+    if g.component_edge_count(c.base) != len(c) or g.component_inflow(c.base) is INFINITE:
+        return INFINITE
     return entry_count * len(c)
 
 
@@ -127,7 +154,7 @@ def classify_cycles(g: Graph) -> list[CycleInfo]:
         has_exits = bool(g.vertex_bits(c.vertex_set) & bifs)
         # every vertex c reaches returns to c iff T(c^0) is c's component
         is_extreme = has_exits and g.tree_bits(c.base) == g.component_bits(c.base)
-        entry_count = count_paths_into(g, c.vertex_set, c.edge_set)
+        entry_count = _entry_count(g, c)
         wrap_count = _wrap_count(g, c, entry_count)
         in_s = (not has_exits) and wrap_count is not INFINITE
         infos.append(
@@ -318,9 +345,7 @@ class IdealStructureReport:
 
 
 def ideal_structure(g: Graph, report: ClassificationReport) -> IdealStructureReport:
-    sinks = tuple(
-        SinkSummand(v, count_paths_into(g, {v})) for v in g.sinks()
-    )
+    sinks = tuple(SinkSummand(v, g.path_count(v)) for v in g.sinks())
     no_exit = tuple(
         CycleSummand(ci.cycle, ci.entry_count)
         for ci in report.cycles

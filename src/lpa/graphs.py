@@ -51,13 +51,14 @@ class Graph:
     every derived report deterministic.
 
     Reachability is indexed once, on first use: a Tarjan decomposition
-    into strongly connected components, and from it T(v) for every
-    vertex as an int bitset whose bit i stands for ``vertices[i]``.  A
-    graph never changes after construction, so the index never goes
-    stale.  The trees are ints rather than frozensets because callers
-    may keep many graphs alive: over the 44 graphs of the lpabench
-    structure workload (up to 200 vertices) the whole index takes
-    0.17 MB, and a frozenset per vertex would add 4.7 MB.
+    into strongly connected components, and from it T(v) and the
+    ancestors of v for every vertex as int bitsets whose bit i stands for
+    ``vertices[i]``, and the path counts of `path_count`.  A graph never
+    changes after construction, so the index never goes stale.  The
+    vertex sets are ints rather than frozensets because callers may keep
+    many graphs alive: over the 44 graphs of the lpabench structure
+    workload (up to 200 vertices) the whole index takes 0.23 MB, and a
+    frozenset per vertex for the trees alone would add 4.7 MB.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
@@ -157,14 +158,69 @@ class Graph:
         self.check_vertex(v)
         return self._reach().trees[self._vertex_index[v]]
 
+    def tree_union_bits(self, bits: int) -> int:
+        """The union of the trees T(v), v in the bitset `bits`.
+
+        A vertex w already in the union adds nothing, since T(w) lies
+        inside the tree that holds w, so only the vertices outside the
+        union so far are looked up.
+        """
+        trees = self._reach().trees
+        out = 0
+        while bits:
+            out |= trees[(bits & -bits).bit_length() - 1]
+            bits &= ~out
+        return out
+
+    def ancestor_bits(self, bits: int) -> int:
+        """The vertices that reach some vertex of the bitset `bits`, those
+        vertices included.
+
+        The dual of `tree_union_bits`: a vertex w that already reaches the
+        set has its ancestors inside the union so far.
+        """
+        ancestors = self._reach().ancestors
+        out = 0
+        while bits:
+            out |= ancestors[(bits & -bits).bit_length() - 1]
+            bits &= ~out
+        return out
+
     def component_bits(self, v: str) -> int:
         """The strongly connected component of v as a bitset."""
         self.check_vertex(v)
-        return self._reach().components[self._vertex_index[v]]
+        idx, i = self._reach(), self._vertex_index[v]
+        return idx.trees[i] & idx.ancestors[i]
+
+    def component_edge_count(self, v: str) -> int:
+        """The number of edges with both ends in the component of v."""
+        self.check_vertex(v)
+        return self._reach().inner_edges[self._vertex_index[v]]
+
+    def component_inflow(self, v: str):
+        """The number of paths whose last edge enters the component of v
+        from outside it, or INFINITE when a cycle outside that component
+        reaches it."""
+        self.check_vertex(v)
+        return self._reach().inflow[self._vertex_index[v]]
+
+    def path_count(self, v: str):
+        """The number of paths ending at v, length 0 included, or INFINITE
+        when a cycle reaches v: count_paths_into(g, {v}) read from the
+        index."""
+        self.check_vertex(v)
+        idx, i = self._reach(), self._vertex_index[v]
+        if idx.inner_edges[i] or idx.inflow[i] is INFINITE:
+            return INFINITE
+        return 1 + idx.inflow[i]
 
     def cycle_bits(self) -> int:
         """Vertices lying on at least one cycle."""
         return self._reach().cyclic
+
+    def sink_bits(self) -> int:
+        """Vertices with no outgoing edge."""
+        return self._reach().sinks
 
     def bifurcation_bits(self) -> int:
         """Vertices with at least two outgoing edges."""
@@ -191,12 +247,36 @@ class Graph:
 
 
 class _ReachIndex:
-    """Strongly connected components and forward trees of one graph.
+    """Strongly connected components, forward trees, ancestors and path
+    counts of one graph.
 
     Iterative Tarjan (1972) over vertex indices.  It emits components in
     reverse topological order, so every component a component reaches
     has a smaller id and its tree is known when the component is closed.
+    While closing a component it also counts the edges inside it.
+
+    A second pass walks the components in topological order, the reverse
+    of emission, so every edge into a component is seen before the
+    component itself.  For each component k it keeps
+    - ``ancestors[k]``: the vertices that reach k, k included;
+    - ``inflow[k]``: the number of paths whose last edge enters k from
+      outside, or INFINITE.
+    Both are pushed along the edges leaving k, once k is final.  A vertex
+    v on no cycle is a component of its own, and a path ending at v is
+    either v itself or a path ending at the source of an edge into v
+    followed by that edge, so the number P(v) of paths ending at v is
+    1 + inflow[k].  P is INFINITE on a cyclic component, and an edge
+    leaving a vertex with P INFINITE makes the inflow it enters INFINITE,
+    so inflow[k] is INFINITE exactly when a cycle outside k reaches k.
+    Both passes are O(V + E) bitset operations.
+
+    Graphs keep their index for life, so it is stored compactly, in slots
+    and tuples, and the vertices of a component share its entries.  Its
+    members are the vertices both in the tree and among the ancestors of
+    any one of them, so they are not stored.
     """
+
+    __slots__ = ("trees", "ancestors", "inner_edges", "inflow", "cyclic", "sinks", "bifurcations")
 
     def __init__(self, g: Graph):
         n = len(g.vertices)
@@ -207,8 +287,10 @@ class _ReachIndex:
         on_stack = [False] * n
         stack: list[int] = []
         component_of = [-1] * n
-        components: list[int] = []  # member bitset per component
+        members_of: list[list[int]] = []  # scratch: members per component
+        ancestors: list[int] = []  # the component's members until the second pass
         comp_trees: list[int] = []
+        inner_edges: list[int] = []
         cyclic = 0
         counter = 0
         for root in range(n):
@@ -238,7 +320,7 @@ class _ReachIndex:
                     low[work[-1][0]] = low[v]
                 if low[v] != order[v]:
                     continue
-                k = len(components)
+                k = len(members_of)
                 members = []
                 while True:
                     w = stack.pop()
@@ -251,21 +333,47 @@ class _ReachIndex:
                 for w in members:
                     own |= 1 << w
                 bits = own
-                internal = False
+                internal = 0
                 for w in members:
                     for x in succ[w]:
                         if component_of[x] == k:
-                            internal = True
+                            internal += 1
                         else:
                             bits |= comp_trees[component_of[x]]
-                components.append(own)
+                members_of.append(members)
+                ancestors.append(own)
                 comp_trees.append(bits)
+                inner_edges.append(internal)
                 if internal:
                     cyclic |= own
-        self.components = [components[c] for c in component_of]
-        self.trees = [comp_trees[c] for c in component_of]
+        inflow: list = [0] * len(members_of)
+        for k in range(len(members_of) - 1, -1, -1):
+            up = ancestors[k]
+            if inner_edges[k] or inflow[k] is INFINITE:
+                paths = INFINITE
+            else:
+                paths = 1 + inflow[k]
+            for w in members_of[k]:
+                for x in succ[w]:
+                    j = component_of[x]
+                    if j != k:
+                        ancestors[j] |= up
+                        if paths is INFINITE or inflow[j] is INFINITE:
+                            inflow[j] = INFINITE
+                        else:
+                            inflow[j] += paths
+        # one entry per vertex, shared by the vertices of a component
+        self.trees = tuple(comp_trees[k] for k in component_of)
+        self.ancestors = tuple(ancestors[k] for k in component_of)
+        self.inner_edges = tuple(inner_edges[k] for k in component_of)
+        self.inflow = tuple(inflow[k] for k in component_of)
         self.cyclic = cyclic
-        self.bifurcations = sum(1 << i for i, v in enumerate(g.vertices) if len(g._out[v]) >= 2)
+        self.sinks = self.bifurcations = 0
+        for i, out in enumerate(succ):
+            if not out:
+                self.sinks |= 1 << i
+            elif len(out) >= 2:
+                self.bifurcations |= 1 << i
 
 
 @dataclass(frozen=True)
@@ -358,10 +466,7 @@ def tree(g: Graph, v: str) -> frozenset[str]:
 
 def tree_bits_of_set(g: Graph, vs: Iterable[str]) -> int:
     """The union of the trees T(v), v in vs, as a bitset."""
-    bits = 0
-    for v in vs:
-        bits |= g.tree_bits(v)
-    return bits
+    return g.tree_union_bits(g.vertex_bits(vs))
 
 
 def connects_to(g: Graph, v: str, H: Iterable[str]) -> bool:

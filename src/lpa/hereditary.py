@@ -24,15 +24,13 @@ class HereditarySet:
     graph: Graph
     members: frozenset[str]
     is_hereditary: bool = field(init=False)
+    bits: int = field(init=False, repr=False, compare=False)  # members as a bitset
 
     def __post_init__(self):
-        g = self.graph
-        for v in self.members:
-            g.check_vertex(v)
-        hereditary = all(
-            e.dst in self.members for v in self.members for e in g.out_edges(v)
-        )
-        object.__setattr__(self, "is_hereditary", hereditary)
+        # a set is hereditary iff the union of its members' trees stays inside
+        bits = self.graph.vertex_bits(self.members)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "is_hereditary", not self.graph.tree_union_bits(bits) & ~bits)
 
     def require_hereditary(self) -> None:
         if not self.is_hereditary:
@@ -62,7 +60,8 @@ def hereditary_closure(g: Graph, X) -> HereditarySet:
 
 def saturated_closure(g: Graph, H: HereditarySet) -> HereditarySet:
     """Least saturated set containing the hereditary set H: the vertices w
-    whose tree T(w) holds no sink and no cycle vertex outside H.
+    whose tree T(w) holds no sink and no cycle vertex outside H, that is
+    the vertices that are not ancestors of such a vertex.
 
     Saturation, which adds a non-sink whose edges all land inside, never
     adds such a vertex x: the first vertex of a cycle to be added would
@@ -70,28 +69,35 @@ def saturated_closure(g: Graph, H: HereditarySet) -> HereditarySet:
     since a path from w to x never enters the hereditary H.  Below any
     other w, the part outside H is acyclic and free of sinks, and
     saturation fills it in order of the longest path into H.
+
+    Every tree holds a sink or a cycle vertex, so a w that reaches no
+    vertex of H is out, and only the ancestors of H need the test.  The
+    trees of those outside H hold every sink and cycle vertex that can
+    fail one of them, and their ancestors are the vertices that fail.
     """
     H.require_hereditary()
-    outside = (g.cycle_bits() | g.vertex_bits(g.sinks())) & ~g.vertex_bits(H.members)
-    return HereditarySet(g, frozenset(v for v in g.vertices if not g.tree_bits(v) & outside))
+    above = g.ancestor_bits(H.bits)
+    below = g.tree_union_bits(above & ~H.bits)
+    blocking = below & (g.cycle_bits() | g.sink_bits()) & ~H.bits
+    return HereditarySet(g, g.vertices_of(above & ~g.ancestor_bits(blocking)))
 
 
 def entry_paths(g: Graph, H: HereditarySet) -> EntryPathSet:
-    """F_E(H), or INFINITE when an outside cycle can feed H."""
+    """F_E(H), or INFINITE when an outside cycle can feed H.
+
+    The paths run through the ancestors of H outside H, and only there.
+    """
     H.require_hereditary()
-    inside = g.vertex_bits(H.members)
-    outside_reaching = {
-        v for v in g.vertices if v not in H.members and g.tree_bits(v) & inside
-    }
+    reaching = g.ancestor_bits(H.bits) & ~H.bits
     # a cycle through an outside vertex that reaches H: every vertex on it
     # reaches H too, and none is inside, since H is hereditary
-    if g.vertex_bits(outside_reaching) & g.cycle_bits():
+    if reaching & g.cycle_bits():
         return EntryPathSet(H, INFINITE)
+    outside_reaching = g.vertices_of(reaching)
 
+    # the paths are sorted at the end, so the order they are found in is free
     paths: list[tuple[str, ...]] = []
-    stack: list[tuple[str, tuple[str, ...]]] = [
-        (v, ()) for v in g.vertices if v in outside_reaching
-    ]
+    stack: list[tuple[str, tuple[str, ...]]] = [(v, ()) for v in outside_reaching]
     while stack:
         at, acc = stack.pop()
         for e in g.out_edges(at):
@@ -130,8 +136,7 @@ def is_dense_ideal(g: Graph, H: HereditarySet) -> bool:
     Connectivity is tested against the literal member set, so the test is
     meaningful for arbitrary vertex sets, not only hereditary ones.
     """
-    inside = g.vertex_bits(H.members)
-    return all(g.tree_bits(v) & inside for v in g.vertices)
+    return g.ancestor_bits(H.bits) == (1 << len(g.vertices)) - 1
 
 
 def resolve_vertex(g: Graph, v: str, H: HereditarySet) -> list[tuple[str, ...]]:

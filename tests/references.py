@@ -32,6 +32,39 @@ def cycle_with_tail(n):
     return Graph(vs + ["t"], es + [Edge("f", "t", "v1")])
 
 
+def sparse(seed, vertices=100, edges=125):
+    """A sparse random multigraph, endpoints uniform: at 100 vertices and
+    125 edges it mostly has small strongly connected components, some of
+    them a lone cycle and some holding more, above and below each other."""
+    rng = random.Random(seed)
+    vs = [f"v{i}" for i in range(1, vertices + 1)]
+    es = [Edge(f"e{j}", rng.choice(vs), rng.choice(vs)) for j in range(1, edges + 1)]
+    return Graph(vs, es)
+
+
+def chained(seed, parts=3, max_vertices=5, max_edges=8):
+    """The disjoint union of `parts` seeded random graphs, plus a few edges
+    from each part into later ones.  The added edges close no cycle, so
+    every cycle stays inside one part and short, while the cycles and
+    sinks of a part are fed by the cycles of the parts before it."""
+    rng = random.Random(seed)
+    vs, es = [], []
+    for i in range(parts):
+        g = random_graph(rng, max_vertices, max_edges)
+        vs.append([f"{v}.{i}" for v in g.vertices])
+        es += [Edge(f"{e.id}.{i}", f"{e.src}.{i}", f"{e.dst}.{i}") for e in g.edges]
+    for i in range(parts):
+        for j in range(i + 1, parts):
+            for _ in range(rng.randint(0, 2)):
+                es.append(Edge(f"x{len(es)}", rng.choice(vs[i]), rng.choice(vs[j])))
+    return Graph([v for part in vs for v in part], es)
+
+
+def chained_graphs(parts=3, max_vertices=5, max_edges=8):
+    """Seeded `chained` graphs, shrinking towards seed 0."""
+    return st.integers(0, 10**6).map(lambda s: chained(s, parts, max_vertices, max_edges))
+
+
 def random_graphs(max_vertices=5, max_edges=8):
     """Seeded `random_graph`s, shrinking towards seed 0."""
     return st.integers(0, 10**6).map(

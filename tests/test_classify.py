@@ -214,13 +214,15 @@ def test_ideal_structure_entry_paths_match_a_fresh_enumeration(g):
 
 
 def test_envelope_counts_the_paths_into_a_sink_once(monkeypatch):
+    """The sink count is read from the reachability index: no path count
+    is run for it, in `ideal_structure` or again in `prime_trichotomy`."""
     calls = []
     monkeypatch.setattr(
         lpa.classify, "count_paths_into", counted(calls, lpa.classify.count_paths_into)
     )
     env = build_envelope(graph("g_line3"), with_center=False)
     assert (env.prime.kind, env.prime.witness, env.prime.matrix_size) == ("sink-case", "v3", 3)
-    assert [set(targets) for _g, targets in calls] == [{"v3"}]
+    assert calls == []
 
 
 @given(random_graphs())

@@ -53,7 +53,7 @@ from lpa.hereditary import (
     saturated_closure,
 )
 from corpus import graph
-from references import cycle_with_tail, line, random_graphs, rose
+from references import chained_graphs, cycle_with_tail, line, random_graphs, rose, sparse
 
 
 def ladder(n):
@@ -446,7 +446,128 @@ def test_components_and_trees_match_networkx(g):
     assert cycle_vertices(g) == on_cycles
 
 
+def ref_components(g):
+    """Each vertex's strongly connected component: the vertices it and
+    they reach both ways."""
+    trees = {v: ref_tree(g, v) for v in g.vertices}
+    return {v: frozenset(u for u in trees[v] if v in trees[u]) for v in g.vertices}
+
+
+@given(st.one_of(graphs, chained_graphs()), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_ancestors_match_transposed_trees(g, salt):
+    rng = random.Random(salt)
+    trees = {v: ref_tree(g, v) for v in g.vertices}
+    for v in g.vertices:
+        ancestors = frozenset(u for u in g.vertices if v in trees[u])
+        assert g.vertices_of(g.ancestor_bits(g.vertex_bits({v}))) == ancestors
+    hs = {w for w in g.vertices if rng.random() < 0.3}
+    bits = g.vertex_bits(hs)
+    assert g.vertices_of(g.ancestor_bits(bits)) == {u for u in g.vertices if trees[u] & hs}
+    assert g.vertices_of(g.tree_union_bits(bits)) == frozenset().union(*(trees[w] for w in hs))
+
+
+@given(st.one_of(graphs, chained_graphs()))
+@settings(max_examples=150, deadline=None)
+def test_path_counts_match_count_paths_into(g):
+    """P(v) for every vertex, INFINITE included, and the per-component
+    facts it is read from: the members, the inner edges and the paths
+    entering."""
+    component = ref_components(g)
+    for v in g.vertices:
+        assert g.path_count(v) == count_paths_into(g, {v})
+        k = component[v]
+        assert g.vertices_of(g.component_bits(v)) == k
+        assert g.component_edge_count(v) == sum(e.src in k and e.dst in k for e in g.edges)
+        entering = [count_paths_into(g, {e.src}) for e in g.edges if e.dst in k and e.src not in k]
+        inflow = INFINITE if INFINITE in entering else sum(entering)
+        assert g.component_inflow(v) == inflow
+
+
+@given(st.one_of(graphs, chained_graphs()))
+@settings(max_examples=150, deadline=None)
+def test_cycle_counts_match_reference_on_chained_graphs(g):
+    """Entry and wrap counts of every cycle against the general count and
+    inclusion-exclusion, where cycles of one part feed those of the next."""
+    for ci in classify_cycles(g):
+        c = ci.cycle
+        assert ci.entry_count == count_paths_into(g, c.vertex_set, c.edge_set)
+        assert ci.wrap_count == ref_wrap_count(g, c)
+
+
 # -- work and depth ------------------------------------------------------------------
+
+
+def cycle_counts_with_calls(g):
+    """classify_cycles(g) and the target sets of its count_paths_into calls."""
+    calls = []
+    with mock.patch.object(lpa.classify, "count_paths_into", counted(calls, count_paths_into)):
+        infos = classify_cycles(g)
+    return infos, [set(targets) for _g, targets, _forbidden in calls]
+
+
+def test_entry_count_of_a_lone_cycle_is_read_from_the_index():
+    """C_3 under a tail, and a loop fed by another loop: the component is
+    exactly c, or a cycle outside it reaches it.  No path count runs."""
+    infos, calls = cycle_counts_with_calls(cycle_with_tail(3))
+    assert [(ci.entry_count, ci.wrap_count) for ci in infos] == [(4, 12)]
+    assert calls == []
+    fed = Graph(["u", "v"], [Edge("a", "u", "u"), Edge("b", "u", "v"), Edge("c", "v", "v")])
+    infos, calls = cycle_counts_with_calls(fed)
+    assert [(ci.cycle.base, ci.entry_count, ci.wrap_count) for ci in infos] == [
+        ("u", 1, 1),
+        ("v", INFINITE, INFINITE),
+    ]
+    assert calls == []
+
+
+def test_entry_count_falls_back_when_the_component_holds_more():
+    """u <-> v with a detour u -> w -> v: the component {u, v, w} holds
+    both cycles, so each entry count is a path count on the graph without
+    the cycle's edges, and each wrap count is INFINITE."""
+    g = Graph(
+        ["u", "v", "w"],
+        [Edge("a", "u", "v"), Edge("b", "v", "u"), Edge("x", "u", "w"), Edge("y", "w", "v")],
+    )
+    infos, calls = cycle_counts_with_calls(g)
+    assert [(ci.cycle.edges, ci.entry_count, ci.wrap_count) for ci in infos] == [
+        (("a", "b"), 4, INFINITE),
+        (("x", "y", "b"), 4, INFINITE),
+    ]
+    assert calls == [{"u", "v"}, {"u", "v", "w"}]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_graphs_classify_from_the_index(seed):
+    """On 100 vertices and 125 edges: the closures, entry paths and the
+    density test look up no tree, and the only path counts are of cycles
+    whose component holds another edge (checked against the component
+    found from the reference trees)."""
+    g = sparse(seed)
+    sets = [hereditary_closure(g, cls) for cls in sim_classes(g)]
+    sets += [saturated_closure(g, h) for h in sets]
+    lookups = []
+    tree_bits = Graph.tree_bits
+    with mock.patch.object(Graph, "tree_bits", counted(lookups, tree_bits)):
+        for h in sets:
+            saturated_closure(g, h)
+            entry_paths(g, h)
+            is_dense_ideal(g, h)
+    assert lookups == []
+
+    component = ref_components(g)
+    crowded = [
+        set(c.vertex_set)
+        for c in simple_cycles(g)
+        if sum(e.src in component[c.base] and e.dst in component[c.base] for e in g.edges) > len(c)
+    ]
+    calls = []
+    with mock.patch.object(lpa.classify, "count_paths_into", counted(calls, count_paths_into)):
+        rep = x_decomposition(g)
+        prime_trichotomy(g, rep, ideal_structure(g, rep))
+    assert all(set(targets) in crowded for _g, targets, *_ in calls)
+    assert len(calls) <= len(crowded)
+
 
 
 def test_wrap_count_is_closed_form():
