@@ -87,18 +87,30 @@ def line_points(g: Graph) -> frozenset[str]:
     return frozenset(v for v in g.vertices if not g.tree_bits(v) & blocked)
 
 
-def _entry_count(g: Graph, c: Cycle):
+def _entry_count(g: Graph, c: Cycle, partnered: bool):
     """Paths ending at c^0 that share no edge with c, length 0 included.
+
+    `partnered` says whether some simple cycle of c's component K shares
+    no edge with c.
 
     Every edge of c starts at c^0, so a path into c^0 cut at its first
     vertex in c^0 uses none of c's edges, and what comes before that
-    vertex lies outside c's component K, which nothing returns to.
+    vertex lies outside K, which nothing returns to.
 
     1. Infinite when a cycle d outside K reaches c^0: a shortest path
        from d to c^0 shares no edge with c, and neither does d, so going
        round d any number of times first gives infinitely many paths.
        The index says so as K's inflow being INFINITE.
-    2. When K is exactly c (its only inner edges are c's |c| edges, and
+    2. When K's inflow is finite, the count is infinite exactly when c
+       is partnered.  If a simple cycle d of K shares no edge with c, d
+       reaches c^0, and a shortest path from d to c^0 uses no edge of c,
+       since every edge of c starts in c^0; going round d n times and
+       then taking that path gives infinitely many paths.  Conversely,
+       infinitely many paths into c^0 without c's edges, in a finite
+       graph, repeat a vertex, so they give a simple cycle d that avoids
+       c's edges and reaches c^0.  A d outside K would make K's inflow
+       INFINITE, so d lies in K, and d != c.
+    3. When K is exactly c (its only inner edges are c's |c| edges, and
        then its only vertices are c^0, since any other vertex of K lies
        on a cycle of K with an edge outside c), every edge at c^0 other
        than c's leaves K, and no path returns to K.  So a path that
@@ -106,14 +118,44 @@ def _entry_count(g: Graph, c: Cycle):
        trivial paths, or a path ending at the source of an edge into
        c^0 from outside K followed by that edge.  That is |c| plus K's
        inflow.
-    3. Otherwise count_paths_into counts on the graph without c's edges.
+    4. Otherwise the count is finite, and count_paths_into counts it on
+       the graph without c's edges.
     """
     inflow = g.component_inflow(c.base)
-    if inflow is INFINITE:
+    if inflow is INFINITE or partnered:
         return INFINITE
     if g.component_edge_count(c.base) == len(c):
         return len(c) + inflow
     return count_paths_into(g, c.vertex_set, c.edge_set)
+
+
+def _partnered(g: Graph, cycles: list[Cycle]) -> list[bool]:
+    """For each cycle c, whether some simple cycle of c's component shares
+    no edge with c, given every simple cycle of g.
+
+    Per component, each edge maps to the bitmask of the component's
+    cycles through it; the cycles meeting c are the OR of those masks
+    over c's edges, and c is partnered when that misses one.  That is
+    2·Σ|c| big-int ORs instead of a scan over pairs.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(cycles):
+        groups.setdefault(g.component_bits(c.base), []).append(i)
+    partnered = [False] * len(cycles)
+    for members in groups.values():
+        if len(members) == 1:
+            continue
+        through: dict[str, int] = {}
+        for bit, i in enumerate(members):
+            for eid in cycles[i].edges:
+                through[eid] = through.get(eid, 0) | 1 << bit
+        everyone = (1 << len(members)) - 1
+        for i in members:
+            meets = 0
+            for eid in cycles[i].edges:
+                meets |= through[eid]
+            partnered[i] = meets != everyone
+    return partnered
 
 
 def _wrap_count(g: Graph, c: Cycle, entry_count):
@@ -149,12 +191,13 @@ def _wrap_count(g: Graph, c: Cycle, entry_count):
 def classify_cycles(g: Graph) -> list[CycleInfo]:
     infos = []
     bifs = g.bifurcation_bits()
-    for c in simple_cycles(g):
+    cycles = simple_cycles(g)
+    for c, partnered in zip(cycles, _partnered(g, cycles)):
         # a simple cycle has one edge at each vertex: an exit is a second one
         has_exits = bool(g.vertex_bits(c.vertex_set) & bifs)
         # every vertex c reaches returns to c iff T(c^0) is c's component
         is_extreme = has_exits and g.tree_bits(c.base) == g.component_bits(c.base)
-        entry_count = _entry_count(g, c)
+        entry_count = _entry_count(g, c, partnered)
         wrap_count = _wrap_count(g, c, entry_count)
         in_s = (not has_exits) and wrap_count is not INFINITE
         infos.append(

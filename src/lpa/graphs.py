@@ -509,32 +509,35 @@ def simple_cycles(g: Graph) -> list[Cycle]:
 
     Depth-first search from each start vertex, only visiting vertices
     above the start in lexicographic order and inside its strongly
-    connected component, which no simple cycle leaves.  The search keeps
-    its own stack, so path length is not bounded by Python's recursion
-    limit.
+    connected component, which no simple cycle leaves.  So the start is
+    the least vertex of every cycle its search closes, and the search
+    path, read from the start, is already the canonical rotation: the
+    cycle is built from it directly, its edges known to follow each
+    other and its vertices known to be distinct.  The search keeps its
+    own stack, so path length is not bounded by Python's recursion limit.
     """
     found: list[Cycle] = []
+    out, index_of = g._out, g._vertex_index
     for start in sorted(g._vertex_set):
         component = g.component_bits(start)
-        path: list[Edge] = []
+        ids: list[str] = []  # the search path's edges
+        sources = [start]  # their sources, then the vertex the path ends at
         on_path = {start}
-        branches = [iter(g._out[start])]
+        branches = [iter(out[start])]
         while branches:
             e = next(branches[-1], None)
             if e is None:
                 branches.pop()
-                if path:
-                    on_path.remove(path.pop().dst)
+                if ids:
+                    ids.pop()
+                    on_path.remove(sources.pop())
             elif e.dst == start:
-                found.append(make_cycle(g, [p.id for p in path] + [e.id]))
-            elif (
-                e.dst > start
-                and component >> g._vertex_index[e.dst] & 1
-                and e.dst not in on_path
-            ):
-                path.append(e)
+                found.append(Cycle(edges=(*ids, e.id), sources=tuple(sources)))
+            elif e.dst > start and component >> index_of[e.dst] & 1 and e.dst not in on_path:
+                ids.append(e.id)
+                sources.append(e.dst)
                 on_path.add(e.dst)
-                branches.append(iter(g._out[e.dst]))
+                branches.append(iter(out[e.dst]))
     found.sort(key=lambda c: (len(c), c.base, c.edges))
     return found
 

@@ -95,12 +95,15 @@ def entry_paths(g: Graph, H: HereditarySet) -> EntryPathSet:
         return EntryPathSet(H, INFINITE)
     outside_reaching = g.vertices_of(reaching)
 
-    # the paths are sorted at the end, so the order they are found in is free
+    # the paths are sorted at the end, so the order they are found in is free;
+    # the walk meets only vertices of g, so it reads the adjacency g validated
+    # at construction instead of checking each vertex again in out_edges
+    out = g._out
     paths: list[tuple[str, ...]] = []
     stack: list[tuple[str, tuple[str, ...]]] = [(v, ()) for v in outside_reaching]
     while stack:
         at, acc = stack.pop()
-        for e in g.out_edges(at):
+        for e in out[at]:
             if e.dst in H.members:
                 paths.append(acc + (e.id,))
             elif e.dst in outside_reaching:
@@ -147,16 +150,19 @@ def resolve_vertex(g: Graph, v: str, H: HereditarySet) -> list[tuple[str, ...]]:
     The identity itself is checked by the symbolic engine elsewhere.  A
     length-0 path is the empty tuple.
     """
+    g.check_vertex(v)
     if v not in saturated_closure(g, H).members:
         raise GraphError(f"vertex {v!r} is outside the saturated closure")
 
-    # depth-first over the unfolding, edges in declared order
-    out: list[tuple[str, ...]] = []
+    # depth-first over the unfolding, edges in declared order; every vertex
+    # after v is the target of an edge Graph validated
+    out = g._out
+    resolved: list[tuple[str, ...]] = []
     stack: list[tuple[str, tuple[str, ...]]] = [(v, ())]
     while stack:
         u, path = stack.pop()
         if u in H.members:
-            out.append(path)
+            resolved.append(path)
         else:
-            stack.extend((e.dst, path + (e.id,)) for e in reversed(g.out_edges(u)))
-    return out
+            stack.extend((e.dst, path + (e.id,)) for e in reversed(out[u]))
+    return resolved

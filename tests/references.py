@@ -65,6 +65,18 @@ def chained_graphs(parts=3, max_vertices=5, max_edges=8):
     return st.integers(0, 10**6).map(lambda s: chained(s, parts, max_vertices, max_edges))
 
 
+@st.composite
+def dense_graphs(draw, max_vertices=5, max_edges=12):
+    """At least as many edges as vertices, endpoints drawn freely, so
+    loops and parallel edges are common and a component often holds
+    several cycles that share edges and several that do not."""
+    n = draw(st.integers(1, max_vertices))
+    vs = [f"v{i}" for i in range(n)]
+    ends = st.sampled_from(vs)
+    pairs = draw(st.lists(st.tuples(ends, ends), min_size=n, max_size=max_edges))
+    return Graph(vs, [Edge(f"e{j}", a, b) for j, (a, b) in enumerate(pairs)])
+
+
 def random_graphs(max_vertices=5, max_edges=8):
     """Seeded `random_graph`s, shrinking towards seed 0."""
     return st.integers(0, 10**6).map(

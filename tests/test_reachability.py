@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lpa.classify
+import lpa.graphs
 import lpa.hereditary
 from lpa.classify import (
     CycleInfo,
@@ -53,7 +54,15 @@ from lpa.hereditary import (
     saturated_closure,
 )
 from corpus import graph
-from references import chained_graphs, cycle_with_tail, line, random_graphs, rose, sparse
+from references import (
+    chained_graphs,
+    cycle_with_tail,
+    dense_graphs,
+    line,
+    random_graphs,
+    rose,
+    sparse,
+)
 
 
 def ladder(n):
@@ -495,6 +504,35 @@ def test_cycle_counts_match_reference_on_chained_graphs(g):
         assert ci.wrap_count == ref_wrap_count(g, c)
 
 
+@given(st.one_of(dense_graphs(), chained_graphs()))
+@settings(max_examples=200, deadline=None)
+def test_entry_count_is_infinite_exactly_when_a_cycle_feeds_or_partners_c(g):
+    """Every entry count against the general count, and the rule it is
+    read from, by brute force: INFINITE exactly when a cycle outside c's
+    component K reaches K, or a simple cycle of K shares no edge with c."""
+    cycles = ref_simple_cycles(g)
+    component = ref_components(g)
+    for ci in classify_cycles(g):
+        c = ci.cycle
+        k = component[c.base]
+        assert ci.entry_count == count_paths_into(g, c.vertex_set, c.edge_set)
+        fed = any(d.base not in k and c.base in ref_tree(g, d.base) for d in cycles)
+        partnered = any(d.base in k and not d.edge_set & c.edge_set for d in cycles)
+        assert (ci.entry_count is INFINITE) == (fed or partnered)
+
+
+@given(st.one_of(graphs, dense_graphs()))
+@settings(max_examples=150, deadline=None)
+def test_simple_cycles_are_built_from_the_search(g):
+    """The search path is the canonical rotation, so no cycle is checked
+    and rotated again by make_cycle."""
+    calls = []
+    with mock.patch.object(lpa.graphs, "make_cycle", counted(calls, make_cycle)):
+        found = simple_cycles(g)
+    assert calls == []
+    assert found == ref_simple_cycles(g)
+
+
 # -- work and depth ------------------------------------------------------------------
 
 
@@ -519,6 +557,36 @@ def test_entry_count_of_a_lone_cycle_is_read_from_the_index():
         ("v", INFINITE, INFINITE),
     ]
     assert calls == []
+
+
+def test_entry_count_of_an_edge_disjoint_pair_is_read_from_the_cycle_list():
+    """u <-> v with a loop at u: the loop and the 2-cycle share no edge,
+    so each makes the other's entry count INFINITE, though the component
+    holds more than either.  No path count runs."""
+    g = Graph(["u", "v"], [Edge("a", "u", "v"), Edge("b", "v", "u"), Edge("l", "u", "u")])
+    infos, calls = cycle_counts_with_calls(g)
+    assert [(ci.cycle.edges, ci.entry_count, ci.wrap_count) for ci in infos] == [
+        (("l",), INFINITE, INFINITE),
+        (("a", "b"), INFINITE, INFINITE),
+    ]
+    assert calls == []
+
+
+def test_campaign_counts_paths_only_for_finite_entry_counts(campaign500):
+    """Of the campaign500 graphs' cycles, only the 14 with a finite entry
+    count in a component that holds more than the cycle run a path
+    count."""
+    counts = []
+
+    def counting(*args):
+        counts.append(count_paths_into(*args))
+        return counts[-1]
+
+    with mock.patch.object(lpa.classify, "count_paths_into", counting):
+        for g in campaign500:
+            classify_cycles(g)
+    assert len(counts) == 14
+    assert INFINITE not in counts
 
 
 def test_entry_count_falls_back_when_the_component_holds_more():
