@@ -377,20 +377,17 @@ def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
     does not drop.  Each candidate is taken with coefficient 1, so the
     generator action is integral and the rows hold Python ints; the field
     enters only in the elimination."""
-    g = alg.graph
-    into: dict[str, list] = {}
-    for e in g.edges:
-        into.setdefault(e.dst, []).append(e)
+    into, special = alg._in, alg._special
     # the vertices whose only in-edge is special at its source
     sole_special = {
-        v for v, es in into.items() if len(es) == 1 and alg.special_edge(es[0].src) == es[0].id
+        v for v, es in into.items() if len(es) == 1 and special[es[0].src] == es[0].id
     }
 
     def forced(v, p, q):  # m = alpha beta* with s(alpha) = s(beta) = v
         if len(p) + len(q) + 2 <= max_len or not (p or q):
             return False
         if p and q:
-            return v in into
+            return bool(into[v])
         return v not in sole_special
 
     cands = [

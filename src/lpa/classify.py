@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 from typing import Optional
 
 from .graphs import (
@@ -16,7 +16,6 @@ from .graphs import (
     _linked_groups,
     count_paths_into,
     simple_cycles,
-    tree_bits_of_set,
 )
 from .hereditary import (
     EntryPathSet,
@@ -87,129 +86,99 @@ def line_points(g: Graph) -> frozenset[str]:
     return frozenset(v for v in g.vertices if not g.tree_bits(v) & blocked)
 
 
-def _entry_count(g: Graph, c: Cycle, partnered: bool):
-    """Paths ending at c^0 that share no edge with c, length 0 included.
+def classify_cycles(g: Graph) -> list[CycleInfo]:
+    """Every simple cycle's exits, extremeness, entry and wrap counts, in
+    `simple_cycles` order, read one strongly connected component at a time.
 
-    `partnered` says whether some simple cycle of c's component K shares
-    no edge with c.
+    Every fact below is a fact about the component K of the cycle c, its
+    inflow (the paths whose last edge enters K from outside, INFINITE when
+    a cycle outside K reaches K) and the other simple cycles of K.  Every
+    edge of c starts in c^0, so a path into c^0 cut at its first vertex in
+    c^0 uses none of c's edges, and what comes before that vertex lies
+    outside K, which nothing returns to.
 
-    Every edge of c starts at c^0, so a path into c^0 cut at its first
-    vertex in c^0 uses none of c's edges, and what comes before that
-    vertex lies outside K, which nothing returns to.
-
-    1. Infinite when a cycle d outside K reaches c^0: a shortest path
-       from d to c^0 shares no edge with c, and neither does d, so going
-       round d any number of times first gives infinitely many paths.
-       The index says so as K's inflow being INFINITE.
-    2. When K's inflow is finite, the count is infinite exactly when c
-       is partnered.  If a simple cycle d of K shares no edge with c, d
-       reaches c^0, and a shortest path from d to c^0 uses no edge of c,
-       since every edge of c starts in c^0; going round d n times and
-       then taking that path gives infinitely many paths.  Conversely,
-       infinitely many paths into c^0 without c's edges, in a finite
-       graph, repeat a vertex, so they give a simple cycle d that avoids
-       c's edges and reaches c^0.  A d outside K would make K's inflow
-       INFINITE, so d lies in K, and d != c.
-    3. When K is exactly c (its only inner edges are c's |c| edges, and
-       then its only vertices are c^0, since any other vertex of K lies
-       on a cycle of K with an edge outside c), every edge at c^0 other
-       than c's leaves K, and no path returns to K.  So a path that
-       avoids c's edges meets c^0 only at its end: it is one of the |c|
-       trivial paths, or a path ending at the source of an edge into
-       c^0 from outside K followed by that edge.  That is |c| plus K's
-       inflow.
-    4. Otherwise the count is finite, and count_paths_into counts it on
-       the graph without c's edges.
+    1. K is exactly c (its edges are c's edges) iff c is K's only simple
+       cycle.  An edge of K and a shortest path inside K back from its
+       target to its source form a simple cycle of K; if that is c for
+       every edge, K's edges are c's, and every vertex of K is on one of
+       them.  Conversely the edges of c close no simple cycle but c.
+    2. Exits.  A simple cycle has one edge at each vertex, so c has an exit
+       iff some vertex of c is a bifurcation.  When K is c, c's vertices
+       are K's.  Otherwise some edge e of K lies outside c: e is an exit
+       if it starts in c^0, and if not, a path inside K from c^0 to e's
+       source has an edge from c^0 to a vertex outside c^0, which is not
+       an edge of c.  So every cycle of K has exits, and K has a
+       bifurcation.  Either way c has an exit iff K has a bifurcation.
+       It is extreme iff it has exits and every vertex it reaches returns
+       to it, that is T(c^0) = K.
+    3. Entry count: the paths ending at c^0 that share no edge with c,
+       length 0 included.
+       - INFINITE when K's inflow is: a shortest path from a cycle d
+         outside K to c^0 shares no edge with c, so going round d any
+         number of times first gives infinitely many.
+       - |c| plus the inflow when K is c: every edge at c^0 other than
+         c's leaves K, so a path without c's edges meets c^0 only at its
+         end; it is one of the |c| trivial paths, or an edge into c^0
+         from outside K after a path ending at its source.
+       - Otherwise INFINITE exactly when c is partnered: some simple cycle
+         d of K shares no edge with c.  A shortest path from d to c^0
+         uses no edge of c, so going round d n times first gives
+         infinitely many.  Conversely, infinitely many paths into c^0
+         without c's edges, in a finite graph, repeat a vertex, so they
+         give a simple cycle d that avoids c's edges and reaches c^0; d
+         outside K would make the inflow INFINITE, so d lies in K.  Per
+         component, each edge maps to the bitmask of K's cycles through
+         it, and c is partnered when the OR over c's edges misses one.
+       - Otherwise finite, and `count_paths_into` counts it on the graph
+         without c's edges, which the index does not cover.
+    4. Wrap count: the paths ending at c^0 that miss at least one edge of
+       c.  It is INFINITE exactly when a simple cycle d != c reaches c^0:
+       d misses some edge e of c, and going round d before a shortest
+       path to c^0 gives infinitely many paths that miss e.  Such a d
+       exists iff K is not c (by 1) or the inflow is INFINITE.  Otherwise
+       a path ending at c^0 leaves c only before it first meets c^0 (a
+       later detour would close a cycle other than c through c^0), so it
+       is an entry path followed by k < |c| steps round c: |c| times the
+       entry count.
+    c lies in S iff it has no exits and a finite wrap count.
     """
-    inflow = g.component_inflow(c.base)
-    if inflow is INFINITE or partnered:
-        return INFINITE
-    if g.component_edge_count(c.base) == len(c):
-        return len(c) + inflow
-    return count_paths_into(g, c.vertex_set, c.edge_set)
-
-
-def _partnered(g: Graph, cycles: list[Cycle]) -> list[bool]:
-    """For each cycle c, whether some simple cycle of c's component shares
-    no edge with c, given every simple cycle of g.
-
-    Per component, each edge maps to the bitmask of the component's
-    cycles through it; the cycles meeting c are the OR of those masks
-    over c's edges, and c is partnered when that misses one.  That is
-    2·Σ|c| big-int ORs instead of a scan over pairs.
-    """
+    cycles = simple_cycles(g)
+    bifs = g.bifurcation_bits()
     groups: dict[int, list[int]] = {}
     for i, c in enumerate(cycles):
         groups.setdefault(g.component_bits(c.base), []).append(i)
-    partnered = [False] * len(cycles)
-    for members in groups.values():
-        if len(members) == 1:
-            continue
-        through: dict[str, int] = {}
-        for bit, i in enumerate(members):
-            for eid in cycles[i].edges:
-                through[eid] = through.get(eid, 0) | 1 << bit
-        everyone = (1 << len(members)) - 1
+    infos: list = [None] * len(cycles)
+    for bits, members in groups.items():
+        first = cycles[members[0]].base
+        inflow = g.component_inflow(first)
+        has_exits = bool(bits & bifs)
+        is_extreme = has_exits and g.tree_bits(first) == bits
+        lone = len(members) == 1  # K is c
+        if not lone and inflow is not INFINITE:
+            through: dict[str, int] = {}  # edge -> bitmask of K's cycles through it
+            for bit, i in enumerate(members):
+                for eid in cycles[i].edges:
+                    through[eid] = through.get(eid, 0) | 1 << bit
+            everyone = (1 << len(members)) - 1
         for i in members:
-            meets = 0
-            for eid in cycles[i].edges:
-                meets |= through[eid]
-            partnered[i] = meets != everyone
-    return partnered
-
-
-def _wrap_count(g: Graph, c: Cycle, entry_count):
-    """Paths ending at c^0 that miss at least one edge of c.
-
-    `entry_count` is the number of paths into c^0 that share no edge
-    with c.  The count is INFINITE exactly when a simple cycle d != c
-    reaches c^0, and otherwise it is entry_count * |c|:
-
-    1. Infinite.  A simple cycle that contains every edge of c is c, so
-       d misses some edge e of c.  A shortest path from d to c^0 misses
-       every edge of c, because all its edges start outside c^0.  Going
-       round d any number of times before that path gives infinitely
-       many paths that miss e.  Such a d exists exactly when c's
-       component K has an edge outside c (every edge inside a strongly
-       connected component lies on a cycle of it, which reaches c^0), or
-       when a cycle outside K reaches K, which the index records as K's
-       inflow being INFINITE.  A d inside K has an edge outside c, and a
-       d with a vertex outside K lies wholly outside it.
-    2. Finite.  With no such d, a path ending at c^0 can leave c^0 or
-       take an edge outside c only before it first meets c^0: any later
-       detour would close a walk back to c^0 through an edge outside c,
-       hence a cycle other than c that reaches c^0.  So the path is an
-       entry path (one of the entry_count paths, length 0 included)
-       followed by k steps round c, and it misses an edge of c exactly
-       when k < |c|.
-    """
-    if g.component_edge_count(c.base) != len(c) or g.component_inflow(c.base) is INFINITE:
-        return INFINITE
-    return entry_count * len(c)
-
-
-def classify_cycles(g: Graph) -> list[CycleInfo]:
-    infos = []
-    bifs = g.bifurcation_bits()
-    cycles = simple_cycles(g)
-    for c, partnered in zip(cycles, _partnered(g, cycles)):
-        # a simple cycle has one edge at each vertex: an exit is a second one
-        has_exits = bool(g.vertex_bits(c.vertex_set) & bifs)
-        # every vertex c reaches returns to c iff T(c^0) is c's component
-        is_extreme = has_exits and g.tree_bits(c.base) == g.component_bits(c.base)
-        entry_count = _entry_count(g, c, partnered)
-        wrap_count = _wrap_count(g, c, entry_count)
-        in_s = (not has_exits) and wrap_count is not INFINITE
-        infos.append(
-            CycleInfo(
+            c = cycles[i]
+            if inflow is INFINITE:
+                entry = wrap = INFINITE
+            elif lone:
+                entry = len(c) + inflow
+                wrap = len(c) * entry
+            elif reduce(or_, [through[eid] for eid in c.edges]) != everyone:  # partnered
+                entry = wrap = INFINITE
+            else:
+                entry, wrap = count_paths_into(g, c.vertex_set, c.edge_set), INFINITE
+            infos[i] = CycleInfo(
                 cycle=c,
                 has_exits=has_exits,
                 is_extreme=is_extreme,
-                in_S=in_s,
-                entry_count=entry_count,
-                wrap_count=wrap_count,
+                in_S=not has_exits and wrap is not INFINITE,
+                entry_count=entry,
+                wrap_count=wrap,
             )
-        )
     return infos
 
 
@@ -218,6 +187,8 @@ def extreme_classes(g: Graph, infos: list[CycleInfo]) -> list[ExtremeClass]:
 
     The tree of an extreme cycle is its strongly connected component, so
     two extreme cycles are connected exactly when their trees are equal.
+    Each class lists its cycles in `infos` order, which `classify_cycles`
+    gives as `simple_cycles` order, sorted by (length, base, edges).
     """
     groups: dict[int, list[Cycle]] = {}
     for ci in infos:
@@ -226,7 +197,7 @@ def extreme_classes(g: Graph, infos: list[CycleInfo]) -> list[ExtremeClass]:
     out = [
         ExtremeClass(
             class_id=min(c.base for c in cycles),
-            cycles=tuple(sorted(cycles, key=lambda c: (len(c), c.base, c.edges))),
+            cycles=tuple(cycles),
             vertices=g.vertices_of(bits),
         )
         for bits, cycles in groups.items()
@@ -245,7 +216,7 @@ def sim_classes(g: Graph) -> list[frozenset[str]]:
     has at most one edge, and its target's tree lies inside its own.
     """
     bifs = g.bifurcation_bits()
-    below_cycle = tree_bits_of_set(g, g.vertices_of(g.cycle_bits()))
+    below_cycle = g.tree_union_bits(g.cycle_bits())
     linking = [
         e
         for e in g.edges

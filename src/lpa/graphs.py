@@ -53,7 +53,8 @@ class Graph:
     Reachability is indexed once, on first use: a Tarjan decomposition
     into strongly connected components, and from it T(v) and the
     ancestors of v for every vertex as int bitsets whose bit i stands for
-    ``vertices[i]``, and the path counts of `path_count`.  A graph never
+    ``vertices[i]``, and each component's inflow, from which `path_count`
+    and the cycle classification read their counts.  A graph never
     changes after construction, so the index never goes stale.  The
     vertex sets are ints rather than frozensets because callers may keep
     many graphs alive: over the 44 graphs of the lpabench structure
@@ -192,11 +193,6 @@ class Graph:
         idx, i = self._reach(), self._vertex_index[v]
         return idx.trees[i] & idx.ancestors[i]
 
-    def component_edge_count(self, v: str) -> int:
-        """The number of edges with both ends in the component of v."""
-        self.check_vertex(v)
-        return self._reach().inner_edges[self._vertex_index[v]]
-
     def component_inflow(self, v: str):
         """The number of paths whose last edge enters the component of v
         from outside it, or INFINITE when a cycle outside that component
@@ -210,7 +206,7 @@ class Graph:
         index."""
         self.check_vertex(v)
         idx, i = self._reach(), self._vertex_index[v]
-        if idx.inner_edges[i] or idx.inflow[i] is INFINITE:
+        if idx.cyclic >> i & 1 or idx.inflow[i] is INFINITE:
             return INFINITE
         return 1 + idx.inflow[i]
 
@@ -253,7 +249,8 @@ class _ReachIndex:
     Iterative Tarjan (1972) over vertex indices.  It emits components in
     reverse topological order, so every component a component reaches
     has a smaller id and its tree is known when the component is closed.
-    While closing a component it also counts the edges inside it.
+    While closing a component it also notes whether an edge lies inside
+    it, which makes it cyclic.
 
     A second pass walks the components in topological order, the reverse
     of emission, so every edge into a component is seen before the
@@ -276,7 +273,7 @@ class _ReachIndex:
     any one of them, so they are not stored.
     """
 
-    __slots__ = ("trees", "ancestors", "inner_edges", "inflow", "cyclic", "sinks", "bifurcations")
+    __slots__ = ("trees", "ancestors", "inflow", "cyclic", "sinks", "bifurcations")
 
     def __init__(self, g: Graph):
         n = len(g.vertices)
@@ -290,7 +287,6 @@ class _ReachIndex:
         members_of: list[list[int]] = []  # scratch: members per component
         ancestors: list[int] = []  # the component's members until the second pass
         comp_trees: list[int] = []
-        inner_edges: list[int] = []
         cyclic = 0
         counter = 0
         for root in range(n):
@@ -333,23 +329,22 @@ class _ReachIndex:
                 for w in members:
                     own |= 1 << w
                 bits = own
-                internal = 0
+                internal = False
                 for w in members:
                     for x in succ[w]:
                         if component_of[x] == k:
-                            internal += 1
+                            internal = True
                         else:
                             bits |= comp_trees[component_of[x]]
                 members_of.append(members)
                 ancestors.append(own)
                 comp_trees.append(bits)
-                inner_edges.append(internal)
                 if internal:
                     cyclic |= own
         inflow: list = [0] * len(members_of)
         for k in range(len(members_of) - 1, -1, -1):
             up = ancestors[k]
-            if inner_edges[k] or inflow[k] is INFINITE:
+            if cyclic >> members_of[k][0] & 1 or inflow[k] is INFINITE:
                 paths = INFINITE
             else:
                 paths = 1 + inflow[k]
@@ -365,7 +360,6 @@ class _ReachIndex:
         # one entry per vertex, shared by the vertices of a component
         self.trees = tuple(comp_trees[k] for k in component_of)
         self.ancestors = tuple(ancestors[k] for k in component_of)
-        self.inner_edges = tuple(inner_edges[k] for k in component_of)
         self.inflow = tuple(inflow[k] for k in component_of)
         self.cyclic = cyclic
         self.sinks = self.bifurcations = 0

@@ -425,6 +425,14 @@ CLI_DIGESTS = {
         ("center", "escaped", *VERIFY_ORACLE, "--format", "text"),
         "c806cc2ef7a4bb0e8b417c0fa6d654b4dfaa35e5e1af0351949fa52e6ca58fd0",
     ),
+    "classify-entry_cases": (
+        ("classify", "entry_cases"),
+        "c47a4a46671064aa0bbeeba6c52cdcd53113128c7ac3c3c0c803190cb4f234e5",
+    ),
+    "center-entry_cases": (
+        ("center", "entry_cases", *VERIFY_ORACLE),
+        "af4604722493db3ba73808b9d767e88c728ffedad1f28e5e66b22868a5956b0c",
+    ),
 }
 
 
@@ -451,6 +459,14 @@ def _line(n):
 # -1 renders as 6).  `schema` and the graph whose vertex and edge names
 # need escaping in JSON (a quote, a backslash, a newline, non-ASCII) were
 # recorded at the commit before reports got their own indent-2 JSON writer.
+# `entry_cases` holds one cycle for each way of finding an entry count,
+# recorded at the commit before cycles were classified one strongly
+# connected component at a time: a 3-cycle under a tail (its whole
+# component, 4/12 entry/wrap paths), a loop feeding a loop (1/1, and
+# INFINITE under a fed component), u <-> v with a loop at u (an
+# edge-disjoint pair, both INFINITE), and x <-> y with a detour
+# x -> z -> y under a tail (finite path counts in a component that holds
+# two cycles, 6 each).
 INLINE_GRAPHS = {
     "two_cycle": {
         "vertices": ["u", "v"],
@@ -481,6 +497,18 @@ INLINE_GRAPHS = {
     "escaped": {
         "vertices": ['ü"\\x', "t\nab"],
         "edges": [{"id": "é", "src": 'ü"\\x', "dst": "t\nab"}],
+    },
+    "entry_cases": {
+        "vertices": ["t", "a1", "a2", "a3", "p", "q", "u", "v", "s", "x", "y", "z"],
+        "edges": [
+            {"id": i, "src": src, "dst": dst}
+            for i, src, dst in [
+                ("ta", "t", "a1"), ("a12", "a1", "a2"), ("a23", "a2", "a3"), ("a31", "a3", "a1"),
+                ("lp", "p", "p"), ("pq", "p", "q"), ("lq", "q", "q"),
+                ("uv", "u", "v"), ("vu", "v", "u"), ("lu", "u", "u"),
+                ("sx", "s", "x"), ("xy", "x", "y"), ("yx", "y", "x"), ("xz", "x", "z"), ("zy", "z", "y"),
+            ]
+        ],
     },
 }
 

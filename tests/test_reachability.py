@@ -480,17 +480,34 @@ def test_ancestors_match_transposed_trees(g, salt):
 @settings(max_examples=150, deadline=None)
 def test_path_counts_match_count_paths_into(g):
     """P(v) for every vertex, INFINITE included, and the per-component
-    facts it is read from: the members, the inner edges and the paths
-    entering."""
+    facts it is read from: the members and the paths entering."""
     component = ref_components(g)
     for v in g.vertices:
         assert g.path_count(v) == count_paths_into(g, {v})
         k = component[v]
         assert g.vertices_of(g.component_bits(v)) == k
-        assert g.component_edge_count(v) == sum(e.src in k and e.dst in k for e in g.edges)
         entering = [count_paths_into(g, {e.src}) for e in g.edges if e.dst in k and e.src not in k]
         inflow = INFINITE if INFINITE in entering else sum(entering)
         assert g.component_inflow(v) == inflow
+
+
+@given(st.one_of(graphs, dense_graphs(), chained_graphs()))
+@settings(max_examples=200, deadline=None)
+def test_component_lemmas_hold(g):
+    """The two facts `classify_cycles` reads per component K, by brute
+    force: K has exactly |c| inner edges iff c is K's only simple cycle,
+    and a cycle of K has exits iff K has a bifurcation."""
+    component = ref_components(g)
+    cycles = ref_simple_cycles(g)
+    for k in set(component.values()):
+        inner = sum(e.src in k and e.dst in k for e in g.edges)
+        held = [c for c in cycles if c.base in k]
+        assert bool(inner) == bool(held)
+        for c in held:
+            assert (inner == len(c)) == (held == [c])
+    bifurcations = {v for v in g.vertices if len(g.out_edges(v)) >= 2}
+    for ci in classify_cycles(g):
+        assert ci.has_exits == bool(component[ci.cycle.base] & bifurcations)
 
 
 @given(st.one_of(graphs, chained_graphs()))
@@ -570,6 +587,17 @@ def test_entry_count_of_an_edge_disjoint_pair_is_read_from_the_cycle_list():
         (("a", "b"), INFINITE, INFINITE),
     ]
     assert calls == []
+
+
+def test_classify_cycles_reads_each_component_once():
+    """u <-> v with a loop at u: two cycles in one component, whose inflow
+    and tree are looked up once, not once per cycle."""
+    g = Graph(["u", "v"], [Edge("a", "u", "v"), Edge("b", "v", "u"), Edge("l", "u", "u")])
+    inflows, trees = [], []
+    with mock.patch.object(Graph, "component_inflow", counted(inflows, Graph.component_inflow)), \
+            mock.patch.object(Graph, "tree_bits", counted(trees, Graph.tree_bits)):
+        classify_cycles(g)
+    assert len(inflows) == len(trees) == 1
 
 
 def test_campaign_counts_paths_only_for_finite_entry_counts(campaign500):
