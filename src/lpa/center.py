@@ -358,6 +358,11 @@ def oracle_commutant(
     candidates' contributions to it, so the rows built from the kept
     candidates alone are the full rows restricted to the kept columns, less
     the rows that this leaves empty.
+
+    Both drops happen in `_oracle_candidates`, which never makes the
+    dropped candidates: it pairs only paths with a common source, and at
+    the top lengths it skips every alpha whose source forces its
+    candidates.  Neither `normal_monomials` nor `enumerate_paths` runs.
     """
     cands, rows = _oracle_matrix(alg, degree, max_len)
     if not cands:
@@ -373,29 +378,16 @@ def oracle_commutant(
 def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
     """The oracle's candidates and its sparse rows: one row per (generator,
     monomial) pair, holding that monomial's coefficient in [m, generator]
-    for every candidate m.  The candidates are those that `oracle_commutant`
-    does not drop.  Each candidate is taken with coefficient 1, so the
-    generator action is integral and the rows hold Python ints; the field
-    enters only in the elimination."""
-    into, special = alg._in, alg._special
-    # the vertices whose only in-edge is special at its source
-    sole_special = {
-        v for v, es in into.items() if len(es) == 1 and special[es[0].src] == es[0].id
-    }
-
-    def forced(v, p, q):  # m = alpha beta* with s(alpha) = s(beta) = v
-        if len(p) + len(q) + 2 <= max_len or not (p or q):
-            return False
-        if p and q:
-            return bool(into[v])
-        return v not in sole_special
-
-    cands = [
-        m
-        for m in alg.normal_monomials(degree, max_len)
-        if m.alpha.source == m.beta.source
-        and not forced(m.alpha.source, m.alpha.edges, m.beta.edges)
-    ]
+    for every candidate m.  The candidates come from `_oracle_candidates`,
+    the one place where the s(alpha) != s(beta) and forced-zero drops of
+    `oracle_commutant` are applied.  They are already in `sort_key` order,
+    the order of `normal_monomials`, without a sort: that order is total
+    length first, and within one length the sides have fixed lengths, so
+    it is the order of alpha in its layer and then of beta in its bucket.
+    Each candidate is taken with coefficient 1, so the generator action is
+    integral and the rows hold Python ints; the field enters only in the
+    elimination."""
+    cands = _oracle_candidates(alg, degree, max_len)
     rows: dict[tuple, dict] = {}  # generator key + term -> {candidate: int}
 
     def add(key, term, c):  # j is the candidate the loop below is acting with
@@ -411,6 +403,79 @@ def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
             (((m.alpha.source, m.alpha.edges, m.beta.source, m.beta.edges), 1),), add
         )
     return cands, [row for row in rows.values() if row]
+
+
+def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[Monomial]:
+    """The normal monomials alpha beta* of the degree with |alpha| + |beta|
+    <= max_len and s(alpha) = s(beta) that the length bound does not force
+    to 0 (see `oracle_commutant`), in `sort_key` order.
+
+    Paths are built layer by layer as (source, edges, range) triples, the
+    range carried along.  Layer 0 holds the vertices in sorted order, and
+    each path of a layer is extended by its range's out-edges in id order,
+    so every layer is sorted by (source, edges).  The paths are also kept
+    in buckets keyed by (length, source, range), in layer order.  A
+    candidate of total length n = |alpha| + |beta| and degree d has sides
+    of lengths i = (n + d)/2 and j = (n - d)/2.  So walking n upward in
+    steps of 2 from |d|, and pairing every alpha of layer i with every beta
+    of its bucket (j, s(alpha), r(alpha)), emits each pair with a common
+    source and range exactly once, in the order (n, s(alpha), alpha edges,
+    beta edges): `sort_key`, since s(beta) = s(alpha).  The reducible
+    pairs, where both sides end in the same special edge, are skipped.
+
+    At the top lengths, n + 2 > max_len and n > 0, the forced-zero rule
+    depends on n and the source v alone: when both sides are nonempty, v is
+    forced when it has an in-edge; when one side is trivial, unless v's only
+    in-edge is special at its source.  A forced v's alphas are skipped
+    whole.  Extension stops at the first empty layer, so a bound beyond the
+    longest path costs nothing.  A `Monomial` is built only for a kept
+    candidate, and a `GPath` only for a kept alpha or a path of a bucket
+    that one is paired with.
+    """
+    if abs(degree) > max_len:
+        return []
+    into, special = alg._in, alg._special
+    specials = set(special.values())
+    # the vertices whose only in-edge is special at its source
+    sole_special = {
+        v for v, es in into.items() if len(es) == 1 and special[es[0].src] == es[0].id
+    }
+    g = alg.graph
+    succ = {v: sorted((e.id, e.dst) for e in g.out_edges(v)) for v in g.vertices}
+    layers: list[list[tuple]] = []
+    layer = [(v, (), v) for v in sorted(g.vertices)]
+    while layer:
+        layers.append(layer)
+        if len(layers) > (max_len + abs(degree)) // 2:
+            break
+        layer = [(s, p + (e,), r1) for s, p, r in layer for e, r1 in succ[r]]
+    buckets: dict[tuple, list] = {}  # (length, source, range) -> edges, in layer order
+    for i, layer in enumerate(layers):
+        for s, p, r in layer:
+            buckets.setdefault((i, s, r), []).append(p)
+    betas: dict[tuple, list] = {}  # the same keys -> [(edges, GPath)], built on use
+    out = []
+    for n in range(abs(degree), max_len + 1, 2):
+        i, j = (n + degree) // 2, (n - degree) // 2
+        if max(i, j) >= len(layers):
+            break
+        top = n > 0 and n + 2 > max_len
+        both = i > 0 and j > 0
+        for s, p, r in layers[i]:
+            if top and (into[s] if both else s not in sole_special):
+                continue
+            key = (j, s, r)
+            bs = betas.get(key)
+            if bs is None:
+                bs = betas[key] = [(q, GPath(s, q)) for q in buckets.get(key, ())]
+            if not bs:
+                continue
+            alpha = GPath(s, p)
+            last = p[-1] if p and p[-1] in specials else None
+            for q, beta in bs:
+                if last is None or not q or q[-1] != last:
+                    out.append(Monomial(alpha, beta))
+    return out
 
 
 def check_oracle_bound(elements, max_len: int) -> None:

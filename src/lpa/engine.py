@@ -452,6 +452,8 @@ class LeavittAlgebra:
         paths = [self.trivial_path(v) for v in self.graph.vertices]
         frontier = list(paths)
         for _ in range(max_len):
+            if not frontier:
+                break  # no path is longer: the bound may be far past the longest
             nxt = []
             for p in frontier:
                 at = self.path_range(p)
@@ -468,7 +470,10 @@ class LeavittAlgebra:
         A candidate has |alpha| = i and |beta| = i - degree with
         2i - degree <= max_len, so neither side is longer than
         (max_len + |degree|) // 2.  Paths are bucketed by (range, length),
-        and only the buckets (r, i) and (r, i - degree) are paired.
+        and only the buckets (r, i) and (r, i - degree) are paired.  The
+        oracle enumerates only the candidates it keeps
+        (`center._oracle_candidates`); this is the reference it is tested
+        against.
         """
         if abs(degree) > max_len:
             return []

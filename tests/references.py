@@ -115,6 +115,31 @@ def ref_normal_monomials(alg, degree, max_len):
     return out
 
 
+def ref_oracle_candidates(alg, degree, max_len):
+    """The oracle's candidates from `normal_monomials`: those with
+    s(alpha) = s(beta) that the length bound does not force to 0.  At the
+    top lengths, |alpha| + |beta| + 2 > L with a nonempty side, a candidate
+    at v = s(alpha) is forced when both sides are nonempty and v has an
+    in-edge, or when one side is trivial and v's in-edges are not exactly
+    one edge that is special at its source."""
+    into = {v: [e for e in alg.graph.edges if e.dst == v] for v in alg.graph.vertices}
+
+    def forced(m):
+        v, p, q = m.alpha.source, m.alpha.edges, m.beta.edges
+        if len(p) + len(q) + 2 <= max_len or not (p or q):
+            return False
+        if p and q:
+            return bool(into[v])
+        es = into[v]
+        return not (len(es) == 1 and alg.special_edge(es[0].src) == es[0].id)
+
+    return [
+        m
+        for m in alg.normal_monomials(degree, max_len)
+        if m.alpha.source == m.beta.source and not forced(m)
+    ]
+
+
 def ref_oracle_matrix(alg, degree, max_len):
     """The oracle's candidates and rows, with one ``commutators`` call per
     candidate and rows of field elements keyed by Monomial."""

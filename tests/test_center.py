@@ -11,6 +11,7 @@ from lpa.center import (
     OracleBoundError,
     a_class,
     basis_zero,
+    _oracle_candidates,
     _oracle_matrix,
     _rref,
     center_report,
@@ -29,9 +30,12 @@ from lpa.graphs import Edge, Graph, disjoint_union
 from lpa.randomgen import random_graph
 from corpus import FIXTURE_NAMES, graph
 from references import (
+    chained_graphs,
     cycle_with_tail,
+    dense_graphs,
     ref_kernel_basis,
     ref_normal_monomials,
+    ref_oracle_candidates,
     ref_oracle_matrix,
     ref_rref,
     ref_same_span,
@@ -397,6 +401,63 @@ def test_oracle_keeps_the_special_edge_exception():
     assert [repr(x) for x in oracle_commutant(alg, 2, 2)] == ["1·e f + 1·f e"]
 
 
+def assert_candidates_match_reference(g, max_len):
+    # every degree the bound admits, and one on each side beyond it
+    alg = LeavittAlgebra(g)
+    for degree in range(-max_len - 1, max_len + 2):
+        got = _oracle_candidates(alg, degree, max_len)
+        assert got == ref_oracle_candidates(alg, degree, max_len), (degree, max_len)
+
+
+def renamed_random_graphs():
+    def draw(seed):
+        rng = random.Random(seed)
+        return renamed(random_graph(rng, 4, 6), rng)
+
+    return st.integers(0, 10**6).map(draw)
+
+
+@pytest.mark.parametrize("max_len", range(7))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_oracle_candidates_match_reference_on_roses(n, max_len):
+    assert_candidates_match_reference(rose(n), max_len)
+
+
+# dense graphs draw up to 7 edges rather than 12: one vertex with 12 loops
+# has 12^6 normal monomials of degree 0 at L = 6 for the reference to sort
+@given(
+    renamed_random_graphs() | chained_graphs() | dense_graphs(max_edges=7),
+    st.integers(0, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_oracle_candidates_match_reference(g, max_len):
+    assert_candidates_match_reference(g, max_len)
+
+
+def test_oracle_keeps_ten_thousand_candidates_on_r10():
+    # R_10 at degree 0 and L = 6: of the 10^6 normal monomials, the 10^6 -
+    # 10^4 with |alpha| = |beta| = 3 are forced to 0; the 1 + 99 + 9,900
+    # with |alpha| = |beta| <= 2 are kept (e1 is special, so the pairs that
+    # both end in e1 are not normal)
+    assert len(_oracle_candidates(LeavittAlgebra(rose(10)), 0, 6)) == 10_000
+
+
+@pytest.mark.parametrize(
+    "g", [graph("g_line3"), graph("g_r2"), R3, cycle_with_tail(3)], ids=["g_line3", "g_r2", "R3", "C3"]
+)
+def test_oracle_calls_no_reference_enumeration(monkeypatch, g):
+    alg = LeavittAlgebra(g)
+    expected = [oracle_commutant(alg, n, 5) for n in range(-3, 4)]
+    assert any(expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not call the reference enumeration")
+
+    monkeypatch.setattr(LeavittAlgebra, "normal_monomials", refuse)
+    monkeypatch.setattr(LeavittAlgebra, "enumerate_paths", refuse)
+    assert [oracle_commutant(alg, n, 5) for n in range(-3, 4)] == expected
+
+
 @given(st.integers(0, 10**6), st.integers(-2, 2), st.integers(0, 4), st.sampled_from([QQ, F7]))
 @settings(max_examples=80, deadline=None)
 def test_kernel_basis_matches_reference(seed, degree, max_len, field):
@@ -511,14 +572,15 @@ def test_oracle_matrix_builds_no_elements(count_instances):
     # and 490 rows.  Summing each candidate's commutators as AlgebraElements
     # keyed by Monomial, then copying them into the rows, builds 16,836
     # elements and 19,487 Monomials for all 1,296; the int rows are summed
-    # under plain tuples, and only the normal monomials are Monomials.
+    # under plain tuples, and only the kept candidates are Monomials (with
+    # `normal_monomials` and a filter, all 1,296 were).
     alg = LeavittAlgebra(rose(6))
     monomials = count_instances(Monomial)
     elements = count_instances(AlgebraElement)
     cands, rows = _oracle_matrix(alg, 0, 4)
     assert len(cands) == 36
     assert elements[0] == 0
-    assert monomials[0] <= 1296
+    assert monomials[0] == len(cands)
 
 
 def test_oracle_matrix_size_on_r8_at_length_6():

@@ -19,11 +19,12 @@ from corpus import FIXTURE_NAMES, FIXTURES, graph
 
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "lpa.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -115,6 +116,17 @@ def test_center_cwe_verify_oracle(schema):
     assert doc["center"]["iso_type"] == {"K": 1, "Laurent": 0}
     assert doc["center"]["divergence_flags"]
     assert all(o["agrees"] for o in doc["oracle"])
+
+
+def test_oracle_bound_past_the_longest_path_returns_promptly():
+    # g_line3 has no path longer than 2, so a bound of 10^12 must cost no
+    # more than a bound of 4; extending empty layers up to the bound hangs
+    code, out, err = run_cli(
+        "center", str(FIXTURES / "g_line3.json"), "--verify", "--oracle",
+        "--max-len", "1000000000000", timeout=10,
+    )
+    assert code == 0, err
+    assert all(o["agrees"] for o in json.loads(out)["oracle"])
 
 
 def test_center_bound_too_small_exits_4():
@@ -433,6 +445,18 @@ CLI_DIGESTS = {
         ("center", "entry_cases", *VERIFY_ORACLE),
         "af4604722493db3ba73808b9d767e88c728ffedad1f28e5e66b22868a5956b0c",
     ),
+    "center-rose4-L6": (
+        ("center", "rose4", *VERIFY_ORACLE, "--max-len", "6"),
+        "bb0f1cdbc66b4c45e06efe2891547189564860d4c9daee0dc14041a59cb29fce",
+    ),
+    "center-rose4-L7-p7": (
+        ("center", "rose4", *VERIFY_ORACLE, "--max-len", "7", "--field", "p:7"),
+        "c603ac0362e65e571f27af0862e576600d6a899b108a1ea276aa745a7ff8d33e",
+    ),
+    "center-entry_cases-L9": (
+        ("center", "entry_cases", *VERIFY_ORACLE, "--max-len", "9"),
+        "07f22880a96888aa778cc2900d7eeae979746717c4b9b38a435274c59ade2948",
+    ),
 }
 
 
@@ -466,7 +490,12 @@ def _line(n):
 # INFINITE under a fed component), u <-> v with a loop at u (an
 # edge-disjoint pair, both INFINITE), and x <-> y with a detour
 # x -> z -> y under a tail (finite path counts in a component that holds
-# two cycles, 6 each).
+# two cycles, 6 each).  The oracle runs on rose4 at --max-len 6 and, over
+# p:7, at 7, and on entry_cases at --max-len 9 were recorded at the commit
+# before the oracle enumerated its candidates itself instead of filtering
+# `normal_monomials`: an even and an odd bound, and vertices with no
+# in-edge, one special in-edge, one other in-edge and several in-edges,
+# where the forced-zero rule drops or keeps the top-length candidates.
 INLINE_GRAPHS = {
     "two_cycle": {
         "vertices": ["u", "v"],

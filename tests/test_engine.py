@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,6 +348,21 @@ def test_normal_monomials_enumerate_half_the_bound():
     assert len(alg.normal_monomials(0, 4)) == 1296
     assert bounds and max(bounds) <= (4 + 0) // 2
     assert sum(sizes) <= 43
+
+
+def test_enumeration_stops_at_the_longest_path():
+    # L_3's longest path has 2 edges, so a bound of 10^12 must cost no more
+    # than a bound of 2; extending empty layers up to the bound hangs, so
+    # the run gets a process of its own and a timeout
+    code = (
+        "from lpa.engine import LeavittAlgebra\n"
+        "from lpa.graphs import Edge, Graph\n"
+        "alg = LeavittAlgebra(Graph(['a', 'b', 'c'], [Edge('e', 'a', 'b'), Edge('f', 'b', 'c')]))\n"
+        "print(len(alg.enumerate_paths(10**12)), len(alg.normal_monomials(0, 10**12)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6", "3"]
 
 
 # -- ring axioms ---------------------------------------------------------------
