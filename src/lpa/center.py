@@ -248,6 +248,40 @@ def _cancel(row: dict, prow: dict, c: int, p) -> None:
                 del row[j]
 
 
+def _monic(row: dict, p) -> dict:
+    """The row divided by its entry at its least column, as field values:
+    over Q an int where the quotient is integral and a Fraction otherwise,
+    as in `Rationals`, and a ModInt over F_p.  Entries that are zero in the
+    field are dropped first; a row with none left gives {}.  The entries
+    may be ints, Fractions or ModInts."""
+    if p is not None:
+        row = {c: v for c, k in row.items() if (v := int(k) % p)}
+        if not row:
+            return {}
+        inv = pow(row[min(row)], -1, p)
+        return {c: ModInt(k * inv % p, p) for c, k in row.items()}
+    row = {c: k for c, k in row.items() if k}
+    if not row:
+        return {}
+    piv = row[min(row)]
+    # for ints and Fractions alike, k % piv is 0 exactly when k / piv is
+    # integral, and then k // piv is that int
+    return {c: Fraction(k, piv) if k % piv else k // piv for c, k in row.items()}
+
+
+def _distinct(rows: list[dict]) -> list[dict]:
+    """The rows less every row equal to an earlier one or to its negation."""
+    seen: set[frozenset] = set()
+    out = []
+    for row in rows:
+        key = frozenset(row.items())
+        if key not in seen:
+            seen.add(key)
+            seen.add(frozenset((c, -k) for c, k in row.items()))
+            out.append(row)
+    return out
+
+
 def _rref(rows: list[dict], field) -> list[dict]:
     """Reduced row echelon form of sparse rows (col index -> scalar).
 
@@ -261,14 +295,24 @@ def _rref(rows: list[dict], field) -> list[dict]:
     are the RREF of the remaining rows with the unit columns deleted.  A
     one-entry row that is zero in the field (a multiple of p over F_p) is
     the zero row and is dropped.  A longer row over F_p with all entries but
-    one multiples of p is left to the elimination, which reaches the same
+    one multiples of p is left to what follows, which reaches the same
     RREF.
 
-    The remaining rows are eliminated in integer arithmetic.  Each pivot
-    row goes back to the field by dividing by its pivot entry: over Q an
-    int wherever the pivot divides the entry and a Fraction otherwise, as
-    in `Rationals`.
+    Of the remaining rows, one equal to an earlier row or to its negation
+    lies in that row's span, so `_distinct` drops it: the row space, and so
+    the RREF, is unchanged.  What is left is settled by its shape.  No rows,
+    or none left once the unit rows are settled: the RREF is the unit rows
+    alone.  Exactly one row r left: its span is the line through r, and a
+    nonzero vector spanning a line has exactly one multiple whose entry at
+    its least column is 1, so `_monic(r)` is the one RREF row beside the
+    unit rows (none when r is zero in the field, the zero row).
+
+    Two or more rows left are eliminated in integer arithmetic by
+    `_eliminate`, and each pivot row goes back to the field through the
+    same `_monic`, so both ways give equal entries of equal types.
     """
+    if not rows:
+        return []
     p = field.p if isinstance(field, PrimeField) else None
     singles = [row for row in rows if len(row) == 1]
     if p is None:
@@ -281,14 +325,15 @@ def _rref(rows: list[dict], field) -> list[dict]:
         for row in rows
         if len(row) > 1
     ]
-    for lead, row in _eliminate(rest, p).items():
-        if p is None:
-            piv = row[lead]
-            reduced[lead] = {
-                c: Fraction(k, piv) if k % piv else k // piv for c, k in row.items()
-            }
-        else:
-            reduced[lead] = {c: ModInt(k, p) for c, k in row.items()}
+    if len(rest) > 1:
+        rest = _distinct(rest)
+    if len(rest) == 1:
+        rest = [_monic(rest[0], p)]
+    elif rest:
+        rest = [_monic(row, p) for row in _eliminate(rest, p).values()]
+    for row in rest:
+        if row:
+            reduced[min(row)] = row
     return [reduced[lead] for lead in sorted(reduced)]
 
 
@@ -367,12 +412,11 @@ def oracle_commutant(
     cands, rows = _oracle_matrix(alg, degree, max_len)
     if not cands:
         return []
-    vecs = kernel_basis(rows, len(cands), alg.field)
-    out = []
-    for vec in vecs:
-        terms = {cands[j]: k for j, k in vec.items() if k != alg.field.zero}
-        out.append(AlgebraElement(alg, terms))
-    return out
+    zero = alg.field.zero
+    return [
+        AlgebraElement(alg, {cands[j]: k for j, k in vec.items() if k != zero})
+        for vec in kernel_basis(rows, len(cands), alg.field)
+    ]
 
 
 def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
@@ -386,11 +430,23 @@ def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
     it is the order of alpha in its layer and then of beta in its bucket.
     Each candidate is taken with coefficient 1, so the generator action is
     integral and the rows hold Python ints; the field enters only in the
-    elimination."""
+    elimination.
+
+    One `generator_action` call acts with every candidate.  It draws the
+    terms one at a time and sends all of a term's contributions before it
+    draws the next, so `j`, which the term generator advances, is the
+    column of the candidate whose contributions `add` receives."""
     cands = _oracle_candidates(alg, degree, max_len)
     rows: dict[tuple, dict] = {}  # generator key + term -> {candidate: int}
+    j = 0
 
-    def add(key, term, c):  # j is the candidate the loop below is acting with
+    def terms():
+        nonlocal j
+        for j, m in enumerate(cands):
+            a, b = m.alpha, m.beta
+            yield (a.source, a.edges, b.source, b.edges), 1
+
+    def add(key, term, c):
         row = rows.setdefault(key + term, {})
         s = row.get(j, 0) + c
         if s:
@@ -398,11 +454,68 @@ def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
         else:
             del row[j]
 
-    for j, m in enumerate(cands):
-        alg.generator_action(
-            (((m.alpha.source, m.alpha.edges, m.beta.source, m.beta.edges), 1),), add
-        )
+    alg.generator_action(terms(), add)
     return cands, [row for row in rows.values() if row]
+
+
+class _OracleTables:
+    """What `_oracle_candidates` reads of an algebra, kept on the algebra
+    (`LeavittAlgebra._oracle_tables`) from its first oracle solve on, so
+    that every degree and bound solved on one algebra shares it:
+
+    - `specials`, the special edges, and `sole_special`, the vertices
+      whose only in-edge is special at its source;
+    - `layers`: layer i holds the paths of length i as (source, edges,
+      range, GPath), vertices in sorted order and each path of a layer
+      extended by its range's out-edges in id order (`succ`), so every
+      layer is sorted by (source, edges);
+    - `buckets`: (length, source, range) -> [(edges, GPath)], in layer
+      order.
+
+    `reach(n)` extends the layers on demand.  An algebra's graph and its
+    special edges are fixed when it is made, so no entry goes stale; a
+    table lives and dies with its algebra and is never shared between
+    two."""
+
+    def __init__(self, alg: LeavittAlgebra):
+        into, special, g = alg._in, alg._special, alg.graph
+        self.specials = frozenset(special.values())
+        self.sole_special = frozenset(
+            v for v, es in into.items() if len(es) == 1 and special[es[0].src] == es[0].id
+        )
+        self.succ = {v: sorted((e.id, e.dst) for e in g.out_edges(v)) for v in g.vertices}
+        layer = [(v, (), v, GPath(v)) for v in sorted(g.vertices)]
+        self.layers: list[list[tuple]] = [layer]
+        self.buckets: dict[tuple, list] = {(0, v, v): [((), path)] for v, _, _, path in layer}
+        self.exhausted = False  # some layer came out empty
+
+    def reach(self, n: int) -> list[list[tuple]]:
+        """The layers, extended through length n unless a shorter layer is
+        empty: extension stops at the first empty layer, which is not
+        kept, so a bound beyond the longest path costs nothing."""
+        layers, succ, buckets = self.layers, self.succ, self.buckets
+        while len(layers) <= n and not self.exhausted:
+            i = len(layers)
+            layer = []
+            for s, p, r, _ in layers[-1]:
+                for e, r1 in succ[r]:
+                    q = p + (e,)
+                    path = GPath(s, q)
+                    layer.append((s, q, r1, path))
+                    buckets.setdefault((i, s, r1), []).append((q, path))
+            if layer:
+                layers.append(layer)
+            else:
+                self.exhausted = True
+        return layers
+
+
+def _oracle_tables(alg: LeavittAlgebra) -> _OracleTables:
+    """The algebra's oracle tables, built on first use."""
+    tables = alg._oracle_tables
+    if tables is None:
+        tables = alg._oracle_tables = _OracleTables(alg)
+    return tables
 
 
 def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[Monomial]:
@@ -410,50 +523,29 @@ def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[M
     <= max_len and s(alpha) = s(beta) that the length bound does not force
     to 0 (see `oracle_commutant`), in `sort_key` order.
 
-    Paths are built layer by layer as (source, edges, range) triples, the
-    range carried along.  Layer 0 holds the vertices in sorted order, and
-    each path of a layer is extended by its range's out-edges in id order,
-    so every layer is sorted by (source, edges).  The paths are also kept
-    in buckets keyed by (length, source, range), in layer order.  A
-    candidate of total length n = |alpha| + |beta| and degree d has sides
-    of lengths i = (n + d)/2 and j = (n - d)/2.  So walking n upward in
-    steps of 2 from |d|, and pairing every alpha of layer i with every beta
-    of its bucket (j, s(alpha), r(alpha)), emits each pair with a common
-    source and range exactly once, in the order (n, s(alpha), alpha edges,
-    beta edges): `sort_key`, since s(beta) = s(alpha).  The reducible
-    pairs, where both sides end in the same special edge, are skipped.
+    The paths come from the algebra's `_OracleTables`, layer by layer and
+    in buckets keyed by (length, source, range).  A candidate of total
+    length n = |alpha| + |beta| and degree d has sides of lengths
+    i = (n + d)/2 and j = (n - d)/2.  So walking n upward in steps of 2
+    from |d|, and pairing every alpha of layer i with every beta of its
+    bucket (j, s(alpha), r(alpha)), emits each pair with a common source
+    and range exactly once, in the order (n, s(alpha), alpha edges, beta
+    edges): `sort_key`, since s(beta) = s(alpha).  The reducible pairs,
+    where both sides end in the same special edge, are skipped.
 
     At the top lengths, n + 2 > max_len and n > 0, the forced-zero rule
     depends on n and the source v alone: when both sides are nonempty, v is
     forced when it has an in-edge; when one side is trivial, unless v's only
     in-edge is special at its source.  A forced v's alphas are skipped
-    whole.  Extension stops at the first empty layer, so a bound beyond the
-    longest path costs nothing.  A `Monomial` is built only for a kept
-    candidate, and a `GPath` only for a kept alpha or a path of a bucket
-    that one is paired with.
+    whole.  A `Monomial` is built only for a kept candidate; its sides are
+    the tables' GPaths.
     """
     if abs(degree) > max_len:
         return []
-    into, special = alg._in, alg._special
-    specials = set(special.values())
-    # the vertices whose only in-edge is special at its source
-    sole_special = {
-        v for v, es in into.items() if len(es) == 1 and special[es[0].src] == es[0].id
-    }
-    g = alg.graph
-    succ = {v: sorted((e.id, e.dst) for e in g.out_edges(v)) for v in g.vertices}
-    layers: list[list[tuple]] = []
-    layer = [(v, (), v) for v in sorted(g.vertices)]
-    while layer:
-        layers.append(layer)
-        if len(layers) > (max_len + abs(degree)) // 2:
-            break
-        layer = [(s, p + (e,), r1) for s, p, r in layer for e, r1 in succ[r]]
-    buckets: dict[tuple, list] = {}  # (length, source, range) -> edges, in layer order
-    for i, layer in enumerate(layers):
-        for s, p, r in layer:
-            buckets.setdefault((i, s, r), []).append(p)
-    betas: dict[tuple, list] = {}  # the same keys -> [(edges, GPath)], built on use
+    tables = _oracle_tables(alg)
+    layers = tables.reach((max_len + abs(degree)) // 2)
+    buckets, specials, sole_special = tables.buckets, tables.specials, tables.sole_special
+    into = alg._in
     out = []
     for n in range(abs(degree), max_len + 1, 2):
         i, j = (n + degree) // 2, (n - degree) // 2
@@ -461,16 +553,12 @@ def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[M
             break
         top = n > 0 and n + 2 > max_len
         both = i > 0 and j > 0
-        for s, p, r in layers[i]:
+        for s, p, r, alpha in layers[i]:
             if top and (into[s] if both else s not in sole_special):
                 continue
-            key = (j, s, r)
-            bs = betas.get(key)
-            if bs is None:
-                bs = betas[key] = [(q, GPath(s, q)) for q in buckets.get(key, ())]
+            bs = buckets.get((j, s, r))
             if not bs:
                 continue
-            alpha = GPath(s, p)
             last = p[-1] if p and p[-1] in specials else None
             for q, beta in bs:
                 if last is None or not q or q[-1] != last:
@@ -494,29 +582,33 @@ def required_oracle_bound(elements) -> int:
     Below 2 the degree-0 candidates are the vertices alone, so the oracle
     could not see the alpha alpha* terms that degree-0 centrality hinges
     on."""
-    sizes = [
-        len(m.alpha) + len(m.beta)
-        for b in elements
-        for m in b.element.monomials()
-    ]
-    return max([2] + sizes)
+    return max(
+        [2] + [len(m.alpha.edges) + len(m.beta.edges) for b in elements for m in b.element.terms]
+    )
 
 
 def same_span(
     alg: LeavittAlgebra, xs: list[AlgebraElement], ys: list[AlgebraElement]
 ) -> bool:
-    """Exact subspace equality of two spans of algebra elements."""
-    monomials = sorted(
-        {m for x in xs for m in x.terms} | {m for y in ys for m in y.terms},
-        key=lambda m: m.sort_key(),
-    )
-    index = {m: i for i, m in enumerate(monomials)}
+    """Exact subspace equality of two spans of algebra elements.
 
-    def to_rows(elems):
-        return [{index[m]: k for m, k in e.terms.items()} for e in elems if e.terms]
+    The monomials are numbered in the order they are first met, xs before
+    ys, and both sides are written in that one numbering.  For any fixed
+    order of the columns a subspace has exactly one RREF, so the spans are
+    equal exactly when their RREFs are, whatever the order: no sort is
+    needed.  RREF rows are dicts, which compare without regard to the
+    order of their items."""
+    index: dict[tuple, int] = {}  # monomial as plain fields -> column
 
-    def canon(rows):
-        reduced = _rref(rows, alg.field)
-        return [tuple(sorted(r.items())) for r in reduced]
+    def rref(elems):
+        rows = []
+        for e in elems:
+            if e.terms:
+                row = {}
+                for m, k in e.terms.items():
+                    a, b = m.alpha, m.beta
+                    row[index.setdefault((a.source, a.edges, b.source, b.edges), len(index))] = k
+                rows.append(row)
+        return _rref(rows, alg.field)
 
-    return canon(to_rows(xs)) == canon(to_rows(ys))
+    return rref(xs) == rref(ys)

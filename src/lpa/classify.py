@@ -188,17 +188,27 @@ def extreme_classes(g: Graph, infos: list[CycleInfo]) -> list[ExtremeClass]:
     The tree of an extreme cycle is its strongly connected component, so
     two extreme cycles are connected exactly when their trees are equal.
     Each class lists its cycles in `infos` order, which `classify_cycles`
-    gives as `simple_cycles` order, sorted by (length, base, edges).
+    gives as `simple_cycles` order, sorted by (length, base, edges).  Each
+    component is read once, at its first extreme cycle, and every vertex of
+    it is mapped to its bits.
     """
+    component: dict[str, int] = {}  # vertex -> bits of its component, once read
+    vertices: dict[int, frozenset[str]] = {}
     groups: dict[int, list[Cycle]] = {}
     for ci in infos:
         if ci.is_extreme:
-            groups.setdefault(g.tree_bits(ci.cycle.base), []).append(ci.cycle)
+            base = ci.cycle.base
+            bits = component.get(base)
+            if bits is None:
+                bits = g.tree_bits(base)
+                vertices[bits] = g.vertices_of(bits)
+                component.update(dict.fromkeys(vertices[bits], bits))
+            groups.setdefault(bits, []).append(ci.cycle)
     out = [
         ExtremeClass(
             class_id=min(c.base for c in cycles),
             cycles=tuple(cycles),
-            vertices=g.vertices_of(bits),
+            vertices=vertices[bits],
         )
         for bits, cycles in groups.items()
     ]
@@ -228,16 +238,16 @@ def sim_classes(g: Graph) -> list[frozenset[str]]:
 def x_decomposition(g: Graph) -> ClassificationReport:
     infos = classify_cycles(g)
     pl = line_points(g)
-    pc = frozenset().union(*(ci.cycle.vertex_set for ci in infos if not ci.has_exits))
+    pc = frozenset().union(*(ci.cycle.sources for ci in infos if not ci.has_exits))
     pc_plus = frozenset().union(
         *(
-            ci.cycle.vertex_set
+            ci.cycle.sources
             for ci in infos
             if not ci.has_exits and ci.wrap_count is INFINITE
         )
     )
-    pe = frozenset().union(*(ci.cycle.vertex_set for ci in infos if ci.has_exits))
-    pec = frozenset().union(*(ci.cycle.vertex_set for ci in infos if ci.is_extreme))
+    pe = frozenset().union(*(ci.cycle.sources for ci in infos if ci.has_exits))
+    pec = frozenset().union(*(ci.cycle.sources for ci in infos if ci.is_extreme))
     p = pl | pc | pec
     classes = sim_classes(g)
     s_cycles = [ci.cycle for ci in infos if ci.in_S]

@@ -120,8 +120,11 @@ def _run_oracle(env: Envelope, max_len: Optional[int]) -> bool:
     agrees_all = True
     for n in sorted(by_degree):
         elems = by_degree[n]
-        bound = max_len if max_len is not None else required_oracle_bound(elems)
-        check_oracle_bound(elems, bound)
+        if max_len is None:  # the least bound that holds the basis: no check can fail
+            bound = required_oracle_bound(elems)
+        else:
+            check_oracle_bound(elems, max_len)
+            bound = max_len
         commutant = oracle_commutant(alg, n, bound)
         ok = same_span(alg, [b.element for b in elems], commutant)
         env.oracle_checks.append((n, bound, ok))

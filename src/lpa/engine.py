@@ -154,6 +154,9 @@ class LeavittAlgebra:
         for e in graph.edges:
             self._in[e.dst].append(e)
         self._range_cache: dict[GPath, str] = {}
+        # the oracle's path tables (`center._OracleTables`), built on its
+        # first solve on this algebra
+        self._oracle_tables = None
 
     # -- paths and monomials ----------------------------------------------
 
@@ -345,8 +348,10 @@ class LeavittAlgebra:
         for m = alpha beta* in normal form.  add(key, term, c) is called once
         for every c·term that [k·m, g] contains, with key as in
         generator_labels() and term in the same plain form; terms that
-        cancel are sent twice, with opposite coefficients.  No
-        ``multiply`` or ``normal_form`` runs.  A monomial m = alpha beta*
+        cancel are sent twice, with opposite coefficients.  terms is
+        consumed one term at a time, in order, and every contribution of a
+        term is sent before the next term is drawn.  No ``multiply`` or
+        ``normal_form`` runs.  A monomial m = alpha beta*
         meets only the generators below, and each result is normal (for an
         edge e write a = s(e), b = r(e)):
 

@@ -25,10 +25,11 @@ from lpa.center import (
 )
 from lpa.classify import x_decomposition
 from lpa.engine import AlgebraElement, LeavittAlgebra, Monomial
-from lpa.fields import QQ, PrimeField
+from lpa.fields import QQ, ModInt, PrimeField
 from lpa.graphs import Edge, Graph, disjoint_union
 from lpa.randomgen import random_graph
 from corpus import FIXTURE_NAMES, graph
+from test_reachability import counted
 from references import (
     chained_graphs,
     cycle_with_tail,
@@ -458,6 +459,76 @@ def test_oracle_calls_no_reference_enumeration(monkeypatch, g):
     assert [oracle_commutant(alg, n, 5) for n in range(-3, 4)] == expected
 
 
+# -- the oracle's path tables, kept on the algebra ---------------------------------
+
+
+@st.composite
+def solve_orders(draw):
+    """(degree, bound) pairs in a shuffled order: every pair comes with its
+    negated degree, and the first pair is solved twice."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), min_size=1, max_size=4))
+    solves = pairs + [(-d, max_len) for d, max_len in pairs] + pairs[:1]
+    return draw(st.permutations(solves))
+
+
+def assert_one_algebra_serves(g, field, solves):
+    """One algebra solves every (degree, bound) in turn, sharing its tables;
+    each solve equals the references on a fresh algebra."""
+    alg = LeavittAlgebra(g, field)
+    for degree, max_len in solves:
+        fresh = LeavittAlgebra(g, field)
+        cands, rows = _oracle_matrix(alg, degree, max_len)
+        assert cands == ref_oracle_candidates(fresh, degree, max_len), (degree, max_len)
+        assert_matches_reference(alg, degree, max_len)
+        kernel = kernel_basis(rows, len(cands), field)
+        assert kernel == ref_kernel_basis(coerced(rows, field), len(cands), field)
+    # a degree beyond its bound has no candidates and reads no table
+    assert (alg._oracle_tables is None) == all(abs(d) > max_len for d, max_len in solves)
+
+
+@given(
+    renamed_random_graphs() | chained_graphs() | dense_graphs(max_edges=7),
+    st.sampled_from([QQ, F7, F2]),
+    solve_orders(),
+)
+@settings(max_examples=60, deadline=None)
+def test_oracle_tables_serve_any_order_of_solves(g, field, solves):
+    assert_one_algebra_serves(g, field, solves)
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F2], ids=["q", "p7", "p2"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_oracle_tables_serve_any_order_of_solves_on_roses(n, field):
+    solves = [(0, 4), (2, 4), (-1, 3), (0, 2), (-2, 4), (1, 3), (0, 4), (3, 3), (-3, 3), (0, 0)]
+    assert_one_algebra_serves(rose(n), field, random.Random(n).sample(solves, len(solves)))
+
+
+def test_oracle_tables_are_built_once_per_algebra(monkeypatch):
+    # k = 8 solves on each of two algebras of one graph, the bound rising and
+    # falling: two builds, one per algebra, and the layers grow on demand
+    built = []
+    init = lpa.center._OracleTables.__init__
+    monkeypatch.setattr(lpa.center._OracleTables, "__init__", counted(built, init))
+    g = cycle_with_tail(3)
+    algs = [LeavittAlgebra(g), LeavittAlgebra(g, F7)]
+    for alg in algs:
+        assert alg._oracle_tables is None
+        depths = []
+        for degree, max_len in [(0, 2), (3, 3), (-3, 3), (0, 6), (1, 5), (0, 2), (-1, 5), (3, 9)]:
+            oracle_commutant(alg, degree, max_len)
+            depths.append(len(alg._oracle_tables.layers))
+        assert depths == [2, 4, 4, 4, 4, 4, 4, 7]
+    assert [args[1] for args in built] == algs
+
+
+def test_oracle_tables_stop_at_the_longest_path():
+    # L_3 has no path longer than 2: a bound of 10^5 builds three layers
+    alg = LeavittAlgebra(graph("g_line3"))
+    far = oracle_commutant(alg, 0, 10**5)
+    assert [x.terms for x in far] == [x.terms for x in oracle_commutant(alg, 0, 4)]
+    assert len(alg._oracle_tables.layers) == 3 and alg._oracle_tables.exhausted
+
+
 @given(st.integers(0, 10**6), st.integers(-2, 2), st.integers(0, 4), st.sampled_from([QQ, F7]))
 @settings(max_examples=80, deadline=None)
 def test_kernel_basis_matches_reference(seed, degree, max_len, field):
@@ -565,6 +636,154 @@ def rows_with_units(draw, p):
 def test_rref_with_unit_rows_matches_reference(field, data):
     rows = data.draw(rows_with_units(getattr(field, "p", None)))
     assert _rref(rows, field) == ref_rref(coerced(rows, field), field)
+
+
+# -- the shapes _rref settles without elimination ------------------------------------
+
+
+def settled(monkeypatch, rows, field):
+    """_rref of the rows, and whether it called _eliminate."""
+    calls = []
+    monkeypatch.setattr(lpa.center, "_eliminate", counted(calls, lpa.center._eliminate))
+    return _rref(rows, field), bool(calls)
+
+
+def field_typed(rows, field):
+    """Over Q an entry is an int exactly when it is integral, else a
+    Fraction; over F_p it is a ModInt."""
+    if field == QQ:
+        return all(
+            type(k) is (int if Fraction(k).denominator == 1 else Fraction)
+            for row in rows
+            for k in row.values()
+        )
+    return all(type(k) is ModInt for row in rows for k in row.values())
+
+
+def typed(rows):
+    return [{c: (type(k), k) for c, k in row.items()} for row in rows]
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F2], ids=["q", "p7", "p2"])
+def test_rref_of_no_rows_is_empty(monkeypatch, field):
+    assert settled(monkeypatch, [], field) == ([], False)
+    assert ref_rref([], field) == []
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F2], ids=["q", "p7", "p2"])
+def test_rref_of_unit_rows_alone(monkeypatch, field):
+    # over F_2 the rows {3: 2} and {0: 14} are zero; over F_7, {0: 14} is
+    rows = [{3: 2}, {1: -5}, {3: 7}, {0: 14}, {1: 3}]
+    got, eliminated = settled(monkeypatch, rows, field)
+    assert got == ref_rref(coerced(rows, field), field)
+    assert not eliminated and field_typed(got, field)
+    assert [min(r) for r in got] == {QQ: [0, 1, 3], F7: [1, 3], F2: [1, 3]}[field]
+
+
+one_row_cases = [
+    # (rows, field): one multi-entry row once the unit rows are settled
+    ([{4: Fraction(-5, 7), 0: Fraction(2, 3), 2: 3}], QQ),
+    ([{1: 2, 5: -6, 3: Fraction(1, 2)}], QQ),
+    ([{2: -4, 5: 8, 6: 12}], QQ),
+    ([{1: 1}, {1: Fraction(3, 5), 4: Fraction(9, 10), 0: -2}], QQ),
+    ([{0: 7, 2: 14, 5: -21}], F7),  # every entry = 0 mod 7: the zero row
+    ([{0: 7, 2: 3, 5: 14}], F7),  # all but one = 0 mod 7: a unit row
+    ([{1: 5}, {1: 3, 4: 7}], F7),  # zero once the unit column is settled
+    ([{1: 5}, {1: 3, 4: 7, 6: 2}], F7),
+    ([{0: 2, 3: 4}], F2),
+    ([{0: 3, 3: 4, 5: 1}], F2),
+    ([{0: F7.coerce(3), 4: F7.coerce(5)}], F7),  # ModInt entries, as in same_span
+    # a row repeated, or negated, lies in the first one's span
+    ([{0: 1, 2: -1}, {0: -1, 2: 1}, {1: 1}, {0: 1, 2: -1}], QQ),
+    ([{3: Fraction(1, 2), 4: -2}, {3: Fraction(-1, 2), 4: 2}], QQ),
+    ([{0: 1, 2: 6}, {0: -1, 2: -6}, {0: 1, 2: 6}], F7),
+    ([{0: F7.coerce(2), 2: F7.coerce(3)}, {0: F7.coerce(-2), 2: F7.coerce(-3)}], F7),
+]
+
+
+@pytest.mark.parametrize("rows, field", one_row_cases)
+def test_rref_of_one_multi_entry_row(monkeypatch, rows, field):
+    """The direct path gives the reference RREF, and the same entries and
+    types as the elimination, which the last row and its double (neither
+    a repeat nor a negation of the other) go through."""
+    got, eliminated = settled(monkeypatch, rows, field)
+    assert not eliminated
+    assert got == ref_rref(coerced(rows, field), field)
+    assert field_typed(got, field)
+    double = {c: k + k for c, k in rows[-1].items()}
+    doubled, eliminated = settled(monkeypatch, rows + [double], field)
+    assert eliminated and typed(doubled) == typed(got)
+
+
+@st.composite
+def small_systems(draw, p):
+    """A few sparse rows, some one-entry, some repeated or negated, with
+    int entries (and Fractions over Q) that are often multiples of p: every
+    shape _rref tells apart."""
+    modulus = p or 1
+    ints = st.integers(-9, 9) | st.integers(-3, 3).map(lambda k: k * modulus)
+    entries = ints if p else ints | st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    row = st.dictionaries(st.integers(0, 5), entries, min_size=1, max_size=4)
+    rows = [
+        {c: QQ.coerce(k) if p is None else k for c, k in row.items() if k}
+        for row in draw(st.lists(row, max_size=4))
+    ]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        r = draw(st.sampled_from(rows))
+        again = dict(r) if draw(st.booleans()) else {c: -k for c, k in r.items()}
+        rows.insert(draw(st.integers(0, len(rows))), again)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F2], ids=["q", "p7", "p2"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_rref_shapes_match_reference(field, data):
+    rows = data.draw(small_systems(getattr(field, "p", None)))
+    reduced = _rref(rows, field)
+    assert reduced == ref_rref(coerced(rows, field), field)
+    assert field_typed(reduced, field)
+
+
+def test_same_span_of_disjoint_and_empty_sides():
+    alg = alg_of("g_line3")
+    v1, v2, v3 = (alg.vertex(v) for v in ("v1", "v2", "v3"))
+    cases = [
+        ([], []),
+        ([alg.zero()], []),
+        ([v1], [v2]),  # disjoint supports
+        ([v1 + v2], [v3]),
+        ([v1, v2], [v2.scale(5), v1 + v2]),
+        ([], [v1]),  # one empty side
+        ([v1 + v3], []),
+        ([alg.zero(), v1.scale(Fraction(2, 3))], [v1]),
+    ]
+    for xs, ys in cases:
+        assert same_span(alg, xs, ys) == ref_same_span(alg, xs, ys), (xs, ys)
+        assert same_span(alg, ys, xs) == ref_same_span(alg, ys, xs), (ys, xs)
+    assert [same_span(alg, xs, ys) for xs, ys in cases] == [
+        True, True, False, False, True, False, False, True,
+    ]
+
+
+@given(st.integers(0, 10**6), st.sampled_from([QQ, F7]))
+@settings(max_examples=100, deadline=None)
+def test_same_span_ignores_the_order_of_the_monomials(seed, field):
+    # same_span numbers the monomials as it meets them, so the order of
+    # the terms and of the elements decides the columns; the verdict and
+    # the reference's, which sorts, never differ
+    rng = random.Random(seed)
+    alg = LeavittAlgebra(random_graph(rng, 3, 5), field)
+    xs = random_span(alg, rng, lambda rng: rng.randint(-3, 3))
+    ys = [x.scale(2) for x in xs] + random_span(alg, rng, lambda rng: rng.randint(-3, 3))[:1]
+
+    def shuffled(elems):
+        out = [AlgebraElement(alg, dict(rng.sample(list(e.terms.items()), len(e.terms))))
+               for e in elems]
+        return rng.sample(out, len(out))
+
+    for a, b in [(xs, ys), (ys, xs), (shuffled(xs), shuffled(ys)), (xs, shuffled(xs))]:
+        assert same_span(alg, a, b) == ref_same_span(alg, a, b)
 
 
 def test_oracle_matrix_builds_no_elements(count_instances):

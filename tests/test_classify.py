@@ -14,7 +14,7 @@ from lpa.classify import (
     sim_classes,
     x_decomposition,
 )
-from lpa.graphs import INFINITE, InvariantError, disjoint_union, tree
+from lpa.graphs import INFINITE, Cycle, Edge, Graph, InvariantError, disjoint_union, tree
 from lpa.hereditary import (
     HereditarySet,
     entry_paths,
@@ -83,6 +83,47 @@ def test_extreme_classes_loop_empty():
 def test_extreme_classes_disjoint_union():
     g = disjoint_union(graph("g_ext2"), graph("g_ext2"))
     assert len(extreme_classes(g, classify_cycles(g))) == 2
+
+
+def complete_digraph(n):
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [Edge(f"e{a}.{b}", a, b) for a in vs for b in vs if a != b])
+
+
+def test_extreme_classes_read_each_component_once():
+    """The complete digraph on 4 vertices: its 20 simple cycles are all
+    extreme and share one component, whose tree is looked up once, not once
+    per cycle; two copies give two classes and two lookups."""
+    g = complete_digraph(4)
+    infos = classify_cycles(g)
+    assert len(infos) == 20 and all(ci.is_extreme for ci in infos)
+    trees = []
+    with mock.patch.object(Graph, "tree_bits", counted(trees, Graph.tree_bits)):
+        (xc,) = extreme_classes(g, infos)
+    assert len(trees) == 1
+    assert xc.vertices == set(g.vertices) and len(xc.cycles) == 20
+    g2 = disjoint_union(g, g)
+    infos = classify_cycles(g2)
+    trees.clear()
+    with mock.patch.object(Graph, "tree_bits", counted(trees, Graph.tree_bits)):
+        assert len(extreme_classes(g2, infos)) == 2
+    assert len(trees) == 2
+
+
+def test_x_decomposition_builds_no_cycle_vertex_sets():
+    """The P_c, P_c+, P_e and P_ec unions read each cycle's sources, not a
+    new `vertex_set` frozenset per union: on the complete digraph on 4
+    vertices, where no cycle is in S, no `vertex_set` is built at all."""
+    g = complete_digraph(4)
+    built = []
+    vertex_set = Cycle.vertex_set
+    with mock.patch.object(
+        Cycle, "vertex_set", property(counted(built, vertex_set.fget))
+    ):
+        report = x_decomposition(g)
+    assert built == []
+    assert report.p_e == report.p_ec == set(g.vertices)
+    assert not report.p_c and not report.p_c_plus
 
 
 @given(random_graphs())
