@@ -443,8 +443,7 @@ def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
     def terms():
         nonlocal j
         for j, m in enumerate(cands):
-            a, b = m.alpha, m.beta
-            yield (a.source, a.edges, b.source, b.edges), 1
+            yield m, 1
 
     def add(key, term, c):
         row = rows.setdefault(key + term, {})
@@ -466,11 +465,10 @@ class _OracleTables:
     - `specials`, the special edges, and `sole_special`, the vertices
       whose only in-edge is special at its source;
     - `layers`: layer i holds the paths of length i as (source, edges,
-      range, GPath), vertices in sorted order and each path of a layer
-      extended by its range's out-edges in id order (`succ`), so every
-      layer is sorted by (source, edges);
-    - `buckets`: (length, source, range) -> [(edges, GPath)], in layer
-      order.
+      range), vertices in sorted order and each path of a layer extended
+      by its range's out-edges in id order (`succ`), so every layer is
+      sorted by (source, edges);
+    - `buckets`: (length, source, range) -> [edges], in layer order.
 
     `reach(n)` extends the layers on demand.  An algebra's graph and its
     special edges are fixed when it is made, so no entry goes stale; a
@@ -484,9 +482,9 @@ class _OracleTables:
             v for v, es in into.items() if len(es) == 1 and special[es[0].src] == es[0].id
         )
         self.succ = {v: sorted((e.id, e.dst) for e in g.out_edges(v)) for v in g.vertices}
-        layer = [(v, (), v, GPath(v)) for v in sorted(g.vertices)]
+        layer = [(v, (), v) for v in sorted(g.vertices)]
         self.layers: list[list[tuple]] = [layer]
-        self.buckets: dict[tuple, list] = {(0, v, v): [((), path)] for v, _, _, path in layer}
+        self.buckets: dict[tuple, list] = {(0, v, v): [()] for v in g.vertices}
         self.exhausted = False  # some layer came out empty
 
     def reach(self, n: int) -> list[list[tuple]]:
@@ -497,12 +495,11 @@ class _OracleTables:
         while len(layers) <= n and not self.exhausted:
             i = len(layers)
             layer = []
-            for s, p, r, _ in layers[-1]:
+            for s, p, r in layers[-1]:
                 for e, r1 in succ[r]:
                     q = p + (e,)
-                    path = GPath(s, q)
-                    layer.append((s, q, r1, path))
-                    buckets.setdefault((i, s, r1), []).append((q, path))
+                    layer.append((s, q, r1))
+                    buckets.setdefault((i, s, r1), []).append(q)
             if layer:
                 layers.append(layer)
             else:
@@ -537,8 +534,7 @@ def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[M
     depends on n and the source v alone: when both sides are nonempty, v is
     forced when it has an in-edge; when one side is trivial, unless v's only
     in-edge is special at its source.  A forced v's alphas are skipped
-    whole.  A `Monomial` is built only for a kept candidate; its sides are
-    the tables' GPaths.
+    whole.  A `Monomial` is built only for a kept candidate.
     """
     if abs(degree) > max_len:
         return []
@@ -546,6 +542,7 @@ def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[M
     layers = tables.reach((max_len + abs(degree)) // 2)
     buckets, specials, sole_special = tables.buckets, tables.specials, tables.sole_special
     into = alg._in
+    make = Monomial._make
     out = []
     for n in range(abs(degree), max_len + 1, 2):
         i, j = (n + degree) // 2, (n - degree) // 2
@@ -553,16 +550,16 @@ def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[M
             break
         top = n > 0 and n + 2 > max_len
         both = i > 0 and j > 0
-        for s, p, r, alpha in layers[i]:
+        for s, p, r in layers[i]:
             if top and (into[s] if both else s not in sole_special):
                 continue
             bs = buckets.get((j, s, r))
             if not bs:
                 continue
             last = p[-1] if p and p[-1] in specials else None
-            for q, beta in bs:
+            for q in bs:
                 if last is None or not q or q[-1] != last:
-                    out.append(Monomial(alpha, beta))
+                    out.append(make((s, p, s, q)))
     return out
 
 
@@ -583,7 +580,7 @@ def required_oracle_bound(elements) -> int:
     could not see the alpha alpha* terms that degree-0 centrality hinges
     on."""
     return max(
-        [2] + [len(m.alpha.edges) + len(m.beta.edges) for b in elements for m in b.element.terms]
+        [2] + [len(p) + len(q) for b in elements for _, p, _, q in b.element.terms]
     )
 
 
@@ -598,17 +595,13 @@ def same_span(
     equal exactly when their RREFs are, whatever the order: no sort is
     needed.  RREF rows are dicts, which compare without regard to the
     order of their items."""
-    index: dict[tuple, int] = {}  # monomial as plain fields -> column
+    index: dict[Monomial, int] = {}  # -> column
 
     def rref(elems):
         rows = []
         for e in elems:
             if e.terms:
-                row = {}
-                for m, k in e.terms.items():
-                    a, b = m.alpha, m.beta
-                    row[index.setdefault((a.source, a.edges, b.source, b.edges), len(index))] = k
-                rows.append(row)
+                rows.append({index.setdefault(m, len(index)): k for m, k in e.terms.items()})
         return _rref(rows, alg.field)
 
     return rref(xs) == rref(ys)

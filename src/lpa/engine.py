@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .fields import QQ
 from .graphs import Graph
@@ -21,40 +21,46 @@ class EngineError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class GPath:
+class GPath(NamedTuple):
     """A path: source vertex plus an edge-id sequence (possibly empty)."""
 
     source: str
     edges: tuple[str, ...] = ()
 
-    def __len__(self):
-        return len(self.edges)
 
+class Monomial(tuple):
+    """alpha beta* with r(alpha) = r(beta), as the plain tuple
+    (s(alpha), alpha edges, s(beta), beta edges).
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """alpha beta* with r(alpha) = r(beta)."""
+    This is the one form of a monomial: the keys of every
+    `AlgebraElement` and the terms that `generator_action` reads and
+    writes.  Hash, equality and order are the tuple's, so a Monomial
+    equals the plain tuple of its fields, and it sorts as the pair of paths
+    (alpha, beta) does.  The engine reads it positionally,
+    ``sa, p, sb, q = m``; `alpha` and `beta` give the sides as `GPath`s."""
 
-    alpha: GPath
-    beta: GPath
+    __slots__ = ()
+
+    def __new__(cls, alpha: GPath, beta: GPath):
+        return cls._make((alpha.source, alpha.edges, beta.source, beta.edges))
+
+    # the one constructor from the plain tuple; tuple.__new__ runs no
+    # Python code and never calls __init__
+    _make = classmethod(tuple.__new__)
 
     @property
-    def degree(self) -> int:
-        return len(self.alpha) - len(self.beta)
+    def alpha(self) -> GPath:
+        return GPath(self[0], self[1])
 
-    def sort_key(self):
-        return (
-            len(self.alpha) + len(self.beta),
-            self.alpha.source,
-            self.alpha.edges,
-            self.beta.source,
-            self.beta.edges,
-        )
+    @property
+    def beta(self) -> GPath:
+        return GPath(self[2], self[3])
 
 
-def _is_prefix(p: GPath, q: GPath) -> bool:
-    return p.source == q.source and q.edges[: len(p.edges)] == p.edges
+def sort_key(m: tuple) -> tuple:
+    """The order of the terms of an element: |alpha| + |beta|, then
+    (s(alpha), alpha, s(beta), beta), the order of the tuple itself."""
+    return len(m[1]) + len(m[3]), m
 
 
 class AlgebraElement:
@@ -120,7 +126,7 @@ class AlgebraElement:
             raise EngineError("elements belong to different algebras")
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mk: mk[0].sort_key())
+        return sorted(self.terms.items(), key=lambda mk: sort_key(mk[0]))
 
     def monomials(self):
         return list(self.terms)
@@ -167,9 +173,10 @@ class LeavittAlgebra:
         return self._special[v]
 
     def path_range(self, p: GPath) -> str:
+        """The range of p, a GPath or a plain (source, edges) pair."""
         r = self._range_cache.get(p)
         if r is None:
-            r = self.graph.path_range(p.source, p.edges)
+            r = self.graph.path_range(*p)
             self._range_cache[p] = r
         return r
 
@@ -248,32 +255,25 @@ class LeavittAlgebra:
         strictly shortens the reducible part, so it terminates.
         """
         zero = self.field.zero
+        make = Monomial._make
         out: dict[Monomial, object] = {}
         stack = [(m, self.field.coerce(k)) for m, k in raw_terms]
         for m, _ in stack:
-            if self.path_range(m.alpha) != self.path_range(m.beta):
+            if self.path_range(m[:2]) != self.path_range(m[2:]):
                 raise EngineError(f"range mismatch in raw term: {m}")
         while stack:
             m, k = stack.pop()
             if k == zero:
                 continue
-            if self._reducible(m.alpha.edges, m.beta.edges):
-                s = m.alpha.edges[-1]
-                v = self.graph.edge(s).src
-                alpha1 = GPath(m.alpha.source, m.alpha.edges[:-1])
-                beta1 = GPath(m.beta.source, m.beta.edges[:-1])
-                stack.append((Monomial(alpha1, beta1), k))
-                for e in self.graph.out_edges(v):
+            sa, p, sb, q = m
+            if self._reducible(p, q):
+                s = p[-1]
+                p1, q1 = p[:-1], q[:-1]
+                stack.append((make((sa, p1, sb, q1)), k))
+                for e in self.graph.out_edges(self.graph.edge(s).src):
                     if e.id != s:
-                        stack.append(
-                            (
-                                Monomial(
-                                    GPath(alpha1.source, alpha1.edges + (e.id,)),
-                                    GPath(beta1.source, beta1.edges + (e.id,)),
-                                ),
-                                -k,
-                            )
-                        )
+                        fe = (e.id,)
+                        stack.append((make((sa, p1 + fe, sb, q1 + fe)), -k))
             else:
                 acc = out.get(m, zero) + k
                 if acc == zero:
@@ -285,16 +285,17 @@ class LeavittAlgebra:
     # -- products -------------------------------------------------------------
 
     def mono_mul_raw(self, m1: Monomial, m2: Monomial):
-        """(a1 b1*)(a2 b2*) before normalization; None when it vanishes."""
-        b1, a2 = m1.beta, m2.alpha
-        if _is_prefix(b1, a2):
-            gamma = a2.edges[len(b1.edges):]
-            alpha = GPath(m1.alpha.source, m1.alpha.edges + gamma)
-            return Monomial(alpha, m2.beta)
-        if _is_prefix(a2, b1):
-            delta = b1.edges[len(a2.edges):]
-            beta = GPath(m2.beta.source, m2.beta.edges + delta)
-            return Monomial(m1.alpha, beta)
+        """(a1 b1*)(a2 b2*) before normalization; None when it vanishes:
+        b1 and a2 must start at one vertex, and one must be a prefix of the
+        other."""
+        sa1, p1, sb1, q1 = m1
+        sa2, p2, sb2, q2 = m2
+        if sb1 != sa2:
+            return None
+        if p2[: len(q1)] == q1:
+            return Monomial._make((sa1, p1 + p2[len(q1):], sb2, q2))
+        if q1[: len(p2)] == p2:
+            return Monomial._make((sa1, p1, sb2, q2 + q1[len(p2):]))
         return None
 
     def multiply(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -312,20 +313,18 @@ class LeavittAlgebra:
     # -- structure maps --------------------------------------------------------
 
     def involution(self, x: AlgebraElement) -> AlgebraElement:
+        make = Monomial._make
         return self.normal_form(
-            [(Monomial(m.beta, m.alpha), k) for m, k in x.terms.items()]
+            [(make((sb, q, sa, p)), k) for (sa, p, sb, q), k in x.terms.items()]
         )
 
     # -- centrality --------------------------------------------------------------
 
     def generators(self):
-        """(label, element) for every vertex, edge, and ghost edge."""
-        for v in self.graph.vertices:
-            yield v, self.vertex(v)
-        for e in self.graph.edges:
-            yield e.id, self.edge(e.id)
-        for e in self.graph.edges:
-            yield e.id + "*", self.ghost(e.id)
+        """(label, element) for every vertex, edge, and ghost edge, in the
+        order of generator_labels(), whose kinds name the constructors."""
+        for label, kind, gid in self.generator_labels():
+            yield label, getattr(self, kind)(gid)
 
     def generator_labels(self):
         """(label, kind, id) for every generator, in the order of generators().
@@ -344,10 +343,10 @@ class LeavittAlgebra:
         """Send [k·m, g] for every term (m, k) of terms and every generator g
         to the accumulator add, without building g or any Monomial.
 
-        A term is ((alpha source, alpha edges, beta source, beta edges), k)
-        for m = alpha beta* in normal form.  add(key, term, c) is called once
+        A term is (m, k) for a `Monomial` m = alpha beta* in normal form, or
+        the plain tuple equal to it.  add(key, term, c) is called once
         for every c·term that [k·m, g] contains, with key as in
-        generator_labels() and term in the same plain form; terms that
+        generator_labels() and term a plain tuple or m itself; terms that
         cancel are sent twice, with opposite coefficients.  terms is
         consumed one term at a time, in order, and every contribution of a
         term is sent before the next term is drawn.  No ``multiply`` or
@@ -413,9 +412,9 @@ class LeavittAlgebra:
         as in generator_labels(); x must be in normal form.
 
         Equal to ``commutator(x, g)`` for each g, from one generator_action
-        pass over x's terms.  The terms are summed under plain tuples, and
-        Monomials are built only for the generators whose commutator is
-        nonzero, so a central x builds none.
+        pass over x's terms.  The terms are summed under the tuples that
+        generator_action sends, and Monomials are made of them only for the
+        generators whose commutator is nonzero, so a central x builds none.
         """
         zero = self.field.zero
         acc: dict[tuple, dict] = {}
@@ -428,16 +427,10 @@ class LeavittAlgebra:
             else:
                 terms[term] = s
 
-        self.generator_action(
-            (((m.alpha.source, m.alpha.edges, m.beta.source, m.beta.edges), k)
-             for m, k in x.terms.items()),
-            add,
-        )
+        self.generator_action(x.terms.items(), add)
+        make = Monomial._make
         return {
-            key: AlgebraElement(
-                self,
-                {Monomial(GPath(sa, p), GPath(sb, q)): k for (sa, p, sb, q), k in terms.items()},
-            )
+            key: AlgebraElement(self, {make(t): k for t, k in terms.items()})
             for key, terms in acc.items()
             if terms
         }
@@ -484,7 +477,7 @@ class LeavittAlgebra:
             return []
         buckets: dict[tuple[str, int], list[GPath]] = {}
         for p in self.enumerate_paths((max_len + abs(degree)) // 2):
-            buckets.setdefault((self.path_range(p), len(p)), []).append(p)
+            buckets.setdefault((self.path_range(p), len(p.edges)), []).append(p)
         out = []
         for (r, i), alphas in buckets.items():
             if 2 * i - degree > max_len:
@@ -493,7 +486,7 @@ class LeavittAlgebra:
                 for a in alphas:
                     if not self._reducible(a.edges, b.edges):
                         out.append(Monomial(a, b))
-        out.sort(key=lambda m: m.sort_key())
+        out.sort(key=sort_key)
         return out
 
     # -- rendering --------------------------------------------------------------
@@ -502,14 +495,13 @@ class LeavittAlgebra:
         if not x.terms:
             return "0"
         parts = []
-        for m, k in x.sorted_terms():
+        for (sa, p, _, q), k in x.sorted_terms():
             ks = self.field.render(k)
             if ks.startswith("-"):
                 ks = f"({ks})"
-            alpha_str = " ".join(m.alpha.edges) if m.alpha.edges else m.alpha.source
-            term = f"{ks}·{alpha_str}"
-            if m.beta.edges:
-                term += f" ({' '.join(m.beta.edges)})*"
+            term = f"{ks}·{' '.join(p) if p else sa}"
+            if q:
+                term += f" ({' '.join(q)})*"
             parts.append(term)
         return " + ".join(parts)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from lpa.engine import AlgebraElement, Monomial
+from lpa.engine import AlgebraElement, Monomial, sort_key
 from lpa.fields import QQ
 from lpa.graphs import Edge, Graph
 from lpa.randomgen import random_graph
@@ -108,10 +108,10 @@ def ref_normal_monomials(alg, degree, max_len):
     for ps in by_range.values():
         for a in ps:
             for b in ps:
-                if len(a) - len(b) == degree and len(a) + len(b) <= max_len:
+                if len(a.edges) - len(b.edges) == degree and len(a.edges) + len(b.edges) <= max_len:
                     if not alg._reducible(a.edges, b.edges):
                         out.append(Monomial(a, b))
-    out.sort(key=lambda m: m.sort_key())
+    out.sort(key=sort_key)
     return out
 
 
@@ -218,7 +218,7 @@ def ref_same_span(alg, xs, ys):
     """same_span with ref_rref."""
     monomials = sorted(
         {m for x in xs for m in x.terms} | {m for y in ys for m in y.terms},
-        key=lambda m: m.sort_key(),
+        key=sort_key,
     )
     index = {m: i for i, m in enumerate(monomials)}
 

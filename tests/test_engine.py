@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lpa.center import basis_zero
 from lpa.classify import x_decomposition
-from lpa.engine import AlgebraElement, EngineError, LeavittAlgebra, Monomial
+from lpa.engine import AlgebraElement, EngineError, GPath, LeavittAlgebra, Monomial
 from lpa.fields import PrimeField
 from lpa.graphs import Edge, Graph
 from lpa.randomgen import random_graph
@@ -47,6 +47,53 @@ def test_special_edge_examples():
     assert alg_of("g_toeplitz").special_edge("u") == "e"
     with pytest.raises(EngineError):
         alg_of("g_line3").special_edge("v3")
+
+
+# -- monomials ----------------------------------------------------------------
+
+gpaths = st.builds(
+    GPath,
+    st.sampled_from(["u", "v", "v10", "v2"]),
+    st.lists(st.sampled_from(["e1", "e10", "e2"]), max_size=3).map(tuple),
+)
+
+
+@given(gpaths, gpaths, gpaths, gpaths)
+def test_monomial_is_its_plain_tuple(a, b, c, d):
+    m, n = Monomial(a, b), Monomial(c, d)
+    t, u = (a.source, a.edges, b.source, b.edges), (c.source, c.edges, d.source, d.edges)
+    assert m == t and hash(m) == hash(t) and (m.alpha, m.beta) == (a, b)
+    # ordered as the plain tuples, and as the pairs of paths (alpha, beta)
+    assert (m < n) == (t < u) == ((a, b) < (c, d))
+    assert (m == n) == (t == u) == ((a, b) == (c, d))
+
+
+def by_length_then_fields(m):
+    a, b = m.alpha, m.beta
+    return len(a.edges) + len(b.edges), a.source, a.edges, b.source, b.edges
+
+
+def plain(x):
+    """x with every Monomial key replaced by the plain tuple equal to it."""
+    return AlgebraElement(x.algebra, {tuple(m): k for m, k in x.terms.items()})
+
+
+@given(random_algebras(3, 5), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_sorted_terms_order(alg, salt):
+    x = random_element(alg, random.Random(salt), 4)
+    order = sorted(x.terms, key=by_length_then_fields)
+    assert [m for m, _ in x.sorted_terms()] == order
+    assert [m for m, _ in plain(x).sorted_terms()] == order
+
+
+@given(random_algebras(3, 5), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_plain_tuple_keys_equal_monomial_keys(alg, salt):
+    x = random_element(alg, random.Random(salt), 4)
+    y = plain(x)
+    assert y == x and hash(y) == hash(x)
+    assert alg.render(y) == alg.render(x)
 
 
 # -- products ----------------------------------------------------------------
@@ -194,6 +241,12 @@ def test_generator_commutator_matches_reference(g, field, salt):
     for _ in range(3):
         x = random_element(alg, rng, 4)
         coms = alg.commutators(x)
+        # the terms are summed as plain tuples and come back as Monomials
+        assert all(
+            type(m) is Monomial and m == (m.alpha.source, m.alpha.edges, m.beta.source, m.beta.edges)
+            for c in coms.values()
+            for m in c.terms
+        )
         witness = None
         for (label, gen), (label2, kind, gid) in zip(
             alg.generators(), alg.generator_labels()
