@@ -101,14 +101,14 @@ def _laurent_basis(
     one = alg.field.one
     by_degree: dict[int, list[CentralBasisElement]] = {}
     for c in _s_cycles(report):
-        eps = entry_paths(g, HereditarySet(g, c.vertex_set))
-        class_id = min(
-            (xc.rep for xc in report.x_classes if c.vertex_set <= xc.members),
-            default=c.base,
-        )
+        vertices = c.vertex_set
+        eps = entry_paths(g, HereditarySet(g, vertices))
+        # c's vertices are in P and, by rule (ii), inside one ~ class, so
+        # the X-class that holds c.base is the one that holds c
+        class_id = next(xc.rep for xc in report.x_classes if c.base in xc.members)
         for m in range(1, degree_window // len(c) + 1):
             raw = []
-            for u in g.sorted_vertices(c.vertex_set):
+            for u in g.sorted_vertices(vertices):
                 rot = c.rotation_at(u)
                 raw.append((Monomial(GPath(u, rot * m), alg.trivial_path(u)), one))
             for p in eps.paths:

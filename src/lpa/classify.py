@@ -3,7 +3,7 @@ the ~ relation, the X_f decomposition, ideal structure, and primeness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 from typing import Optional
@@ -86,11 +86,32 @@ def line_points(g: Graph) -> frozenset[str]:
     return frozenset(v for v in g.vertices if not g.tree_bits(v) & blocked)
 
 
-def classify_cycles(g: Graph) -> list[CycleInfo]:
-    """Every simple cycle's exits, extremeness, entry and wrap counts, in
-    `simple_cycles` order, read one strongly connected component at a time.
+def sim_classes(g: Graph) -> list[frozenset[str]]:
+    """Equivalence classes of ~ (transitive closure of ~1) on all vertices.
 
-    Every fact below is a fact about the component K of the cycle c, its
+    Both rules come down to linking the two ends of single edges.  Rule
+    (ii) relates a cycle vertex to everything in its tree, and that tree
+    is joined up by the edges leaving its members.  Rule (i) relates
+    comparable vertices whose trees have no bifurcation; such a vertex
+    has at most one edge, and its target's tree lies inside its own.
+    """
+    bifs = g.bifurcation_bits()
+    below_cycle = g.tree_union_bits(g.cycle_bits())
+    linking = [
+        e
+        for e in g.edges
+        if below_cycle >> g.vertex_order(e.src) & 1 or not g.tree_bits(e.src) & bifs
+    ]
+    return [frozenset(vs) for vs in _linked_groups(g, linking)]
+
+
+def x_decomposition(g: Graph) -> ClassificationReport:
+    """The classification of g, read one strongly connected component at a
+    time: every simple cycle's exits, extremeness, entry and wrap counts
+    (in `simple_cycles` order), the P-sets, the extreme classes and the
+    ~ classes that meet P.
+
+    Every fact about a cycle c below is a fact about its component K, K's
     inflow (the paths whose last edge enters K from outside, INFINITE when
     a cycle outside K reaches K) and the other simple cycles of K.  Every
     edge of c starts in c^0, so a path into c^0 cut at its first vertex in
@@ -141,6 +162,22 @@ def classify_cycles(g: Graph) -> list[CycleInfo]:
        is an entry path followed by k < |c| steps round c: |c| times the
        entry count.
     c lies in S iff it has no exits and a finite wrap count.
+
+    So the vertex sets are unions of components.  Every vertex of a cyclic
+    K lies on one of K's simple cycles (by the argument of 1), so the union
+    of the vertices of K's cycles is K itself:
+    - P_c holds the components without exits, P_e those with exits and
+      P_ec the extreme ones.
+    - A component without exits is a single cycle (by 2 and 1), whose wrap
+      count is INFINITE exactly when K's inflow is (by 4).  P_c+ holds
+      those; the others are the cycles of S, and their vertices are P_c-.
+    - An extreme class is one extreme component: the tree of an extreme
+      cycle is its component, so two extreme cycles are connected exactly
+      when they share one.  It lists K's cycles in `simple_cycles` order,
+      and its id, the least base among them, is K's least vertex, since a
+      cycle's base is its least vertex.
+    A cycle lies inside one ~ class, by rule (ii), so a class holds a cycle
+    of S, and is cycle_laurent, exactly when it meets P_c-.
     """
     cycles = simple_cycles(g)
     bifs = g.bifurcation_bits()
@@ -148,11 +185,31 @@ def classify_cycles(g: Graph) -> list[CycleInfo]:
     for i, c in enumerate(cycles):
         groups.setdefault(g.component_bits(c.base), []).append(i)
     infos: list = [None] * len(cycles)
+    pc = pc_plus = pc_minus = pe = pec = 0  # bitsets, unions of components
+    x_ec = []
     for bits, members in groups.items():
         first = cycles[members[0]].base
         inflow = g.component_inflow(first)
         has_exits = bool(bits & bifs)
         is_extreme = has_exits and g.tree_bits(first) == bits
+        if not has_exits:
+            pc |= bits
+            if inflow is INFINITE:
+                pc_plus |= bits
+            else:
+                pc_minus |= bits
+        else:
+            pe |= bits
+            if is_extreme:
+                pec |= bits
+                vertices = g.vertices_of(bits)
+                x_ec.append(
+                    ExtremeClass(
+                        class_id=min(vertices),
+                        cycles=tuple(cycles[i] for i in members),
+                        vertices=vertices,
+                    )
+                )
         lone = len(members) == 1  # K is c
         if not lone and inflow is not INFINITE:
             through: dict[str, int] = {}  # edge -> bitmask of K's cycles through it
@@ -179,92 +236,25 @@ def classify_cycles(g: Graph) -> list[CycleInfo]:
                 entry_count=entry,
                 wrap_count=wrap,
             )
-    return infos
-
-
-def extreme_classes(g: Graph, infos: list[CycleInfo]) -> list[ExtremeClass]:
-    """Partition extreme cycles by connectivity; carries c~^0 = T(c^0).
-
-    The tree of an extreme cycle is its strongly connected component, so
-    two extreme cycles are connected exactly when their trees are equal.
-    Each class lists its cycles in `infos` order, which `classify_cycles`
-    gives as `simple_cycles` order, sorted by (length, base, edges).  Each
-    component is read once, at its first extreme cycle, and every vertex of
-    it is mapped to its bits.
-    """
-    component: dict[str, int] = {}  # vertex -> bits of its component, once read
-    vertices: dict[int, frozenset[str]] = {}
-    groups: dict[int, list[Cycle]] = {}
-    for ci in infos:
-        if ci.is_extreme:
-            base = ci.cycle.base
-            bits = component.get(base)
-            if bits is None:
-                bits = g.tree_bits(base)
-                vertices[bits] = g.vertices_of(bits)
-                component.update(dict.fromkeys(vertices[bits], bits))
-            groups.setdefault(bits, []).append(ci.cycle)
-    out = [
-        ExtremeClass(
-            class_id=min(c.base for c in cycles),
-            cycles=tuple(cycles),
-            vertices=vertices[bits],
-        )
-        for bits, cycles in groups.items()
-    ]
-    out.sort(key=lambda xc: xc.class_id)
-    return out
-
-
-def sim_classes(g: Graph) -> list[frozenset[str]]:
-    """Equivalence classes of ~ (transitive closure of ~1) on all vertices.
-
-    Both rules come down to linking the two ends of single edges.  Rule
-    (ii) relates a cycle vertex to everything in its tree, and that tree
-    is joined up by the edges leaving its members.  Rule (i) relates
-    comparable vertices whose trees have no bifurcation; such a vertex
-    has at most one edge, and its target's tree lies inside its own.
-    """
-    bifs = g.bifurcation_bits()
-    below_cycle = g.tree_union_bits(g.cycle_bits())
-    linking = [
-        e
-        for e in g.edges
-        if below_cycle >> g.vertex_order(e.src) & 1 or not g.tree_bits(e.src) & bifs
-    ]
-    return [frozenset(vs) for vs in _linked_groups(g, linking)]
-
-
-def x_decomposition(g: Graph) -> ClassificationReport:
-    infos = classify_cycles(g)
+    x_ec.sort(key=lambda xc: xc.class_id)
+    # each union as a vertex set, built once
+    pc, pc_plus, pc_minus, pe, pec = map(g.vertices_of, (pc, pc_plus, pc_minus, pe, pec))
     pl = line_points(g)
-    pc = frozenset().union(*(ci.cycle.sources for ci in infos if not ci.has_exits))
-    pc_plus = frozenset().union(
-        *(
-            ci.cycle.sources
-            for ci in infos
-            if not ci.has_exits and ci.wrap_count is INFINITE
-        )
-    )
-    pe = frozenset().union(*(ci.cycle.sources for ci in infos if ci.has_exits))
-    pec = frozenset().union(*(ci.cycle.sources for ci in infos if ci.is_extreme))
     p = pl | pc | pec
     classes = sim_classes(g)
-    s_cycles = [ci.cycle for ci in infos if ci.in_S]
 
     x_classes = []
     for cls in classes:
-        if not (cls & p):
+        inter = cls & p
+        if not inter:
             continue
         closure = saturated_closure(g, hereditary_closure(g, cls))
         eps = entry_paths(g, closure)
-        is_finite = not eps.is_infinite
-        inter = cls & p
         if inter <= pl:
             ctype = "line"
         elif inter <= pec:
             ctype = "extreme"
-        elif any(c.vertex_set <= cls for c in s_cycles):
+        elif cls & pc_minus:
             ctype = "cycle_laurent"
         else:
             ctype = "cycle_degenerate"
@@ -274,7 +264,7 @@ def x_decomposition(g: Graph) -> ClassificationReport:
                 rep=min(cls, key=g.vertex_order),
                 closure=closure.members,
                 entry=eps,
-                is_finite=is_finite,
+                is_finite=not eps.is_infinite,
                 class_type=ctype,
             )
         )
@@ -286,14 +276,14 @@ def x_decomposition(g: Graph) -> ClassificationReport:
         p_l=pl,
         p_c=pc,
         p_c_plus=pc_plus,
-        p_c_minus=pc - pc_plus,
+        p_c_minus=pc_minus,
         p_e=pe,
         p_ec=pec,
         # the vertices whose tree meets infinitely many bifurcations: none
         # on a finite graph, so the report carries the field empty
         p_binf=frozenset(),
         cycles=tuple(infos),
-        x_ec=tuple(extreme_classes(g, infos)),
+        x_ec=tuple(x_ec),
         sim_classes=tuple(classes),
         x_classes=tuple(x_classes),
         h_f=h_f,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from .graphs import (
@@ -112,24 +113,43 @@ def entry_paths(g: Graph, H: HereditarySet) -> EntryPathSet:
     return EntryPathSet(H, tuple(paths))
 
 
-def path_vertex_id(path: tuple[str, ...]) -> str:
-    """Printable vertex id for an entry path in the restriction graph."""
-    return "[" + "".join(path) + "]"
+def path_vertex_id(path: tuple[str, ...], pad: str = "") -> str:
+    """Vertex id for an entry path in the restriction graph: `pad`, then the
+    path as a JSON list of edge ids, from which it is read back exactly."""
+    return pad + json.dumps(path, separators=(",", ":"))
 
 
 def restriction_graph(g: Graph, eps: EntryPathSet) -> Graph:
     """The graph _H E whose Leavitt path algebra realizes the ideal I(H),
-    built from F_E(H) as `entry_paths` gives it, with H its target."""
+    built from F_E(H) as `entry_paths` gives it, with H its target.
+
+    Each entry path p becomes a vertex `path_vertex_id(p, pad)` with one
+    edge "bar" + that id.  The JSON list determines p, so distinct paths
+    get distinct ids.  Every id starts with pad + "[", and the pad is the
+    shortest run of "#" for which that prefix starts no vertex id of g and
+    follows "bar" in no edge id of g, so no new id is one of g's, nor of H's.
+
+    These ids never reach a report.  `ideal_structure` builds a restriction
+    graph only for an extreme class, with H the component K = T(c^0), and
+    that graph always certifies as purely infinite simple, so its
+    certificate names no vertex.  Each path vertex is a source with one
+    edge into K, so the cycles are K's: every vertex reaches one, each has
+    an exit since K has a bifurcation, and every tree holds all of K, so
+    every cycle vertex, since K is strongly connected.
+    """
     if eps.is_infinite:
         raise GraphError("entry path set is infinite; restriction graph not finite")
     H = eps.target
     vertices = [v for v in g.vertices if v in H.members]
-    vertices += [path_vertex_id(p) for p in eps.paths]
     edges = [e for e in g.edges if e.src in H.members]
+    taken = list(g.vertices) + [e.id[3:] for e in g.edges if e.id.startswith("bar")]
+    pad = ""
+    while any(t.startswith(pad + "[") for t in taken):
+        pad += "#"
     for p in eps.paths:
-        edges.append(
-            Edge(id="bar" + path_vertex_id(p), src=path_vertex_id(p), dst=g.edge(p[-1]).dst)
-        )
+        v = path_vertex_id(p, pad)
+        vertices.append(v)
+        edges.append(Edge(id="bar" + v, src=v, dst=g.edge(p[-1]).dst))
     return Graph(vertices, edges)
 
 

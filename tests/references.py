@@ -1,17 +1,51 @@
-"""Slow references for the oracle's fast paths: the all-pairs candidate
+"""Slow references for the fast paths: the all-pairs candidate
 enumeration, the matrix built from one ``commutators`` call per candidate
-and the single global-pivot elimination they replaced, plus the graph
-families the tests draw from."""
+and the single global-pivot elimination the oracle replaced, the
+classification read from every enumerated cycle that the pass over the
+components replaced, plus the graph families the tests draw from."""
 
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from lpa.classify import (
+    ClassificationReport,
+    ExtremeClass,
+    XClass,
+    line_points,
+    sim_classes,
+)
 from lpa.engine import AlgebraElement, Monomial, sort_key
 from lpa.fields import QQ
-from lpa.graphs import Edge, Graph
+from lpa.graphs import INFINITE, Edge, Graph
+from lpa.hereditary import entry_paths, hereditary_closure, saturated_closure
 from lpa.randomgen import random_graph
+
+
+# Graphs on which two entry-path vertices of a restriction graph once got
+# the same id: the paths ("a", "b") and ("ab",) into u, and the path ("a",)
+# into a vertex named "[a]".
+PATH_ID_CLASHES = {
+    "concatenated_edge_ids": {
+        "vertices": ["x", "y", "u"],
+        "edges": [
+            {"id": "a", "src": "x", "dst": "y"},
+            {"id": "b", "src": "y", "dst": "u"},
+            {"id": "ab", "src": "x", "dst": "u"},
+            {"id": "l1", "src": "u", "dst": "u"},
+            {"id": "l2", "src": "u", "dst": "u"},
+        ],
+    },
+    "bracketed_vertex_id": {
+        "vertices": ["x", "[a]"],
+        "edges": [
+            {"id": "a", "src": "x", "dst": "[a]"},
+            {"id": "l1", "src": "[a]", "dst": "[a]"},
+            {"id": "l2", "src": "[a]", "dst": "[a]"},
+        ],
+    },
+}
 
 
 def rose(n):
@@ -227,3 +261,121 @@ def ref_same_span(alg, xs, ys):
         return [tuple(sorted(r.items())) for r in ref_rref(rows, alg.field)]
 
     return canon(xs) == canon(ys)
+
+
+# -- classification ---------------------------------------------------------------
+
+
+def ref_tree(g, v):
+    g.check_vertex(v)
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for e in g.out_edges(u):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+    return frozenset(seen)
+
+
+def union_find_classes(n, related):
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in related:
+        a, b = find(i), find(j)
+        if a != b:
+            parent[a] = b
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def ref_extreme_classes(g, infos):
+    ext = [ci.cycle for ci in infos if ci.is_extreme]
+    trees = [frozenset().union(*(ref_tree(g, v) for v in c.vertex_set)) for c in ext]
+    related = [
+        (i, j)
+        for i, c in enumerate(ext)
+        for j, d in enumerate(ext)
+        if i < j and (trees[i] & d.vertex_set or trees[j] & c.vertex_set)
+    ]
+    out = []
+    for idxs in union_find_classes(len(ext), related):
+        cycles = tuple(sorted((ext[i] for i in idxs), key=lambda c: (len(c), c.base, c.edges)))
+        out.append(
+            ExtremeClass(
+                class_id=min(c.base for c in cycles),
+                cycles=cycles,
+                vertices=frozenset().union(*(trees[i] for i in idxs)),
+            )
+        )
+    out.sort(key=lambda xc: xc.class_id)
+    return out
+
+
+def ref_x_decomposition(g, infos):
+    """The classification report read from the per-cycle `infos`: P_c,
+    P_c+, P_e and P_ec as unions of cycle vertex sets, a class is
+    cycle_laurent when it holds a whole cycle of S, and the extreme classes
+    are joined by their trees.  The line points, the ~ classes, the
+    closures and the entry paths come from lpa; the tests compare each of
+    them with its own reference."""
+
+    def union(keep):
+        return frozenset().union(*(ci.cycle.vertex_set for ci in infos if keep(ci)))
+
+    pl = line_points(g)
+    pc = union(lambda ci: not ci.has_exits)
+    pc_plus = union(lambda ci: not ci.has_exits and ci.wrap_count is INFINITE)
+    pe = union(lambda ci: ci.has_exits)
+    pec = union(lambda ci: ci.is_extreme)
+    p = pl | pc | pec
+    s_cycles = [ci.cycle for ci in infos if ci.in_S]
+    classes = sim_classes(g)
+    x_classes = []
+    for cls in classes:
+        if not cls & p:
+            continue
+        closure = saturated_closure(g, hereditary_closure(g, cls))
+        eps = entry_paths(g, closure)
+        inter = cls & p
+        if inter <= pl:
+            ctype = "line"
+        elif inter <= pec:
+            ctype = "extreme"
+        elif any(c.vertex_set <= cls for c in s_cycles):
+            ctype = "cycle_laurent"
+        else:
+            ctype = "cycle_degenerate"
+        x_classes.append(
+            XClass(
+                members=cls,
+                rep=min(cls, key=g.vertex_order),
+                closure=closure.members,
+                entry=eps,
+                is_finite=not eps.is_infinite,
+                class_type=ctype,
+            )
+        )
+    return ClassificationReport(
+        p_l=pl,
+        p_c=pc,
+        p_c_plus=pc_plus,
+        p_c_minus=pc - pc_plus,
+        p_e=pe,
+        p_ec=pec,
+        p_binf=frozenset(),
+        cycles=tuple(infos),
+        x_ec=tuple(ref_extreme_classes(g, infos)),
+        sim_classes=tuple(classes),
+        x_classes=tuple(x_classes),
+        h_f=frozenset().union(*(xc.closure for xc in x_classes if xc.is_finite)),
+        h_inf=frozenset().union(*(xc.closure for xc in x_classes if not xc.is_finite)),
+    )

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, each reported as a single
 pass/fail line in the terminal summary (see conftest)."""
 
+import json
 import random
 
 from lpa.center import (
@@ -13,7 +14,7 @@ from lpa.center import (
 )
 from lpa.classify import ideal_structure, prime_trichotomy, x_decomposition
 from lpa.engine import LeavittAlgebra, Monomial
-from lpa.graphs import disjoint_union, tree
+from lpa.graphs import disjoint_union, parse_graph, tree
 from lpa.hereditary import (
     HereditarySet,
     entry_paths,
@@ -25,6 +26,7 @@ from lpa.hereditary import (
 from lpa.randomgen import random_graph
 from lpa.reports import build_envelope
 from corpus import graph
+from references import PATH_ID_CLASHES
 
 
 def all_basis_elements(alg, rep, degree_window=None):
@@ -189,26 +191,10 @@ def test_criterion_07_density(campaign500):
 
 
 def _phi_maps(g, alg, rg):
-    """Generator images of the restriction graph inside the ambient algebra."""
-    from lpa.hereditary import path_vertex_id  # bracketed ids
-
-    # recover the entry path behind each bracketed vertex id
-    path_of = {}
-    for e in rg.edges:
-        if e.id.startswith("bar["):
-            edge_ids = []
-            # bracketed ids concatenate edge ids; recover by greedy scan
-            body = e.src[1:-1]
-            while body:
-                for eid in sorted((x.id for x in g.edges), key=len, reverse=True):
-                    if body.startswith(eid):
-                        edge_ids.append(eid)
-                        body = body[len(eid):]
-                        break
-                else:
-                    raise AssertionError(f"cannot split path id {e.src!r}")
-            path_of[e.src] = tuple(edge_ids)
-
+    """Generator images of the restriction graph inside the ambient algebra,
+    and the entry path read back from each vertex id outside g: a run of
+    "#", then the path as a JSON list of edge ids."""
+    path_of = {v: tuple(json.loads(v.lstrip("#"))) for v in rg.vertices if not g.has_vertex(v)}
     vmap = {}
     for v in rg.vertices:
         if g.has_vertex(v):
@@ -222,11 +208,12 @@ def _phi_maps(g, alg, rg):
             emap[e.id] = alg.edge(e.id)
         else:
             emap[e.id] = alg.path_element(alg.path_from_edges(path_of[e.src]))
-    return vmap, emap
+    return vmap, emap, path_of
 
 
 def test_criterion_08_restriction_graph_soundness(campaign100):
     graphs = [graph("g_ext2"), graph("g_r2")] + campaign100
+    graphs += [parse_graph(json.dumps(doc)) for doc in PATH_ID_CLASHES.values()]
     classes_checked = 0
     from lpa.classify import is_purely_infinite_simple
 
@@ -238,7 +225,8 @@ def test_criterion_08_restriction_graph_soundness(campaign100):
             rg = restriction_graph(g, eps)
             assert is_purely_infinite_simple(rg).purely_infinite_simple
             alg = LeavittAlgebra(g)
-            vmap, emap = _phi_maps(g, alg, rg)
+            vmap, emap, path_of = _phi_maps(g, alg, rg)
+            assert sorted(path_of.values()) == sorted(eps.paths)
             # range relation at every regular vertex of the restriction graph
             for v in rg.vertices:
                 out = rg.out_edges(v)

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 
 import lpa.classify
 from lpa.classify import (
-    classify_cycles,
-    extreme_classes,
     ideal_structure,
     is_purely_infinite_simple,
     line_points,
@@ -25,7 +23,7 @@ from lpa.hereditary import (
 from lpa.reports import build_envelope
 from corpus import graph
 from references import random_graphs
-from test_reachability import counted, ref_is_saturated
+from test_reachability import counted, counted_from, ref_is_saturated
 
 
 # -- line points ---------------------------------------------------------------
@@ -41,25 +39,25 @@ def test_line_points_examples():
 
 
 def test_classify_cycles_loop():
-    (ci,) = classify_cycles(graph("g_loop"))
+    (ci,) = x_decomposition(graph("g_loop")).cycles
     assert not ci.has_exits and ci.in_S and ci.entry_count == 1
 
 
 def test_classify_cycles_cwe():
-    infos = {ci.cycle.base: ci for ci in classify_cycles(graph("g_cwe"))}
+    infos = {ci.cycle.base: ci for ci in x_decomposition(graph("g_cwe")).cycles}
     h = infos["z"]
     assert not h.has_exits and not h.in_S and h.wrap_count is INFINITE
 
 
 def test_classify_cycles_ext2():
-    infos = {ci.cycle.edges: ci for ci in classify_cycles(graph("g_ext2"))}
+    infos = {ci.cycle.edges: ci for ci in x_decomposition(graph("g_ext2")).cycles}
     e = infos[("e",)]
     assert e.has_exits and e.is_extreme
 
 
 def test_cycle_info_invariants_on_fixtures():
     for name in ("g_loop", "g_line3", "g_toeplitz", "g_r2", "g_ext2", "g_cwe"):
-        for ci in classify_cycles(graph(name)):
+        for ci in x_decomposition(graph(name)).cycles:
             if ci.is_extreme:
                 assert ci.has_exits
             if ci.in_S:
@@ -71,18 +69,32 @@ def test_cycle_info_invariants_on_fixtures():
 
 def test_extreme_classes_ext2():
     g = graph("g_ext2")
-    (xc,) = extreme_classes(g, classify_cycles(g))
+    (xc,) = x_decomposition(g).x_ec
     assert xc.vertices == {"u", "w"} and len(xc.cycles) == 2
 
 
 def test_extreme_classes_loop_empty():
     g = graph("g_loop")
-    assert extreme_classes(g, classify_cycles(g)) == []
+    assert x_decomposition(g).x_ec == ()
 
 
 def test_extreme_classes_disjoint_union():
     g = disjoint_union(graph("g_ext2"), graph("g_ext2"))
-    assert len(extreme_classes(g, classify_cycles(g))) == 2
+    assert len(x_decomposition(g).x_ec) == 2
+
+
+def test_extreme_classes_sorted_by_class_id():
+    """Two extreme components, the one with the shorter cycles having the
+    larger least vertex: the classes follow their ids, not the order in
+    which `simple_cycles` finds their cycles."""
+    g = Graph(
+        ["b", "a", "c"],
+        [Edge("l1", "b", "b"), Edge("l2", "b", "b"), Edge("x", "a", "c"),
+         Edge("y", "c", "a"), Edge("z", "a", "c")],
+    )
+    rep = x_decomposition(g)
+    assert [ci.cycle.base for ci in rep.cycles] == ["b", "b", "a", "a"]
+    assert [(xc.class_id, xc.vertices) for xc in rep.x_ec] == [("a", {"a", "c"}), ("b", {"b"})]
 
 
 def complete_digraph(n):
@@ -92,28 +104,27 @@ def complete_digraph(n):
 
 def test_extreme_classes_read_each_component_once():
     """The complete digraph on 4 vertices: its 20 simple cycles are all
-    extreme and share one component, whose tree is looked up once, not once
-    per cycle; two copies give two classes and two lookups."""
+    extreme and share one component, whose tree `x_decomposition` looks up
+    once, not once per cycle; two copies give two classes and two lookups."""
     g = complete_digraph(4)
-    infos = classify_cycles(g)
-    assert len(infos) == 20 and all(ci.is_extreme for ci in infos)
     trees = []
-    with mock.patch.object(Graph, "tree_bits", counted(trees, Graph.tree_bits)):
-        (xc,) = extreme_classes(g, infos)
+    with mock.patch.object(Graph, "tree_bits", counted_from(trees, Graph.tree_bits, x_decomposition)):
+        rep = x_decomposition(g)
+    assert len(rep.cycles) == 20 and all(ci.is_extreme for ci in rep.cycles)
     assert len(trees) == 1
+    (xc,) = rep.x_ec
     assert xc.vertices == set(g.vertices) and len(xc.cycles) == 20
-    g2 = disjoint_union(g, g)
-    infos = classify_cycles(g2)
+    assert list(xc.cycles) == [ci.cycle for ci in rep.cycles]
     trees.clear()
-    with mock.patch.object(Graph, "tree_bits", counted(trees, Graph.tree_bits)):
-        assert len(extreme_classes(g2, infos)) == 2
+    with mock.patch.object(Graph, "tree_bits", counted_from(trees, Graph.tree_bits, x_decomposition)):
+        assert len(x_decomposition(disjoint_union(g, g)).x_ec) == 2
     assert len(trees) == 2
 
 
 def test_x_decomposition_builds_no_cycle_vertex_sets():
-    """The P_c, P_c+, P_e and P_ec unions read each cycle's sources, not a
-    new `vertex_set` frozenset per union: on the complete digraph on 4
-    vertices, where no cycle is in S, no `vertex_set` is built at all."""
+    """P_c, P_c+, P_e and P_ec are unions of components, read from no
+    cycle's vertex set: on the complete digraph on 4 vertices, where no
+    cycle is in S, no `vertex_set` is built at all."""
     g = complete_digraph(4)
     built = []
     vertex_set = Cycle.vertex_set
@@ -129,7 +140,7 @@ def test_x_decomposition_builds_no_cycle_vertex_sets():
 @given(random_graphs())
 @settings(max_examples=80, deadline=None)
 def test_extreme_class_laws(g):
-    classes = extreme_classes(g, classify_cycles(g))
+    classes = x_decomposition(g).x_ec
     for xc in classes:
         # connected cycles share their tree; the class set is that tree
         for c in xc.cycles:
@@ -205,7 +216,7 @@ def test_classification_invariants(g):
         for b in fin[i + 1:]:
             assert not (a.closure & b.closure)
     # cycle_laurent classes contain exactly one no-exit cycle, no sink
-    infos = classify_cycles(g)
+    infos = rep.cycles
     for xc in rep.x_f:
         if xc.class_type == "cycle_laurent":
             inside = [
@@ -283,7 +294,7 @@ def test_pis_examples():
 
 def test_pis_restriction_graph_of_extreme_class():
     g = graph("g_ext2")
-    (xc,) = extreme_classes(g, classify_cycles(g))
+    (xc,) = x_decomposition(g).x_ec
     eps = entry_paths(g, HereditarySet(g, xc.vertices))
     if not eps.is_infinite:
         sub = restriction_graph(g, eps)

@@ -16,6 +16,7 @@ from lpa.graphs import InvariantError
 from lpa.randomgen import graph_stream
 from lpa.reports import build_envelope, load_schema
 from corpus import FIXTURE_NAMES, FIXTURES, graph
+from references import PATH_ID_CLASHES
 
 
 
@@ -51,6 +52,21 @@ def test_classify_ext2(schema):
     doc = json.loads(out)
     jsonschema.validate(doc, schema)
     assert doc["classification"]["p_ec"] == ["u", "w"]
+    (xcert,) = doc["ideal_structure"]["extreme"]
+    assert xcert["certificate"]["purely_infinite_simple"] is True
+
+
+@pytest.mark.parametrize("name", sorted(PATH_ID_CLASHES))
+@pytest.mark.parametrize("command", [["classify"], ["center", "--verify"]])
+def test_entry_path_ids_never_clash(schema, tmp_path, name, command):
+    """Two entry paths into an extreme class once got the same vertex id in
+    its restriction graph, or one of the class's own, and the run exited 2."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(PATH_ID_CLASHES[name]))
+    code, out, err = run_cli(command[0], str(path), *command[1:])
+    assert code == 0, err
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema)
     (xcert,) = doc["ideal_structure"]["extreme"]
     assert xcert["certificate"]["purely_infinite_simple"] is True
 

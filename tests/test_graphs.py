@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpa.classify import classify_cycles
+from lpa.classify import x_decomposition
 from lpa.graphs import (
     INFINITE,
     Edge,
@@ -149,11 +149,11 @@ def test_simple_cycles_each_once_and_canonical(g):
 
 
 def test_cycle_exits_examples():
-    (loop,) = classify_cycles(graph("g_loop"))
+    (loop,) = x_decomposition(graph("g_loop")).cycles
     assert not loop.has_exits
-    (toeplitz,) = classify_cycles(graph("g_toeplitz"))
+    (toeplitz,) = x_decomposition(graph("g_toeplitz")).cycles
     assert toeplitz.has_exits  # the edge f
-    ce, _cfg = classify_cycles(graph("g_ext2"))
+    ce, _cfg = x_decomposition(graph("g_ext2")).cycles
     assert ce.cycle.edges == ("e",) and ce.has_exits  # the edge f
 
 

@@ -1,10 +1,11 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpa.engine import LeavittAlgebra
-from lpa.graphs import GraphError
+from lpa.graphs import Edge, Graph, GraphError, parse_graph
 from lpa.hereditary import (
     HereditarySet,
     NotHereditaryError,
@@ -18,6 +19,7 @@ from lpa.hereditary import (
 )
 from lpa.randomgen import random_graph
 from corpus import graph
+from references import PATH_ID_CLASHES
 from test_reachability import ref_is_saturated
 
 
@@ -113,7 +115,7 @@ def test_entry_paths_first_entry_property():
 def test_restriction_graph_line3():
     g = graph("g_line3")
     rg = restriction_graph(g, entry_paths(g, hereditary_closure(g, {"v3"})))
-    assert set(rg.vertices) == {"v3", "[e2]", "[e1e2]"}
+    assert set(rg.vertices) == {"v3", '["e2"]', '["e1","e2"]'}
     assert len(rg.edges) == 2
     for e in rg.edges:
         assert e.dst == "v3"
@@ -133,7 +135,25 @@ def test_restriction_graph_infinite_rejected():
 
 
 def test_path_vertex_id():
-    assert path_vertex_id(("e1", "e2")) == "[e1e2]"
+    assert path_vertex_id(("e1", "e2")) == '["e1","e2"]'
+    assert path_vertex_id(("a",), "#") == '#["a"]'
+
+
+def test_restriction_graph_ids_are_fresh():
+    """The paths ("a", "b") and ("ab",) get distinct ids, and a path into a
+    vertex named "[a]" gets an id padded past it, as it is past an edge id
+    that starts with "bar#["."""
+    g = parse_graph(json.dumps(PATH_ID_CLASHES["concatenated_edge_ids"]))
+    rg = restriction_graph(g, entry_paths(g, hereditary_closure(g, {"u"})))
+    assert set(rg.vertices) == {"u", '["b"]', '["ab"]', '["a","b"]'}
+    assert {e.id for e in rg.edges} == {"l1", "l2", 'bar["b"]', 'bar["ab"]', 'bar["a","b"]'}
+    g = parse_graph(json.dumps(PATH_ID_CLASHES["bracketed_vertex_id"]))
+    rg = restriction_graph(g, entry_paths(g, hereditary_closure(g, {"[a]"})))
+    assert set(rg.vertices) == {"[a]", '#["a"]'}
+    g = Graph(g.vertices + ("z",), g.edges + (Edge("bar#[", "z", "z"),))
+    rg = restriction_graph(g, entry_paths(g, hereditary_closure(g, {"[a]"})))
+    assert set(rg.vertices) == {"[a]", '##["a"]'}
+    assert {e.id for e in rg.edges} == {"l1", "l2", 'bar##["a"]'}
 
 
 # -- density -----------------------------------------------------------------

@@ -4,11 +4,13 @@ The references below are the earlier direct computations: a fresh search
 per tree, all-pairs tree intersections, inclusion-exclusion for the wrap
 count, the saturation fixpoint, a Kahn pass for infinite entry paths, and
 cycle enumeration and a closure per vertex for Condition (L).  They are
-kept here, off the production path, as oracles.
+kept here and in `references.py` (the tree search and the classification
+read from every cycle), off the production path, as oracles.
 """
 
 import random
 import sys
+from dataclasses import fields
 from itertools import combinations
 from unittest import mock
 
@@ -19,11 +21,9 @@ import lpa.classify
 import lpa.graphs
 import lpa.hereditary
 from lpa.classify import (
+    ClassificationReport,
     CycleInfo,
-    ExtremeClass,
     PisCertificate,
-    classify_cycles,
-    extreme_classes,
     ideal_structure,
     is_purely_infinite_simple,
     line_points,
@@ -60,8 +60,12 @@ from references import (
     dense_graphs,
     line,
     random_graphs,
+    ref_extreme_classes,
+    ref_tree,
+    ref_x_decomposition,
     rose,
     sparse,
+    union_find_classes,
 )
 
 
@@ -97,19 +101,6 @@ shuffled_graphs = st.integers(0, 10**6).map(shuffled_graph)
 
 
 # -- reference implementations ----------------------------------------------------
-
-
-def ref_tree(g, v):
-    g.check_vertex(v)
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for e in g.out_edges(u):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
-    return frozenset(seen)
 
 
 def ref_simple_cycles(g):
@@ -189,47 +180,6 @@ def ref_classify_cycles(g):
     return infos
 
 
-def _union_find_classes(n, related):
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for i, j in related:
-        a, b = find(i), find(j)
-        if a != b:
-            parent[a] = b
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def ref_extreme_classes(g, infos):
-    ext = [ci.cycle for ci in infos if ci.is_extreme]
-    trees = [frozenset().union(*(ref_tree(g, v) for v in c.vertex_set)) for c in ext]
-    related = [
-        (i, j)
-        for i, c in enumerate(ext)
-        for j, d in enumerate(ext)
-        if i < j and (trees[i] & d.vertex_set or trees[j] & c.vertex_set)
-    ]
-    out = []
-    for idxs in _union_find_classes(len(ext), related):
-        cycles = tuple(sorted((ext[i] for i in idxs), key=lambda c: (len(c), c.base, c.edges)))
-        out.append(
-            ExtremeClass(
-                class_id=min(c.base for c in cycles),
-                cycles=cycles,
-                vertices=frozenset().union(*(trees[i] for i in idxs)),
-            )
-        )
-    out.sort(key=lambda xc: xc.class_id)
-    return out
-
-
 def ref_sim_classes(g):
     verts = list(g.vertices)
     trees = [ref_tree(g, v) for v in verts]
@@ -243,7 +193,7 @@ def ref_sim_classes(g):
         for j, v in enumerate(verts):
             if u < v and (v in trees[i] or u in trees[j]) and not ((trees[i] | trees[j]) & bifs):
                 related.append((i, j))
-    classes = [frozenset(verts[i] for i in idxs) for idxs in _union_find_classes(len(verts), related)]
+    classes = [frozenset(verts[i] for i in idxs) for idxs in union_find_classes(len(verts), related)]
     classes.sort(key=lambda c: min(g.vertex_order(v) for v in c))
     return classes
 
@@ -382,26 +332,29 @@ def test_classes_and_primeness_match_reference(g):
 def test_cycle_infos_match_reference(g):
     """Every CycleInfo field, the wrap count against inclusion-exclusion."""
     assert simple_cycles(g) == ref_simple_cycles(g)
-    infos = classify_cycles(g)
-    assert infos == ref_classify_cycles(g)
-    assert extreme_classes(g, infos) == ref_extreme_classes(g, infos)
+    rep = x_decomposition(g)
+    infos = ref_classify_cycles(g)
+    assert list(rep.cycles) == infos
+    assert list(rep.x_ec) == ref_extreme_classes(g, infos)
 
 
-@given(graphs)
-@settings(max_examples=100, deadline=None)
+@given(st.one_of(graphs, dense_graphs(), chained_graphs()))
+@settings(max_examples=150, deadline=None)
 def test_x_decomposition_matches_reference(g):
-    with mock.patch.multiple(
-        lpa.classify,
-        classify_cycles=ref_classify_cycles,
-        line_points=ref_line_points,
-        sim_classes=ref_sim_classes,
-        extreme_classes=ref_extreme_classes,
-        hereditary_closure=ref_hereditary_closure,
-        saturated_closure=ref_saturated_closure,
-        entry_paths=ref_entry_paths,
-    ):
-        expected = x_decomposition(g)
-    assert x_decomposition(g) == expected
+    """Every report field against the route through every cycle: the
+    P-sets as unions of cycle vertex sets, the S cycles tested against
+    each class, and the extreme classes joined by their trees."""
+    rep = x_decomposition(g)
+    expected = ref_x_decomposition(g, ref_classify_cycles(g))
+    for f in fields(ClassificationReport):
+        assert getattr(rep, f.name) == getattr(expected, f.name), f.name
+    # the parts the reference reads from lpa, against their own references
+    assert rep.p_l == ref_line_points(g)
+    assert list(rep.sim_classes) == ref_sim_classes(g)
+    for xc in rep.x_classes:
+        closure = ref_saturated_closure(g, ref_hereditary_closure(g, xc.members))
+        assert xc.closure == closure.members
+        assert xc.entry == ref_entry_paths(g, closure)
 
 
 @given(graphs, st.integers(0, 10**6))
@@ -436,7 +389,7 @@ def test_condition_l_matches_reference(g):
     """Verdict, failing condition and witness, also when the least vertex
     of an exitless cycle is not its first in declared order."""
     assert is_purely_infinite_simple(g) == ref_is_purely_infinite_simple(g)
-    for ci in classify_cycles(g):
+    for ci in x_decomposition(g).cycles:
         assert ci.has_exits == bool(cycle_exits(g, ci.cycle))
 
 
@@ -494,7 +447,7 @@ def test_path_counts_match_count_paths_into(g):
 @given(st.one_of(graphs, dense_graphs(), chained_graphs()))
 @settings(max_examples=200, deadline=None)
 def test_component_lemmas_hold(g):
-    """The two facts `classify_cycles` reads per component K, by brute
+    """The two facts `x_decomposition` reads per component K, by brute
     force: K has exactly |c| inner edges iff c is K's only simple cycle,
     and a cycle of K has exits iff K has a bifurcation."""
     component = ref_components(g)
@@ -506,7 +459,7 @@ def test_component_lemmas_hold(g):
         for c in held:
             assert (inner == len(c)) == (held == [c])
     bifurcations = {v for v in g.vertices if len(g.out_edges(v)) >= 2}
-    for ci in classify_cycles(g):
+    for ci in x_decomposition(g).cycles:
         assert ci.has_exits == bool(component[ci.cycle.base] & bifurcations)
 
 
@@ -515,7 +468,7 @@ def test_component_lemmas_hold(g):
 def test_cycle_counts_match_reference_on_chained_graphs(g):
     """Entry and wrap counts of every cycle against the general count and
     inclusion-exclusion, where cycles of one part feed those of the next."""
-    for ci in classify_cycles(g):
+    for ci in x_decomposition(g).cycles:
         c = ci.cycle
         assert ci.entry_count == count_paths_into(g, c.vertex_set, c.edge_set)
         assert ci.wrap_count == ref_wrap_count(g, c)
@@ -529,7 +482,7 @@ def test_entry_count_is_infinite_exactly_when_a_cycle_feeds_or_partners_c(g):
     component K reaches K, or a simple cycle of K shares no edge with c."""
     cycles = ref_simple_cycles(g)
     component = ref_components(g)
-    for ci in classify_cycles(g):
+    for ci in x_decomposition(g).cycles:
         c = ci.cycle
         k = component[c.base]
         assert ci.entry_count == count_paths_into(g, c.vertex_set, c.edge_set)
@@ -554,10 +507,11 @@ def test_simple_cycles_are_built_from_the_search(g):
 
 
 def cycle_counts_with_calls(g):
-    """classify_cycles(g) and the target sets of its count_paths_into calls."""
+    """The cycles of x_decomposition(g) and the target sets of its
+    count_paths_into calls."""
     calls = []
     with mock.patch.object(lpa.classify, "count_paths_into", counted(calls, count_paths_into)):
-        infos = classify_cycles(g)
+        infos = x_decomposition(g).cycles
     return infos, [set(targets) for _g, targets, _forbidden in calls]
 
 
@@ -591,12 +545,13 @@ def test_entry_count_of_an_edge_disjoint_pair_is_read_from_the_cycle_list():
 
 def test_classify_cycles_reads_each_component_once():
     """u <-> v with a loop at u: two cycles in one component, whose inflow
-    and tree are looked up once, not once per cycle."""
+    and tree `x_decomposition` looks up once, not once per cycle."""
     g = Graph(["u", "v"], [Edge("a", "u", "v"), Edge("b", "v", "u"), Edge("l", "u", "u")])
     inflows, trees = [], []
-    with mock.patch.object(Graph, "component_inflow", counted(inflows, Graph.component_inflow)), \
-            mock.patch.object(Graph, "tree_bits", counted(trees, Graph.tree_bits)):
-        classify_cycles(g)
+    inflow, tree_bits = Graph.component_inflow, Graph.tree_bits
+    with mock.patch.object(Graph, "component_inflow", counted_from(inflows, inflow, x_decomposition)), \
+            mock.patch.object(Graph, "tree_bits", counted_from(trees, tree_bits, x_decomposition)):
+        x_decomposition(g)
     assert len(inflows) == len(trees) == 1
 
 
@@ -612,7 +567,7 @@ def test_campaign_counts_paths_only_for_finite_entry_counts(campaign500):
 
     with mock.patch.object(lpa.classify, "count_paths_into", counting):
         for g in campaign500:
-            classify_cycles(g)
+            x_decomposition(g)
     assert len(counts) == 14
     assert INFINITE not in counts
 
@@ -687,6 +642,18 @@ def counted(calls, fn):
 
     def counting(*args, **kwargs):
         calls.append(args)
+        return fn(*args, **kwargs)
+
+    return counting
+
+
+def counted_from(calls, fn, caller):
+    """fn, appending to `calls` the arguments of each call made from the
+    body of the function `caller` itself, not from the helpers it calls."""
+
+    def counting(*args, **kwargs):
+        if sys._getframe(1).f_code is caller.__code__:
+            calls.append(args)
         return fn(*args, **kwargs)
 
     return counting
