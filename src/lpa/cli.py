@@ -109,22 +109,25 @@ def _run_oracle(env: Envelope, max_len: Optional[int]) -> bool:
     """Populate env.oracle_checks; return True when every span agrees.
 
     Raises OracleBoundError when a fixed --max-len cannot contain an
-    emitted basis element.
+    emitted basis element.  Every degree's bound is checked before the
+    first solve, so on that error env.oracle_checks stays unset and the
+    report has no partial oracle block.
     """
     alg = env.algebra
     center = env.center
     by_degree: dict[int, list] = {0: list(center.basis_zero)}
     for n, elems in center.basis_nonzero.items():
         by_degree.setdefault(n, []).extend(elems)
+    degrees = sorted(by_degree)
+    if max_len is not None:
+        for n in degrees:
+            check_oracle_bound(by_degree[n], max_len)
     env.oracle_checks = []
     agrees_all = True
-    for n in sorted(by_degree):
+    for n in degrees:
         elems = by_degree[n]
-        if max_len is None:  # the least bound that holds the basis: no check can fail
-            bound = required_oracle_bound(elems)
-        else:
-            check_oracle_bound(elems, max_len)
-            bound = max_len
+        # without --max-len, the least bound that holds the basis: no check can fail
+        bound = required_oracle_bound(elems) if max_len is None else max_len
         commutant = oracle_commutant(alg, n, bound)
         ok = same_span(alg, [b.element for b in elems], commutant)
         env.oracle_checks.append((n, bound, ok))

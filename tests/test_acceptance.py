@@ -13,7 +13,7 @@ from lpa.center import (
     verify_basis,
 )
 from lpa.classify import ideal_structure, prime_trichotomy, x_decomposition
-from lpa.engine import LeavittAlgebra, Monomial
+from lpa.engine import LeavittAlgebra
 from lpa.graphs import disjoint_union, parse_graph, tree
 from lpa.hereditary import (
     HereditarySet,

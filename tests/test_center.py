@@ -597,9 +597,9 @@ def test_oracle_unit_rows_settle_every_column(monkeypatch):
     eliminated = []
     eliminate = lpa.center._eliminate
 
-    def recording_eliminate(rows, p):
+    def recording_eliminate(rows, field):
         eliminated.extend(c for row in rows for c in row)
-        return eliminate(rows, p)
+        return eliminate(rows, field)
 
     monkeypatch.setattr(lpa.center, "_eliminate", recording_eliminate)
     alg = LeavittAlgebra(rose(6))
@@ -743,6 +743,40 @@ def test_rref_shapes_match_reference(field, data):
     reduced = _rref(rows, field)
     assert reduced == ref_rref(coerced(rows, field), field)
     assert field_typed(reduced, field)
+
+
+eliminated_cases = [
+    # (rows, field): two or more multi-entry rows, none a repeat or negation
+    # of another, are left once the unit rows are settled, so _rref eliminates
+    ([{0: Fraction(1, 3), 1: 2, 3: -1}, {1: Fraction(5, 2), 2: 4}, {0: 3, 2: 1, 3: 7}], QQ),
+    ([{0: 1, 1: 2}, {1: 3, 2: 1}, {0: 2, 1: 7, 2: 1}, {2: 6, 4: 1}], QQ),  # rank 3
+    ([{3: 1}, {0: 4, 3: 2, 5: -6}, {0: -2, 5: 9}, {1: Fraction(-7, 4), 5: 1}], QQ),
+    ([{0: 3, 1: 5, 2: 1}, {1: 2, 2: 6}, {0: 1, 2: 4}], F7),
+    ([{0: 14, 1: 3, 2: 5}, {0: 1, 1: 21, 2: -2}, {1: 9, 2: 15}], F7),
+    ([{0: F7.coerce(2), 2: F7.coerce(3)}, {1: F7.coerce(4), 2: F7.coerce(6)}], F7),
+    ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], F2),  # the third is the sum
+    ([{0: 3, 1: 2, 2: 1}, {1: 5, 2: 4, 3: 1}, {0: 1, 3: 7}], F2),
+]
+
+
+@pytest.mark.parametrize("rows, field", eliminated_cases)
+def test_eliminated_systems_match_reference(monkeypatch, rows, field):
+    """The elimination gives the reference RREF with field-typed entries:
+    ints where integral and Fractions otherwise over Q, ModInts over F_p."""
+    got, eliminated = settled(monkeypatch, rows, field)
+    assert eliminated
+    ref = coerced(ref_rref(coerced(rows, field), field), field)
+    assert typed(got) == typed(ref)
+    assert field_typed(got, field)
+
+
+def test_back_elimination_leaves_ints(monkeypatch):
+    # clearing column 1 from the first pivot row {0: 1, 1: 1/2, 2: 1/2}
+    # leaves Fraction(1, 1) at column 2; the final _monic makes it an int
+    got, eliminated = settled(monkeypatch, [{0: 2, 1: 1, 2: 1}, {1: 1, 2: -1}], QQ)
+    assert eliminated
+    assert typed(got) == typed([{0: 1, 2: 1}, {1: 1, 2: -1}])
+    assert all(type(k) is int for row in got for k in row.values())
 
 
 def test_same_span_of_disjoint_and_empty_sides():

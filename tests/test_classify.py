@@ -13,13 +13,7 @@ from lpa.classify import (
     x_decomposition,
 )
 from lpa.graphs import INFINITE, Cycle, Edge, Graph, InvariantError, disjoint_union, tree
-from lpa.hereditary import (
-    HereditarySet,
-    entry_paths,
-    hereditary_closure,
-    restriction_graph,
-    saturated_closure,
-)
+from lpa.hereditary import HereditarySet, entry_paths, restriction_graph
 from lpa.reports import build_envelope
 from corpus import graph
 from references import random_graphs

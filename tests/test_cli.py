@@ -152,6 +152,37 @@ def test_center_bound_too_small_exits_4():
     assert code == 4 and "bound" in err
 
 
+# the loop at c puts degrees -2..2 in the window; degree 0's basis holds
+# the idempotent of the tree x -> y -> {s, w}, whose entry paths e1 e2 and
+# e1 e3 need a bound of 4, while degrees -2 and -1 need only 2
+BOUND_AFTER_FIRST_DEGREES = {
+    "vertices": ["c", "x", "y", "s", "w"],
+    "edges": [
+        {"id": "l", "src": "c", "dst": "c"},
+        {"id": "e1", "src": "x", "dst": "y"},
+        {"id": "e2", "src": "y", "dst": "s"},
+        {"id": "e3", "src": "y", "dst": "w"},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "max_len, required", [(3, 4), (1, 2)], ids=["later-degree", "first-degree"]
+)
+def test_bound_error_emits_no_oracle_block(capsys, tmp_path, schema, max_len, required):
+    # every degree's bound is checked before the first solve: a bound too
+    # small for a later degree must not report the earlier ones as agreeing
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(BOUND_AFTER_FIRST_DEGREES))
+    argv = ["center", str(path), "--verify", "--oracle", "--max-len", str(max_len)]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    jsonschema.validate(report, schema)
+    assert "oracle" not in report
+    assert f"requires at least {required}" in err
+
+
 def test_center_prime_field():
     code, out, _err = run_cli(
         "center", str(FIXTURES / "g_loop.json"), "--verify", "--field", "p:5"

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lpa"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "lpa"
+# the modules whose coefficient arithmetic must stay exact
+EXACT_MODULES = ("fields.py", "engine.py", "center.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +48,46 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_top_level_imports_in_tests(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def inexact_operations(source: str) -> list[str]:
+    """Where a module could leave exact arithmetic: each `/` (plain or
+    augmented), float literal and `float(` call, as "line: what".  Exact
+    division goes through `Fraction(k, piv)` or `pow(k, -1, p)`; `//` is
+    floor division of ints and Fractions, which stays exact."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{node.lineno}: /")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"{node.lineno}: float literal {node.value!r}")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            found.append(f"{node.lineno}: float(")
+    return found
+
+
+def test_inexact_operations_are_found():
+    source = (
+        "def f(a, b):\n"
+        "    a /= b\n"
+        "    c = a / b + 0.5\n"
+        "    d = float(c) + 1e3\n"
+        "    return a // b, isinstance(d, float), Fraction(a, b), pow(a, -1, 7)\n"
+    )
+    assert inexact_operations(source) == [
+        "2: /", "3: /", "3: float literal 0.5", "4: float(", "4: float literal 1000.0",
+    ]
+
+
+@pytest.mark.parametrize("name", EXACT_MODULES)
+def test_exact_modules_never_divide_or_use_floats(name):
+    assert inexact_operations((PACKAGE / name).read_text(encoding="utf-8")) == []
