@@ -3,9 +3,8 @@ centroid summary, and an independent brute-force commutant oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classify import ClassificationReport, XClass
 from .engine import AlgebraElement, GPath, LeavittAlgebra, Monomial
@@ -22,8 +21,7 @@ class OracleBoundError(CenterError):
     """The oracle length bound cannot contain the emitted basis."""
 
 
-@dataclass(frozen=True)
-class CentralBasisElement:
+class CentralBasisElement(NamedTuple):
     degree: int
     element: AlgebraElement
     class_id: str  # representative vertex of the originating class
@@ -37,8 +35,7 @@ class CentralBasisElement:
         return f"b[{self.class_id};{self.cycle_base}^{self.power}]"
 
 
-@dataclass(frozen=True)
-class ExtendedCentroidReport:
+class ExtendedCentroidReport(NamedTuple):
     sinks: int
     no_exit_cycles: int
     extreme_classes: int
@@ -53,8 +50,7 @@ class ExtendedCentroidReport:
     note = "closed formula reported as published, not independently verified"
 
 
-@dataclass(frozen=True)
-class CenterReport:
+class CenterReport(NamedTuple):
     basis_zero: tuple[CentralBasisElement, ...]
     basis_nonzero: dict  # degree -> tuple[CentralBasisElement, ...]
     iso_type: dict  # {"K": count, "Laurent": count}
@@ -406,29 +402,23 @@ def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
     integral and the rows hold Python ints; the field enters only in the
     elimination.
 
-    One `generator_action` call acts with every candidate.  It draws the
-    terms one at a time and sends all of a term's contributions before it
-    draws the next, so `j`, which the term generator advances, is the
-    column of the candidate whose contributions `add` receives."""
+    `generator_action` acts with one candidate at a time, into a fresh
+    dict, so each nonzero entry of that dict is the candidate's whole
+    coefficient in its row and is moved into the row as it is."""
     cands = _oracle_candidates(alg, degree, max_len)
     rows: dict[tuple, dict] = {}  # generator key + term -> {candidate: int}
-    j = 0
-
-    def terms():
-        nonlocal j
-        for j, m in enumerate(cands):
-            yield m, 1
-
-    def add(key, term, c):
-        row = rows.setdefault(key + term, {})
-        s = row.get(j, 0) + c
-        if s:
-            row[j] = s
-        else:
-            del row[j]
-
-    alg.generator_action(terms(), add)
-    return cands, [row for row in rows.values() if row]
+    action = alg.generator_action
+    for j, m in enumerate(cands):
+        acc: dict[tuple, int] = {}
+        action(((m, 1),), acc, 0)
+        for key, c in acc.items():
+            if c:
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {j: c}
+                else:
+                    row[j] = c
+    return cands, list(rows.values())
 
 
 class _OracleTables:

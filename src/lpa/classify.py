@@ -3,10 +3,9 @@ the ~ relation, the X_f decomposition, ideal structure, and primeness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import (
     INFINITE,
@@ -28,8 +27,7 @@ from .hereditary import (
 )
 
 
-@dataclass(frozen=True)
-class CycleInfo:
+class CycleInfo(NamedTuple):
     cycle: Cycle
     has_exits: bool
     is_extreme: bool
@@ -38,15 +36,13 @@ class CycleInfo:
     wrap_count: object  # int | INFINITE: paths into c^0 missing some edge of c
 
 
-@dataclass(frozen=True)
-class ExtremeClass:
+class ExtremeClass(NamedTuple):
     class_id: str  # least base vertex among member cycles
     cycles: tuple[Cycle, ...]
     vertices: frozenset[str]  # the hereditary set T(c^0)
 
 
-@dataclass(frozen=True)
-class XClass:
+class XClass(NamedTuple):
     members: frozenset[str]  # the full ~ class in E^0
     rep: str  # least member in declared order
     closure: frozenset[str]
@@ -55,8 +51,7 @@ class XClass:
     class_type: Optional[str]  # line | cycle_laurent | cycle_degenerate | extreme
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     p_l: frozenset[str]
     p_c: frozenset[str]
     p_c_plus: frozenset[str]
@@ -291,8 +286,7 @@ def x_decomposition(g: Graph) -> ClassificationReport:
     )
 
 
-@dataclass(frozen=True)
-class PisCertificate:
+class PisCertificate(NamedTuple):
     purely_infinite_simple: bool
     failing_condition: Optional[str] = None  # "connects-to-cycle" | "exit" | "lattice"
     witness: Optional[str] = None
@@ -330,27 +324,23 @@ def is_purely_infinite_simple(g: Graph) -> PisCertificate:
     return PisCertificate(True)
 
 
-@dataclass(frozen=True)
-class SinkSummand:
+class SinkSummand(NamedTuple):
     sink: str
     matrix_size: object  # int | INFINITE
 
 
-@dataclass(frozen=True)
-class CycleSummand:
+class CycleSummand(NamedTuple):
     cycle: Cycle
     matrix_size: object  # entry count, int | INFINITE
 
 
-@dataclass(frozen=True)
-class ExtremeSummand:
+class ExtremeSummand(NamedTuple):
     extreme_class: ExtremeClass
     certificate: Optional[PisCertificate]  # None when entry paths are infinite
     note: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class IdealStructureReport:
+class IdealStructureReport(NamedTuple):
     graph: Graph
     sinks: tuple[SinkSummand, ...]
     no_exit_cycles: tuple[CycleSummand, ...]
@@ -390,8 +380,7 @@ def ideal_structure(g: Graph, report: ClassificationReport) -> IdealStructureRep
     )
 
 
-@dataclass(frozen=True)
-class PrimeTrichotomy:
+class PrimeTrichotomy(NamedTuple):
     kind: str  # "sink-case" | "no-exit-cycle-case" | "extreme-case" | "not-prime"
     witness: object = None
     matrix_size: object = None  # for the sink / no-exit cycle cases

@@ -10,7 +10,6 @@ range relation at regular vertices.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .fields import QQ
@@ -33,8 +32,8 @@ class Monomial(tuple):
     (s(alpha), alpha edges, s(beta), beta edges).
 
     This is the one form of a monomial: the keys of every
-    `AlgebraElement` and the terms that `generator_action` reads and
-    writes.  Hash, equality and order are the tuple's, so a Monomial
+    `AlgebraElement`, the terms that `generator_action` reads and the
+    tail of every key it writes.  Hash, equality and order are the tuple's, so a Monomial
     equals the plain tuple of its fields, and it sorts as the pair of paths
     (alpha, beta) does.  The engine reads it positionally,
     ``sa, p, sb, q = m``; `alpha` and `beta` give the sides as `GPath`s."""
@@ -135,8 +134,7 @@ class AlgebraElement:
         return self.algebra.render(self) if self.terms else "0"
 
 
-@dataclass(frozen=True)
-class CentralityResult:
+class CentralityResult(NamedTuple):
     central: bool
     witness: Optional[str] = None  # generator label, e.g. "v1", "e1", "e1*"
     commutator: Optional[AlgebraElement] = None
@@ -339,17 +337,17 @@ class LeavittAlgebra:
         for e in self.graph.edges:
             yield e.id + "*", "ghost", e.id
 
-    def generator_action(self, terms, add) -> None:
-        """Send [k·m, g] for every term (m, k) of terms and every generator g
-        to the accumulator add, without building g or any Monomial.
+    def generator_action(self, terms, acc: dict, zero) -> None:
+        """Add [k·m, g] for every term (m, k) of terms and every generator g
+        into the dict acc, without building g or any Monomial.
 
         A term is (m, k) for a `Monomial` m = alpha beta* in normal form, or
-        the plain tuple equal to it.  add(key, term, c) is called once
-        for every c·term that [k·m, g] contains, with key as in
-        generator_labels() and term a plain tuple or m itself; terms that
-        cancel are sent twice, with opposite coefficients.  terms is
-        consumed one term at a time, in order, and every contribution of a
-        term is sent before the next term is drawn.  No ``multiply`` or
+        the plain tuple equal to it.  Each c·alpha beta* that [k·m, g]
+        contains is added to acc under the flat key
+        (kind, id, s(alpha), alpha, s(beta), beta), with (kind, id) as in
+        generator_labels(): acc[key] = acc.get(key, zero) + c.  Entries
+        are never removed, so terms that cancel leave an entry equal to
+        zero, and the caller keeps the nonzero ones.  No ``multiply`` or
         ``normal_form`` runs.  A monomial m = alpha beta*
         meets only the generators below, and each result is normal (for an
         edge e write a = s(e), b = r(e)):
@@ -371,69 +369,86 @@ class LeavittAlgebra:
           form, since the condition is symmetric in alpha and beta, so the
           edge case runs on the swapped term and its results are swapped
           back and negated.
+
+        Both the edge and the ghost case are written out below, the ghost
+        case with the swap, the swap back and the negation already applied.
         """
         special, into = self._special, self._in
-        out_edges, edge = self.graph.out_edges, self.graph.edge
-
-        def edge_terms(sa, p, sb, q, k, neg_k):
-            # (e, c, alpha source, alpha edges, beta source, beta edges)
-            # for every term c·alpha beta* of [k·m, e]
-            if q:
-                e = edge(q[0])
-                yield e.id, k, sa, p, e.dst, q[1:]
-            else:
-                for e in out_edges(sb):
-                    yield e.id, k, sa, p + (e.id,), e.dst, ()
-            for e in into[sa]:
-                a = e.src
-                if not p and q[-1:] == (e.id,) and special[a] == e.id:
-                    beta0 = q[:-1]
-                    yield e.id, neg_k, a, (), sb, beta0
-                    for f in out_edges(a):
-                        if f.id != e.id:
-                            fe = (f.id,)
-                            yield e.id, k, a, fe, sb, beta0 + fe
-                else:
-                    yield e.id, neg_k, a, (e.id,) + p, sb, q
-
-        for term, k in terms:
-            sa, p, sb, q = term
+        out, edge_by_id = self.graph._out, self.graph._edge_by_id
+        get = acc.get
+        for (sa, p, sb, q), k in terms:
             neg_k = -k
+            # vertices
             if sa != sb:
-                add(("vertex", sb), term, k)
-                add(("vertex", sa), term, neg_k)
-            for eid, c, sa1, p1, sb1, q1 in edge_terms(sa, p, sb, q, k, neg_k):
-                add(("edge", eid), (sa1, p1, sb1, q1), c)
-            for eid, c, sb1, q1, sa1, p1 in edge_terms(sb, q, sa, p, neg_k, k):
-                add(("ghost", eid), (sa1, p1, sb1, q1), c)
+                key = ("vertex", sb, sa, p, sb, q)
+                acc[key] = get(key, zero) + k
+                key = ("vertex", sa, sa, p, sb, q)
+                acc[key] = get(key, zero) + neg_k
+            # edges: m e
+            if q:
+                eid, _, b = edge_by_id[q[0]]
+                key = ("edge", eid, sa, p, b, q[1:])
+                acc[key] = get(key, zero) + k
+            else:
+                for eid, _, b in out[sb]:
+                    key = ("edge", eid, sa, p + (eid,), b, ())
+                    acc[key] = get(key, zero) + k
+            # edges: -e m, with the range relation when it applies
+            for eid, a, _ in into[sa]:
+                if not p and q and q[-1] == eid and special[a] == eid:
+                    beta0 = q[:-1]
+                    key = ("edge", eid, a, (), sb, beta0)
+                    acc[key] = get(key, zero) + neg_k
+                    for fid, _, _ in out[a]:
+                        if fid != eid:
+                            fe = (fid,)
+                            key = ("edge", eid, a, fe, sb, beta0 + fe)
+                            acc[key] = get(key, zero) + k
+                else:
+                    key = ("edge", eid, a, (eid,) + p, sb, q)
+                    acc[key] = get(key, zero) + neg_k
+            # ghosts: -(m* e)*
+            if p:
+                eid, _, b = edge_by_id[p[0]]
+                key = ("ghost", eid, b, p[1:], sb, q)
+                acc[key] = get(key, zero) + neg_k
+            else:
+                for eid, _, b in out[sa]:
+                    key = ("ghost", eid, b, (), sb, q + (eid,))
+                    acc[key] = get(key, zero) + neg_k
+            # ghosts: (e m*)*, with the range relation when it applies
+            for eid, a, _ in into[sb]:
+                if not q and p and p[-1] == eid and special[a] == eid:
+                    alpha0 = p[:-1]
+                    key = ("ghost", eid, sa, alpha0, a, ())
+                    acc[key] = get(key, zero) + k
+                    for fid, _, _ in out[a]:
+                        if fid != eid:
+                            fe = (fid,)
+                            key = ("ghost", eid, sa, alpha0 + fe, a, fe)
+                            acc[key] = get(key, zero) + neg_k
+                else:
+                    key = ("ghost", eid, sa, p, a, (eid,) + q)
+                    acc[key] = get(key, zero) + k
 
     def commutators(self, x: AlgebraElement) -> dict:
         """{(kind, id): [x, g]} for every generator g with [x, g] != 0, keyed
         as in generator_labels(); x must be in normal form.
 
         Equal to ``commutator(x, g)`` for each g, from one generator_action
-        pass over x's terms.  The terms are summed under the tuples that
-        generator_action sends, and Monomials are made of them only for the
-        generators whose commutator is nonzero, so a central x builds none.
+        pass over x's terms into one dict.  Its nonzero entries are grouped
+        by (kind, id) at the end, and Monomials are made of them only for
+        the generators whose commutator is nonzero, so a central x builds
+        none.
         """
-        zero = self.field.zero
-        acc: dict[tuple, dict] = {}
-
-        def add(key, term, c):
-            terms = acc.setdefault(key, {})
-            s = terms.get(term, zero) + c
-            if s == zero:
-                del terms[term]
-            else:
-                terms[term] = s
-
-        self.generator_action(x.terms.items(), add)
+        acc: dict[tuple, object] = {}
+        self.generator_action(x.terms.items(), acc, self.field.zero)
         make = Monomial._make
-        return {
-            key: AlgebraElement(self, {make(t): k for t, k in terms.items()})
-            for key, terms in acc.items()
-            if terms
-        }
+        grouped: dict[tuple, dict] = {}
+        for t, c in acc.items():
+            if c:
+                grouped.setdefault(t[:2], {})[make(t[2:])] = c
+        return {key: AlgebraElement(self, terms) for key, terms in grouped.items()}
 
     def is_central(self, x: AlgebraElement) -> CentralityResult:
         coms = self.commutators(x)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -57,10 +56,23 @@ def _reject_float(n) -> None:
         raise TypeError(f"{n!r} is a float; coefficients are exact: pass an int or a Fraction")
 
 
-@dataclass(frozen=True)
 class ModInt:
-    value: int
-    p: int
+    """value mod p.  Two are equal when both their values and their moduli
+    are; a ModInt never equals an int."""
+
+    __slots__ = ("value", "p")
+
+    def __init__(self, value: int, p: int):
+        self.value = value
+        self.p = p
+
+    def __eq__(self, other):
+        if other.__class__ is not ModInt:
+            return NotImplemented
+        return self.value == other.value and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.value, self.p))
 
     def _check(self, other):
         if not isinstance(other, ModInt):

@@ -8,8 +8,7 @@ immutable; all functions here are pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class GraphError(ValueError):
@@ -37,8 +36,7 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     src: str
     dst: str
@@ -73,17 +71,19 @@ class Graph:
                 raise GraphError(f"duplicate vertex id: {v!r}")
             seen.add(v)
         self._vertex_set = seen
-        self._edge_by_id: dict[str, Edge] = {}
+        by_id: dict[str, Edge] = {}
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            if e.id in self._edge_by_id:
-                raise GraphError(f"duplicate edge id: {e.id!r}")
-            if e.src not in self._vertex_set:
-                raise GraphError(f"edge {e.id!r} has undeclared source: {e.src!r}")
-            if e.dst not in self._vertex_set:
-                raise GraphError(f"edge {e.id!r} has undeclared target: {e.dst!r}")
-            self._edge_by_id[e.id] = e
-            out[e.src].append(e)
+            eid, src, dst = e
+            if eid in by_id:
+                raise GraphError(f"duplicate edge id: {eid!r}")
+            if src not in seen:
+                raise GraphError(f"edge {eid!r} has undeclared source: {src!r}")
+            if dst not in seen:
+                raise GraphError(f"edge {eid!r} has undeclared target: {dst!r}")
+            by_id[eid] = e
+            out[src].append(e)
+        self._edge_by_id = by_id
         self._out = {v: tuple(es) for v, es in out.items()}
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self._index: Optional[_ReachIndex] = None
@@ -117,7 +117,7 @@ class Graph:
         return self._vertex_index[v]
 
     def sorted_vertices(self, vs: Iterable[str]) -> list[str]:
-        return sorted(vs, key=self.vertex_order)
+        return sorted(vs, key=self._vertex_index.__getitem__)
 
     def path_range(self, source: str, edge_ids: tuple[str, ...]) -> str:
         """Range of the path starting at `source` along `edge_ids`."""
@@ -370,13 +370,16 @@ class _ReachIndex:
                 self.bifurcations |= 1 << i
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """Simple cycle stored in canonical rotation.
 
     The rotation starts at the lexicographically least vertex on the
     cycle, so equal cycles compare equal regardless of how they were
     discovered.
+
+    ``len(cycle)`` is the number of edges, not the tuple's two fields, so
+    the namedtuple helpers that call ``len`` (``_make``, ``_replace``) are
+    not used on it.
     """
 
     edges: tuple[str, ...]
@@ -440,13 +443,17 @@ def parse_graph(text: str) -> Graph:
         raise GraphError("'edges' must be a list")
     edges = []
     for ed in edge_docs:
-        if not isinstance(ed, dict) or not {"id", "src", "dst"} <= set(ed):
-            raise GraphError(f"malformed edge record: {ed!r}")
-        if not all(isinstance(ed[k], str) for k in ("id", "src", "dst")) or not ed["id"]:
+        # only a JSON object can be indexed by a str: a list, a string, a
+        # number or null raises TypeError, an object without the key KeyError
+        try:
+            eid, src, dst = ed["id"], ed["src"], ed["dst"]
+        except (TypeError, KeyError):
+            raise GraphError(f"malformed edge record: {ed!r}") from None
+        if type(eid) is not str or type(src) is not str or type(dst) is not str or not eid:
             raise GraphError(
                 f"edge id, src and dst must be strings, the id nonempty: {ed!r}"
             )
-        edges.append(Edge(id=ed["id"], src=ed["src"], dst=ed["dst"]))
+        edges.append(Edge(eid, src, dst))
     return Graph(vertices, edges)
 
 
@@ -485,8 +492,9 @@ def _linked_groups(g: Graph, edges: Iterable[Edge]) -> list[list[str]]:
             i = parent[i]
         return i
 
-    for e in edges:
-        a, b = find(g.vertex_order(e.src)), find(g.vertex_order(e.dst))
+    index_of = g._vertex_index
+    for _, src, dst in edges:
+        a, b = find(index_of[src]), find(index_of[dst])
         if a != b:
             parent[a] = b
     groups: dict[int, list[str]] = {}
@@ -509,10 +517,12 @@ def simple_cycles(g: Graph) -> list[Cycle]:
     cycle is built from it directly, its edges known to follow each
     other and its vertices known to be distinct.  The search keeps its
     own stack, so path length is not bounded by Python's recursion limit.
+    A vertex on no cycle closes no search, so only the vertices of
+    `cycle_bits` start one.
     """
     found: list[Cycle] = []
     out, index_of = g._out, g._vertex_index
-    for start in sorted(g._vertex_set):
+    for start in sorted(g.vertices_of(g.cycle_bits())):
         component = g.component_bits(start)
         ids: list[str] = []  # the search path's edges
         sources = [start]  # their sources, then the vertex the path ends at

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graphs import (
     INFINITE,
@@ -18,28 +18,40 @@ class NotHereditaryError(ValueError):
     """Operation requires a hereditary vertex set."""
 
 
-@dataclass(frozen=True)
 class HereditarySet:
-    """A vertex subset with its hereditary status precomputed."""
+    """A vertex subset with its hereditary status precomputed.
 
-    graph: Graph
-    members: frozenset[str]
-    is_hereditary: bool = field(init=False)
-    bits: int = field(init=False, repr=False, compare=False)  # members as a bitset
+    Two are equal when they have the same graph and members."""
+
+    __slots__ = ("graph", "members", "is_hereditary", "bits")
+
+    def __init__(self, graph: Graph, members: frozenset[str]):
+        self.graph = graph
+        self.members = members
+        self.__post_init__()
 
     def __post_init__(self):
         # a set is hereditary iff the union of its members' trees stays inside
-        bits = self.graph.vertex_bits(self.members)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "is_hereditary", not self.graph.tree_union_bits(bits) & ~bits)
+        self.bits = bits = self.graph.vertex_bits(self.members)  # members as a bitset
+        self.is_hereditary = not self.graph.tree_union_bits(bits) & ~bits
+
+    def __eq__(self, other):
+        if other.__class__ is not HereditarySet:
+            return NotImplemented
+        return self.graph == other.graph and self.members == other.members
+
+    def __hash__(self):
+        return hash((self.graph, self.members))
+
+    def __repr__(self):
+        return f"HereditarySet({self.graph!r}, {self.members!r})"
 
     def require_hereditary(self) -> None:
         if not self.is_hereditary:
             raise NotHereditaryError(f"set is not hereditary: {sorted(self.members)}")
 
 
-@dataclass(frozen=True)
-class EntryPathSet:
+class EntryPathSet(NamedTuple):
     """F_E(H): first-entry paths into H, or the INFINITE marker.
 
     Paths are edge-id tuples; the first edge starts outside H, all
@@ -149,7 +161,7 @@ def restriction_graph(g: Graph, eps: EntryPathSet) -> Graph:
     for p in eps.paths:
         v = path_vertex_id(p, pad)
         vertices.append(v)
-        edges.append(Edge(id="bar" + v, src=v, dst=g.edge(p[-1]).dst))
+        edges.append(Edge("bar" + v, v, g.edge(p[-1]).dst))
     return Graph(vertices, edges)
 
 

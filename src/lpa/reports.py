@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
 from . import __version__
@@ -199,18 +197,31 @@ def _prime_json(pt: PrimeTrichotomy) -> dict:
     }
 
 
-@dataclass
 class Envelope:
-    """Everything one pipeline run produced, ready for serialization."""
+    """Everything one pipeline run produced, ready for serialization.  The
+    center, its algebra, the verification and the oracle checks are filled
+    in as the run reaches them."""
 
-    graph: Graph
-    classification: ClassificationReport
-    ideal: IdealStructureReport
-    prime: PrimeTrichotomy
-    center: Optional[CenterReport] = None
-    algebra: Optional[LeavittAlgebra] = None
-    verification: Optional[list] = None
-    oracle_checks: Optional[list] = None
+    __slots__ = (
+        "graph", "classification", "ideal", "prime",
+        "center", "algebra", "verification", "oracle_checks",
+    )
+
+    def __init__(
+        self,
+        graph: Graph,
+        classification: ClassificationReport,
+        ideal: IdealStructureReport,
+        prime: PrimeTrichotomy,
+    ):
+        self.graph = graph
+        self.classification = classification
+        self.ideal = ideal
+        self.prime = prime
+        self.center: Optional[CenterReport] = None
+        self.algebra: Optional[LeavittAlgebra] = None
+        self.verification: Optional[list] = None
+        self.oracle_checks: Optional[list] = None
 
     def to_json(self) -> dict:
         doc = {
@@ -322,5 +333,8 @@ def render_text(env: Envelope) -> str:
 
 
 def load_schema() -> dict:
+    # imported here, since only a run that validates its output needs it
+    from importlib import resources
+
     text = resources.files("lpa").joinpath("schemas/report.schema.json").read_text()
     return json.loads(text)

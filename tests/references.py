@@ -1,9 +1,11 @@
-"""Slow references for the fast paths: the all-pairs candidate
-enumeration, the matrix built from one ``commutators`` call per candidate
-and the single global-pivot elimination the oracle replaced, the
-classification read from every enumerated cycle that the pass over the
-components replaced, plus the graph families the tests draw from."""
+"""Slow references for the fast paths: the graph parser that read each
+edge record's keys as a set, the all-pairs candidate enumeration, the
+matrix built from one ``commutators`` call per candidate and the single
+global-pivot elimination the oracle replaced, the classification read
+from every enumerated cycle that the pass over the components replaced,
+plus the graph families and graph documents the tests draw from."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from lpa.classify import (
 )
 from lpa.engine import AlgebraElement, Monomial, sort_key
 from lpa.fields import QQ
-from lpa.graphs import INFINITE, Edge, Graph
+from lpa.graphs import INFINITE, Edge, Graph, GraphError
 from lpa.hereditary import entry_paths, hereditary_closure, saturated_closure
 from lpa.randomgen import random_graph
 
@@ -118,6 +120,42 @@ def random_graphs(max_vertices=5, max_edges=8):
     )
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+names = st.sampled_from(["u", "v", "w", "x", "y"])
+
+
+@st.composite
+def graph_documents(draw, strict=True):
+    """Up to 5 vertices and 8 edges.  Unless `strict`, an edge may name an
+    undeclared vertex or repeat an id."""
+    vertices = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+    ends = st.sampled_from(vertices) if strict else names
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=8))
+    ids = [f"e{j}" for j in range(len(pairs))]
+    if not strict:
+        ids = draw(st.lists(st.sampled_from("abc"), min_size=len(pairs), max_size=len(pairs)))
+    return {
+        "vertices": vertices,
+        "edges": [{"id": i, "src": s, "dst": d} for i, (s, d) in zip(ids, pairs)],
+    }
+
+
+@st.composite
+def wrong_fields(draw):
+    """A strict document with its vertices, its edges or one field of its
+    first edge replaced by any JSON value."""
+    doc = draw(graph_documents())
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(["vertices", "edges"]))] = draw(json_values)
+    elif doc["edges"]:
+        doc["edges"][0][draw(st.sampled_from(["id", "src", "dst"]))] = draw(json_values)
+    return json.dumps(doc)
+
+
 def renamed(g, rng):
     """g with vertices and edges renamed at random and declared in shuffled
     order, so that lexicographic order (v10 < v2), which picks the special
@@ -129,6 +167,33 @@ def renamed(g, rng):
     rng.shuffle(vs)
     rng.shuffle(es)
     return Graph(vs, es)
+
+
+def ref_parse_graph(text):
+    """The graph parser before the one-pass edge read: a set of each edge
+    record's keys, then an all() over the three fields."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise GraphError(f"malformed graph document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise GraphError("graph document must be a JSON object")
+    vertices = doc.get("vertices")
+    edge_docs = doc.get("edges", [])
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise GraphError("'vertices' must be a list of strings")
+    if not isinstance(edge_docs, list):
+        raise GraphError("'edges' must be a list")
+    edges = []
+    for ed in edge_docs:
+        if not isinstance(ed, dict) or not {"id", "src", "dst"} <= set(ed):
+            raise GraphError(f"malformed edge record: {ed!r}")
+        if not all(isinstance(ed[k], str) for k in ("id", "src", "dst")) or not ed["id"]:
+            raise GraphError(
+                f"edge id, src and dst must be strings, the id nonempty: {ed!r}"
+            )
+        edges.append(Edge(id=ed["id"], src=ed["src"], dst=ed["dst"]))
+    return Graph(vertices, edges)
 
 
 def ref_normal_monomials(alg, degree, max_len):

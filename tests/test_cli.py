@@ -16,7 +16,7 @@ from lpa.graphs import InvariantError
 from lpa.randomgen import graph_stream
 from lpa.reports import build_envelope, load_schema
 from corpus import FIXTURE_NAMES, FIXTURES, graph
-from references import PATH_ID_CLASHES
+from references import PATH_ID_CLASHES, graph_documents, json_values, wrong_fields
 
 
 
@@ -605,40 +605,6 @@ def test_cli_output_bytes_unchanged(case, capsys, tmp_path):
 
 
 # -- every document ends in a report or a clean input error ---------------------
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=8,
-)
-names = st.sampled_from(["u", "v", "w", "x", "y"])
-
-
-@st.composite
-def graph_documents(draw, strict=True):
-    """Up to 5 vertices and 8 edges.  Unless `strict`, an edge may name an
-    undeclared vertex or repeat an id."""
-    vertices = draw(st.lists(names, min_size=1, max_size=5, unique=True))
-    ends = st.sampled_from(vertices) if strict else names
-    pairs = draw(st.lists(st.tuples(ends, ends), max_size=8))
-    ids = [f"e{j}" for j in range(len(pairs))]
-    if not strict:
-        ids = draw(st.lists(st.sampled_from("abc"), min_size=len(pairs), max_size=len(pairs)))
-    return {
-        "vertices": vertices,
-        "edges": [{"id": i, "src": s, "dst": d} for i, (s, d) in zip(ids, pairs)],
-    }
-
-
-@st.composite
-def wrong_fields(draw):
-    doc = draw(graph_documents())
-    if draw(st.booleans()):
-        doc[draw(st.sampled_from(["vertices", "edges"]))] = draw(json_values)
-    elif doc["edges"]:
-        doc["edges"][0][draw(st.sampled_from(["id", "src", "dst"]))] = draw(json_values)
-    return json.dumps(doc)
-
 
 documents = st.one_of(
     graph_documents().map(json.dumps),

@@ -19,7 +19,13 @@ from lpa.graphs import (
     tree,
 )
 from corpus import graph
-from references import random_graphs
+from references import (
+    graph_documents,
+    json_values,
+    random_graphs,
+    ref_parse_graph,
+    wrong_fields,
+)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -72,6 +78,57 @@ def test_parse_empty_vertex_set_rejected():
 def test_declared_order_preserved():
     doc = {"vertices": ["b", "a"], "edges": []}
     assert parse_graph(json.dumps(doc)).vertices == ("b", "a")
+
+
+def parse_outcome(parse, text):
+    """The graph a parser builds from text, or the message of its GraphError."""
+    try:
+        return parse(text)
+    except GraphError as exc:
+        return f"GraphError: {exc}"
+
+
+@given(
+    st.one_of(
+        graph_documents().map(json.dumps),
+        graph_documents(strict=False).map(json.dumps),
+        wrong_fields(),
+        json_values.filter(lambda v: not isinstance(v, dict)).map(json.dumps),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_reference(text):
+    """The one-pass edge read accepts what the set-of-keys parser accepted,
+    builds the same graph, and rejects the rest with the same message."""
+    assert parse_outcome(parse_graph, text) == parse_outcome(ref_parse_graph, text)
+
+
+MALFORMED = "malformed edge record"
+NOT_STRINGS = "edge id, src and dst must be strings, the id nonempty"
+MALFORMED_EDGE_RECORDS = {
+    "list": (["e", "a", "a"], MALFORMED),
+    "string": ("e", MALFORMED),
+    "number": (1, MALFORMED),
+    "null": (None, MALFORMED),
+    "no id": ({"src": "a", "dst": "a"}, MALFORMED),
+    "no src": ({"id": "e", "dst": "a"}, MALFORMED),
+    "no dst": ({"id": "e", "src": "a"}, MALFORMED),
+    "int id": ({"id": 1, "src": "a", "dst": "a"}, NOT_STRINGS),
+    "list src": ({"id": "e", "src": ["a"], "dst": "a"}, NOT_STRINGS),
+    "null dst": ({"id": "e", "src": "a", "dst": None}, NOT_STRINGS),
+    "bool src": ({"id": "e", "src": True, "dst": "a"}, NOT_STRINGS),
+    "empty id": ({"id": "", "src": "a", "dst": "a"}, NOT_STRINGS),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_EDGE_RECORDS)
+def test_parse_rejects_malformed_edge_record(case):
+    record, message = MALFORMED_EDGE_RECORDS[case]
+    text = json.dumps({"vertices": ["a"], "edges": [{"id": "f", "src": "a", "dst": "a"}, record]})
+    with pytest.raises(GraphError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == f"{message}: {record!r}"
+    assert parse_outcome(ref_parse_graph, text) == f"GraphError: {exc.value}"
 
 
 # -- reachability ------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Static checks on the package source, made with the standard library's
-`ast`, since the project installs no linter."""
+`ast`, since the project installs no linter, and a check of what importing
+the CLI loads."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +96,23 @@ def test_inexact_operations_are_found():
 @pytest.mark.parametrize("name", EXACT_MODULES)
 def test_exact_modules_never_divide_or_use_floats(name):
     assert inexact_operations((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+# modules that `import lpa.cli` must not load: records are NamedTuples and
+# slotted classes, so nothing needs `dataclasses` or the `inspect` it
+# imports, and only `lpa schema` needs `importlib.resources`
+STARTUP_UNWANTED = ("dataclasses", "inspect", "importlib.resources")
+
+
+def test_cli_import_loads_no_unwanted_modules():
+    """Without `site` (-S), which loads modules of its own, importing the
+    CLI loads none of STARTUP_UNWANTED."""
+    code = (
+        "import json, sys, lpa.cli; "
+        f"print(json.dumps([m for m in {STARTUP_UNWANTED!r} if m in sys.modules]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert json.loads(proc.stdout) == []
