@@ -8,7 +8,6 @@ from typing import NamedTuple, Optional
 
 from .classify import ClassificationReport, XClass
 from .engine import AlgebraElement, GPath, LeavittAlgebra, Monomial
-from .fields import ModInt, PrimeField
 from .graphs import Graph
 from .hereditary import HereditarySet, entry_paths
 
@@ -65,13 +64,12 @@ def a_class(alg: LeavittAlgebra, xclass: XClass) -> CentralBasisElement:
     if not xclass.is_finite:
         raise CenterError(f"class [{xclass.rep}] has infinitely many entry paths")
     raw = []
-    one = alg.field.one
     for u in alg.graph.sorted_vertices(xclass.closure):
         t = alg.trivial_path(u)
-        raw.append((Monomial(t, t), one))
+        raw.append((Monomial(t, t), 1))
     for p in xclass.entry.paths:
         path = alg.path_from_edges(p)
-        raw.append((Monomial(path, path), one))
+        raw.append((Monomial(path, path), 1))
     return CentralBasisElement(
         degree=0, element=alg.normal_form(raw), class_id=xclass.rep
     )
@@ -93,7 +91,6 @@ def _laurent_basis(
     power of c dressed with the entry paths F_E(c^0), and its involution at
     degree -m|c|.  Within a degree the elements follow the order of S."""
     g = alg.graph
-    one = alg.field.one
     by_degree: dict[int, list[CentralBasisElement]] = {}
     for c in _s_cycles(report):
         vertices = c.vertex_set
@@ -105,11 +102,11 @@ def _laurent_basis(
             raw = []
             for u in g.sorted_vertices(vertices):
                 rot = c.rotation_at(u)
-                raw.append((Monomial(GPath(u, rot * m), alg.trivial_path(u)), one))
+                raw.append((Monomial(GPath(u, rot * m), alg.trivial_path(u)), 1))
             for p in eps.paths:
                 rot = c.rotation_at(g.edge(p[-1]).dst)
                 alpha = GPath(g.edge(p[0]).src, p + rot * m)
-                raw.append((Monomial(alpha, alg.path_from_edges(p)), one))
+                raw.append((Monomial(alpha, alg.path_from_edges(p)), 1))
             elem = alg.normal_form(raw)
             n = m * len(c)
             for degree, x, power in ((n, elem, m), (-n, alg.involution(elem), -m)):
@@ -178,11 +175,13 @@ def _eliminate(rows: list[dict], field) -> dict[int, dict]:
     """Gauss-Jordan on the rows in the field's own values: each row is taken
     into the field when its turn comes, reduced by the pivot rows, made
     monic, and its lead column is cleared from the earlier pivot rows.
-    Returns pivot column -> monic row; the pivot rows are kept fully reduced
-    against each other throughout.  Over Q clearing a column can leave an
-    integral Fraction in an earlier pivot row; `_monic` turns it back into
-    an int."""
-    coerce, zero = field.coerce, field.zero
+    Every entry it stores goes through `field.coerce`, so it is a field
+    value in the one form of `fields`: a residue in [0, p) over F_p, and
+    over Q an int where it is integral, also where clearing a column leaves
+    an integral Fraction.  Returns pivot column -> monic row; the pivot
+    rows are kept fully reduced against each other throughout, so they are
+    the RREF rows as they stand."""
+    coerce = field.coerce
     width = len({c for row in rows for c in row})
     pivots: dict[int, dict] = {}
 
@@ -190,7 +189,7 @@ def _eliminate(rows: list[dict], field) -> dict[int, dict]:
         """row -= row[c] * pivots[c], in place; pivots[c] is monic at c."""
         a = row[c]
         for j, k in pivots[c].items():
-            s = row.get(j, zero) - a * k
+            s = coerce(row.get(j, 0) - a * k)
             if s:
                 row[j] = s
             else:
@@ -216,25 +215,23 @@ def _eliminate(rows: list[dict], field) -> dict[int, dict]:
 
 
 def _monic(row: dict, field) -> dict:
-    """The row divided by its entry at its least column, as field values:
-    over Q an int where the quotient is integral and a Fraction otherwise,
-    as in `Rationals`, and a ModInt over F_p.  Entries that are zero in the
-    field are dropped first; a row with none left gives {}.  The entries
-    may be ints, Fractions or ModInts."""
-    if isinstance(field, PrimeField):
-        p = field.p
-        row = {c: v for c, k in row.items() if (v := int(k) % p)}
-        if not row:
-            return {}
-        inv = pow(row[min(row)], -1, p)
-        return {c: ModInt(k * inv % p, p) for c, k in row.items()}
-    row = {c: k for c, k in row.items() if k}
+    """The row divided by its entry at its least column, as field values.
+    Entries that `coerce` sends to 0 are dropped first; a row with none
+    left gives {}.  The inverse of the pivot is `coerce(Fraction(1, piv))`:
+    the int -1 for a pivot of -1, the Fraction 1/piv otherwise over Q, and
+    over F_p the residue of piv^-1, which `coerce` finds with pow(piv, -1,
+    p).  Each entry k becomes coerce(k * inv), so no `/` is needed and the
+    result is in the one form of `fields` whatever the input's form.  A
+    pivot of 1, the common case, leaves the coerced row as it is."""
+    coerce = field.coerce
+    row = {c: v for c, k in row.items() if (v := coerce(k))}
     if not row:
         return {}
     piv = row[min(row)]
-    # for ints and Fractions alike, k % piv is 0 exactly when k / piv is
-    # integral, and then k // piv is that int
-    return {c: Fraction(k, piv) if k % piv else k // piv for c, k in row.items()}
+    if piv == 1:
+        return row
+    inv = coerce(Fraction(1, piv))
+    return {c: coerce(k * inv) for c, k in row.items()}
 
 
 def _distinct(rows: list[dict]) -> list[dict]:
@@ -276,20 +273,19 @@ def _rref(rows: list[dict], field) -> list[dict]:
     unit rows (none when r is zero in the field, the zero row).
 
     Two or more rows left go to `_eliminate`, one Gauss-Jordan over the
-    field's own values, and each of its pivot rows passes through the same
-    `_monic` once more, so both ways give equal entries of equal types.
+    field's own values, whose pivot rows are monic and in the one form of
+    `fields`, as `_monic`'s are, so both ways give equal entries of equal
+    types.  There is one path for every field: each test for zero is a
+    test of `field.coerce(k)`, and the rows may hold ints, Fractions or
+    residues that are not yet reduced.
     Few systems get this far: in a seed-1 pass of the oracle workload, 123
     of 972 calls, none over F_p and none wider than 15 columns.
     """
     if not rows:
         return []
-    p = field.p if isinstance(field, PrimeField) else None
-    singles = [row for row in rows if len(row) == 1]
-    if p is None:
-        units = {c for row in singles for c, k in row.items() if k}
-    else:
-        units = {c for row in singles for c, k in row.items() if int(k) % p}
-    reduced: dict[int, dict] = {c: {c: field.one} for c in units}
+    coerce = field.coerce
+    units = {c for row in rows if len(row) == 1 for c, k in row.items() if coerce(k)}
+    reduced: dict[int, dict] = {c: {c: 1} for c in units}
     rest = [
         row if units.isdisjoint(row) else {c: k for c, k in row.items() if c not in units}
         for row in rows
@@ -300,7 +296,7 @@ def _rref(rows: list[dict], field) -> list[dict]:
     if len(rest) == 1:
         rest = [_monic(rest[0], field)]
     elif rest:
-        rest = [_monic(row, field) for row in _eliminate(rest, field).values()]
+        rest = list(_eliminate(rest, field).values())
     for row in rest:
         if row:
             reduced[min(row)] = row
@@ -309,7 +305,8 @@ def _rref(rows: list[dict], field) -> list[dict]:
 
 def kernel_basis(rows: list[dict], ncols: int, field) -> list[dict]:
     """Basis of the null space of the sparse constraint matrix: one vector
-    per free column f, with -k at each pivot whose RREF row has k at f."""
+    per free column f, with 1 at f and -k, put into the field, at each
+    pivot whose RREF row has k at f.  Every entry is nonzero."""
     pivot_cols = set()
     at_free: dict[int, list] = {}  # free column -> [(pivot col, entry)]
     for r in _rref(rows, field):
@@ -322,9 +319,9 @@ def kernel_basis(rows: list[dict], ncols: int, field) -> list[dict]:
     for f in range(ncols):
         if f in pivot_cols:
             continue
-        vec = {f: field.one}
+        vec = {f: 1}
         for lead, k in at_free.get(f, ()):
-            vec[lead] = -k
+            vec[lead] = field.coerce(-k)
         basis.append(vec)
     return basis
 
@@ -382,9 +379,8 @@ def oracle_commutant(
     cands, rows = _oracle_matrix(alg, degree, max_len)
     if not cands:
         return []
-    zero = alg.field.zero
     return [
-        AlgebraElement(alg, {cands[j]: k for j, k in vec.items() if k != zero})
+        AlgebraElement(alg, {cands[j]: k for j, k in vec.items()})
         for vec in kernel_basis(rows, len(cands), alg.field)
     ]
 
@@ -410,7 +406,7 @@ def _oracle_matrix(alg: LeavittAlgebra, degree: int, max_len: int):
     action = alg.generator_action
     for j, m in enumerate(cands):
         acc: dict[tuple, int] = {}
-        action(((m, 1),), acc, 0)
+        action(((m, 1),), acc)
         for key, c in acc.items():
             if c:
                 row = rows.get(key)

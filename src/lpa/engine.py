@@ -69,7 +69,7 @@ class AlgebraElement:
 
     def __init__(self, algebra: "LeavittAlgebra", terms: dict):
         self.algebra = algebra
-        self.terms = terms  # Monomial -> nonzero scalar; treated as frozen
+        self.terms = terms  # Monomial -> nonzero field value; treated as frozen
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -89,27 +89,29 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check(other)
+        coerce = self.algebra.field.coerce
         terms = dict(self.terms)
-        zero = self.algebra.field.zero
         for m, k in other.terms.items():
-            s = terms.get(m, zero) + k
-            if s == zero:
-                terms.pop(m, None)
-            else:
+            s = coerce(terms.get(m, 0) + k)
+            if s:
                 terms[m] = s
+            else:
+                terms.pop(m, None)
         return AlgebraElement(self.algebra, terms)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, {m: -k for m, k in self.terms.items()})
+        coerce = self.algebra.field.coerce
+        return AlgebraElement(self.algebra, {m: coerce(-k) for m, k in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, k) -> "AlgebraElement":
-        k = self.algebra.field.coerce(k)
-        if k == self.algebra.field.zero:
+        coerce = self.algebra.field.coerce
+        k = coerce(k)
+        if not k:
             return self.algebra.zero()
-        return AlgebraElement(self.algebra, {m: c * k for m, c in self.terms.items()})
+        return AlgebraElement(self.algebra, {m: coerce(c * k) for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -121,6 +123,10 @@ class AlgebraElement:
         return self.scale(k)
 
     def _check(self, other):
+        """Refuse an element of another algebra.  Coefficients are plain
+        numbers that carry no field, so this is also what keeps values of
+        two fields apart: elements over F_5 and F_7, or over F_7 and Q, of
+        one graph belong to two algebras."""
         if not isinstance(other, AlgebraElement) or other.algebra is not self.algebra:
             raise EngineError("elements belong to different algebras")
 
@@ -216,26 +222,26 @@ class LeavittAlgebra:
 
     def vertex(self, v: str) -> AlgebraElement:
         t = self.trivial_path(v)
-        return self.normal_form([(Monomial(t, t), self.field.one)])
+        return self.normal_form([(Monomial(t, t), 1)])
 
     def edge(self, eid: str) -> AlgebraElement:
         e = self.graph.edge(eid)
         alpha = GPath(e.src, (eid,))
         beta = self.trivial_path(e.dst)
-        return self.normal_form([(Monomial(alpha, beta), self.field.one)])
+        return self.normal_form([(Monomial(alpha, beta), 1)])
 
     def ghost(self, eid: str) -> AlgebraElement:
         e = self.graph.edge(eid)
         alpha = self.trivial_path(e.dst)
         beta = GPath(e.src, (eid,))
-        return self.normal_form([(Monomial(alpha, beta), self.field.one)])
+        return self.normal_form([(Monomial(alpha, beta), 1)])
 
     def path_element(self, p: GPath) -> AlgebraElement:
         beta = self.trivial_path(self.path_range(p))
-        return self.normal_form([(Monomial(p, beta), self.field.one)])
+        return self.normal_form([(Monomial(p, beta), 1)])
 
     def monomial_element(self, alpha: GPath, beta: GPath, k=1) -> AlgebraElement:
-        return self.normal_form([(self.monomial(alpha, beta), self.field.coerce(k))])
+        return self.normal_form([(self.monomial(alpha, beta), k)])
 
     def one(self) -> AlgebraElement:
         out = self.zero()
@@ -252,16 +258,16 @@ class LeavittAlgebra:
         alpha' beta'* minus the other ee* insertions at v; each step
         strictly shortens the reducible part, so it terminates.
         """
-        zero = self.field.zero
+        coerce = self.field.coerce
         make = Monomial._make
         out: dict[Monomial, object] = {}
-        stack = [(m, self.field.coerce(k)) for m, k in raw_terms]
+        stack = [(m, coerce(k)) for m, k in raw_terms]
         for m, _ in stack:
             if self.path_range(m[:2]) != self.path_range(m[2:]):
                 raise EngineError(f"range mismatch in raw term: {m}")
         while stack:
             m, k = stack.pop()
-            if k == zero:
+            if not k:
                 continue
             sa, p, sb, q = m
             if self._reducible(p, q):
@@ -273,11 +279,11 @@ class LeavittAlgebra:
                         fe = (e.id,)
                         stack.append((make((sa, p1 + fe, sb, q1 + fe)), -k))
             else:
-                acc = out.get(m, zero) + k
-                if acc == zero:
-                    out.pop(m, None)
-                else:
+                acc = coerce(out.get(m, 0) + k)
+                if acc:
                     out[m] = acc
+                else:
+                    out.pop(m, None)
         return AlgebraElement(self, out)
 
     # -- products -------------------------------------------------------------
@@ -337,7 +343,7 @@ class LeavittAlgebra:
         for e in self.graph.edges:
             yield e.id + "*", "ghost", e.id
 
-    def generator_action(self, terms, acc: dict, zero) -> None:
+    def generator_action(self, terms, acc: dict) -> None:
         """Add [k·m, g] for every term (m, k) of terms and every generator g
         into the dict acc, without building g or any Monomial.
 
@@ -345,12 +351,13 @@ class LeavittAlgebra:
         the plain tuple equal to it.  Each c·alpha beta* that [k·m, g]
         contains is added to acc under the flat key
         (kind, id, s(alpha), alpha, s(beta), beta), with (kind, id) as in
-        generator_labels(): acc[key] = acc.get(key, zero) + c.  Entries
-        are never removed, so terms that cancel leave an entry equal to
-        zero, and the caller keeps the nonzero ones.  No ``multiply`` or
-        ``normal_form`` runs.  A monomial m = alpha beta*
-        meets only the generators below, and each result is normal (for an
-        edge e write a = s(e), b = r(e)):
+        generator_labels(): acc[key] = acc.get(key, 0) + c, as plain
+        numbers that no field reduces.  Entries are never removed, so terms
+        that cancel leave an entry equal to 0 (over F_p a multiple of p),
+        and the caller reduces and keeps the nonzero ones.  No ``multiply``
+        or ``normal_form`` runs.  A monomial m = alpha beta* meets only the
+        generators below, and each result is normal (for an edge e write
+        a = s(e), b = r(e)):
 
         - vertex v: [m, v] = ([s(beta)=v] - [s(alpha)=v]) m, so only s(alpha)
           and s(beta) act, and only when they differ.
@@ -381,72 +388,75 @@ class LeavittAlgebra:
             # vertices
             if sa != sb:
                 key = ("vertex", sb, sa, p, sb, q)
-                acc[key] = get(key, zero) + k
+                acc[key] = get(key, 0) + k
                 key = ("vertex", sa, sa, p, sb, q)
-                acc[key] = get(key, zero) + neg_k
+                acc[key] = get(key, 0) + neg_k
             # edges: m e
             if q:
                 eid, _, b = edge_by_id[q[0]]
                 key = ("edge", eid, sa, p, b, q[1:])
-                acc[key] = get(key, zero) + k
+                acc[key] = get(key, 0) + k
             else:
                 for eid, _, b in out[sb]:
                     key = ("edge", eid, sa, p + (eid,), b, ())
-                    acc[key] = get(key, zero) + k
+                    acc[key] = get(key, 0) + k
             # edges: -e m, with the range relation when it applies
             for eid, a, _ in into[sa]:
                 if not p and q and q[-1] == eid and special[a] == eid:
                     beta0 = q[:-1]
                     key = ("edge", eid, a, (), sb, beta0)
-                    acc[key] = get(key, zero) + neg_k
+                    acc[key] = get(key, 0) + neg_k
                     for fid, _, _ in out[a]:
                         if fid != eid:
                             fe = (fid,)
                             key = ("edge", eid, a, fe, sb, beta0 + fe)
-                            acc[key] = get(key, zero) + k
+                            acc[key] = get(key, 0) + k
                 else:
                     key = ("edge", eid, a, (eid,) + p, sb, q)
-                    acc[key] = get(key, zero) + neg_k
+                    acc[key] = get(key, 0) + neg_k
             # ghosts: -(m* e)*
             if p:
                 eid, _, b = edge_by_id[p[0]]
                 key = ("ghost", eid, b, p[1:], sb, q)
-                acc[key] = get(key, zero) + neg_k
+                acc[key] = get(key, 0) + neg_k
             else:
                 for eid, _, b in out[sa]:
                     key = ("ghost", eid, b, (), sb, q + (eid,))
-                    acc[key] = get(key, zero) + neg_k
+                    acc[key] = get(key, 0) + neg_k
             # ghosts: (e m*)*, with the range relation when it applies
             for eid, a, _ in into[sb]:
                 if not q and p and p[-1] == eid and special[a] == eid:
                     alpha0 = p[:-1]
                     key = ("ghost", eid, sa, alpha0, a, ())
-                    acc[key] = get(key, zero) + k
+                    acc[key] = get(key, 0) + k
                     for fid, _, _ in out[a]:
                         if fid != eid:
                             fe = (fid,)
                             key = ("ghost", eid, sa, alpha0 + fe, a, fe)
-                            acc[key] = get(key, zero) + neg_k
+                            acc[key] = get(key, 0) + neg_k
                 else:
                     key = ("ghost", eid, sa, p, a, (eid,) + q)
-                    acc[key] = get(key, zero) + k
+                    acc[key] = get(key, 0) + k
 
     def commutators(self, x: AlgebraElement) -> dict:
         """{(kind, id): [x, g]} for every generator g with [x, g] != 0, keyed
         as in generator_labels(); x must be in normal form.
 
         Equal to ``commutator(x, g)`` for each g, from one generator_action
-        pass over x's terms into one dict.  Its nonzero entries are grouped
-        by (kind, id) at the end, and Monomials are made of them only for
-        the generators whose commutator is nonzero, so a central x builds
-        none.
+        pass over x's terms into one dict.  Its entries that are nonzero as
+        numbers are put into the field, those still nonzero there are
+        grouped by (kind, id) at the end, and Monomials are made of them
+        only for the generators whose commutator is nonzero, so a central x
+        builds none.  Over Q the entries of a central x cancel to an exact
+        0, so verifying it calls no `coerce`.
         """
         acc: dict[tuple, object] = {}
-        self.generator_action(x.terms.items(), acc, self.field.zero)
+        self.generator_action(x.terms.items(), acc)
+        coerce = self.field.coerce
         make = Monomial._make
         grouped: dict[tuple, dict] = {}
         for t, c in acc.items():
-            if c:
+            if c and (c := coerce(c)):
                 grouped.setdefault(t[:2], {})[make(t[2:])] = c
         return {key: AlgebraElement(self, terms) for key, terms in grouped.items()}
 
@@ -511,7 +521,7 @@ class LeavittAlgebra:
             return "0"
         parts = []
         for (sa, p, _, q), k in x.sorted_terms():
-            ks = self.field.render(k)
+            ks = str(k)
             if ks.startswith("-"):
                 ks = f"({ks})"
             term = f"{ks}·{' '.join(p) if p else sa}"

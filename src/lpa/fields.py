@@ -1,4 +1,13 @@
-"""Exact coefficient fields: rationals (default) and prime fields."""
+"""Exact coefficient fields: rationals (default) and prime fields.
+
+A coefficient is a plain Python number in both fields, and `coerce` is the
+one place that puts a value into its field's canonical form: over F_p an
+int in [0, p), over Q an int when it is integral and a `Fraction`
+otherwise.  Coefficients add, subtract and multiply as Python numbers; the
+engine and the elimination call `coerce` wherever they store a value or
+test it for zero.  Nothing divides two values with `/`, and `coerce`
+rejects floats, so no float ever appears.
+"""
 
 from __future__ import annotations
 
@@ -10,17 +19,14 @@ class Rationals:
 
     A value is a Python int when it is integral and a fractions.Fraction
     otherwise; `coerce` and `parse` apply this rule.  An int and a Fraction
-    of equal value compare equal, hash equal and render the same, so the
+    of equal value compare equal, hash equal and print the same, so the
     rule changes no term dict and no output, while the usual coefficients
     (the center's basis is built from 1 and -1) get machine-int arithmetic.
-    Nothing divides two values with `/`, and `coerce` rejects floats, so no
-    float ever appears.
+    The sum or product of two values can be an integral Fraction; `coerce`
+    turns it back into an int.
     """
 
     name = "Q"
-
-    zero = 0
-    one = 1
 
     @staticmethod
     def coerce(n) -> int | Fraction:
@@ -34,18 +40,8 @@ class Rationals:
     def parse(text: str) -> int | Fraction:
         return Rationals.coerce(Fraction(text))
 
-    @staticmethod
-    def render(x) -> str:
-        return str(x)
-
     def __repr__(self):
         return "Rationals()"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Rationals")
 
 
 QQ = Rationals()
@@ -54,61 +50,6 @@ QQ = Rationals()
 def _reject_float(n) -> None:
     if isinstance(n, float):
         raise TypeError(f"{n!r} is a float; coefficients are exact: pass an int or a Fraction")
-
-
-class ModInt:
-    """value mod p.  Two are equal when both their values and their moduli
-    are; a ModInt never equals an int."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value
-        self.p = p
-
-    def __eq__(self, other):
-        if other.__class__ is not ModInt:
-            return NotImplemented
-        return self.value == other.value and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def _check(self, other):
-        if not isinstance(other, ModInt):
-            raise TypeError(f"cannot mix ModInt with {type(other).__name__}")
-        if other.p != self.p:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other):
-        self._check(other)
-        return ModInt((self.value + other.value) % self.p, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ModInt((self.value - other.value) % self.p, self.p)
-
-    def __neg__(self):
-        return ModInt(-self.value % self.p, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return ModInt(self.value * other.value % self.p, self.p)
-
-    def __truediv__(self, other):
-        self._check(other)
-        if other.value % self.p == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return self * ModInt(pow(other.value, -1, self.p), self.p)
-
-    def __bool__(self):
-        return self.value % self.p != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p})"
 
 
 # Miller-Rabin over the primes up to 41 is exact below PRIME_LIMIT
@@ -131,7 +72,13 @@ def _is_prime(p: int) -> bool:
 
 
 class PrimeField:
-    """Integers modulo a prime p, for p below PRIME_LIMIT."""
+    """Integers modulo a prime p, for p below PRIME_LIMIT.
+
+    A value is a Python int in [0, p), the residue that `coerce` gives.
+    Sums, differences and products of residues are ints outside that range
+    until `coerce` reduces them; a value is zero in the field exactly when
+    its residue is 0.
+    """
 
     def __init__(self, p: int):
         if p >= PRIME_LIMIT:
@@ -140,35 +87,20 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
-        self.zero = ModInt(0, p)
-        self.one = ModInt(1, p)
 
-    def coerce(self, n) -> ModInt:
-        """An int, a ModInt of the same p, or a rational a/b as a * b^-1 mod
-        p; a/b with p dividing b has no value mod p (ValueError)."""
-        if isinstance(n, ModInt):
-            if n.p != self.p:
-                raise ValueError("mixed moduli")
-            return n
-        if isinstance(n, int):
-            return ModInt(n % self.p, self.p)
+    def coerce(self, n) -> int:
+        """An int as its residue, or a rational a/b as a * b^-1 mod p; a/b
+        with p dividing b has no value mod p (ValueError)."""
+        if type(n) is int:
+            return n % self.p
         _reject_float(n)
         q = Fraction(n)
         if q.denominator % self.p == 0:
             raise ValueError(f"{q} has no value mod {self.p}: {self.p} divides its denominator")
-        return ModInt(q.numerator * pow(q.denominator, -1, self.p) % self.p, self.p)
+        return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
-    def parse(self, text: str) -> ModInt:
+    def parse(self, text: str) -> int:
         return self.coerce(int(text))
-
-    def render(self, x: ModInt) -> str:
-        return str(x.value)
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))

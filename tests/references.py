@@ -19,7 +19,6 @@ from lpa.classify import (
     sim_classes,
 )
 from lpa.engine import AlgebraElement, Monomial, sort_key
-from lpa.fields import QQ
 from lpa.graphs import INFINITE, Edge, Graph, GraphError
 from lpa.hereditary import entry_paths, hereditary_closure, saturated_closure
 from lpa.randomgen import random_graph
@@ -249,7 +248,7 @@ def ref_oracle_matrix(alg, degree, max_len):
     ]
     rows = {}
     for j, m in enumerate(cands):
-        coms = alg.commutators(AlgebraElement(alg, {m: alg.field.one}))
+        coms = alg.commutators(AlgebraElement(alg, {m: 1}))
         for generator, com in coms.items():
             for mm, k in com.terms.items():
                 rows.setdefault((generator, mm), {})[j] = k
@@ -258,57 +257,57 @@ def ref_oracle_matrix(alg, degree, max_len):
 
 def ref_rref(rows, field):
     """Reduced row echelon form with one pivot dict over all columns and
-    field arithmetic throughout.  Pivot rows are normalised by exact
-    division: in Fraction over Q, where entries may be ints and int / int
-    is a float, and in ModInt over F_p."""
-    zero = field.zero
-    exact = Fraction if field == QQ else (lambda k: k)
+    field arithmetic throughout, on values of the reference's own: in
+    Fraction over Q, where entries may be ints and int / int is a float,
+    and over F_p in int residues, each value reduced with its own % p and
+    each pivot inverted with pow(k, -1, p)."""
+    p = getattr(field, "p", None)
+    if p is None:
+        norm, inverse = Fraction, lambda k: 1 / k
+    else:
+        norm, inverse = (lambda k: k % p), (lambda k: pow(k, -1, p))
     pivots = {}  # pivot col -> normalized row
+
+    def subtract(row, factor, prow):
+        for c, k in prow.items():
+            s = norm(row.get(c, 0) - factor * k)
+            if s:
+                row[c] = s
+            else:
+                row.pop(c, None)
+
     for row in rows:
-        row = {c: k for c, k in row.items() if k != zero}
+        row = {c: v for c, k in row.items() if (v := norm(k))}
         while row:
             lead = min(row)
             if lead in pivots:
-                factor = row[lead]
-                for c, k in pivots[lead].items():
-                    s = row.get(c, zero) - factor * k
-                    if s == zero:
-                        row.pop(c, None)
-                    else:
-                        row[c] = s
+                subtract(row, row[lead], pivots[lead])
             else:
-                inv = row[lead]
-                pivots[lead] = {c: exact(k) / inv for c, k in row.items()}
+                inv = inverse(row[lead])
+                pivots[lead] = {c: norm(k * inv) for c, k in row.items()}
                 break
     for lead in sorted(pivots, reverse=True):
         prow = pivots[lead]
         for other_lead, orow in pivots.items():
-            if other_lead == lead:
-                continue
-            factor = orow.get(lead, zero)
-            if factor != zero:
-                for c, k in prow.items():
-                    s = orow.get(c, zero) - factor * k
-                    if s == zero:
-                        orow.pop(c, None)
-                    else:
-                        orow[c] = s
+            if other_lead != lead and orow.get(lead, 0):
+                subtract(orow, orow[lead], prow)
     return [pivots[lead] for lead in sorted(pivots)]
 
 
 def ref_kernel_basis(rows, ncols, field):
     """Null space from ref_rref, scanning every pivot row per free column."""
+    p = getattr(field, "p", None)
     rref_rows = ref_rref(rows, field)
     pivot_cols = {min(r) for r in rref_rows}
     basis = []
     for f in range(ncols):
         if f in pivot_cols:
             continue
-        vec = {f: field.one}
+        vec = {f: 1}
         for r in rref_rows:
-            k = r.get(f, field.zero)
-            if k != field.zero:
-                vec[min(r)] = -k
+            k = r.get(f, 0)
+            if k:
+                vec[min(r)] = -k if p is None else -k % p
         basis.append(vec)
     return basis
 

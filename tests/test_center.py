@@ -25,7 +25,7 @@ from lpa.center import (
 )
 from lpa.classify import x_decomposition
 from lpa.engine import AlgebraElement, LeavittAlgebra, Monomial, sort_key
-from lpa.fields import QQ, ModInt, PrimeField
+from lpa.fields import QQ, PrimeField
 from lpa.graphs import Edge, Graph, disjoint_union
 from lpa.randomgen import random_graph
 from corpus import FIXTURE_NAMES, graph
@@ -279,7 +279,7 @@ def unpruned_commutant(alg, degree, max_len):
     cands = ref_normal_monomials(alg, degree, max_len)
     rows: dict[tuple, dict] = {}
     for j, m in enumerate(cands):
-        elem = AlgebraElement(alg, {m: alg.field.one})
+        elem = AlgebraElement(alg, {m: 1})
         for i, (_label, gen) in enumerate(alg.generators()):
             for mm, k in alg.commutator(elem, gen).terms.items():
                 rows.setdefault((i, mm), {})[j] = k
@@ -322,8 +322,10 @@ F2 = PrimeField(2)
 
 
 def coerced(rows, field):
-    """The int rows of _oracle_matrix as field elements: over F_p the
-    reference computes in ModInt, which does not mix with ints."""
+    """Rows as field values in the one form of `lpa.fields`: the int rows of
+    _oracle_matrix, where -1 stands for p - 1 over F_p, in the form the
+    reference's commutators hold, and the reference RREF's Fractions as
+    ints where integral."""
     return [{c: field.coerce(k) for c, k in row.items()} for row in rows]
 
 
@@ -346,7 +348,7 @@ def assert_matches_reference(alg, degree, max_len):
     col = {m: j for j, m in enumerate(cands)}
     assert cands == [m for m in ref_cands if m in col]
     assert all(type(k) is int for row in rows for k in row.values())
-    units = {j for row in ref_rows if len(row) == 1 for j, k in row.items() if k != field.zero}
+    units = {j for row in ref_rows if len(row) == 1 for j, k in row.items() if k}
     for j, m in enumerate(ref_cands):
         if m not in col:
             assert len(m.alpha.edges) + len(m.beta.edges) + 2 > max_len, m
@@ -481,7 +483,7 @@ def assert_one_algebra_serves(g, field, solves):
         assert cands == ref_oracle_candidates(fresh, degree, max_len), (degree, max_len)
         assert_matches_reference(alg, degree, max_len)
         kernel = kernel_basis(rows, len(cands), field)
-        assert kernel == ref_kernel_basis(coerced(rows, field), len(cands), field)
+        assert kernel == ref_kernel_basis(rows, len(cands), field)
     # a degree beyond its bound has no candidates and reads no table
     assert (alg._oracle_tables is None) == all(abs(d) > max_len for d, max_len in solves)
 
@@ -535,7 +537,7 @@ def test_kernel_basis_matches_reference(seed, degree, max_len, field):
     rng = random.Random(seed)
     alg = LeavittAlgebra(renamed(random_graph(rng, 4, 6), rng), field)
     cands, rows = _oracle_matrix(alg, degree, max_len)
-    ref = ref_kernel_basis(coerced(rows, field), len(cands), field)
+    ref = ref_kernel_basis(rows, len(cands), field)
     assert kernel_basis(rows, len(cands), field) == ref
 
 
@@ -546,7 +548,7 @@ def test_kernel_basis_matches_reference_on_roses(n, field):
     for degree in range(-2, 3):
         cands, rows = _oracle_matrix(alg, degree, 4)
         got = kernel_basis(rows, len(cands), field)
-        assert got == ref_kernel_basis(coerced(rows, field), len(cands), field), degree
+        assert got == ref_kernel_basis(rows, len(cands), field), degree
 
 
 def random_span(alg, rng, coefficient):
@@ -635,7 +637,7 @@ def rows_with_units(draw, p):
 @settings(max_examples=150, deadline=None)
 def test_rref_with_unit_rows_matches_reference(field, data):
     rows = data.draw(rows_with_units(getattr(field, "p", None)))
-    assert _rref(rows, field) == ref_rref(coerced(rows, field), field)
+    assert _rref(rows, field) == ref_rref(rows, field)
 
 
 # -- the shapes _rref settles without elimination ------------------------------------
@@ -650,14 +652,14 @@ def settled(monkeypatch, rows, field):
 
 def field_typed(rows, field):
     """Over Q an entry is an int exactly when it is integral, else a
-    Fraction; over F_p it is a ModInt."""
-    if field == QQ:
+    Fraction; over F_p it is an int in [0, p)."""
+    if field is QQ:
         return all(
             type(k) is (int if Fraction(k).denominator == 1 else Fraction)
             for row in rows
             for k in row.values()
         )
-    return all(type(k) is ModInt for row in rows for k in row.values())
+    return all(type(k) is int and 0 <= k < field.p for row in rows for k in row.values())
 
 
 def typed(rows):
@@ -675,7 +677,7 @@ def test_rref_of_unit_rows_alone(monkeypatch, field):
     # over F_2 the rows {3: 2} and {0: 14} are zero; over F_7, {0: 14} is
     rows = [{3: 2}, {1: -5}, {3: 7}, {0: 14}, {1: 3}]
     got, eliminated = settled(monkeypatch, rows, field)
-    assert got == ref_rref(coerced(rows, field), field)
+    assert got == ref_rref(rows, field)
     assert not eliminated and field_typed(got, field)
     assert [min(r) for r in got] == {QQ: [0, 1, 3], F7: [1, 3], F2: [1, 3]}[field]
 
@@ -692,12 +694,12 @@ one_row_cases = [
     ([{1: 5}, {1: 3, 4: 7, 6: 2}], F7),
     ([{0: 2, 3: 4}], F2),
     ([{0: 3, 3: 4, 5: 1}], F2),
-    ([{0: F7.coerce(3), 4: F7.coerce(5)}], F7),  # ModInt entries, as in same_span
+    ([{0: 3, 4: 5}], F7),  # residues in [0, 7), as same_span passes them
     # a row repeated, or negated, lies in the first one's span
     ([{0: 1, 2: -1}, {0: -1, 2: 1}, {1: 1}, {0: 1, 2: -1}], QQ),
     ([{3: Fraction(1, 2), 4: -2}, {3: Fraction(-1, 2), 4: 2}], QQ),
     ([{0: 1, 2: 6}, {0: -1, 2: -6}, {0: 1, 2: 6}], F7),
-    ([{0: F7.coerce(2), 2: F7.coerce(3)}, {0: F7.coerce(-2), 2: F7.coerce(-3)}], F7),
+    ([{0: 2, 2: 3}, {0: 2, 2: 3}], F7),  # residues, repeated as same_span can
 ]
 
 
@@ -708,7 +710,7 @@ def test_rref_of_one_multi_entry_row(monkeypatch, rows, field):
     a repeat nor a negation of the other) go through."""
     got, eliminated = settled(monkeypatch, rows, field)
     assert not eliminated
-    assert got == ref_rref(coerced(rows, field), field)
+    assert got == ref_rref(rows, field)
     assert field_typed(got, field)
     double = {c: k + k for c, k in rows[-1].items()}
     doubled, eliminated = settled(monkeypatch, rows + [double], field)
@@ -741,7 +743,7 @@ def small_systems(draw, p):
 def test_rref_shapes_match_reference(field, data):
     rows = data.draw(small_systems(getattr(field, "p", None)))
     reduced = _rref(rows, field)
-    assert reduced == ref_rref(coerced(rows, field), field)
+    assert reduced == ref_rref(rows, field)
     assert field_typed(reduced, field)
 
 
@@ -753,7 +755,7 @@ eliminated_cases = [
     ([{3: 1}, {0: 4, 3: 2, 5: -6}, {0: -2, 5: 9}, {1: Fraction(-7, 4), 5: 1}], QQ),
     ([{0: 3, 1: 5, 2: 1}, {1: 2, 2: 6}, {0: 1, 2: 4}], F7),
     ([{0: 14, 1: 3, 2: 5}, {0: 1, 1: 21, 2: -2}, {1: 9, 2: 15}], F7),
-    ([{0: F7.coerce(2), 2: F7.coerce(3)}, {1: F7.coerce(4), 2: F7.coerce(6)}], F7),
+    ([{0: 2, 2: 3}, {1: 4, 2: 6}], F7),  # residues
     ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], F2),  # the third is the sum
     ([{0: 3, 1: 2, 2: 1}, {1: 5, 2: 4, 3: 1}, {0: 1, 3: 7}], F2),
 ]
@@ -762,10 +764,10 @@ eliminated_cases = [
 @pytest.mark.parametrize("rows, field", eliminated_cases)
 def test_eliminated_systems_match_reference(monkeypatch, rows, field):
     """The elimination gives the reference RREF with field-typed entries:
-    ints where integral and Fractions otherwise over Q, ModInts over F_p."""
+    ints where integral and Fractions otherwise over Q, residues over F_p."""
     got, eliminated = settled(monkeypatch, rows, field)
     assert eliminated
-    ref = coerced(ref_rref(coerced(rows, field), field), field)
+    ref = coerced(ref_rref(rows, field), field)
     assert typed(got) == typed(ref)
     assert field_typed(got, field)
 
@@ -857,9 +859,8 @@ def test_rationals_are_ints_when_integral():
     half = QQ.parse("-3/6")
     assert type(half) is Fraction and half == Fraction(-1, 2)
     assert type(QQ.parse("-4/2")) is int
-    assert type(QQ.zero) is int and type(QQ.one) is int
     for text in ("1", "-1", "-1/2"):
-        assert QQ.render(QQ.parse(text)) == str(Fraction(text)) == text
+        assert str(QQ.parse(text)) == str(Fraction(text)) == text
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

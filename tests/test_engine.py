@@ -1,3 +1,4 @@
+import operator
 import random
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lpa.center import basis_zero
 from lpa.classify import x_decomposition
 from lpa.engine import AlgebraElement, EngineError, GPath, LeavittAlgebra, Monomial
-from lpa.fields import PrimeField
+from lpa.fields import QQ, PrimeField
 from lpa.graphs import Edge, Graph
 from lpa.randomgen import random_graph
 from corpus import graph
@@ -169,6 +170,21 @@ def test_mixed_algebra_rejected():
     b = alg_of("g_loop")
     with pytest.raises(EngineError):
         a.vertex("v") + b.vertex("v")
+
+
+@pytest.mark.parametrize(
+    "first, second", [(PrimeField(5), PrimeField(7)), (PrimeField(7), QQ)], ids=["p5-p7", "p7-q"]
+)
+def test_fields_do_not_mix(first, second):
+    # a coefficient is a plain number that carries no field, so the guard
+    # against mixing fields is AlgebraElement._check: elements over two
+    # fields of one graph belong to two algebras
+    x = alg_of("g_r2", first).vertex("v")
+    y = alg_of("g_r2", second).vertex("v")
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(EngineError):
+                op(a, b)
 
 
 # -- involution --------------------------------------------------------------
