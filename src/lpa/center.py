@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .classify import ClassificationReport, XClass
-from .engine import AlgebraElement, GPath, LeavittAlgebra, Monomial
+from .engine import AlgebraElement, LeavittAlgebra, Monomial
 from .graphs import Graph
 from .hereditary import HereditarySet, entry_paths
 
@@ -60,16 +60,19 @@ class CenterReport(NamedTuple):
 
 def a_class(alg: LeavittAlgebra, xclass: XClass) -> CentralBasisElement:
     """The degree-0 idempotent of a finite class: closure vertices plus
-    alpha alpha* over the entry paths of the closure."""
+    alpha alpha* over the entry paths of the closure.
+
+    The raw terms are built as plain tuples, each path's source read from
+    the graph's edge table; `normal_form` checks every term's ranges, so
+    each path is validated once, there."""
     if not xclass.is_finite:
         raise CenterError(f"class [{xclass.rep}] has infinitely many entry paths")
-    raw = []
-    for u in alg.graph.sorted_vertices(xclass.closure):
-        t = alg.trivial_path(u)
-        raw.append((Monomial(t, t), 1))
+    g, make = alg.graph, Monomial._make
+    raw = [(make((u, (), u, ())), 1) for u in g.sorted_vertices(xclass.closure)]
+    edge_by_id = g._edge_by_id
     for p in xclass.entry.paths:
-        path = alg.path_from_edges(p)
-        raw.append((Monomial(path, path), 1))
+        s = edge_by_id[p[0]].src
+        raw.append((make((s, p, s, p)), 1))
     return CentralBasisElement(
         degree=0, element=alg.normal_form(raw), class_id=xclass.rep
     )
@@ -90,7 +93,8 @@ def _laurent_basis(
     m >= 1 with m|c| in the window, one element at degree m|c|, the m-th
     power of c dressed with the entry paths F_E(c^0), and its involution at
     degree -m|c|.  Within a degree the elements follow the order of S."""
-    g = alg.graph
+    g, make = alg.graph, Monomial._make
+    edge_by_id = g._edge_by_id
     by_degree: dict[int, list[CentralBasisElement]] = {}
     for c in _s_cycles(report):
         vertices = c.vertex_set
@@ -98,15 +102,15 @@ def _laurent_basis(
         # c's vertices are in P and, by rule (ii), inside one ~ class, so
         # the X-class that holds c.base is the one that holds c
         class_id = next(xc.rep for xc in report.x_classes if c.base in xc.members)
+        rotations = {u: c.rotation_at(u) for u in c.sources}  # c read from u
+        # each entry path p with its source and the rotation of c at its range
+        entries = [
+            (edge_by_id[p[0]].src, p, rotations[edge_by_id[p[-1]].dst]) for p in eps.paths
+        ]
         for m in range(1, degree_window // len(c) + 1):
-            raw = []
-            for u in g.sorted_vertices(vertices):
-                rot = c.rotation_at(u)
-                raw.append((Monomial(GPath(u, rot * m), alg.trivial_path(u)), 1))
-            for p in eps.paths:
-                rot = c.rotation_at(g.edge(p[-1]).dst)
-                alpha = GPath(g.edge(p[0]).src, p + rot * m)
-                raw.append((Monomial(alpha, alg.path_from_edges(p)), 1))
+            # raw terms as plain tuples, checked once, by normal_form
+            raw = [(make((u, rotations[u] * m, u, ())), 1) for u in g.sorted_vertices(vertices)]
+            raw += [(make((s, p + rot * m, s, p)), 1) for s, p, rot in entries]
             elem = alg.normal_form(raw)
             n = m * len(c)
             for degree, x, power in ((n, elem, m), (-n, alg.involution(elem), -m)):

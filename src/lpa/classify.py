@@ -20,7 +20,6 @@ from .hereditary import (
     EntryPathSet,
     HereditarySet,
     entry_paths,
-    hereditary_closure,
     is_dense_ideal,
     restriction_graph,
     saturated_closure,
@@ -78,7 +77,7 @@ class ClassificationReport(NamedTuple):
 def line_points(g: Graph) -> frozenset[str]:
     """Vertices whose tree has no bifurcations and no cycle vertices."""
     blocked = g.cycle_bits() | g.bifurcation_bits()
-    return frozenset(v for v in g.vertices if not g.tree_bits(v) & blocked)
+    return frozenset(v for v, t in zip(g.vertices, g.all_tree_bits()) if not t & blocked)
 
 
 def sim_classes(g: Graph) -> list[frozenset[str]]:
@@ -92,10 +91,11 @@ def sim_classes(g: Graph) -> list[frozenset[str]]:
     """
     bifs = g.bifurcation_bits()
     below_cycle = g.tree_union_bits(g.cycle_bits())
+    trees, index = g.all_tree_bits(), g._vertex_index
     linking = [
         e
         for e in g.edges
-        if below_cycle >> g.vertex_order(e.src) & 1 or not g.tree_bits(e.src) & bifs
+        if below_cycle >> (i := index[e.src]) & 1 or not trees[i] & bifs
     ]
     return [frozenset(vs) for vs in _linked_groups(g, linking)]
 
@@ -239,11 +239,16 @@ def x_decomposition(g: Graph) -> ClassificationReport:
     classes = sim_classes(g)
 
     x_classes = []
+    index = g._vertex_index
     for cls in classes:
         inter = cls & p
         if not inter:
             continue
-        closure = saturated_closure(g, hereditary_closure(g, cls))
+        # the class's vertices come from g, so their bits need no check
+        bits = 0
+        for v in cls:
+            bits |= 1 << index[v]
+        closure = saturated_closure(g, HereditarySet.from_bits(g, g.tree_union_bits(bits)))
         eps = entry_paths(g, closure)
         if inter <= pl:
             ctype = "line"
@@ -256,7 +261,7 @@ def x_decomposition(g: Graph) -> ClassificationReport:
         x_classes.append(
             XClass(
                 members=cls,
-                rep=min(cls, key=g.vertex_order),
+                rep=min(cls, key=index.__getitem__),
                 closure=closure.members,
                 entry=eps,
                 is_finite=not eps.is_infinite,
@@ -393,7 +398,7 @@ def prime_trichotomy(
     """The prime case of g.  The sink case reads the sink and its matrix
     size from `ideal`, the ideal structure of g, which has counted the paths
     into each sink already."""
-    trees = [g.tree_bits(v) for v in g.vertices]
+    trees = g.all_tree_bits()
     # the trees meet pairwise iff they share a vertex (the one terminal
     # component), so the pair search runs only when a witness exists
     if not reduce(and_, trees):

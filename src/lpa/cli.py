@@ -22,7 +22,7 @@ from .center import (
 from .fields import PrimeField, QQ
 from .graphs import Graph, GraphError, InvariantError, parse_graph
 from .randomgen import graph_stream
-from .reports import Envelope, build_envelope, json_text, load_schema, render_text
+from .reports import Envelope, build_envelope, load_schema, render_text
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -189,9 +189,7 @@ def cmd_random(args: argparse.Namespace, out) -> int:
         if not ok:
             _report_failure(args.seed, index, g, env)
         if args.fmt == "json":
-            doc = env.to_json()
-            doc["index"] = index
-            out.write(json_text(doc) + "\n")
+            out.write(env.dumps(index=index) + "\n")
         else:
             out.write(f"--- graph {index} ---\n")
             _emit(env, args.fmt, out)
@@ -212,7 +210,7 @@ def _report_failure(seed: int, index: int, g: Graph, env: Envelope) -> None:
 
 
 def cmd_schema(out) -> int:
-    out.write(json_text(load_schema()) + "\n")
+    out.write(json.dumps(load_schema(), indent=2) + "\n")
     return EXIT_OK
 
 

@@ -62,6 +62,12 @@ def sort_key(m: tuple) -> tuple:
     return len(m[1]) + len(m[3]), m
 
 
+def _term_key(term: tuple) -> tuple:
+    """`sort_key` of the monomial of a (monomial, coefficient) term."""
+    m = term[0]
+    return len(m[1]) + len(m[3]), m
+
+
 class AlgebraElement:
     """Immutable linear combination of normal-form monomials."""
 
@@ -131,7 +137,7 @@ class AlgebraElement:
             raise EngineError("elements belong to different algebras")
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mk: sort_key(mk[0]))
+        return sorted(self.terms.items(), key=_term_key)
 
     def monomials(self):
         return list(self.terms)
@@ -317,9 +323,15 @@ class LeavittAlgebra:
     # -- structure maps --------------------------------------------------------
 
     def involution(self, x: AlgebraElement) -> AlgebraElement:
+        """x*, term by term: (k alpha beta*)* = k beta alpha*, for x in normal
+        form.  The swap keeps normal form, since the condition (alpha and
+        beta do not both end in the same special edge) is symmetric in alpha
+        and beta, and it is a bijection on monomials, so no two terms meet
+        and every coefficient stays the field value it was.  No
+        `normal_form` runs."""
         make = Monomial._make
-        return self.normal_form(
-            [(make((sb, q, sa, p)), k) for (sa, p, sb, q), k in x.terms.items()]
+        return AlgebraElement(
+            self, {make((sb, q, sa, p)): k for (sa, p, sb, q), k in x.terms.items()}
         )
 
     # -- centrality --------------------------------------------------------------
@@ -448,10 +460,14 @@ class LeavittAlgebra:
         grouped by (kind, id) at the end, and Monomials are made of them
         only for the generators whose commutator is nonzero, so a central x
         builds none.  Over Q the entries of a central x cancel to an exact
-        0, so verifying it calls no `coerce`.
+        0, so verifying it ends after one `any` over the entries, with no
+        per-entry loop and no `coerce`; over F_p an entry may be a nonzero
+        multiple of p, and the loop puts each into the field.
         """
         acc: dict[tuple, object] = {}
         self.generator_action(x.terms.items(), acc)
+        if not any(acc.values()):
+            return {}  # every entry cancelled as a number: x is central
         coerce = self.field.coerce
         make = Monomial._make
         grouped: dict[tuple, dict] = {}
@@ -522,12 +538,10 @@ class LeavittAlgebra:
         parts = []
         for (sa, p, _, q), k in x.sorted_terms():
             ks = str(k)
-            if ks.startswith("-"):
+            if ks[0] == "-":
                 ks = f"({ks})"
-            term = f"{ks}·{' '.join(p) if p else sa}"
-            if q:
-                term += f" ({' '.join(q)})*"
-            parts.append(term)
+            alpha = " ".join(p) if p else sa
+            parts.append(f"{ks}·{alpha} ({' '.join(q)})*" if q else f"{ks}·{alpha}")
         return " + ".join(parts)
 
     _TERM_RE = re.compile(r"^\(?(-?[0-9][0-9/]*)\)?·(.*?)(?:\s*\(([^)]*)\)\*)?$")

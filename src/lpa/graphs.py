@@ -113,9 +113,6 @@ class Graph:
     def sinks(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if not self._out[v])
 
-    def vertex_order(self, v: str) -> int:
-        return self._vertex_index[v]
-
     def sorted_vertices(self, vs: Iterable[str]) -> list[str]:
         return sorted(vs, key=self._vertex_index.__getitem__)
 
@@ -158,6 +155,11 @@ class Graph:
         """T(v), the vertices forward-reachable from v (v included), as a bitset."""
         self.check_vertex(v)
         return self._reach().trees[self._vertex_index[v]]
+
+    def all_tree_bits(self) -> tuple[int, ...]:
+        """T(v) for every vertex v, in declared order, as bitsets: the
+        index's own table, read in one go."""
+        return self._reach().trees
 
     def tree_union_bits(self, bits: int) -> int:
         """The union of the trees T(v), v in the bitset `bits`.
@@ -542,7 +544,7 @@ def simple_cycles(g: Graph) -> list[Cycle]:
                 sources.append(e.dst)
                 on_path.add(e.dst)
                 branches.append(iter(out[e.dst]))
-    found.sort(key=lambda c: (len(c), c.base, c.edges))
+    found.sort(key=lambda c: (len(c.edges), c.sources[0], c.edges))  # (len, base, edges)
     return found
 
 

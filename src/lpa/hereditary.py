@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .graphs import (
     INFINITE,
@@ -25,14 +25,23 @@ class HereditarySet:
 
     __slots__ = ("graph", "members", "is_hereditary", "bits")
 
-    def __init__(self, graph: Graph, members: frozenset[str]):
+    def __init__(self, graph: Graph, members: frozenset[str], bits: Optional[int] = None):
         self.graph = graph
         self.members = members
+        self.bits = bits  # the members as a bitset; checked and computed when None
         self.__post_init__()
 
+    @classmethod
+    def from_bits(cls, graph: Graph, bits: int) -> "HereditarySet":
+        """The set of a bitset of vertices of graph, which its bits already
+        name, so no member is looked up or checked again."""
+        return cls(graph, graph.vertices_of(bits), bits)
+
     def __post_init__(self):
+        if self.bits is None:
+            self.bits = self.graph.vertex_bits(self.members)
         # a set is hereditary iff the union of its members' trees stays inside
-        self.bits = bits = self.graph.vertex_bits(self.members)  # members as a bitset
+        bits = self.bits
         self.is_hereditary = not self.graph.tree_union_bits(bits) & ~bits
 
     def __eq__(self, other):
@@ -68,7 +77,7 @@ class EntryPathSet(NamedTuple):
 
 def hereditary_closure(g: Graph, X) -> HereditarySet:
     """Least hereditary set containing X: the union of the trees T(v)."""
-    return HereditarySet(g, g.vertices_of(tree_bits_of_set(g, X)))
+    return HereditarySet.from_bits(g, tree_bits_of_set(g, X))
 
 
 def saturated_closure(g: Graph, H: HereditarySet) -> HereditarySet:
@@ -92,7 +101,7 @@ def saturated_closure(g: Graph, H: HereditarySet) -> HereditarySet:
     above = g.ancestor_bits(H.bits)
     below = g.tree_union_bits(above & ~H.bits)
     blocking = below & (g.cycle_bits() | g.sink_bits()) & ~H.bits
-    return HereditarySet(g, g.vertices_of(above & ~g.ancestor_bits(blocking)))
+    return HereditarySet.from_bits(g, above & ~g.ancestor_bits(blocking))
 
 
 def entry_paths(g: Graph, H: HereditarySet) -> EntryPathSet:
@@ -121,7 +130,8 @@ def entry_paths(g: Graph, H: HereditarySet) -> EntryPathSet:
                 paths.append(acc + (e.id,))
             elif e.dst in outside_reaching:
                 stack.append((e.dst, acc + (e.id,)))
-    paths.sort(key=lambda p: (len(p), p))
+    paths.sort()
+    paths.sort(key=len)  # stable: by length, then as sorted before
     return EntryPathSet(H, tuple(paths))
 
 

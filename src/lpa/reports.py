@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from operator import add
 from typing import Optional
 
 from . import __version__
@@ -27,48 +28,6 @@ from .fields import QQ
 
 def count_json(n):
     return "INFINITE" if n is INFINITE else n
-
-
-_string = json.encoder.encode_basestring_ascii
-# the JSON text of each scalar type a report holds, by exact type
-_SCALARS = {
-    str: _string,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def json_text(doc) -> str:
-    """`json.dumps(doc, indent=2)`, byte for byte, for documents built from
-    str, int, bool, None, lists and dicts with str keys; any other value
-    (a float, a tuple, a non-str key) raises TypeError.  Strings go through
-    json's own C escaper; the indent-2 layout, for which json falls back to
-    its pure-Python encoder, is joined here."""
-    return _json_value(doc, "\n")
-
-
-def _json_value(v, nl: str) -> str:
-    """The indent-2 text of v, whose first line is indented by nl."""
-    t = type(v)
-    scalar = _SCALARS.get(t)
-    if scalar is not None:
-        return scalar(v)
-    if t is not dict and t is not list:
-        raise TypeError(f"{t.__name__} is not a report value")
-    if not v:
-        return "{}" if t is dict else "[]"
-    inner = nl + "  "
-    parts = []
-    if t is dict:
-        for k, x in v.items():
-            scalar = _SCALARS.get(type(x))
-            parts.append(_string(k) + ": " + (scalar(x) if scalar else _json_value(x, inner)))
-        return "{" + inner + ("," + inner).join(parts) + nl + "}"
-    for x in v:
-        scalar = _SCALARS.get(type(x))
-        parts.append(scalar(x) if scalar else _json_value(x, inner))
-    return "[" + inner + ("," + inner).join(parts) + nl + "]"
 
 
 def _classification_json(g: Graph, rep: ClassificationReport) -> dict:
@@ -197,6 +156,221 @@ def _prime_json(pt: PrimeTrichotomy) -> dict:
     }
 
 
+# -- the indent-2 JSON text, written straight from the records --------------
+
+_string = json.encoder.encode_basestring_ascii
+_int = int.__repr__
+# a newline and the indent of each depth of a report
+_NL = tuple("\n" + "  " * d for d in range(8))
+
+
+def _keys(*names: str) -> tuple[str, ...]:
+    """The written keys of a record, each followed by its separator."""
+    return tuple(f'"{name}": ' for name in names)
+
+
+def _record(keys, values, d: int) -> str:
+    """The JSON object at depth d of the written keys and values."""
+    if not keys:
+        return "{}"
+    i = _NL[d + 1]
+    return "{" + i + ("," + i).join(map(add, keys, values)) + _NL[d] + "}"
+
+
+def _list(items: list[str], d: int) -> str:
+    """The JSON list at depth d of the written items."""
+    if not items:
+        return "[]"
+    i = _NL[d + 1]
+    return "[" + i + ("," + i).join(items) + _NL[d] + "]"
+
+
+def _strings(items, d: int) -> str:
+    """The JSON list at depth d of the strings."""
+    if not items:
+        return "[]"
+    i = _NL[d + 1]
+    return "[" + i + ("," + i).join(map(_string, items)) + _NL[d] + "]"
+
+
+def _vertices(order, vs, d: int) -> str:
+    """A vertex set at depth d, in declared order."""
+    return _strings(sorted(vs, key=order), d)
+
+
+def _bool(b: bool) -> str:
+    return "true" if b else "false"
+
+
+def _optional(s: Optional[str]) -> str:
+    return "null" if s is None else _string(s)
+
+
+def _count(n) -> str:
+    return '"INFINITE"' if n is INFINITE else _int(n)
+
+
+_GRAPH = _keys("vertices", "edges")
+_EDGE = _keys("id", "src", "dst")
+_CLASSIFICATION = _keys(
+    "p_l", "p_c", "p_c_plus", "p_c_minus", "p_e", "p_ec", "p_binf",
+    "cycles", "x_ec", "sim_classes", "x_classes", "h_f", "h_inf",
+)
+_CYCLE = _keys("edges", "base", "has_exits", "is_extreme", "in_S", "entry_count", "wrap_count")
+_EXTREME_CLASS = _keys("class_id", "cycles", "vertices")
+_X_CLASS = _keys("rep", "members", "closure", "entry_paths", "in_x_f", "class_type")
+_IDEAL = _keys("sinks", "no_exit_cycles", "extreme", "dense")
+_SINK = _keys("sink", "matrix_size")
+_NO_EXIT = _keys("cycle", "matrix_size")
+_EXTREME = _keys("class_id", "vertices", "certificate", "note")
+_CERTIFICATE = _keys("purely_infinite_simple", "failing_condition", "witness")
+_PRIME = _keys("kind", "witness", "matrix_size", "note")
+_CENTER = _keys(
+    "iso_type", "basis_zero", "basis_nonzero", "degree_window", "divergence_flags",
+    "extended_centroid",
+)
+_BASIS = _keys("label", "degree", "class_id", "cycle_base", "power", "element")
+_CENTROID = _keys("sinks", "no_exit_cycles", "extreme_classes", "formula", "note")
+_VERIFICATION = _keys("element", "central", "witness", "commutator")
+_ORACLE = _keys("degree", "max_len", "agrees")
+
+
+# Each section is a value of the top-level object, so it sits at depth 1.
+
+
+def _graph_text(g: Graph) -> str:
+    edges = [_record(_EDGE, map(_string, e), 3) for e in g.edges]
+    return _record(_GRAPH, (_strings(g.vertices, 2), _list(edges, 2)), 1)
+
+
+def _classification_text(order, rep: ClassificationReport) -> str:
+    cycles = [
+        _record(_CYCLE, (
+            _strings(ci.cycle.edges, 4),
+            _string(ci.cycle.sources[0]),
+            _bool(ci.has_exits),
+            _bool(ci.is_extreme),
+            _bool(ci.in_S),
+            _count(ci.entry_count),
+            _count(ci.wrap_count),
+        ), 3)
+        for ci in rep.cycles
+    ]
+    x_ec = [
+        _record(_EXTREME_CLASS, (
+            _string(xc.class_id),
+            _list([_strings(c.edges, 5) for c in xc.cycles], 4),
+            _vertices(order, xc.vertices, 4),
+        ), 3)
+        for xc in rep.x_ec
+    ]
+    x_classes = [
+        _record(_X_CLASS, (
+            _string(xc.rep),
+            _vertices(order, xc.members, 4),
+            _vertices(order, xc.closure, 4),
+            '"INFINITE"' if xc.entry.is_infinite
+            else _list([_strings(p, 5) for p in xc.entry.paths], 4),
+            _bool(xc.is_finite),
+            _optional(xc.class_type),
+        ), 3)
+        for xc in rep.x_classes
+    ]
+    return _record(_CLASSIFICATION, (
+        _vertices(order, rep.p_l, 2),
+        _vertices(order, rep.p_c, 2),
+        _vertices(order, rep.p_c_plus, 2),
+        _vertices(order, rep.p_c_minus, 2),
+        _vertices(order, rep.p_e, 2),
+        _vertices(order, rep.p_ec, 2),
+        _vertices(order, rep.p_binf, 2),
+        _list(cycles, 2),
+        _list(x_ec, 2),
+        _list([_vertices(order, c, 3) for c in rep.sim_classes], 2),
+        _list(x_classes, 2),
+        _vertices(order, rep.h_f, 2),
+        _vertices(order, rep.h_inf, 2),
+    ), 1)
+
+
+def _ideal_text(order, rep: IdealStructureReport) -> str:
+    sinks = [_record(_SINK, (_string(s.sink), _count(s.matrix_size)), 3) for s in rep.sinks]
+    no_exit = [
+        _record(_NO_EXIT, (_strings(c.cycle.edges, 4), _count(c.matrix_size)), 3)
+        for c in rep.no_exit_cycles
+    ]
+    extreme = []
+    for x in rep.extreme:
+        cert = x.certificate
+        extreme.append(_record(_EXTREME, (
+            _string(x.extreme_class.class_id),
+            _vertices(order, x.extreme_class.vertices, 4),
+            "null" if cert is None else _record(_CERTIFICATE, (
+                _bool(cert.purely_infinite_simple),
+                _optional(cert.failing_condition),
+                _optional(cert.witness),
+            ), 4),
+            _optional(x.note),
+        ), 3))
+    return _record(
+        _IDEAL, (_list(sinks, 2), _list(no_exit, 2), _list(extreme, 2), _bool(rep.dense)), 1
+    )
+
+
+def _prime_text(pt: PrimeTrichotomy) -> str:
+    witness = pt.witness
+    if isinstance(witness, Cycle):
+        witness = _strings(witness.edges, 2)
+    elif isinstance(witness, ExtremeClass):
+        witness = _string(witness.class_id)
+    elif isinstance(witness, tuple):
+        witness = _strings(witness, 2)
+    else:
+        witness = _optional(witness)
+    size = pt.matrix_size
+    return _record(_PRIME, (
+        _string(pt.kind), witness, "null" if size is None else _count(size), _string(pt.note)
+    ), 1)
+
+
+def _center_text(alg: LeavittAlgebra, rep: CenterReport) -> str:
+    render = alg.render
+
+    def basis(elems, d):
+        return _list([
+            _record(_BASIS, (
+                _string(b.label),
+                _int(b.degree),
+                _string(b.class_id),
+                _optional(b.cycle_base),
+                _int(b.power),
+                _string(render(b.element)),
+            ), d + 1)
+            for b in elems
+        ], d)
+
+    degrees = sorted(rep.basis_nonzero)
+    c = rep.centroid
+    return _record(_CENTER, (
+        _record([_string(k) + ": " for k in rep.iso_type], map(_int, rep.iso_type.values()), 2),
+        basis(rep.basis_zero, 2),
+        _record(
+            [_string(str(n)) + ": " for n in degrees],
+            [basis(rep.basis_nonzero[n], 3) for n in degrees],
+            2,
+        ),
+        _int(rep.degree_window),
+        _strings(rep.divergence_flags, 2),
+        _record(_CENTROID, (
+            _int(c.sinks),
+            _int(c.no_exit_cycles),
+            _int(c.extreme_classes),
+            _string(c.formula),
+            _string(c.note),
+        ), 2),
+    ), 1)
+
+
 class Envelope:
     """Everything one pipeline run produced, ready for serialization.  The
     center, its algebra, the verification and the oracle checks are filled
@@ -252,8 +426,53 @@ class Envelope:
             ]
         return doc
 
-    def dumps(self) -> str:
-        return json_text(self.to_json())
+    def dumps(self, index: Optional[int] = None) -> str:
+        """`json.dumps(self.to_json(), indent=2)`, byte for byte, written
+        straight from the records without building the dict; with an
+        `index`, the document `lpa random` prints, whose last key is
+        "index".
+
+        The layout of a report lives here and in `to_json`, the dict that
+        `render_text` and library callers read, and the tests hold the two
+        together by comparing this text with `json.dumps` of the dict.  So a
+        schema change, such as naming the field or adding a block of run
+        counters, edits both.  Strings go through json's C escaper, ints
+        through `int.__repr__`, and true, false, null and "INFINITE" are
+        literals; each vertex set is sorted once, in declared order."""
+        g, alg = self.graph, self.algebra
+        order = g._vertex_index.__getitem__
+        keys = ["tool_version", "graph", "classification", "ideal_structure", "prime_trichotomy"]
+        values = [
+            _string(__version__),
+            _graph_text(g),
+            _classification_text(order, self.classification),
+            _ideal_text(order, self.ideal),
+            _prime_text(self.prime),
+        ]
+        if self.center is not None:
+            keys.append("center")
+            values.append(_center_text(alg, self.center))
+        if self.verification is not None:
+            keys.append("verification")
+            values.append(_list([
+                _record(_VERIFICATION, (
+                    _string(label),
+                    _bool(res.central),
+                    _optional(res.witness),
+                    "null" if res.commutator is None else _string(alg.render(res.commutator)),
+                ), 2)
+                for label, res in self.verification
+            ], 1))
+        if self.oracle_checks is not None:
+            keys.append("oracle")
+            values.append(_list([
+                _record(_ORACLE, (_int(n), _int(L), _bool(ok)), 2)
+                for n, L, ok in self.oracle_checks
+            ], 1))
+        if index is not None:
+            keys.append("index")
+            values.append(_int(index))
+        return _record(_keys(*keys), values, 0)
 
 
 def build_envelope(

@@ -195,6 +195,13 @@ def ref_parse_graph(text):
     return Graph(vertices, edges)
 
 
+def ref_involution(alg, x):
+    """x* through `normal_form`: each term's sides swapped, then normalized,
+    as `LeavittAlgebra.involution` did before it swapped the terms alone."""
+    make = Monomial._make
+    return alg.normal_form([(make((sb, q, sa, p)), k) for (sa, p, sb, q), k in x.terms.items()])
+
+
 def ref_normal_monomials(alg, degree, max_len):
     """Every pair of paths up to max_len with a common range, filtered by
     length and degree."""
@@ -421,7 +428,7 @@ def ref_x_decomposition(g, infos):
         x_classes.append(
             XClass(
                 members=cls,
-                rep=min(cls, key=g.vertex_order),
+                rep=min(cls, key=g.vertices.index),
                 closure=closure.members,
                 entry=eps,
                 is_finite=not eps.is_infinite,

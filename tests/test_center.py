@@ -42,6 +42,7 @@ from references import (
     ref_same_span,
     renamed,
     rose,
+    sparse,
 )
 
 
@@ -179,6 +180,21 @@ def test_center_report_computes_each_cycle_once():
     assert len(calls) == 1
     for n in (14, 28):
         assert bn[-n][0].element == alg.involution(bn[n][0].element)
+
+
+def test_center_report_builds_paths_only_for_normal_form(monkeypatch):
+    """On a sparse 100-vertex graph with entry paths and a Laurent basis,
+    the basis builders make their raw terms from the graph's edge table, so
+    no path is built and validated before `normal_form` checks it."""
+    g = sparse(2)
+    rep = x_decomposition(g)
+    alg = LeavittAlgebra(g)
+    calls = []
+    for name in ("path_from_edges", "trivial_path"):
+        monkeypatch.setattr(LeavittAlgebra, name, counted(calls, getattr(LeavittAlgebra, name)))
+    center = center_report(alg, rep)
+    assert center.basis_nonzero and any(xc.entry.paths for xc in rep.x_f)
+    assert calls == []
 
 
 # -- center report ----------------------------------------------------------------

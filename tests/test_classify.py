@@ -16,7 +16,7 @@ from lpa.graphs import INFINITE, Cycle, Edge, Graph, InvariantError, disjoint_un
 from lpa.hereditary import HereditarySet, entry_paths, restriction_graph
 from lpa.reports import build_envelope
 from corpus import graph
-from references import random_graphs
+from references import random_graphs, sparse
 from test_reachability import counted, counted_from, ref_is_saturated
 
 
@@ -113,6 +113,19 @@ def test_extreme_classes_read_each_component_once():
     with mock.patch.object(Graph, "tree_bits", counted_from(trees, Graph.tree_bits, x_decomposition)):
         assert len(x_decomposition(disjoint_union(g, g)).x_ec) == 2
     assert len(trees) == 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_x_decomposition_looks_up_no_vertex_set(seed):
+    """Every set `x_decomposition` builds comes from bits the index already
+    holds, so on a sparse 100-vertex graph no vertex set is turned into
+    bits, which would check each member again."""
+    g = sparse(seed)
+    calls = []
+    with mock.patch.object(Graph, "vertex_bits", counted(calls, Graph.vertex_bits)):
+        rep = x_decomposition(g)
+    assert rep.x_classes
+    assert calls == []
 
 
 def test_x_decomposition_builds_no_cycle_vertex_sets():

@@ -2,6 +2,7 @@ import operator
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from lpa.fields import QQ, PrimeField
 from lpa.graphs import Edge, Graph
 from lpa.randomgen import random_graph
 from corpus import graph
-from references import line, ref_normal_monomials, renamed, rose
+from references import line, ref_involution, ref_normal_monomials, renamed, rose
 
 
 def alg_of(name, field=None):
@@ -209,6 +210,24 @@ def test_involution_antiautomorphism(alg, salt):
     y = random_element(alg, rng)
     assert alg.involution(x * y) == alg.involution(y) * alg.involution(x)
     assert alg.involution(alg.involution(x)) == x
+
+
+@given(st.integers(0, 10**6), st.sampled_from([QQ, PrimeField(7)]), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_involution_matches_reference(seed, field, salt):
+    """The term swap equals the swap through `normal_form` on random
+    normal-form elements, with coefficients of the same values and types:
+    ints and Fractions over Q, residues over F_7."""
+    alg = LeavittAlgebra(random_graph(random.Random(seed), 4, 6), field)
+    rng = random.Random(salt)
+    x = random_element(alg, rng, max_paths=5)
+    for y in (x, x.scale(Fraction(1, 3)), -x):
+        star = alg.involution(y)
+        ref = ref_involution(alg, y)
+        assert star == ref
+        assert {m: type(k) for m, k in star.terms.items()} == {
+            m: type(k) for m, k in ref.terms.items()
+        }
 
 
 # -- centrality --------------------------------------------------------------

@@ -19,7 +19,7 @@ from lpa.hereditary import (
 )
 from lpa.randomgen import random_graph
 from corpus import graph
-from references import PATH_ID_CLASHES
+from references import PATH_ID_CLASHES, random_graphs
 from test_reachability import ref_is_saturated
 
 
@@ -74,6 +74,21 @@ def test_flags_computed():
     assert h.is_hereditary and not ref_is_saturated(g, h.members)
     full = HereditarySet(g, frozenset(g.vertices))
     assert full.is_hereditary and ref_is_saturated(g, full.members)
+
+
+@given(random_graphs(6, 10), st.integers(0, 2**64))
+@settings(max_examples=150, deadline=None)
+def test_from_bits_matches_members(g, raw):
+    """The set built from a bitset is the set built from its members: the
+    same members, bits and hereditary flag, for any bitset and for the
+    closure of one."""
+    b = raw & ((1 << len(g.vertices)) - 1)
+    for bits in (b, g.tree_union_bits(b)):
+        h = HereditarySet.from_bits(g, bits)
+        ref = HereditarySet(g, g.vertices_of(bits))
+        assert h == ref
+        assert (h.members, h.bits, h.is_hereditary) == (ref.members, ref.bits, ref.is_hereditary)
+        assert h.bits == bits
 
 
 # -- entry paths -------------------------------------------------------------

@@ -193,7 +193,7 @@ def ref_sim_classes(g):
             if u < v and (v in trees[i] or u in trees[j]) and not ((trees[i] | trees[j]) & bifs):
                 related.append((i, j))
     classes = [frozenset(verts[i] for i in idxs) for idxs in union_find_classes(len(verts), related)]
-    classes.sort(key=lambda c: min(g.vertex_order(v) for v in c))
+    classes.sort(key=lambda c: min(map(g.vertices.index, c)))
     return classes
 
 
@@ -658,22 +658,21 @@ def counted_from(calls, fn, caller):
     return counting
 
 
-def test_condition_l_builds_no_closures():
+def test_condition_l_builds_no_closures(count_instances):
     """A ring of 5 vertices, each with a loop, is purely infinite simple, so
-    every vertex reaches the lattice test; no closure is built for it."""
+    every vertex reaches the lattice test; no closure is built for it, and
+    no hereditary set at all."""
     vs = [f"v{i}" for i in range(5)]
     es = [Edge(f"e{i}", v, v) for i, v in enumerate(vs)]
     es += [Edge(f"f{i}", v, vs[(i + 1) % 5]) for i, v in enumerate(vs)]
     g = Graph(vs, es)
     closures = []
-    with mock.patch.multiple(
-        lpa.classify,
-        saturated_closure=counted(closures, saturated_closure),
-        hereditary_closure=counted(closures, hereditary_closure),
-    ):
+    sets = count_instances(HereditarySet)
+    with mock.patch.object(lpa.classify, "saturated_closure", counted(closures, saturated_closure)):
         cert = is_purely_infinite_simple(g)
     assert cert == PisCertificate(True)
     assert closures == []
+    assert sets == [0]
 
 
 def test_ideal_structure_computes_entry_paths_once_per_class():
