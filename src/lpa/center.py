@@ -107,12 +107,12 @@ def _laurent_basis(
         entries = [
             (edge_by_id[p[0]].src, p, rotations[edge_by_id[p[-1]].dst]) for p in eps.paths
         ]
-        for m in range(1, degree_window // len(c) + 1):
+        for m in range(1, degree_window // len(c.edges) + 1):
             # raw terms as plain tuples, checked once, by normal_form
             raw = [(make((u, rotations[u] * m, u, ())), 1) for u in g.sorted_vertices(vertices)]
             raw += [(make((s, p + rot * m, s, p)), 1) for s, p, rot in entries]
             elem = alg.normal_form(raw)
-            n = m * len(c)
+            n = m * len(c.edges)
             for degree, x, power in ((n, elem, m), (-n, alg.involution(elem), -m)):
                 by_degree.setdefault(degree, []).append(
                     CentralBasisElement(
@@ -130,7 +130,7 @@ def default_degree_window(report: ClassificationReport) -> int:
     cycles = _s_cycles(report)
     if not cycles:
         return 0
-    return 2 * max(len(c) for c in cycles)
+    return 2 * max(len(c.edges) for c in cycles)
 
 
 def center_report(

@@ -217,8 +217,8 @@ def x_decomposition(g: Graph) -> ClassificationReport:
             if inflow is INFINITE:
                 entry = wrap = INFINITE
             elif lone:
-                entry = len(c) + inflow
-                wrap = len(c) * entry
+                entry = len(c.edges) + inflow
+                wrap = len(c.edges) * entry
             elif reduce(or_, [through[eid] for eid in c.edges]) != everyone:  # partnered
                 entry = wrap = INFINITE
             else:

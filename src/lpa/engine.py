@@ -9,8 +9,7 @@ range relation at regular vertices.
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .fields import QQ
 from .graphs import Graph
@@ -36,7 +35,8 @@ class Monomial(tuple):
     tail of every key it writes.  Hash, equality and order are the tuple's, so a Monomial
     equals the plain tuple of its fields, and it sorts as the pair of paths
     (alpha, beta) does.  The engine reads it positionally,
-    ``sa, p, sb, q = m``; `alpha` and `beta` give the sides as `GPath`s."""
+    ``sa, p, sb, q = m``, and the sides as slices: ``m[:2]`` is alpha and
+    ``m[2:]`` is beta, each a plain (source, edges) pair."""
 
     __slots__ = ()
 
@@ -46,14 +46,6 @@ class Monomial(tuple):
     # the one constructor from the plain tuple; tuple.__new__ runs no
     # Python code and never calls __init__
     _make = classmethod(tuple.__new__)
-
-    @property
-    def alpha(self) -> GPath:
-        return GPath(self[0], self[1])
-
-    @property
-    def beta(self) -> GPath:
-        return GPath(self[2], self[3])
 
 
 def sort_key(m: tuple) -> tuple:
@@ -76,9 +68,6 @@ class AlgebraElement:
     def __init__(self, algebra: "LeavittAlgebra", terms: dict):
         self.algebra = algebra
         self.terms = terms  # Monomial -> nonzero field value; treated as frozen
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -139,9 +128,6 @@ class AlgebraElement:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=_term_key)
 
-    def monomials(self):
-        return list(self.terms)
-
     def __repr__(self):
         return self.algebra.render(self) if self.terms else "0"
 
@@ -176,12 +162,6 @@ class LeavittAlgebra:
 
     # -- paths and monomials ----------------------------------------------
 
-    def special_edge(self, v: str) -> str:
-        self.graph.check_vertex(v)
-        if v not in self._special:
-            raise EngineError(f"vertex {v!r} is a sink; it has no special edge")
-        return self._special[v]
-
     def path_range(self, p: GPath) -> str:
         """The range of p, a GPath or a plain (source, edges) pair."""
         r = self._range_cache.get(p)
@@ -193,24 +173,6 @@ class LeavittAlgebra:
     def trivial_path(self, v: str) -> GPath:
         self.graph.check_vertex(v)
         return GPath(v, ())
-
-    def path(self, source: str, edges: Iterable[str]) -> GPath:
-        p = GPath(source, tuple(edges))
-        self.path_range(p)  # validates
-        return p
-
-    def path_from_edges(self, edges: Iterable[str]) -> GPath:
-        eids = tuple(edges)
-        if not eids:
-            raise EngineError("a path from edges needs at least one edge")
-        return self.path(self.graph.edge(eids[0]).src, eids)
-
-    def monomial(self, alpha: GPath, beta: GPath) -> Monomial:
-        if self.path_range(alpha) != self.path_range(beta):
-            raise EngineError(
-                f"range mismatch in monomial: {alpha} vs {beta}"
-            )
-        return Monomial(alpha, beta)
 
     def _reducible(self, alpha_edges: tuple, beta_edges: tuple) -> bool:
         """alpha beta* is reducible: both end in the same special edge."""
@@ -241,13 +203,6 @@ class LeavittAlgebra:
         alpha = self.trivial_path(e.dst)
         beta = GPath(e.src, (eid,))
         return self.normal_form([(Monomial(alpha, beta), 1)])
-
-    def path_element(self, p: GPath) -> AlgebraElement:
-        beta = self.trivial_path(self.path_range(p))
-        return self.normal_form([(Monomial(p, beta), 1)])
-
-    def monomial_element(self, alpha: GPath, beta: GPath, k=1) -> AlgebraElement:
-        return self.normal_form([(self.monomial(alpha, beta), k)])
 
     def one(self) -> AlgebraElement:
         out = self.zero()
@@ -336,17 +291,13 @@ class LeavittAlgebra:
 
     # -- centrality --------------------------------------------------------------
 
-    def generators(self):
-        """(label, element) for every vertex, edge, and ghost edge, in the
-        order of generator_labels(), whose kinds name the constructors."""
-        for label, kind, gid in self.generator_labels():
-            yield label, getattr(self, kind)(gid)
-
     def generator_labels(self):
-        """(label, kind, id) for every generator, in the order of generators().
+        """(label, kind, id) for every generator: the vertices, then the
+        edges, then the ghost edges, each in declared order.
 
-        kind is "vertex", "edge" or "ghost"; it keeps the generators apart
-        where a vertex id equals an edge id.
+        kind is "vertex", "edge" or "ghost", the name of the constructor that
+        builds the generator; it keeps the generators apart where a vertex id
+        equals an edge id.
         """
         for v in self.graph.vertices:
             yield v, "vertex", v
@@ -543,30 +494,3 @@ class LeavittAlgebra:
             alpha = " ".join(p) if p else sa
             parts.append(f"{ks}·{alpha} ({' '.join(q)})*" if q else f"{ks}·{alpha}")
         return " + ".join(parts)
-
-    _TERM_RE = re.compile(r"^\(?(-?[0-9][0-9/]*)\)?·(.*?)(?:\s*\(([^)]*)\)\*)?$")
-
-    def _parse_path_tokens(self, tokens: list[str]) -> GPath:
-        if len(tokens) == 1 and self.graph.has_vertex(tokens[0]) and not self.graph.has_edge(tokens[0]):
-            return self.trivial_path(tokens[0])
-        return self.path_from_edges(tokens)
-
-    def parse_element(self, text: str) -> AlgebraElement:
-        text = text.strip()
-        if text == "0":
-            return self.zero()
-        raw = []
-        for chunk in text.split(" + "):
-            match = self._TERM_RE.match(chunk.strip())
-            if not match:
-                raise EngineError(f"cannot parse term: {chunk!r}")
-            coef_s, alpha_s, beta_s = match.groups()
-            k = self.field.parse(coef_s)
-            alpha = self._parse_path_tokens(alpha_s.split())
-            if beta_s:
-                beta = self.path_from_edges(beta_s.split())
-            else:
-                beta = self.trivial_path(self.path_range(alpha))
-            raw.append((self.monomial(alpha, beta), k))
-        return self.normal_form(raw)
-

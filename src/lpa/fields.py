@@ -18,7 +18,7 @@ class Rationals:
     """Arbitrary-precision rational field.
 
     A value is a Python int when it is integral and a fractions.Fraction
-    otherwise; `coerce` and `parse` apply this rule.  An int and a Fraction
+    otherwise; `coerce` applies this rule.  An int and a Fraction
     of equal value compare equal, hash equal and print the same, so the
     rule changes no term dict and no output, while the usual coefficients
     (the center's basis is built from 1 and -1) get machine-int arithmetic.
@@ -35,13 +35,6 @@ class Rationals:
         _reject_float(n)
         q = Fraction(n)
         return q.numerator if q.denominator == 1 else q
-
-    @staticmethod
-    def parse(text: str) -> int | Fraction:
-        return Rationals.coerce(Fraction(text))
-
-    def __repr__(self):
-        return "Rationals()"
 
 
 QQ = Rationals()
@@ -98,9 +91,3 @@ class PrimeField:
         if q.denominator % self.p == 0:
             raise ValueError(f"{q} has no value mod {self.p}: {self.p} divides its denominator")
         return q.numerator * pow(q.denominator, -1, self.p) % self.p
-
-    def parse(self, text: str) -> int:
-        return self.coerce(int(text))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"

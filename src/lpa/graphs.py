@@ -90,9 +90,6 @@ class Graph:
 
     # -- basic views ------------------------------------------------------
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vertex_set
-
     def check_vertex(self, v: str) -> None:
         if v not in self._vertex_set:
             raise GraphError(f"unknown vertex: {v!r}")
@@ -102,9 +99,6 @@ class Graph:
             return self._edge_by_id[eid]
         except KeyError:
             raise GraphError(f"unknown edge: {eid!r}") from None
-
-    def has_edge(self, eid: str) -> bool:
-        return eid in self._edge_by_id
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         self.check_vertex(v)
@@ -223,16 +217,6 @@ class Graph:
     def bifurcation_bits(self) -> int:
         """Vertices with at least two outgoing edges."""
         return self._reach().bifurcations
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
 
     def __repr__(self):
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -377,11 +361,7 @@ class Cycle(NamedTuple):
 
     The rotation starts at the lexicographically least vertex on the
     cycle, so equal cycles compare equal regardless of how they were
-    discovered.
-
-    ``len(cycle)`` is the number of edges, not the tuple's two fields, so
-    the namedtuple helpers that call ``len`` (``_make``, ``_replace``) are
-    not used on it.
+    discovered.  Its length is ``len(cycle.edges)``.
     """
 
     edges: tuple[str, ...]
@@ -399,30 +379,10 @@ class Cycle(NamedTuple):
     def edge_set(self) -> frozenset[str]:
         return frozenset(self.edges)
 
-    def __len__(self):
-        return len(self.edges)
-
     def rotation_at(self, u: str) -> tuple[str, ...]:
         """The cycle read starting from its vertex `u`."""
         i = self.sources.index(u)
         return self.edges[i:] + self.edges[:i]
-
-
-def make_cycle(g: Graph, edge_ids: Iterable[str]) -> Cycle:
-    """Validate an edge sequence as a simple cycle and canonicalize it."""
-    eids = tuple(edge_ids)
-    if not eids:
-        raise GraphError("a cycle needs at least one edge")
-    edges = [g.edge(eid) for eid in eids]
-    for a, b in zip(edges, edges[1:] + edges[:1]):
-        if a.dst != b.src:
-            raise GraphError(f"edges {a.id!r} and {b.id!r} are not consecutive")
-    sources = [e.src for e in edges]
-    if len(set(sources)) != len(sources):
-        raise GraphError("cycle is not simple: repeated source vertex")
-    base = min(sources)
-    i = sources.index(base)
-    return Cycle(edges=eids[i:] + eids[:i], sources=tuple(sources[i:] + sources[:i]))
 
 
 # -- parsing ---------------------------------------------------------------
@@ -457,25 +417,6 @@ def parse_graph(text: str) -> Graph:
             )
         edges.append(Edge(eid, src, dst))
     return Graph(vertices, edges)
-
-
-# -- reachability ----------------------------------------------------------
-
-
-def tree(g: Graph, v: str) -> frozenset[str]:
-    """T(v): the forward-reachable vertex set, including v itself."""
-    return g.vertices_of(g.tree_bits(v))
-
-
-def tree_bits_of_set(g: Graph, vs: Iterable[str]) -> int:
-    """The union of the trees T(v), v in vs, as a bitset."""
-    return g.tree_union_bits(g.vertex_bits(vs))
-
-
-def connects_to(g: Graph, v: str, H: Iterable[str]) -> bool:
-    """True iff some vertex of H is forward-reachable from v."""
-    hbits = g.vertex_bits(H)
-    return bool(g.tree_bits(v) & hbits)
 
 
 # -- components ------------------------------------------------------------
@@ -548,11 +489,6 @@ def simple_cycles(g: Graph) -> list[Cycle]:
     return found
 
 
-def cycle_vertices(g: Graph) -> frozenset[str]:
-    """Vertices lying on at least one cycle."""
-    return g.vertices_of(g.cycle_bits())
-
-
 # -- path counting ---------------------------------------------------------
 
 
@@ -608,50 +544,3 @@ def count_paths_into(g: Graph, targets: Iterable[str], forbidden: Iterable[str] 
     for v in reversed(topo):
         f[v] = (1 if v in tset else 0) + sum(f[w] for w in sub[v])
     return sum(f.values())
-
-
-def enumerate_paths_into(
-    g: Graph, targets: Iterable[str], forbidden: Iterable[str] = ()
-) -> list[tuple[str, tuple[str, ...]]]:
-    """Brute-force list of the paths counted by count_paths_into.
-
-    Only valid when the count is finite; used as the independent oracle.
-    Returns (source vertex, edge ids) pairs.
-    """
-    tset = set(targets)
-    fset = set(forbidden)
-    rev: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        if e.id not in fset:
-            rev[e.dst].append(e.src)
-    reach = set(tset)
-    stack = list(tset)
-    while stack:
-        u = stack.pop()
-        for w in rev[u]:
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    results: list[tuple[str, tuple[str, ...]]] = []
-
-    def extend(src: str, edges: tuple[str, ...], at: str, depth: int):
-        if depth > len(g.vertices):
-            raise GraphError("path enumeration does not terminate (infinite count)")
-        if at in tset:
-            results.append((src, edges))
-        for e in g.out_edges(at):
-            if e.id not in fset and e.dst in reach:
-                extend(src, edges + (e.id,), e.dst, depth + 1)
-
-    for v in g.vertices:
-        if v in reach:
-            extend(v, (), v, 0)
-    return results
-
-
-def disjoint_union(g1: Graph, g2: Graph, suffix1: str = "", suffix2: str = "'") -> Graph:
-    """Disjoint union with ids kept apart by suffixes."""
-    vs = [v + suffix1 for v in g1.vertices] + [v + suffix2 for v in g2.vertices]
-    es = [Edge(e.id + suffix1, e.src + suffix1, e.dst + suffix1) for e in g1.edges]
-    es += [Edge(e.id + suffix2, e.src + suffix2, e.dst + suffix2) for e in g2.edges]
-    return Graph(vs, es)

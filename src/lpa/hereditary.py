@@ -5,13 +5,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple, Optional
 
-from .graphs import (
-    INFINITE,
-    Edge,
-    Graph,
-    GraphError,
-    tree_bits_of_set,
-)
+from .graphs import INFINITE, Edge, Graph, GraphError
 
 
 class NotHereditaryError(ValueError):
@@ -21,7 +15,7 @@ class NotHereditaryError(ValueError):
 class HereditarySet:
     """A vertex subset with its hereditary status precomputed.
 
-    Two are equal when they have the same graph and members."""
+    Two are equal when they have the same graph object and members."""
 
     __slots__ = ("graph", "members", "is_hereditary", "bits")
 
@@ -77,7 +71,7 @@ class EntryPathSet(NamedTuple):
 
 def hereditary_closure(g: Graph, X) -> HereditarySet:
     """Least hereditary set containing X: the union of the trees T(v)."""
-    return HereditarySet.from_bits(g, tree_bits_of_set(g, X))
+    return HereditarySet.from_bits(g, g.tree_union_bits(g.vertex_bits(X)))
 
 
 def saturated_closure(g: Graph, H: HereditarySet) -> HereditarySet:
@@ -182,29 +176,3 @@ def is_dense_ideal(g: Graph, H: HereditarySet) -> bool:
     meaningful for arbitrary vertex sets, not only hereditary ones.
     """
     return g.ancestor_bits(H.bits) == (1 << len(g.vertices)) - 1
-
-
-def resolve_vertex(g: Graph, v: str, H: HereditarySet) -> list[tuple[str, ...]]:
-    """Paths alpha_i with ranges in H such that sum alpha_i alpha_i^* = v.
-
-    Unfolds the out-edges of v until every branch lands in H; that
-    unfolding is finite exactly when v lies in the saturated closure of H.
-    The identity itself is checked by the symbolic engine elsewhere.  A
-    length-0 path is the empty tuple.
-    """
-    g.check_vertex(v)
-    if v not in saturated_closure(g, H).members:
-        raise GraphError(f"vertex {v!r} is outside the saturated closure")
-
-    # depth-first over the unfolding, edges in declared order; every vertex
-    # after v is the target of an edge Graph validated
-    out = g._out
-    resolved: list[tuple[str, ...]] = []
-    stack: list[tuple[str, tuple[str, ...]]] = [(v, ())]
-    while stack:
-        u, path = stack.pop()
-        if u in H.members:
-            resolved.append(path)
-        else:
-            stack.extend((e.dst, path + (e.id,)) for e in reversed(out[u]))
-    return resolved

@@ -3,10 +3,16 @@ edge record's keys as a set, the all-pairs candidate enumeration, the
 matrix built from one ``commutators`` call per candidate and the single
 global-pivot elimination the oracle replaced, the classification read
 from every enumerated cycle that the pass over the components replaced,
-plus the graph families and graph documents the tests draw from."""
+plus the graph families and graph documents the tests draw from.
+
+Also the helpers that tests read and no command runs: trees, reachability
+and the cycle vertices as vertex sets, cycles made from edge sequences,
+brute-force path lists, disjoint unions, the generators as elements, and
+elements built from paths or parsed from their rendering."""
 
 import json
 import random
+import re
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -18,8 +24,8 @@ from lpa.classify import (
     line_points,
     sim_classes,
 )
-from lpa.engine import AlgebraElement, Monomial, sort_key
-from lpa.graphs import INFINITE, Edge, Graph, GraphError
+from lpa.engine import AlgebraElement, EngineError, GPath, Monomial, sort_key
+from lpa.graphs import INFINITE, Cycle, Edge, Graph, GraphError
 from lpa.hereditary import entry_paths, hereditary_closure, saturated_closure
 from lpa.randomgen import random_graph
 
@@ -168,6 +174,148 @@ def renamed(g, rng):
     return Graph(vs, es)
 
 
+# -- graphs ---------------------------------------------------------------------
+
+
+def tree(g, v):
+    """T(v): the forward-reachable vertex set, including v itself."""
+    return g.vertices_of(g.tree_bits(v))
+
+
+def connects_to(g, v, H):
+    """True iff some vertex of H is forward-reachable from v."""
+    return bool(g.tree_bits(v) & g.vertex_bits(H))
+
+
+def cycle_vertices(g):
+    """Vertices lying on at least one cycle."""
+    return g.vertices_of(g.cycle_bits())
+
+
+def make_cycle(g, edge_ids):
+    """Validate an edge sequence as a simple cycle and canonicalize it."""
+    eids = tuple(edge_ids)
+    if not eids:
+        raise GraphError("a cycle needs at least one edge")
+    edges = [g.edge(eid) for eid in eids]
+    for a, b in zip(edges, edges[1:] + edges[:1]):
+        if a.dst != b.src:
+            raise GraphError(f"edges {a.id!r} and {b.id!r} are not consecutive")
+    sources = [e.src for e in edges]
+    if len(set(sources)) != len(sources):
+        raise GraphError("cycle is not simple: repeated source vertex")
+    i = sources.index(min(sources))
+    return Cycle(edges=eids[i:] + eids[:i], sources=tuple(sources[i:] + sources[:i]))
+
+
+def enumerate_paths_into(g, targets, forbidden=()):
+    """Brute-force list of the paths counted by `count_paths_into`, as
+    (source vertex, edge ids) pairs.  Only valid when the count is finite."""
+    tset = set(targets)
+    fset = set(forbidden)
+    rev = {v: [] for v in g.vertices}
+    for e in g.edges:
+        if e.id not in fset:
+            rev[e.dst].append(e.src)
+    reach = set(tset)
+    stack = list(tset)
+    while stack:
+        u = stack.pop()
+        for w in rev[u]:
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    results = []
+
+    def extend(src, edges, at, depth):
+        if depth > len(g.vertices):
+            raise GraphError("path enumeration does not terminate (infinite count)")
+        if at in tset:
+            results.append((src, edges))
+        for e in g.out_edges(at):
+            if e.id not in fset and e.dst in reach:
+                extend(src, edges + (e.id,), e.dst, depth + 1)
+
+    for v in g.vertices:
+        if v in reach:
+            extend(v, (), v, 0)
+    return results
+
+
+def disjoint_union(g1, g2, suffix1="", suffix2="'"):
+    """Disjoint union with ids kept apart by suffixes."""
+    vs = [v + suffix1 for v in g1.vertices] + [v + suffix2 for v in g2.vertices]
+    es = [Edge(e.id + suffix1, e.src + suffix1, e.dst + suffix1) for e in g1.edges]
+    es += [Edge(e.id + suffix2, e.src + suffix2, e.dst + suffix2) for e in g2.edges]
+    return Graph(vs, es)
+
+
+# -- elements -------------------------------------------------------------------
+
+
+def generators(alg):
+    """(label, element) for every vertex, edge and ghost edge, in the order
+    of `generator_labels`, each built by the constructor its kind names."""
+    for label, kind, gid in alg.generator_labels():
+        yield label, getattr(alg, kind)(gid)
+
+
+def path_from_edges(alg, edges):
+    """The path along the edge ids, from the source of the first; checked."""
+    eids = tuple(edges)
+    if not eids:
+        raise EngineError("a path from edges needs at least one edge")
+    p = GPath(alg.graph.edge(eids[0]).src, eids)
+    alg.path_range(p)  # validates
+    return p
+
+
+def path_element(alg, p):
+    """The path p as the element p r(p)*."""
+    return alg.normal_form([(Monomial._make((*p, alg.path_range(p), ())), 1)])
+
+
+def monomial_element(alg, alpha, beta, k=1):
+    """k alpha beta*; `normal_form` checks that the ranges agree."""
+    return alg.normal_form([(Monomial._make((*alpha, *beta)), k)])
+
+
+def parse_coefficient(field, text):
+    """A coefficient as `render` prints it: an integer, or over Q a
+    fraction a/b."""
+    return field.coerce(Fraction(text))
+
+
+_TERM_RE = re.compile(r"^\(?(-?[0-9][0-9/]*)\)?·(.*?)(?:\s*\(([^)]*)\)\*)?$")
+
+
+def _parse_path(alg, tokens):
+    g = alg.graph
+    if len(tokens) == 1 and tokens[0] in g.vertices and all(e.id != tokens[0] for e in g.edges):
+        return alg.trivial_path(tokens[0])
+    return path_from_edges(alg, tokens)
+
+
+def parse_element(alg, text):
+    """The element that `alg.render` prints as text."""
+    text = text.strip()
+    if text == "0":
+        return alg.zero()
+    raw = []
+    for chunk in text.split(" + "):
+        match = _TERM_RE.match(chunk.strip())
+        if not match:
+            raise EngineError(f"cannot parse term: {chunk!r}")
+        coef_s, alpha_s, beta_s = match.groups()
+        alpha = _parse_path(alg, alpha_s.split())
+        if beta_s:
+            beta = path_from_edges(alg, beta_s.split())
+        else:
+            beta = alg.trivial_path(alg.path_range(alpha))
+        raw.append((Monomial(alpha, beta), parse_coefficient(alg.field, coef_s)))
+    return alg.normal_form(raw)
+
+
 def ref_parse_graph(text):
     """The graph parser before the one-pass edge read: a set of each edge
     record's keys, then an all() over the three fields."""
@@ -230,29 +378,21 @@ def ref_oracle_candidates(alg, degree, max_len):
     into = {v: [e for e in alg.graph.edges if e.dst == v] for v in alg.graph.vertices}
 
     def forced(m):
-        v, p, q = m.alpha.source, m.alpha.edges, m.beta.edges
+        v, p, _, q = m
         if len(p) + len(q) + 2 <= max_len or not (p or q):
             return False
         if p and q:
             return bool(into[v])
         es = into[v]
-        return not (len(es) == 1 and alg.special_edge(es[0].src) == es[0].id)
+        return not (len(es) == 1 and alg._special[es[0].src] == es[0].id)
 
-    return [
-        m
-        for m in alg.normal_monomials(degree, max_len)
-        if m.alpha.source == m.beta.source and not forced(m)
-    ]
+    return [m for m in alg.normal_monomials(degree, max_len) if m[0] == m[2] and not forced(m)]
 
 
 def ref_oracle_matrix(alg, degree, max_len):
     """The oracle's candidates and rows, with one ``commutators`` call per
     candidate and rows of field elements keyed by Monomial."""
-    cands = [
-        m
-        for m in alg.normal_monomials(degree, max_len)
-        if m.alpha.source == m.beta.source
-    ]
+    cands = [m for m in alg.normal_monomials(degree, max_len) if m[0] == m[2]]
     rows = {}
     for j, m in enumerate(cands):
         coms = alg.commutators(AlgebraElement(alg, {m: 1}))
@@ -379,7 +519,7 @@ def ref_extreme_classes(g, infos):
     ]
     out = []
     for idxs in union_find_classes(len(ext), related):
-        cycles = tuple(sorted((ext[i] for i in idxs), key=lambda c: (len(c), c.base, c.edges)))
+        cycles = tuple(sorted((ext[i] for i in idxs), key=lambda c: (len(c.edges), c.base, c.edges)))
         out.append(
             ExtremeClass(
                 class_id=min(c.base for c in cycles),

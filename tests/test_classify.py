@@ -12,11 +12,11 @@ from lpa.classify import (
     sim_classes,
     x_decomposition,
 )
-from lpa.graphs import INFINITE, Cycle, Edge, Graph, InvariantError, disjoint_union, tree
+from lpa.graphs import INFINITE, Cycle, Edge, Graph, InvariantError
 from lpa.hereditary import HereditarySet, entry_paths, restriction_graph
 from lpa.reports import build_envelope
 from corpus import graph
-from references import random_graphs, sparse
+from references import disjoint_union, random_graphs, sparse, tree
 from test_reachability import counted, counted_from, ref_is_saturated
 
 

@@ -14,7 +14,16 @@ from lpa.fields import QQ, PrimeField
 from lpa.graphs import Edge, Graph
 from lpa.randomgen import random_graph
 from corpus import graph
-from references import line, ref_involution, ref_normal_monomials, renamed, rose
+from references import (
+    generators,
+    line,
+    monomial_element,
+    parse_element,
+    ref_involution,
+    ref_normal_monomials,
+    renamed,
+    rose,
+)
 
 
 def alg_of(name, field=None):
@@ -37,7 +46,7 @@ def random_element(alg, rng, max_paths=3):
         a = rng.choice(paths)
         matching = [p for p in paths if alg.path_range(p) == alg.path_range(a)]
         b = rng.choice(matching)
-        out = out + alg.monomial_element(a, b, rng.randint(-2, 2))
+        out = out + monomial_element(alg, a, b, rng.randint(-2, 2))
     return out
 
 
@@ -45,10 +54,9 @@ def random_element(alg, rng, max_paths=3):
 
 
 def test_special_edge_examples():
-    assert alg_of("g_r2").special_edge("v") == "e1"
-    assert alg_of("g_toeplitz").special_edge("u") == "e"
-    with pytest.raises(EngineError):
-        alg_of("g_line3").special_edge("v3")
+    assert alg_of("g_r2")._special["v"] == "e1"
+    assert alg_of("g_toeplitz")._special["u"] == "e"
+    assert "v3" not in alg_of("g_line3")._special  # a sink has none
 
 
 # -- monomials ----------------------------------------------------------------
@@ -64,15 +72,15 @@ gpaths = st.builds(
 def test_monomial_is_its_plain_tuple(a, b, c, d):
     m, n = Monomial(a, b), Monomial(c, d)
     t, u = (a.source, a.edges, b.source, b.edges), (c.source, c.edges, d.source, d.edges)
-    assert m == t and hash(m) == hash(t) and (m.alpha, m.beta) == (a, b)
+    assert m == t and hash(m) == hash(t) and (m[:2], m[2:]) == (a, b)
     # ordered as the plain tuples, and as the pairs of paths (alpha, beta)
     assert (m < n) == (t < u) == ((a, b) < (c, d))
     assert (m == n) == (t == u) == ((a, b) == (c, d))
 
 
 def by_length_then_fields(m):
-    a, b = m.alpha, m.beta
-    return len(a.edges) + len(b.edges), a.source, a.edges, b.source, b.edges
+    sa, p, sb, q = m
+    return len(p) + len(q), sa, p, sb, q
 
 
 def plain(x):
@@ -114,14 +122,12 @@ def test_ck2_rewrite_on_loop():
 def test_irreducible_monomial_on_r2():
     alg = alg_of("g_r2")
     x = alg.edge("e1") * alg.ghost("e2")
-    assert x.monomials() == [
-        Monomial(alg.path("v", ("e1",)), alg.path("v", ("e2",)))
-    ]
+    assert list(x.terms) == [Monomial(GPath("v", ("e1",)), GPath("v", ("e2",)))]
 
 
 def test_orthogonal_ghost_product_is_zero():
     alg = alg_of("g_r2")
-    assert (alg.ghost("e1") * alg.edge("e2")).is_zero()
+    assert not (alg.ghost("e1") * alg.edge("e2"))
 
 
 # -- normal form -------------------------------------------------------------
@@ -139,12 +145,12 @@ def test_normal_form_ck2_identity_r2():
         - alg.edge("e1") * alg.ghost("e1")
         - alg.edge("e2") * alg.ghost("e2")
     )
-    assert x.is_zero()
+    assert not x
 
 
 def test_normal_form_vertex_is_fixed():
     alg = alg_of("g_line3")
-    assert alg.vertex("v2").monomials() == [
+    assert list(alg.vertex("v2").terms) == [
         Monomial(alg.trivial_path("v2"), alg.trivial_path("v2"))
     ]
 
@@ -152,7 +158,7 @@ def test_normal_form_vertex_is_fixed():
 def test_normal_form_range_mismatch():
     alg = alg_of("g_line3")
     with pytest.raises(EngineError):
-        alg.monomial(alg.path("v1", ("e1",)), alg.trivial_path("v1"))
+        alg.normal_form([(Monomial(GPath("v1", ("e1",)), alg.trivial_path("v1")), 1)])
 
 
 # -- linear structure and commutators ----------------------------------------
@@ -161,9 +167,9 @@ def test_normal_form_range_mismatch():
 def test_commutator_examples():
     alg = alg_of("g_toeplitz")
     assert alg.commutator(alg.vertex("u"), alg.edge("f")) == alg.edge("f")
-    assert alg.commutator(alg.vertex("u"), alg.vertex("u")).is_zero()
+    assert not alg.commutator(alg.vertex("u"), alg.vertex("u"))
     loop = alg_of("g_loop")
-    assert loop.commutator(loop.edge("c"), loop.ghost("c")).is_zero()
+    assert not loop.commutator(loop.edge("c"), loop.ghost("c"))
 
 
 def test_mixed_algebra_rejected():
@@ -278,13 +284,13 @@ def test_generator_commutator_matches_reference(g, field, salt):
         coms = alg.commutators(x)
         # the terms are summed as plain tuples and come back as Monomials
         assert all(
-            type(m) is Monomial and m == (m.alpha.source, m.alpha.edges, m.beta.source, m.beta.edges)
+            type(m) is Monomial and len(m) == 4
             for c in coms.values()
             for m in c.terms
         )
         witness = None
         for (label, gen), (label2, kind, gid) in zip(
-            alg.generators(), alg.generator_labels()
+            generators(alg), alg.generator_labels()
         ):
             assert label2 == label
             ref = alg.commutator(x, gen)
@@ -406,8 +412,8 @@ def test_loop_normal_monomials_are_laurent_basis():
         # exactly one normal monomial per degree: c^n, (c*)^{-n}, or v
         assert len(ms) == 1
         (m,) = ms
-        assert m.alpha.edges == ("c",) * max(n, 0)
-        assert m.beta.edges == ("c",) * max(-n, 0)
+        assert m[1] == ("c",) * max(n, 0)
+        assert m[3] == ("c",) * max(-n, 0)
 
 
 @given(st.integers(0, 10**6), st.integers(-3, 3), st.integers(0, 5))
@@ -506,10 +512,10 @@ def test_render_examples():
 def test_render_round_trip(alg, salt):
     rng = random.Random(salt)
     x = random_element(alg, rng)
-    assert alg.parse_element(alg.render(x)) == x
+    assert parse_element(alg, alg.render(x)) == x
 
 
 def test_prime_field_engine():
     alg = alg_of("g_r2", PrimeField(5))
     x = alg.vertex("v").scale(3) + alg.vertex("v").scale(2)
-    assert x.is_zero()
+    assert not x

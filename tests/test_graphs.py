@@ -10,20 +10,20 @@ from lpa.graphs import (
     Edge,
     Graph,
     GraphError,
-    connects_to,
     count_paths_into,
-    enumerate_paths_into,
-    make_cycle,
     parse_graph,
     simple_cycles,
-    tree,
 )
 from corpus import graph
 from references import (
+    connects_to,
+    enumerate_paths_into,
     graph_documents,
     json_values,
+    make_cycle,
     random_graphs,
     ref_parse_graph,
+    tree,
     wrong_fields,
 )
 
@@ -81,9 +81,11 @@ def test_declared_order_preserved():
 
 
 def parse_outcome(parse, text):
-    """The graph a parser builds from text, or the message of its GraphError."""
+    """The vertices and edges of the graph a parser builds from text, or the
+    message of its GraphError."""
     try:
-        return parse(text)
+        g = parse(text)
+        return g.vertices, g.edges
     except GraphError as exc:
         return f"GraphError: {exc}"
 

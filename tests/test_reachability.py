@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lpa.classify
-import lpa.graphs
 import lpa.hereditary
 from lpa.classify import (
     ClassificationReport,
@@ -34,14 +33,8 @@ from lpa.graphs import (
     INFINITE,
     Edge,
     Graph,
-    connects_to,
     count_paths_into,
-    cycle_vertices,
-    disjoint_union,
-    make_cycle,
     simple_cycles,
-    tree,
-    tree_bits_of_set,
 )
 from lpa.hereditary import (
     EntryPathSet,
@@ -49,23 +42,28 @@ from lpa.hereditary import (
     entry_paths,
     hereditary_closure,
     is_dense_ideal,
-    resolve_vertex,
     saturated_closure,
 )
 from corpus import graph
 from references import (
     chained_graphs,
+    connects_to,
+    cycle_vertices,
     cycle_with_tail,
     dense_graphs,
+    disjoint_union,
     line,
+    make_cycle,
     random_graphs,
     ref_extreme_classes,
     ref_tree,
     ref_x_decomposition,
     rose,
     sparse,
+    tree,
     union_find_classes,
 )
+from test_acceptance import resolve_vertex
 
 
 def ladder(n):
@@ -117,7 +115,7 @@ def ref_simple_cycles(g):
                     used.remove(e.dst)
 
         walk(start, [], {start})
-    found.sort(key=lambda c: (len(c), c.base, c.edges))
+    found.sort(key=lambda c: (len(c.edges), c.base, c.edges))
     return found
 
 
@@ -139,7 +137,7 @@ def ref_line_points(g):
 
 def ref_wrap_count(g, c):
     """Inclusion-exclusion over the avoided edge subsets of c."""
-    assert len(c) <= 8, "2^|c| path counts: keep the reference to short cycles"
+    assert len(c.edges) <= 8, "2^|c| path counts: keep the reference to short cycles"
     edges = sorted(c.edge_set)
     for e in edges:
         if count_paths_into(g, c.vertex_set, {e}) is INFINITE:
@@ -307,7 +305,7 @@ def test_trees_and_connectivity_match_reference(g, salt):
         assert tree(g, v) == ref_tree(g, v)
         hs = {w for w in g.vertices if rng.random() < 0.3}
         assert connects_to(g, v, hs) == bool(ref_tree(g, v) & hs)
-        union = g.vertices_of(tree_bits_of_set(g, hs))
+        union = g.vertices_of(g.tree_union_bits(g.vertex_bits(hs)))
         assert union == frozenset().union(*(ref_tree(g, w) for w in hs))
     assert cycle_vertices(g) == ref_cycle_vertices(g)
     assert line_points(g) == ref_line_points(g)
@@ -456,7 +454,7 @@ def test_component_lemmas_hold(g):
         held = [c for c in cycles if c.base in k]
         assert bool(inner) == bool(held)
         for c in held:
-            assert (inner == len(c)) == (held == [c])
+            assert (inner == len(c.edges)) == (held == [c])
     bifurcations = {v for v in g.vertices if len(g.out_edges(v)) >= 2}
     for ci in x_decomposition(g).cycles:
         assert ci.has_exits == bool(component[ci.cycle.base] & bifurcations)
@@ -494,9 +492,9 @@ def test_entry_count_is_infinite_exactly_when_a_cycle_feeds_or_partners_c(g):
 @settings(max_examples=150, deadline=None)
 def test_simple_cycles_are_built_from_the_search(g):
     """The search path is the canonical rotation, so no cycle is checked
-    and rotated again by make_cycle."""
+    and rotated again, as `make_cycle` does: no edge is looked up by id."""
     calls = []
-    with mock.patch.object(lpa.graphs, "make_cycle", counted(calls, make_cycle)):
+    with mock.patch.object(Graph, "edge", counted(calls, Graph.edge)):
         found = simple_cycles(g)
     assert calls == []
     assert found == ref_simple_cycles(g)
@@ -609,7 +607,7 @@ def test_sparse_graphs_classify_from_the_index(seed):
     crowded = [
         set(c.vertex_set)
         for c in simple_cycles(g)
-        if sum(e.src in component[c.base] and e.dst in component[c.base] for e in g.edges) > len(c)
+        if sum(e.src in component[c.base] and e.dst in component[c.base] for e in g.edges) > len(c.edges)
     ]
     calls = []
     with mock.patch.object(lpa.classify, "count_paths_into", counted(calls, count_paths_into)):
@@ -633,7 +631,7 @@ def test_wrap_count_is_closed_form():
         rep = x_decomposition(g)
     (ci,) = rep.cycles
     assert ci.wrap_count == 12 * ci.entry_count == 156
-    assert len(calls) <= len(ci.cycle) + 2
+    assert len(calls) <= len(ci.cycle.edges) + 2
 
 
 def counted(calls, fn):
@@ -726,6 +724,6 @@ def test_deep_graphs_need_no_recursion():
         resolved = resolve_vertex(g, g.vertices[0], sink)
     finally:
         sys.setrecursionlimit(limit)
-    assert len(c) == n
+    assert len(c.edges) == n
     assert len(paths) == n - 1 and len(paths[-1]) == n - 1
     assert resolved == [tuple(e.id for e in g.edges)]
