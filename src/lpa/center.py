@@ -426,8 +426,8 @@ class _OracleTables:
     (`LeavittAlgebra._oracle_tables`) from its first oracle solve on, so
     that every degree and bound solved on one algebra shares it:
 
-    - `specials`, the special edges, and `sole_special`, the vertices
-      whose only in-edge is special at its source;
+    - `sole_special`, the vertices whose only in-edge is special at its
+      source;
     - `layers`: layer i holds the paths of length i as (source, edges,
       range), vertices in sorted order and each path of a layer extended
       by its range's out-edges in id order (`succ`), so every layer is
@@ -440,10 +440,9 @@ class _OracleTables:
     two."""
 
     def __init__(self, alg: LeavittAlgebra):
-        into, special, g = alg._in, alg._special, alg.graph
-        self.specials = frozenset(special.values())
+        into, specials, g = alg._in, alg._specials, alg.graph
         self.sole_special = frozenset(
-            v for v, es in into.items() if len(es) == 1 and special[es[0].src] == es[0].id
+            v for v, es in into.items() if len(es) == 1 and es[0].id in specials
         )
         self.succ = {v: sorted((e.id, e.dst) for e in g.out_edges(v)) for v in g.vertices}
         layer = [(v, (), v) for v in sorted(g.vertices)]
@@ -504,7 +503,7 @@ def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[M
         return []
     tables = _oracle_tables(alg)
     layers = tables.reach((max_len + abs(degree)) // 2)
-    buckets, specials, sole_special = tables.buckets, tables.specials, tables.sole_special
+    buckets, sole_special, specials = tables.buckets, tables.sole_special, alg._specials
     into = alg._in
     make = Monomial._make
     out = []

@@ -239,6 +239,7 @@ def x_decomposition(g: Graph) -> ClassificationReport:
     classes = sim_classes(g)
 
     x_classes = []
+    h_f = h_inf = 0  # bitsets, the unions of the closures
     index = g._vertex_index
     for cls in classes:
         inter = cls & p
@@ -250,6 +251,10 @@ def x_decomposition(g: Graph) -> ClassificationReport:
             bits |= 1 << index[v]
         closure = saturated_closure(g, HereditarySet.from_bits(g, g.tree_union_bits(bits)))
         eps = entry_paths(g, closure)
+        if eps.is_infinite:
+            h_inf |= closure.bits
+        else:
+            h_f |= closure.bits
         if inter <= pl:
             ctype = "line"
         elif inter <= pec:
@@ -269,8 +274,7 @@ def x_decomposition(g: Graph) -> ClassificationReport:
             )
         )
 
-    h_f = frozenset().union(*(xc.closure for xc in x_classes if xc.is_finite))
-    h_inf = frozenset().union(*(xc.closure for xc in x_classes if not xc.is_finite))
+    h_f, h_inf = g.vertices_of(h_f), g.vertices_of(h_inf)
 
     return ClassificationReport(
         p_l=pl,

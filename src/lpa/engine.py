@@ -147,12 +147,16 @@ class LeavittAlgebra:
     def __init__(self, graph: Graph, field=QQ):
         self.graph = graph
         self.field = field
-        self._special: dict[str, str] = {}
+        # read from the adjacency the graph validated at construction, in
+        # declared order; edges are (id, src, dst) tuples with distinct ids,
+        # so the least edge is the one with the least id
+        self._special: dict[str, str] = {
+            v: min(out).id for v, out in graph._out.items() if out
+        }
+        # the special edges: alpha beta* is reducible exactly when alpha and
+        # beta are nonempty and end in the same edge, and that edge is here
+        self._specials = frozenset(self._special.values())
         self._in: dict[str, list] = {v: [] for v in graph.vertices}
-        for v in graph.vertices:
-            out = graph.out_edges(v)
-            if out:
-                self._special[v] = min(e.id for e in out)
         for e in graph.edges:
             self._in[e.dst].append(e)
         self._range_cache: dict[GPath, str] = {}
@@ -173,15 +177,6 @@ class LeavittAlgebra:
     def trivial_path(self, v: str) -> GPath:
         self.graph.check_vertex(v)
         return GPath(v, ())
-
-    def _reducible(self, alpha_edges: tuple, beta_edges: tuple) -> bool:
-        """alpha beta* is reducible: both end in the same special edge."""
-        if not alpha_edges or not beta_edges:
-            return False
-        e = alpha_edges[-1]
-        if e != beta_edges[-1]:
-            return False
-        return e == self._special[self.graph.edge(e).src]
 
     # -- constructors -------------------------------------------------------
 
@@ -218,33 +213,59 @@ class LeavittAlgebra:
         The rewrite replaces alpha'ss* beta'* (s special at v) by
         alpha' beta'* minus the other ee* insertions at v; each step
         strictly shortens the reducible part, so it terminates.
+
+        Every raw term is checked: both sides must be paths of the graph
+        with one range, or `Graph.path_range` raises its `GraphError` and a
+        mismatch raises `EngineError`.  Each distinct side is checked once
+        per algebra and its range kept in `_range_cache`; a term with
+        alpha = beta needs one side looked up.  The rewrites read the
+        algebra's special-edge set and the graph's own edge and adjacency
+        tables, since every edge they meet is an edge of a checked term.
         """
         coerce = self.field.coerce
         make = Monomial._make
+        specials = self._specials
+        out_of, edge_by_id = self.graph._out, self.graph._edge_by_id
+        ranges = self._range_cache
         out: dict[Monomial, object] = {}
         stack = [(m, coerce(k)) for m, k in raw_terms]
         for m, _ in stack:
-            if self.path_range(m[:2]) != self.path_range(m[2:]):
+            alpha = m[:2]
+            r = ranges.get(alpha)
+            if r is None:
+                r = self.path_range(alpha)
+            if m[1] == m[3] and m[0] == m[2]:
+                continue
+            beta = m[2:]
+            rb = ranges.get(beta)
+            if rb is None:
+                rb = self.path_range(beta)
+            if r != rb:
                 raise EngineError(f"range mismatch in raw term: {m}")
+        # every coefficient on the stack is a field value, so a monomial met
+        # for the first time is stored as it is
         while stack:
             m, k = stack.pop()
             if not k:
                 continue
             sa, p, sb, q = m
-            if self._reducible(p, q):
+            if p and q and p[-1] == q[-1] and p[-1] in specials:
                 s = p[-1]
                 p1, q1 = p[:-1], q[:-1]
                 stack.append((make((sa, p1, sb, q1)), k))
-                for e in self.graph.out_edges(self.graph.edge(s).src):
-                    if e.id != s:
-                        fe = (e.id,)
-                        stack.append((make((sa, p1 + fe, sb, q1 + fe)), -k))
+                neg_k = coerce(-k)
+                for fid, _, _ in out_of[edge_by_id[s].src]:
+                    if fid != s:
+                        fe = (fid,)
+                        stack.append((make((sa, p1 + fe, sb, q1 + fe)), neg_k))
             else:
-                acc = coerce(out.get(m, 0) + k)
-                if acc:
+                acc = out.get(m)
+                if acc is None:
+                    out[m] = k
+                elif acc := coerce(acc + k):
                     out[m] = acc
                 else:
-                    out.pop(m, None)
+                    del out[m]
         return AlgebraElement(self, out)
 
     # -- products -------------------------------------------------------------
@@ -470,13 +491,16 @@ class LeavittAlgebra:
         buckets: dict[tuple[str, int], list[GPath]] = {}
         for p in self.enumerate_paths((max_len + abs(degree)) // 2):
             buckets.setdefault((self.path_range(p), len(p.edges)), []).append(p)
+        specials = self._specials
         out = []
         for (r, i), alphas in buckets.items():
             if 2 * i - degree > max_len:
                 continue
             for b in buckets.get((r, i - degree), ()):
+                q = b.edges
                 for a in alphas:
-                    if not self._reducible(a.edges, b.edges):
+                    p = a.edges
+                    if not (p and q and p[-1] == q[-1] and p[-1] in specials):
                         out.append(Monomial(a, b))
         out.sort(key=sort_key)
         return out

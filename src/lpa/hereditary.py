@@ -15,13 +15,22 @@ class NotHereditaryError(ValueError):
 class HereditarySet:
     """A vertex subset with its hereditary status precomputed.
 
+    The set is kept as `bits`, a bitset over the graph's declared vertices,
+    which every test on it reads.  Built from members, each member is
+    checked against the graph once, in `__post_init__`, to make the bits.
+    Built by `from_bits`, whose bits name vertices of the graph already,
+    it checks nothing and makes `members`, the frozenset of names, only on
+    first read.  Either way `__post_init__` computes the hereditary flag.
+
     Two are equal when they have the same graph object and members."""
 
-    __slots__ = ("graph", "members", "is_hereditary", "bits")
+    __slots__ = ("graph", "_members", "is_hereditary", "bits")
 
-    def __init__(self, graph: Graph, members: frozenset[str], bits: Optional[int] = None):
+    def __init__(
+        self, graph: Graph, members: Optional[frozenset[str]], bits: Optional[int] = None
+    ):
         self.graph = graph
-        self.members = members
+        self._members = members  # None, with bits given, until first read
         self.bits = bits  # the members as a bitset; checked and computed when None
         self.__post_init__()
 
@@ -29,11 +38,17 @@ class HereditarySet:
     def from_bits(cls, graph: Graph, bits: int) -> "HereditarySet":
         """The set of a bitset of vertices of graph, which its bits already
         name, so no member is looked up or checked again."""
-        return cls(graph, graph.vertices_of(bits), bits)
+        return cls(graph, None, bits)
+
+    @property
+    def members(self) -> frozenset[str]:
+        if self._members is None:
+            self._members = self.graph.vertices_of(self.bits)
+        return self._members
 
     def __post_init__(self):
         if self.bits is None:
-            self.bits = self.graph.vertex_bits(self.members)
+            self.bits = self.graph.vertex_bits(self._members)
         # a set is hereditary iff the union of its members' trees stays inside
         bits = self.bits
         self.is_hereditary = not self.graph.tree_union_bits(bits) & ~bits
@@ -41,10 +56,10 @@ class HereditarySet:
     def __eq__(self, other):
         if other.__class__ is not HereditarySet:
             return NotImplemented
-        return self.graph == other.graph and self.members == other.members
+        return self.graph == other.graph and self.bits == other.bits
 
     def __hash__(self):
-        return hash((self.graph, self.members))
+        return hash((self.graph, self.bits))
 
     def __repr__(self):
         return f"HereditarySet({self.graph!r}, {self.members!r})"
@@ -114,13 +129,13 @@ def entry_paths(g: Graph, H: HereditarySet) -> EntryPathSet:
     # the paths are sorted at the end, so the order they are found in is free;
     # the walk meets only vertices of g, so it reads the adjacency g validated
     # at construction instead of checking each vertex again in out_edges
-    out = g._out
+    out, members = g._out, H.members
     paths: list[tuple[str, ...]] = []
     stack: list[tuple[str, tuple[str, ...]]] = [(v, ()) for v in outside_reaching]
     while stack:
         at, acc = stack.pop()
         for e in out[at]:
-            if e.dst in H.members:
+            if e.dst in members:
                 paths.append(acc + (e.id,))
             elif e.dst in outside_reaching:
                 stack.append((e.dst, acc + (e.id,)))
@@ -155,9 +170,9 @@ def restriction_graph(g: Graph, eps: EntryPathSet) -> Graph:
     """
     if eps.is_infinite:
         raise GraphError("entry path set is infinite; restriction graph not finite")
-    H = eps.target
-    vertices = [v for v in g.vertices if v in H.members]
-    edges = [e for e in g.edges if e.src in H.members]
+    members = eps.target.members
+    vertices = [v for v in g.vertices if v in members]
+    edges = [e for e in g.edges if e.src in members]
     taken = list(g.vertices) + [e.id[3:] for e in g.edges if e.id.startswith("bar")]
     pad = ""
     while any(t.startswith(pad + "[") for t in taken):

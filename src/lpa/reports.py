@@ -193,9 +193,12 @@ def _strings(items, d: int) -> str:
     return "[" + i + ("," + i).join(map(_string, items)) + _NL[d] + "]"
 
 
-def _vertices(order, vs, d: int) -> str:
-    """A vertex set at depth d, in declared order."""
-    return _strings(sorted(vs, key=order), d)
+def _vertices(names: list[str], at, vs, d: int) -> str:
+    """A vertex set at depth d, in declared order: `at` maps a vertex to
+    its declared index, and `names` holds the written vertex names in
+    declared order, so the indices are sorted as ints and no name is
+    escaped again."""
+    return _list([names[j] for j in sorted(map(at, vs))], d)
 
 
 def _bool(b: bool) -> str:
@@ -212,6 +215,8 @@ def _count(n) -> str:
 
 _GRAPH = _keys("vertices", "edges")
 _EDGE = _keys("id", "src", "dst")
+# an edge record with its three written strings put in by one `%`
+_EDGE_TEXT = _record(_EDGE, ("%s",) * 3, 3)
 _CLASSIFICATION = _keys(
     "p_l", "p_c", "p_c_plus", "p_c_minus", "p_e", "p_ec", "p_binf",
     "cycles", "x_ec", "sim_classes", "x_classes", "h_f", "h_inf",
@@ -238,12 +243,12 @@ _ORACLE = _keys("degree", "max_len", "agrees")
 # Each section is a value of the top-level object, so it sits at depth 1.
 
 
-def _graph_text(g: Graph) -> str:
-    edges = [_record(_EDGE, map(_string, e), 3) for e in g.edges]
-    return _record(_GRAPH, (_strings(g.vertices, 2), _list(edges, 2)), 1)
+def _graph_text(names: list[str], g: Graph) -> str:
+    edges = [_EDGE_TEXT % (_string(e), _string(a), _string(b)) for e, a, b in g.edges]
+    return _record(_GRAPH, (_list(names, 2), _list(edges, 2)), 1)
 
 
-def _classification_text(order, rep: ClassificationReport) -> str:
+def _classification_text(names: list[str], at, rep: ClassificationReport) -> str:
     cycles = [
         _record(_CYCLE, (
             _strings(ci.cycle.edges, 4),
@@ -260,15 +265,15 @@ def _classification_text(order, rep: ClassificationReport) -> str:
         _record(_EXTREME_CLASS, (
             _string(xc.class_id),
             _list([_strings(c.edges, 5) for c in xc.cycles], 4),
-            _vertices(order, xc.vertices, 4),
+            _vertices(names, at, xc.vertices, 4),
         ), 3)
         for xc in rep.x_ec
     ]
     x_classes = [
         _record(_X_CLASS, (
             _string(xc.rep),
-            _vertices(order, xc.members, 4),
-            _vertices(order, xc.closure, 4),
+            _vertices(names, at, xc.members, 4),
+            _vertices(names, at, xc.closure, 4),
             '"INFINITE"' if xc.entry.is_infinite
             else _list([_strings(p, 5) for p in xc.entry.paths], 4),
             _bool(xc.is_finite),
@@ -277,23 +282,23 @@ def _classification_text(order, rep: ClassificationReport) -> str:
         for xc in rep.x_classes
     ]
     return _record(_CLASSIFICATION, (
-        _vertices(order, rep.p_l, 2),
-        _vertices(order, rep.p_c, 2),
-        _vertices(order, rep.p_c_plus, 2),
-        _vertices(order, rep.p_c_minus, 2),
-        _vertices(order, rep.p_e, 2),
-        _vertices(order, rep.p_ec, 2),
-        _vertices(order, rep.p_binf, 2),
+        _vertices(names, at, rep.p_l, 2),
+        _vertices(names, at, rep.p_c, 2),
+        _vertices(names, at, rep.p_c_plus, 2),
+        _vertices(names, at, rep.p_c_minus, 2),
+        _vertices(names, at, rep.p_e, 2),
+        _vertices(names, at, rep.p_ec, 2),
+        _vertices(names, at, rep.p_binf, 2),
         _list(cycles, 2),
         _list(x_ec, 2),
-        _list([_vertices(order, c, 3) for c in rep.sim_classes], 2),
+        _list([_vertices(names, at, c, 3) for c in rep.sim_classes], 2),
         _list(x_classes, 2),
-        _vertices(order, rep.h_f, 2),
-        _vertices(order, rep.h_inf, 2),
+        _vertices(names, at, rep.h_f, 2),
+        _vertices(names, at, rep.h_inf, 2),
     ), 1)
 
 
-def _ideal_text(order, rep: IdealStructureReport) -> str:
+def _ideal_text(names: list[str], at, rep: IdealStructureReport) -> str:
     sinks = [_record(_SINK, (_string(s.sink), _count(s.matrix_size)), 3) for s in rep.sinks]
     no_exit = [
         _record(_NO_EXIT, (_strings(c.cycle.edges, 4), _count(c.matrix_size)), 3)
@@ -304,7 +309,7 @@ def _ideal_text(order, rep: IdealStructureReport) -> str:
         cert = x.certificate
         extreme.append(_record(_EXTREME, (
             _string(x.extreme_class.class_id),
-            _vertices(order, x.extreme_class.vertices, 4),
+            _vertices(names, at, x.extreme_class.vertices, 4),
             "null" if cert is None else _record(_CERTIFICATE, (
                 _bool(cert.purely_infinite_simple),
                 _optional(cert.failing_condition),
@@ -438,15 +443,19 @@ class Envelope:
         schema change, such as naming the field or adding a block of run
         counters, edits both.  Strings go through json's C escaper, ints
         through `int.__repr__`, and true, false, null and "INFINITE" are
-        literals; each vertex set is sorted once, in declared order."""
+        literals.  Each vertex name is escaped once per report, into a list
+        in declared order that the graph's vertex list and every vertex set
+        are written from; a set is sorted as the ints of the graph's vertex
+        index.  Edge records are filled into one template."""
         g, alg = self.graph, self.algebra
-        order = g._vertex_index.__getitem__
+        names = list(map(_string, g.vertices))
+        at = g._vertex_index.__getitem__
         keys = ["tool_version", "graph", "classification", "ideal_structure", "prime_trichotomy"]
         values = [
             _string(__version__),
-            _graph_text(g),
-            _classification_text(order, self.classification),
-            _ideal_text(order, self.ideal),
+            _graph_text(names, g),
+            _classification_text(names, at, self.classification),
+            _ideal_text(names, at, self.ideal),
             _prime_text(self.prime),
         ]
         if self.center is not None:

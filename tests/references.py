@@ -350,6 +350,17 @@ def ref_involution(alg, x):
     return alg.normal_form([(make((sb, q, sa, p)), k) for (sa, p, sb, q), k in x.terms.items()])
 
 
+def ref_reducible(alg, alpha_edges, beta_edges):
+    """alpha beta* is reducible: both sides end in one edge, and that edge is
+    the special edge of its source, looked up through `Graph.edge`."""
+    if not alpha_edges or not beta_edges:
+        return False
+    e = alpha_edges[-1]
+    if e != beta_edges[-1]:
+        return False
+    return e == alg._special[alg.graph.edge(e).src]
+
+
 def ref_normal_monomials(alg, degree, max_len):
     """Every pair of paths up to max_len with a common range, filtered by
     length and degree."""
@@ -362,7 +373,7 @@ def ref_normal_monomials(alg, degree, max_len):
         for a in ps:
             for b in ps:
                 if len(a.edges) - len(b.edges) == degree and len(a.edges) + len(b.edges) <= max_len:
-                    if not alg._reducible(a.edges, b.edges):
+                    if not ref_reducible(alg, a.edges, b.edges):
                         out.append(Monomial(a, b))
     out.sort(key=sort_key)
     return out

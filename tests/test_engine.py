@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ from lpa.center import basis_zero
 from lpa.classify import x_decomposition
 from lpa.engine import AlgebraElement, EngineError, GPath, LeavittAlgebra, Monomial
 from lpa.fields import QQ, PrimeField
-from lpa.graphs import Edge, Graph
+from lpa.graphs import Edge, Graph, GraphError
 from lpa.randomgen import random_graph
 from corpus import graph
 from references import (
@@ -57,6 +58,17 @@ def test_special_edge_examples():
     assert alg_of("g_r2")._special["v"] == "e1"
     assert alg_of("g_toeplitz")._special["u"] == "e"
     assert "v3" not in alg_of("g_line3")._special  # a sink has none
+
+
+@given(random_algebras())
+@settings(max_examples=60, deadline=None)
+def test_special_edges_are_the_least_out_edges(alg):
+    """The special edge of a vertex is its out-edge with the least id, in
+    declared vertex order, and `_specials` is the set of them."""
+    g = alg.graph
+    out = {v: [e.id for e in g.edges if e.src == v] for v in g.vertices}
+    assert list(alg._special.items()) == [(v, min(ids)) for v, ids in out.items() if ids]
+    assert alg._specials == frozenset(alg._special.values())
 
 
 # -- monomials ----------------------------------------------------------------
@@ -159,6 +171,31 @@ def test_normal_form_range_mismatch():
     alg = alg_of("g_line3")
     with pytest.raises(EngineError):
         alg.normal_form([(Monomial(GPath("v1", ("e1",)), alg.trivial_path("v1")), 1)])
+
+
+@pytest.mark.parametrize("k", [1, 0])
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        (("nope", (), "nope", ()), "unknown vertex: 'nope'"),
+        (("v1", ("zz",), "v2", ()), "unknown edge: 'zz'"),
+        (("v1", ("e2",), "v3", ()), "edge 'e2' does not continue the path at 'v1'"),
+        (("v1", ("e1", "e1"), "v2", ()), "edge 'e1' does not continue the path at 'v2'"),
+        # alpha is a path; beta is checked on its own
+        (("v2", (), "v1", ("e2",)), "edge 'e2' does not continue the path at 'v1'"),
+        (("v3", (), "v3", ("zz",)), "unknown edge: 'zz'"),
+    ],
+    ids=["vertex", "edge", "continue", "continue-later", "beta-continue", "beta-edge"],
+)
+def test_normal_form_checks_every_raw_term(term, message, k):
+    """A raw term with a side that is no path of the graph raises the
+    graph's own error, also with a zero coefficient, and again on a second
+    call after a valid term: a side that failed is never kept as checked."""
+    alg = alg_of("g_line3")
+    valid = (Monomial._make(("v1", ("e1",), "v2", ())), 1)
+    for raw in ([(Monomial._make(term), k)], [valid, (Monomial._make(term), k)]):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            alg.normal_form(raw)
 
 
 # -- linear structure and commutators ----------------------------------------

@@ -79,14 +79,18 @@ def test_flags_computed():
 @given(random_graphs(6, 10), st.integers(0, 2**64))
 @settings(max_examples=150, deadline=None)
 def test_from_bits_matches_members(g, raw):
-    """The set built from a bitset is the set built from its members: the
-    same members, bits and hereditary flag, for any bitset and for the
-    closure of one."""
+    """The set built from a bitset is the set built from its members: equal,
+    with the same hash, repr, members, bits and hereditary flag, for any
+    bitset and for the closure of one.  Both sets are built before any
+    members are read, so the ones `from_bits` makes on first read are
+    compared too."""
     b = raw & ((1 << len(g.vertices)) - 1)
     for bits in (b, g.tree_union_bits(b)):
         h = HereditarySet.from_bits(g, bits)
         ref = HereditarySet(g, g.vertices_of(bits))
         assert h == ref
+        assert hash(h) == hash(ref)
+        assert repr(h) == repr(ref)
         assert (h.members, h.bits, h.is_hereditary) == (ref.members, ref.bits, ref.is_hereditary)
         assert h.bits == bits
 

@@ -45,9 +45,10 @@ def test_dumps_with_index_matches_json_dumps_on_campaign500(campaign500):
         assert env.dumps(index=i) == reference(env, i)
 
 
-# ids that need escaping, or that read like the literals the writer prints
+# ids that need escaping, that read like the literals the writer prints, or
+# that hold the format characters of the edge record's `%` template
 ESCAPED = ['"', "\\", "\n", "\x00", "\x1f", "é", "\U0001f600", "a\"b\\c", "INFINITE", "null",
-           "12", "true", "[]"]
+           "12", "true", "[]", "%", "%s", "%(x)s", "%%"]
 ids = st.sampled_from(ESCAPED) | st.text(st.characters(), min_size=1, max_size=4)
 
 
