@@ -97,8 +97,8 @@ def _laurent_basis(
     edge_by_id = g._edge_by_id
     by_degree: dict[int, list[CentralBasisElement]] = {}
     for c in _s_cycles(report):
-        vertices = c.vertex_set
-        eps = entry_paths(g, HereditarySet(g, vertices))
+        # an S cycle has no exits, so its component is the cycle: K = c^0
+        eps = entry_paths(g, HereditarySet.from_bits(g, g.component_bits(c.base)))
         # c's vertices are in P and, by rule (ii), inside one ~ class, so
         # the X-class that holds c.base is the one that holds c
         class_id = next(xc.rep for xc in report.x_classes if c.base in xc.members)
@@ -109,7 +109,7 @@ def _laurent_basis(
         ]
         for m in range(1, degree_window // len(c.edges) + 1):
             # raw terms as plain tuples, checked once, by normal_form
-            raw = [(make((u, rotations[u] * m, u, ())), 1) for u in g.sorted_vertices(vertices)]
+            raw = [(make((u, rotations[u] * m, u, ())), 1) for u in g.sorted_vertices(c.sources)]
             raw += [(make((s, p + rot * m, s, p)), 1) for s, p, rot in entries]
             elem = alg.normal_form(raw)
             n = m * len(c.edges)

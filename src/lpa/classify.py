@@ -4,7 +4,7 @@ the ~ relation, the X_f decomposition, ideal structure, and primeness."""
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_, or_
+from operator import and_
 from typing import NamedTuple, Optional
 
 from .graphs import (
@@ -142,9 +142,12 @@ def x_decomposition(g: Graph) -> ClassificationReport:
          infinitely many.  Conversely, infinitely many paths into c^0
          without c's edges, in a finite graph, repeat a vertex, so they
          give a simple cycle d that avoids c's edges and reaches c^0; d
-         outside K would make the inflow INFINITE, so d lies in K.  Per
-         component, each edge maps to the bitmask of K's cycles through
-         it, and c is partnered when the OR over c's edges misses one.
+         outside K would make the inflow INFINITE, so d lies in K.  The
+         test builds one frozenset of c's edges and scans K's cycles in
+         `simple_cycles` order, shortest first, stopping at the first d
+         that shares none.  Each d read costs at most |d| set lookups, so
+         c costs at most the total length of K's cycles, and usually far
+         less, since a short cycle that misses c comes early.
        - Otherwise finite, and `count_paths_into` counts it on the graph
          without c's edges, which the index does not cover.
     4. Wrap count: the paths ending at c^0 that miss at least one edge of
@@ -206,12 +209,6 @@ def x_decomposition(g: Graph) -> ClassificationReport:
                     )
                 )
         lone = len(members) == 1  # K is c
-        if not lone and inflow is not INFINITE:
-            through: dict[str, int] = {}  # edge -> bitmask of K's cycles through it
-            for bit, i in enumerate(members):
-                for eid in cycles[i].edges:
-                    through[eid] = through.get(eid, 0) | 1 << bit
-            everyone = (1 << len(members)) - 1
         for i in members:
             c = cycles[i]
             if inflow is INFINITE:
@@ -219,10 +216,12 @@ def x_decomposition(g: Graph) -> ClassificationReport:
             elif lone:
                 entry = len(c.edges) + inflow
                 wrap = len(c.edges) * entry
-            elif reduce(or_, [through[eid] for eid in c.edges]) != everyone:  # partnered
-                entry = wrap = INFINITE
             else:
-                entry, wrap = count_paths_into(g, c.vertex_set, c.edge_set), INFINITE
+                own = c.edge_set
+                if any(own.isdisjoint(cycles[j].edges) for j in members):  # partnered
+                    entry = wrap = INFINITE
+                else:
+                    entry, wrap = count_paths_into(g, c.vertex_set, own), INFINITE
             infos[i] = CycleInfo(
                 cycle=c,
                 has_exits=has_exits,
@@ -365,13 +364,14 @@ def ideal_structure(g: Graph, report: ClassificationReport) -> IdealStructureRep
         if not ci.has_exits
     )
     # F_E(H) depends only on the members of H, so an extreme class whose
-    # T(c^0) is the closure of an X-class reuses that class's entry paths
+    # T(c^0) is the closure of an X-class reuses that class's entry paths;
+    # T(c^0) is the class's component, whose bits the index holds
     entry_of = {c.closure: c.entry for c in report.x_classes}
     extreme = []
     for xc in report.x_ec:
         eps = entry_of.get(xc.vertices)
         if eps is None:
-            eps = entry_paths(g, HereditarySet(g, xc.vertices))
+            eps = entry_paths(g, HereditarySet.from_bits(g, g.component_bits(xc.class_id)))
         if eps.is_infinite:
             extreme.append(
                 ExtremeSummand(xc, None, "entry paths infinite; certificate skipped")

@@ -147,15 +147,12 @@ class LeavittAlgebra:
     def __init__(self, graph: Graph, field=QQ):
         self.graph = graph
         self.field = field
-        # read from the adjacency the graph validated at construction, in
-        # declared order; edges are (id, src, dst) tuples with distinct ids,
-        # so the least edge is the one with the least id
-        self._special: dict[str, str] = {
-            v: min(out).id for v, out in graph._out.items() if out
-        }
-        # the special edges: alpha beta* is reducible exactly when alpha and
+        # the special edges, each vertex's least out-edge, read from the
+        # adjacency the graph validated at construction; edges are (id, src,
+        # dst) tuples with distinct ids, so the least edge is the one with
+        # the least id.  alpha beta* is reducible exactly when alpha and
         # beta are nonempty and end in the same edge, and that edge is here
-        self._specials = frozenset(self._special.values())
+        self._specials = frozenset(min(out).id for out in graph._out.values() if out)
         self._in: dict[str, list] = {v: [] for v in graph.vertices}
         for e in graph.edges:
             self._in[e.dst].append(e)
@@ -364,7 +361,9 @@ class LeavittAlgebra:
         Both the edge and the ghost case are written out below, the ghost
         case with the swap, the swap back and the negation already applied.
         """
-        special, into = self._special, self._in
+        # an in-edge of sa or sb leaves its source a, and `specials` holds one
+        # edge per source, so it is special at a exactly when it is there
+        specials, into = self._specials, self._in
         out, edge_by_id = self.graph._out, self.graph._edge_by_id
         get = acc.get
         for (sa, p, sb, q), k in terms:
@@ -386,7 +385,7 @@ class LeavittAlgebra:
                     acc[key] = get(key, 0) + k
             # edges: -e m, with the range relation when it applies
             for eid, a, _ in into[sa]:
-                if not p and q and q[-1] == eid and special[a] == eid:
+                if not p and q and q[-1] == eid and eid in specials:
                     beta0 = q[:-1]
                     key = ("edge", eid, a, (), sb, beta0)
                     acc[key] = get(key, 0) + neg_k
@@ -409,7 +408,7 @@ class LeavittAlgebra:
                     acc[key] = get(key, 0) + neg_k
             # ghosts: (e m*)*, with the range relation when it applies
             for eid, a, _ in into[sb]:
-                if not q and p and p[-1] == eid and special[a] == eid:
+                if not q and p and p[-1] == eid and eid in specials:
                     alpha0 = p[:-1]
                     key = ("ghost", eid, sa, alpha0, a, ())
                     acc[key] = get(key, 0) + k

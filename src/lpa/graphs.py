@@ -70,7 +70,6 @@ class Graph:
             if v in seen:
                 raise GraphError(f"duplicate vertex id: {v!r}")
             seen.add(v)
-        self._vertex_set = seen
         by_id: dict[str, Edge] = {}
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -91,7 +90,7 @@ class Graph:
     # -- basic views ------------------------------------------------------
 
     def check_vertex(self, v: str) -> None:
-        if v not in self._vertex_set:
+        if v not in self._vertex_index:
             raise GraphError(f"unknown vertex: {v!r}")
 
     def edge(self, eid: str) -> Edge:

@@ -73,6 +73,12 @@ def cycle_with_tail(n):
     return Graph(vs + ["t"], es + [Edge("f", "t", "v1")])
 
 
+def complete_digraph(n):
+    """K_n: n vertices and one edge from each to every other."""
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [Edge(f"e{a}.{b}", a, b) for a in vs for b in vs if a != b])
+
+
 def sparse(seed, vertices=100, edges=125):
     """A sparse random multigraph, endpoints uniform: at 100 vertices and
     125 edges it mostly has small strongly connected components, some of
@@ -352,13 +358,15 @@ def ref_involution(alg, x):
 
 def ref_reducible(alg, alpha_edges, beta_edges):
     """alpha beta* is reducible: both sides end in one edge, and that edge is
-    the special edge of its source, looked up through `Graph.edge`."""
+    the special edge of its source, its least out-edge, looked up through
+    `Graph.edge` and `Graph.out_edges`."""
     if not alpha_edges or not beta_edges:
         return False
     e = alpha_edges[-1]
     if e != beta_edges[-1]:
         return False
-    return e == alg._special[alg.graph.edge(e).src]
+    g = alg.graph
+    return e == min(g.out_edges(g.edge(e).src)).id
 
 
 def ref_normal_monomials(alg, degree, max_len):
@@ -395,7 +403,7 @@ def ref_oracle_candidates(alg, degree, max_len):
         if p and q:
             return bool(into[v])
         es = into[v]
-        return not (len(es) == 1 and alg._special[es[0].src] == es[0].id)
+        return not (len(es) == 1 and min(alg.graph.out_edges(es[0].src)).id == es[0].id)
 
     return [m for m in alg.normal_monomials(degree, max_len) if m[0] == m[2] and not forced(m)]
 

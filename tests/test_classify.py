@@ -1,3 +1,4 @@
+import sys
 from unittest import mock
 
 import pytest
@@ -12,11 +13,11 @@ from lpa.classify import (
     sim_classes,
     x_decomposition,
 )
-from lpa.graphs import INFINITE, Cycle, Edge, Graph, InvariantError
+from lpa.graphs import INFINITE, Cycle, Edge, Graph, InvariantError, count_paths_into
 from lpa.hereditary import HereditarySet, entry_paths, restriction_graph
 from lpa.reports import build_envelope
-from corpus import graph
-from references import disjoint_union, random_graphs, sparse, tree
+from corpus import FIXTURE_NAMES, graph
+from references import chained, complete_digraph, disjoint_union, random_graphs, sparse, tree
 from test_reachability import counted, counted_from, ref_is_saturated
 
 
@@ -91,11 +92,6 @@ def test_extreme_classes_sorted_by_class_id():
     assert [(xc.class_id, xc.vertices) for xc in rep.x_ec] == [("a", {"a", "c"}), ("b", {"b"})]
 
 
-def complete_digraph(n):
-    vs = [f"v{i}" for i in range(n)]
-    return Graph(vs, [Edge(f"e{a}.{b}", a, b) for a in vs for b in vs if a != b])
-
-
 def test_extreme_classes_read_each_component_once():
     """The complete digraph on 4 vertices: its 20 simple cycles are all
     extreme and share one component, whose tree `x_decomposition` looks up
@@ -142,6 +138,72 @@ def test_x_decomposition_builds_no_cycle_vertex_sets():
     assert built == []
     assert report.p_e == report.p_ec == set(g.vertices)
     assert not report.p_c and not report.p_c_plus
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_dense_graphs_never_reach_the_general_count(n):
+    """On the complete digraph K_n every simple cycle is partnered: a cycle
+    of length 3 or more is edge-disjoint from its reverse, and a 2-cycle
+    from the 2-cycle on one of its vertices and a third.  So every entry
+    count is INFINITE, read from the set test alone."""
+    g = complete_digraph(n)
+    calls = []
+    with mock.patch.object(lpa.classify, "count_paths_into", counted(calls, count_paths_into)):
+        rep = x_decomposition(g)
+    assert rep.cycles and all(ci.entry_count is INFINITE for ci in rep.cycles)
+    assert calls == []
+
+
+def test_theta_cycles_are_unpartnered():
+    """The theta graph u -> v by e, v -> u by f and by g, with a tail
+    t -> u: its two cycles share e, so neither is partnered, and their
+    entry counts are finite and come from the general count; their wrap
+    counts are INFINITE, since each reaches the other's base."""
+    g = Graph(
+        ["t", "u", "v"],
+        [Edge("e", "u", "v"), Edge("f", "v", "u"), Edge("g", "v", "u"), Edge("h", "t", "u")],
+    )
+    calls = []
+    with mock.patch.object(lpa.classify, "count_paths_into", counted(calls, count_paths_into)):
+        rep = x_decomposition(g)
+    assert [ci.cycle.edges for ci in rep.cycles] == [("e", "f"), ("e", "g")]
+    assert len(calls) == 2
+    for ci in rep.cycles:
+        c = ci.cycle
+        assert ci.entry_count is not INFINITE
+        assert ci.entry_count == count_paths_into(g, c.vertex_set, c.edge_set)
+        assert ci.wrap_count is INFINITE
+    # the trivial paths at u and v, h, and the v -> u edge that c does not use
+    assert [ci.entry_count for ci in rep.cycles] == [4, 4]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [graph(name) for name in FIXTURE_NAMES] + [sparse(seed) for seed in range(3)] + [chained(18)],
+    ids=FIXTURE_NAMES + [f"sparse{seed}" for seed in range(3)] + ["chained18"],
+)
+def test_center_builds_no_cycle_vertex_set(g):
+    """Every set the envelope builds for an S cycle or an extreme class is
+    a component, read from the index's bits: `Cycle.vertex_set` is built
+    only for `x_decomposition`'s general count, and `vertex_bits`, which
+    checks every member again, runs at most once, for P's density test.
+    The sparse graphs hold S cycles; chained(18) holds an extreme class
+    whose set is no X-class's closure, so `ideal_structure` builds it."""
+    built, bits = [], []
+    vertex_set = Cycle.vertex_set.fget
+
+    def counting_vertex_set(c):
+        built.append(sys._getframe(1).f_code.co_name)
+        return vertex_set(c)
+
+    paths = []
+    with mock.patch.object(Cycle, "vertex_set", property(counting_vertex_set)), \
+            mock.patch.object(Graph, "vertex_bits", counted(bits, Graph.vertex_bits)), \
+            mock.patch.object(lpa.classify, "count_paths_into", counted(paths, count_paths_into)):
+        env = build_envelope(g, with_center=True, verify=True)
+    assert built == ["x_decomposition"] * len(paths)
+    p = env.classification.p
+    assert bits == ([(g, p)] if p else [])
 
 
 @given(random_graphs())
