@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .classify import ClassificationReport, XClass
-from .engine import AlgebraElement, LeavittAlgebra, Monomial
+from .engine import AlgebraElement, LeavittAlgebra
 from .graphs import Graph
 from .hereditary import HereditarySet, entry_paths
 
@@ -51,7 +51,7 @@ class ExtendedCentroidReport(NamedTuple):
 
 class CenterReport(NamedTuple):
     basis_zero: tuple[CentralBasisElement, ...]
-    basis_nonzero: dict  # degree -> tuple[CentralBasisElement, ...]
+    basis_nonzero: dict  # degree -> tuple[CentralBasisElement, ...], degrees ascending
     iso_type: dict  # {"K": count, "Laurent": count}
     centroid: ExtendedCentroidReport
     divergence_flags: tuple[str, ...]
@@ -67,12 +67,12 @@ def a_class(alg: LeavittAlgebra, xclass: XClass) -> CentralBasisElement:
     each path is validated once, there."""
     if not xclass.is_finite:
         raise CenterError(f"class [{xclass.rep}] has infinitely many entry paths")
-    g, make = alg.graph, Monomial._make
-    raw = [(make((u, (), u, ())), 1) for u in g.sorted_vertices(xclass.closure)]
+    g = alg.graph
+    raw = [((u, (), u, ()), 1) for u in g.sorted_vertices(xclass.closure)]
     edge_by_id = g._edge_by_id
     for p in xclass.entry.paths:
         s = edge_by_id[p[0]].src
-        raw.append((make((s, p, s, p)), 1))
+        raw.append(((s, p, s, p), 1))
     return CentralBasisElement(
         degree=0, element=alg.normal_form(raw), class_id=xclass.rep
     )
@@ -93,7 +93,7 @@ def _laurent_basis(
     m >= 1 with m|c| in the window, one element at degree m|c|, the m-th
     power of c dressed with the entry paths F_E(c^0), and its involution at
     degree -m|c|.  Within a degree the elements follow the order of S."""
-    g, make = alg.graph, Monomial._make
+    g = alg.graph
     edge_by_id = g._edge_by_id
     by_degree: dict[int, list[CentralBasisElement]] = {}
     for c in _s_cycles(report):
@@ -109,8 +109,8 @@ def _laurent_basis(
         ]
         for m in range(1, degree_window // len(c.edges) + 1):
             # raw terms as plain tuples, checked once, by normal_form
-            raw = [(make((u, rotations[u] * m, u, ())), 1) for u in g.sorted_vertices(c.sources)]
-            raw += [(make((s, p + rot * m, s, p)), 1) for s, p, rot in entries]
+            raw = [((u, rotations[u] * m, u, ()), 1) for u in g.sorted_vertices(c.sources)]
+            raw += [((s, p + rot * m, s, p), 1) for s, p, rot in entries]
             elem = alg.normal_form(raw)
             n = m * len(c.edges)
             for degree, x, power in ((n, elem, m), (-n, alg.involution(elem), -m)):
@@ -238,19 +238,6 @@ def _monic(row: dict, field) -> dict:
     return {c: coerce(k * inv) for c, k in row.items()}
 
 
-def _distinct(rows: list[dict]) -> list[dict]:
-    """The rows less every row equal to an earlier one or to its negation."""
-    seen: set[frozenset] = set()
-    out = []
-    for row in rows:
-        key = frozenset(row.items())
-        if key not in seen:
-            seen.add(key)
-            seen.add(frozenset((c, -k) for c, k in row.items()))
-            out.append(row)
-    return out
-
-
 def _rref(rows: list[dict], field) -> list[dict]:
     """Reduced row echelon form of sparse rows (col index -> scalar).
 
@@ -267,22 +254,21 @@ def _rref(rows: list[dict], field) -> list[dict]:
     one multiples of p is left to what follows, which reaches the same
     RREF.
 
-    Of the remaining rows, one equal to an earlier row or to its negation
-    lies in that row's span, so `_distinct` drops it: the row space, and so
-    the RREF, is unchanged.  What is left is settled by its shape.  No rows,
-    or none left once the unit rows are settled: the RREF is the unit rows
-    alone.  Exactly one row r left: its span is the line through r, and a
-    nonzero vector spanning a line has exactly one multiple whose entry at
-    its least column is 1, so `_monic(r)` is the one RREF row beside the
-    unit rows (none when r is zero in the field, the zero row).
+    What is left is settled by its shape.  No rows, or none left once the
+    unit rows are settled: the RREF is the unit rows alone.  Exactly one
+    row r left: its span is the line through r, and a nonzero vector
+    spanning a line has exactly one multiple whose entry at its least
+    column is 1, so `_monic(r)` is the one RREF row beside the unit rows
+    (none when r is zero in the field, the zero row).
 
     Two or more rows left go to `_eliminate`, one Gauss-Jordan over the
     field's own values, whose pivot rows are monic and in the one form of
     `fields`, as `_monic`'s are, so both ways give equal entries of equal
-    types.  There is one path for every field: each test for zero is a
-    test of `field.coerce(k)`, and the rows may hold ints, Fractions or
+    types.  A row equal to an earlier one or to its negation is reduced to
+    zero there.  There is one path for every field: each test for zero is
+    a test of `field.coerce(k)`, and the rows may hold ints, Fractions or
     residues that are not yet reduced.
-    Few systems get this far: in a seed-1 pass of the oracle workload, 123
+    Few systems get this far: in a seed-1 pass of the oracle workload, 214
     of 972 calls, none over F_p and none wider than 15 columns.
     """
     if not rows:
@@ -295,8 +281,6 @@ def _rref(rows: list[dict], field) -> list[dict]:
         for row in rows
         if len(row) > 1
     ]
-    if len(rest) > 1:
-        rest = _distinct(rest)
     if len(rest) == 1:
         rest = [_monic(rest[0], field)]
     elif rest:
@@ -478,7 +462,7 @@ def _oracle_tables(alg: LeavittAlgebra) -> _OracleTables:
     return tables
 
 
-def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[Monomial]:
+def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[tuple]:
     """The normal monomials alpha beta* of the degree with |alpha| + |beta|
     <= max_len and s(alpha) = s(beta) that the length bound does not force
     to 0 (see `oracle_commutant`), in `sort_key` order.
@@ -497,7 +481,7 @@ def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[M
     depends on n and the source v alone: when both sides are nonempty, v is
     forced when it has an in-edge; when one side is trivial, unless v's only
     in-edge is special at its source.  A forced v's alphas are skipped
-    whole.  A `Monomial` is built only for a kept candidate.
+    whole, and a tuple is built only for a kept candidate.
     """
     if abs(degree) > max_len:
         return []
@@ -505,7 +489,6 @@ def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[M
     layers = tables.reach((max_len + abs(degree)) // 2)
     buckets, sole_special, specials = tables.buckets, tables.sole_special, alg._specials
     into = alg._in
-    make = Monomial._make
     out = []
     for n in range(abs(degree), max_len + 1, 2):
         i, j = (n + degree) // 2, (n - degree) // 2
@@ -522,7 +505,7 @@ def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[M
             last = p[-1] if p and p[-1] in specials else None
             for q in bs:
                 if last is None or not q or q[-1] != last:
-                    out.append(make((s, p, s, q)))
+                    out.append((s, p, s, q))
     return out
 
 
@@ -558,7 +541,7 @@ def same_span(
     equal exactly when their RREFs are, whatever the order: no sort is
     needed.  RREF rows are dicts, which compare without regard to the
     order of their items."""
-    index: dict[Monomial, int] = {}  # -> column
+    index: dict[tuple, int] = {}  # monomial -> column
 
     def rref(elems):
         rows = []

@@ -5,6 +5,13 @@ Elements are finite linear combinations of normal-form monomials
 beta from both ending in the special (lexicographically least) edge of
 their common last source, which is exactly the rewrite target of the
 range relation at regular vertices.
+
+A path is the plain pair (source, edge ids), and a monomial alpha beta*
+with r(alpha) = r(beta) the plain 4-tuple (s(alpha), alpha edges,
+s(beta), beta edges), which is ``alpha + beta``: ``m[:2]`` is alpha and
+``m[2:]`` is beta.  Its hash, equality and order are the tuple's, so
+monomials sort as the pairs of paths (alpha, beta) do.  The engine reads
+one by position, ``sa, p, sb, q = m``.
 """
 
 from __future__ import annotations
@@ -17,35 +24,6 @@ from .graphs import Graph
 
 class EngineError(ValueError):
     pass
-
-
-class GPath(NamedTuple):
-    """A path: source vertex plus an edge-id sequence (possibly empty)."""
-
-    source: str
-    edges: tuple[str, ...] = ()
-
-
-class Monomial(tuple):
-    """alpha beta* with r(alpha) = r(beta), as the plain tuple
-    (s(alpha), alpha edges, s(beta), beta edges).
-
-    This is the one form of a monomial: the keys of every
-    `AlgebraElement`, the terms that `generator_action` reads and the
-    tail of every key it writes.  Hash, equality and order are the tuple's, so a Monomial
-    equals the plain tuple of its fields, and it sorts as the pair of paths
-    (alpha, beta) does.  The engine reads it positionally,
-    ``sa, p, sb, q = m``, and the sides as slices: ``m[:2]`` is alpha and
-    ``m[2:]`` is beta, each a plain (source, edges) pair."""
-
-    __slots__ = ()
-
-    def __new__(cls, alpha: GPath, beta: GPath):
-        return cls._make((alpha.source, alpha.edges, beta.source, beta.edges))
-
-    # the one constructor from the plain tuple; tuple.__new__ runs no
-    # Python code and never calls __init__
-    _make = classmethod(tuple.__new__)
 
 
 def sort_key(m: tuple) -> tuple:
@@ -67,7 +45,7 @@ class AlgebraElement:
 
     def __init__(self, algebra: "LeavittAlgebra", terms: dict):
         self.algebra = algebra
-        self.terms = terms  # Monomial -> nonzero field value; treated as frozen
+        self.terms = terms  # monomial -> nonzero field value; treated as frozen
 
     def __bool__(self):
         return bool(self.terms)
@@ -156,24 +134,20 @@ class LeavittAlgebra:
         self._in: dict[str, list] = {v: [] for v in graph.vertices}
         for e in graph.edges:
             self._in[e.dst].append(e)
-        self._range_cache: dict[GPath, str] = {}
+        self._range_cache: dict[tuple, str] = {}
         # the oracle's path tables (`center._OracleTables`), built on its
         # first solve on this algebra
         self._oracle_tables = None
 
     # -- paths and monomials ----------------------------------------------
 
-    def path_range(self, p: GPath) -> str:
-        """The range of p, a GPath or a plain (source, edges) pair."""
+    def path_range(self, p: tuple) -> str:
+        """The range of the path p = (source, edges)."""
         r = self._range_cache.get(p)
         if r is None:
             r = self.graph.path_range(*p)
             self._range_cache[p] = r
         return r
-
-    def trivial_path(self, v: str) -> GPath:
-        self.graph.check_vertex(v)
-        return GPath(v, ())
 
     # -- constructors -------------------------------------------------------
 
@@ -181,20 +155,15 @@ class LeavittAlgebra:
         return AlgebraElement(self, {})
 
     def vertex(self, v: str) -> AlgebraElement:
-        t = self.trivial_path(v)
-        return self.normal_form([(Monomial(t, t), 1)])
+        return self.normal_form([((v, (), v, ()), 1)])
 
     def edge(self, eid: str) -> AlgebraElement:
         e = self.graph.edge(eid)
-        alpha = GPath(e.src, (eid,))
-        beta = self.trivial_path(e.dst)
-        return self.normal_form([(Monomial(alpha, beta), 1)])
+        return self.normal_form([((e.src, (eid,), e.dst, ()), 1)])
 
     def ghost(self, eid: str) -> AlgebraElement:
         e = self.graph.edge(eid)
-        alpha = self.trivial_path(e.dst)
-        beta = GPath(e.src, (eid,))
-        return self.normal_form([(Monomial(alpha, beta), 1)])
+        return self.normal_form([((e.dst, (), e.src, (eid,)), 1)])
 
     def one(self) -> AlgebraElement:
         out = self.zero()
@@ -220,11 +189,10 @@ class LeavittAlgebra:
         tables, since every edge they meet is an edge of a checked term.
         """
         coerce = self.field.coerce
-        make = Monomial._make
         specials = self._specials
         out_of, edge_by_id = self.graph._out, self.graph._edge_by_id
         ranges = self._range_cache
-        out: dict[Monomial, object] = {}
+        out: dict[tuple, object] = {}
         stack = [(m, coerce(k)) for m, k in raw_terms]
         for m, _ in stack:
             alpha = m[:2]
@@ -249,12 +217,12 @@ class LeavittAlgebra:
             if p and q and p[-1] == q[-1] and p[-1] in specials:
                 s = p[-1]
                 p1, q1 = p[:-1], q[:-1]
-                stack.append((make((sa, p1, sb, q1)), k))
+                stack.append(((sa, p1, sb, q1), k))
                 neg_k = coerce(-k)
                 for fid, _, _ in out_of[edge_by_id[s].src]:
                     if fid != s:
                         fe = (fid,)
-                        stack.append((make((sa, p1 + fe, sb, q1 + fe)), neg_k))
+                        stack.append(((sa, p1 + fe, sb, q1 + fe), neg_k))
             else:
                 acc = out.get(m)
                 if acc is None:
@@ -267,7 +235,7 @@ class LeavittAlgebra:
 
     # -- products -------------------------------------------------------------
 
-    def mono_mul_raw(self, m1: Monomial, m2: Monomial):
+    def mono_mul_raw(self, m1: tuple, m2: tuple):
         """(a1 b1*)(a2 b2*) before normalization; None when it vanishes:
         b1 and a2 must start at one vertex, and one must be a prefix of the
         other."""
@@ -276,9 +244,9 @@ class LeavittAlgebra:
         if sb1 != sa2:
             return None
         if p2[: len(q1)] == q1:
-            return Monomial._make((sa1, p1 + p2[len(q1):], sb2, q2))
+            return sa1, p1 + p2[len(q1):], sb2, q2
         if q1[: len(p2)] == p2:
-            return Monomial._make((sa1, p1, sb2, q2 + q1[len(p2):]))
+            return sa1, p1, sb2, q2 + q1[len(p2):]
         return None
 
     def multiply(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -302,9 +270,8 @@ class LeavittAlgebra:
         and beta, and it is a bijection on monomials, so no two terms meet
         and every coefficient stays the field value it was.  No
         `normal_form` runs."""
-        make = Monomial._make
         return AlgebraElement(
-            self, {make((sb, q, sa, p)): k for (sa, p, sb, q), k in x.terms.items()}
+            self, {(sb, q, sa, p): k for (sa, p, sb, q), k in x.terms.items()}
         )
 
     # -- centrality --------------------------------------------------------------
@@ -326,13 +293,12 @@ class LeavittAlgebra:
 
     def generator_action(self, terms, acc: dict) -> None:
         """Add [k·m, g] for every term (m, k) of terms and every generator g
-        into the dict acc, without building g or any Monomial.
+        into the dict acc, without building g.
 
-        A term is (m, k) for a `Monomial` m = alpha beta* in normal form, or
-        the plain tuple equal to it.  Each c·alpha beta* that [k·m, g]
-        contains is added to acc under the flat key
-        (kind, id, s(alpha), alpha, s(beta), beta), with (kind, id) as in
-        generator_labels(): acc[key] = acc.get(key, 0) + c, as plain
+        A term is (m, k) for a monomial m = alpha beta* in normal form.
+        Each c·alpha beta* that [k·m, g] contains is added to acc under the
+        flat key (kind, id, s(alpha), alpha, s(beta), beta), with (kind, id)
+        as in generator_labels(): acc[key] = acc.get(key, 0) + c, as plain
         numbers that no field reduces.  Entries are never removed, so terms
         that cancel leave an entry equal to 0 (over F_p a multiple of p),
         and the caller reduces and keeps the nonzero ones.  No ``multiply``
@@ -428,23 +394,23 @@ class LeavittAlgebra:
         Equal to ``commutator(x, g)`` for each g, from one generator_action
         pass over x's terms into one dict.  Its entries that are nonzero as
         numbers are put into the field, those still nonzero there are
-        grouped by (kind, id) at the end, and Monomials are made of them
-        only for the generators whose commutator is nonzero, so a central x
-        builds none.  Over Q the entries of a central x cancel to an exact
-        0, so verifying it ends after one `any` over the entries, with no
-        per-entry loop and no `coerce`; over F_p an entry may be a nonzero
-        multiple of p, and the loop puts each into the field.
+        grouped by (kind, id) at the end, each under its monomial, the last
+        four fields of its key, and elements are made only for the
+        generators whose commutator is nonzero, so a central x builds none.
+        Over Q the entries of a central x cancel to an exact 0, so verifying
+        it ends after one `any` over the entries, with no per-entry loop and
+        no `coerce`; over F_p an entry may be a nonzero multiple of p, and
+        the loop puts each into the field.
         """
         acc: dict[tuple, object] = {}
         self.generator_action(x.terms.items(), acc)
         if not any(acc.values()):
             return {}  # every entry cancelled as a number: x is central
         coerce = self.field.coerce
-        make = Monomial._make
         grouped: dict[tuple, dict] = {}
         for t, c in acc.items():
             if c and (c := coerce(c)):
-                grouped.setdefault(t[:2], {})[make(t[2:])] = c
+                grouped.setdefault(t[:2], {})[t[2:]] = c
         return {key: AlgebraElement(self, terms) for key, terms in grouped.items()}
 
     def is_central(self, x: AlgebraElement) -> CentralityResult:
@@ -458,8 +424,10 @@ class LeavittAlgebra:
 
     # -- bounded enumeration ------------------------------------------------
 
-    def enumerate_paths(self, max_len: int) -> list[GPath]:
-        paths = [self.trivial_path(v) for v in self.graph.vertices]
+    def enumerate_paths(self, max_len: int) -> list[tuple]:
+        """Every path (source, edges) of length at most max_len, ordered by
+        length, then source, then edges."""
+        paths = [(v, ()) for v in self.graph.vertices]
         frontier = list(paths)
         for _ in range(max_len):
             if not frontier:
@@ -468,13 +436,13 @@ class LeavittAlgebra:
             for p in frontier:
                 at = self.path_range(p)
                 for e in self.graph.out_edges(at):
-                    nxt.append(GPath(p.source, p.edges + (e.id,)))
+                    nxt.append((p[0], p[1] + (e.id,)))
             paths.extend(nxt)
             frontier = nxt
-        paths.sort(key=lambda p: (len(p.edges), p.source, p.edges))
+        paths.sort(key=lambda p: (len(p[1]), p))
         return paths
 
-    def normal_monomials(self, degree: int, max_len: int) -> list[Monomial]:
+    def normal_monomials(self, degree: int, max_len: int) -> list[tuple]:
         """All normal-form monomials of a degree with |alpha|+|beta| <= max_len.
 
         A candidate has |alpha| = i and |beta| = i - degree with
@@ -487,20 +455,20 @@ class LeavittAlgebra:
         """
         if abs(degree) > max_len:
             return []
-        buckets: dict[tuple[str, int], list[GPath]] = {}
+        buckets: dict[tuple[str, int], list[tuple]] = {}
         for p in self.enumerate_paths((max_len + abs(degree)) // 2):
-            buckets.setdefault((self.path_range(p), len(p.edges)), []).append(p)
+            buckets.setdefault((self.path_range(p), len(p[1])), []).append(p)
         specials = self._specials
         out = []
         for (r, i), alphas in buckets.items():
             if 2 * i - degree > max_len:
                 continue
             for b in buckets.get((r, i - degree), ()):
-                q = b.edges
+                q = b[1]
                 for a in alphas:
-                    p = a.edges
+                    p = a[1]
                     if not (p and q and p[-1] == q[-1] and p[-1] in specials):
-                        out.append(Monomial(a, b))
+                        out.append(a + b)
         out.sort(key=sort_key)
         return out
 

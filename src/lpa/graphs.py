@@ -65,26 +65,26 @@ class Graph:
         self.edges: tuple[Edge, ...] = tuple(edges)
         if not self.vertices:
             raise GraphError("graph must have at least one vertex")
-        seen = set()
+        index: dict[str, int] = {}
         for v in self.vertices:
-            if v in seen:
+            if v in index:
                 raise GraphError(f"duplicate vertex id: {v!r}")
-            seen.add(v)
+            index[v] = len(index)
         by_id: dict[str, Edge] = {}
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
             eid, src, dst = e
             if eid in by_id:
                 raise GraphError(f"duplicate edge id: {eid!r}")
-            if src not in seen:
+            if src not in index:
                 raise GraphError(f"edge {eid!r} has undeclared source: {src!r}")
-            if dst not in seen:
+            if dst not in index:
                 raise GraphError(f"edge {eid!r} has undeclared target: {dst!r}")
             by_id[eid] = e
             out[src].append(e)
         self._edge_by_id = by_id
         self._out = {v: tuple(es) for v, es in out.items()}
-        self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        self._vertex_index = index
         self._index: Optional[_ReachIndex] = None
 
     # -- basic views ------------------------------------------------------

@@ -126,7 +126,7 @@ def _center_json(alg: LeavittAlgebra, rep: CenterReport) -> dict:
         "iso_type": dict(rep.iso_type),
         "basis_zero": basis_json(rep.basis_zero),
         "basis_nonzero": {
-            str(n): basis_json(elems) for n, elems in sorted(rep.basis_nonzero.items())
+            str(n): basis_json(elems) for n, elems in rep.basis_nonzero.items()
         },
         "degree_window": rep.degree_window,
         "divergence_flags": list(rep.divergence_flags),
@@ -354,14 +354,13 @@ def _center_text(alg: LeavittAlgebra, rep: CenterReport) -> str:
             for b in elems
         ], d)
 
-    degrees = sorted(rep.basis_nonzero)
     c = rep.centroid
     return _record(_CENTER, (
         _record([_string(k) + ": " for k in rep.iso_type], map(_int, rep.iso_type.values()), 2),
         basis(rep.basis_zero, 2),
         _record(
-            [_string(str(n)) + ": " for n in degrees],
-            [basis(rep.basis_nonzero[n], 3) for n in degrees],
+            [_string(str(n)) + ": " for n in rep.basis_nonzero],
+            [basis(elems, 3) for elems in rep.basis_nonzero.values()],
             2,
         ),
         _int(rep.degree_window),
@@ -503,7 +502,7 @@ def build_envelope(
         env.center = center_report(alg, classification, degree_window)
         if verify:
             elems = list(env.center.basis_zero)
-            for _, es in sorted(env.center.basis_nonzero.items()):
+            for es in env.center.basis_nonzero.values():
                 elems.extend(es)
             env.verification = verify_basis(alg, elems)
     return env

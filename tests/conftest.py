@@ -36,21 +36,11 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def count_instances(monkeypatch):
     """count(cls) -> a one-item list that counts the instances of cls built
-    from then on, until the test ends.  A tuple subclass such as Monomial
-    is made by tuple.__new__ and never runs __init__; every instance comes
-    from its one constructor `_make`, so that is what is counted."""
+    from then on, until the test ends, by counting the calls of its
+    `__init__`."""
 
     def count(cls):
         built = [0]
-        if issubclass(cls, tuple):
-            make = cls._make
-
-            def counting_make(fields):
-                built[0] += 1
-                return make(fields)
-
-            monkeypatch.setattr(cls, "_make", staticmethod(counting_make))
-            return built
         init = cls.__init__
 
         def counting(self, *args, **kwargs):

@@ -24,7 +24,7 @@ from lpa.classify import (
     line_points,
     sim_classes,
 )
-from lpa.engine import AlgebraElement, EngineError, GPath, Monomial, sort_key
+from lpa.engine import AlgebraElement, EngineError, sort_key
 from lpa.graphs import INFINITE, Cycle, Edge, Graph, GraphError
 from lpa.hereditary import entry_paths, hereditary_closure, saturated_closure
 from lpa.randomgen import random_graph
@@ -271,19 +271,31 @@ def path_from_edges(alg, edges):
     eids = tuple(edges)
     if not eids:
         raise EngineError("a path from edges needs at least one edge")
-    p = GPath(alg.graph.edge(eids[0]).src, eids)
+    p = (alg.graph.edge(eids[0]).src, eids)
     alg.path_range(p)  # validates
     return p
 
 
 def path_element(alg, p):
     """The path p as the element p r(p)*."""
-    return alg.normal_form([(Monomial._make((*p, alg.path_range(p), ())), 1)])
+    return alg.normal_form([(p + (alg.path_range(p), ()), 1)])
 
 
 def monomial_element(alg, alpha, beta, k=1):
     """k alpha beta*; `normal_form` checks that the ranges agree."""
-    return alg.normal_form([(Monomial._make((*alpha, *beta)), k)])
+    return alg.normal_form([(alpha + beta, k)])
+
+
+def plain_monomial(m):
+    """m is the one form of a monomial: an exact tuple (s(alpha), alpha,
+    s(beta), beta) of a str, a tuple of strs, a str and a tuple of strs."""
+    return (
+        type(m) is tuple
+        and len(m) == 4
+        and type(m[0]) is type(m[2]) is str
+        and type(m[1]) is type(m[3]) is tuple
+        and all(type(e) is str for e in m[1] + m[3])
+    )
 
 
 def parse_coefficient(field, text):
@@ -298,7 +310,7 @@ _TERM_RE = re.compile(r"^\(?(-?[0-9][0-9/]*)\)?·(.*?)(?:\s*\(([^)]*)\)\*)?$")
 def _parse_path(alg, tokens):
     g = alg.graph
     if len(tokens) == 1 and tokens[0] in g.vertices and all(e.id != tokens[0] for e in g.edges):
-        return alg.trivial_path(tokens[0])
+        return tokens[0], ()
     return path_from_edges(alg, tokens)
 
 
@@ -317,8 +329,8 @@ def parse_element(alg, text):
         if beta_s:
             beta = path_from_edges(alg, beta_s.split())
         else:
-            beta = alg.trivial_path(alg.path_range(alpha))
-        raw.append((Monomial(alpha, beta), parse_coefficient(alg.field, coef_s)))
+            beta = alg.path_range(alpha), ()
+        raw.append((alpha + beta, parse_coefficient(alg.field, coef_s)))
     return alg.normal_form(raw)
 
 
@@ -352,8 +364,7 @@ def ref_parse_graph(text):
 def ref_involution(alg, x):
     """x* through `normal_form`: each term's sides swapped, then normalized,
     as `LeavittAlgebra.involution` did before it swapped the terms alone."""
-    make = Monomial._make
-    return alg.normal_form([(make((sb, q, sa, p)), k) for (sa, p, sb, q), k in x.terms.items()])
+    return alg.normal_form([((sb, q, sa, p), k) for (sa, p, sb, q), k in x.terms.items()])
 
 
 def ref_reducible(alg, alpha_edges, beta_edges):
@@ -380,9 +391,9 @@ def ref_normal_monomials(alg, degree, max_len):
     for ps in by_range.values():
         for a in ps:
             for b in ps:
-                if len(a.edges) - len(b.edges) == degree and len(a.edges) + len(b.edges) <= max_len:
-                    if not ref_reducible(alg, a.edges, b.edges):
-                        out.append(Monomial(a, b))
+                if len(a[1]) - len(b[1]) == degree and len(a[1]) + len(b[1]) <= max_len:
+                    if not ref_reducible(alg, a[1], b[1]):
+                        out.append(a + b)
     out.sort(key=sort_key)
     return out
 
@@ -410,7 +421,7 @@ def ref_oracle_candidates(alg, degree, max_len):
 
 def ref_oracle_matrix(alg, degree, max_len):
     """The oracle's candidates and rows, with one ``commutators`` call per
-    candidate and rows of field elements keyed by Monomial."""
+    candidate and rows of field elements keyed by (generator, monomial)."""
     cands = [m for m in alg.normal_monomials(degree, max_len) if m[0] == m[2]]
     rows = {}
     for j, m in enumerate(cands):

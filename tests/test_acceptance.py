@@ -13,7 +13,7 @@ from lpa.center import (
     verify_basis,
 )
 from lpa.classify import ideal_structure, prime_trichotomy, x_decomposition
-from lpa.engine import GPath, LeavittAlgebra
+from lpa.engine import LeavittAlgebra
 from lpa.graphs import GraphError, parse_graph
 from lpa.hereditary import (
     HereditarySet,
@@ -351,7 +351,7 @@ def test_criterion_11_resolve_soundness():
         total = alg.zero()
         for p in resolve_vertex(g, v, h):
             src = g.edge(p[0]).src if p else v
-            alpha = GPath(src, p)
+            alpha = (src, p)
             total = total + monomial_element(alg, alpha, alpha)
         assert total == alg.vertex(v), (g.to_document(), v)
         done += 1

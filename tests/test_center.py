@@ -24,7 +24,7 @@ from lpa.center import (
     verify_basis,
 )
 from lpa.classify import x_decomposition
-from lpa.engine import AlgebraElement, GPath, LeavittAlgebra, Monomial, sort_key
+from lpa.engine import AlgebraElement, LeavittAlgebra, sort_key
 from lpa.fields import QQ, PrimeField
 from lpa.graphs import Edge, Graph
 from lpa.randomgen import random_graph
@@ -38,6 +38,7 @@ from references import (
     generators,
     monomial_element,
     parse_coefficient,
+    plain_monomial,
     ref_kernel_basis,
     ref_normal_monomials,
     ref_oracle_candidates,
@@ -189,17 +190,34 @@ def test_center_report_computes_each_cycle_once():
 def test_center_report_builds_paths_only_for_normal_form(monkeypatch):
     """On a sparse 100-vertex graph with entry paths and a Laurent basis,
     the basis builders make their raw terms from the graph's edge table, so
-    no path is built and validated before `normal_form` checks it: no
-    `GPath` is made, by `trivial_path` or otherwise."""
+    no path is validated before `normal_form` checks it: the graph's
+    `path_range` runs only inside `normal_form`."""
     g = sparse(2)
     rep = x_decomposition(g)
     alg = LeavittAlgebra(g)
-    calls = []
-    monkeypatch.setattr(LeavittAlgebra, "trivial_path", counted(calls, LeavittAlgebra.trivial_path))
-    monkeypatch.setattr(GPath, "__new__", staticmethod(counted(calls, GPath.__new__)))
+    inside, outside = [0], []
+    normal_form = LeavittAlgebra.normal_form
+
+    def tracked(self, raw_terms):
+        inside[0] += 1
+        try:
+            return normal_form(self, raw_terms)
+        finally:
+            inside[0] -= 1
+
+    def watched(fn, calls):
+        def call(*args):
+            (calls if inside[0] else outside).append(args)
+            return fn(*args)
+
+        return call
+
+    checked = []
+    monkeypatch.setattr(LeavittAlgebra, "normal_form", tracked)
+    monkeypatch.setattr(Graph, "path_range", watched(Graph.path_range, checked))
     center = center_report(alg, rep)
     assert center.basis_nonzero and any(xc.entry.paths for xc in rep.x_f)
-    assert calls == []
+    assert checked and outside == []
 
 
 # -- center report ----------------------------------------------------------------
@@ -466,6 +484,27 @@ def test_oracle_keeps_ten_thousand_candidates_on_r10():
     assert len(_oracle_candidates(LeavittAlgebra(rose(10)), 0, 6)) == 10_000
 
 
+def test_every_monomial_is_a_plain_tuple(fixture_graphs, campaign100):
+    """The one form of a monomial, wherever the two checks read one: every
+    term of every basis element, of every nonzero commutator of a
+    generator and of every oracle kernel element, and every oracle
+    candidate, is the plain 4-tuple (s(alpha), alpha, s(beta), beta)."""
+    for g in [*fixture_graphs.values(), *campaign100]:
+        alg = LeavittAlgebra(g)
+        rep = center_report(alg, x_decomposition(g), degree_window=2)
+        by_degree = {0: list(rep.basis_zero), **rep.basis_nonzero}
+        elements = [b.element for bs in by_degree.values() for b in bs]
+        for _, gen in generators(alg):
+            elements += alg.commutators(gen).values()
+        candidates = []
+        for n in range(-2, 3):
+            bound = required_oracle_bound(by_degree.get(n, ()))
+            elements += oracle_commutant(alg, n, bound)
+            candidates += _oracle_candidates(alg, n, bound)
+        assert all(plain_monomial(m) for x in elements for m in x.terms), g.to_document()
+        assert all(plain_monomial(m) for m in candidates), g.to_document()
+
+
 @pytest.mark.parametrize(
     "g", [graph("g_line3"), graph("g_r2"), R3, cycle_with_tail(3)], ids=["g_line3", "g_r2", "R3", "C3"]
 )
@@ -716,19 +755,14 @@ one_row_cases = [
     ([{0: 2, 3: 4}], F2),
     ([{0: 3, 3: 4, 5: 1}], F2),
     ([{0: 3, 4: 5}], F7),  # residues in [0, 7), as same_span passes them
-    # a row repeated, or negated, lies in the first one's span
-    ([{0: 1, 2: -1}, {0: -1, 2: 1}, {1: 1}, {0: 1, 2: -1}], QQ),
-    ([{3: Fraction(1, 2), 4: -2}, {3: Fraction(-1, 2), 4: 2}], QQ),
-    ([{0: 1, 2: 6}, {0: -1, 2: -6}, {0: 1, 2: 6}], F7),
-    ([{0: 2, 2: 3}, {0: 2, 2: 3}], F7),  # residues, repeated as same_span can
 ]
 
 
 @pytest.mark.parametrize("rows, field", one_row_cases)
 def test_rref_of_one_multi_entry_row(monkeypatch, rows, field):
     """The direct path gives the reference RREF, and the same entries and
-    types as the elimination, which the last row and its double (neither
-    a repeat nor a negation of the other) go through."""
+    types as the elimination, which the last row and its double go
+    through."""
     got, eliminated = settled(monkeypatch, rows, field)
     assert not eliminated
     assert got == ref_rref(rows, field)
@@ -769,8 +803,8 @@ def test_rref_shapes_match_reference(field, data):
 
 
 eliminated_cases = [
-    # (rows, field): two or more multi-entry rows, none a repeat or negation
-    # of another, are left once the unit rows are settled, so _rref eliminates
+    # (rows, field): two or more multi-entry rows are left once the unit rows
+    # are settled, so _rref eliminates
     ([{0: Fraction(1, 3), 1: 2, 3: -1}, {1: Fraction(5, 2), 2: 4}, {0: 3, 2: 1, 3: 7}], QQ),
     ([{0: 1, 1: 2}, {1: 3, 2: 1}, {0: 2, 1: 7, 2: 1}, {2: 6, 4: 1}], QQ),  # rank 3
     ([{3: 1}, {0: 4, 3: 2, 5: -6}, {0: -2, 5: 9}, {1: Fraction(-7, 4), 5: 1}], QQ),
@@ -779,6 +813,12 @@ eliminated_cases = [
     ([{0: 2, 2: 3}, {1: 4, 2: 6}], F7),  # residues
     ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], F2),  # the third is the sum
     ([{0: 3, 1: 2, 2: 1}, {1: 5, 2: 4, 3: 1}, {0: 1, 3: 7}], F2),
+    # a row repeated, or negated, lies in the first one's span and is
+    # eliminated to zero
+    ([{0: 1, 2: -1}, {0: -1, 2: 1}, {1: 1}, {0: 1, 2: -1}], QQ),
+    ([{3: Fraction(1, 2), 4: -2}, {3: Fraction(-1, 2), 4: 2}], QQ),
+    ([{0: 1, 2: 6}, {0: -1, 2: -6}, {0: 1, 2: 6}], F7),
+    ([{0: 2, 2: 3}, {0: 2, 2: 3}], F7),  # residues, repeated as same_span can
 ]
 
 
@@ -843,20 +883,20 @@ def test_same_span_ignores_the_order_of_the_monomials(seed, field):
         assert same_span(alg, a, b) == ref_same_span(alg, a, b)
 
 
-def test_oracle_matrix_builds_no_elements(count_instances):
+def test_oracle_matrix_builds_no_elements(monkeypatch, count_instances):
     # R_6 at degree 0 and L = 4: 1,296 normal monomials, 36 candidates kept
-    # and 490 rows.  Summing each candidate's commutators as AlgebraElements
-    # keyed by Monomial, then copying them into the rows, builds 16,836
-    # elements and 19,487 Monomials for all 1,296; the int rows are summed
-    # under plain tuples, and only the kept candidates are Monomials (with
-    # `normal_monomials` and a filter, all 1,296 were).
+    # and 490 rows.  Summing each candidate's commutators as AlgebraElements,
+    # then copying them into the rows, builds 16,836 elements for all 1,296;
+    # the int rows are summed under flat tuple keys, with one
+    # `generator_action` call per kept candidate and none for the rest
     alg = LeavittAlgebra(rose(6))
-    monomials = count_instances(Monomial)
+    calls = []
+    monkeypatch.setattr(alg, "generator_action", counted(calls, alg.generator_action))
     elements = count_instances(AlgebraElement)
     cands, rows = _oracle_matrix(alg, 0, 4)
     assert len(cands) == 36
     assert elements[0] == 0
-    assert monomials[0] == len(cands)
+    assert [terms for terms, _ in calls] == [((m, 1),) for m in cands]
 
 
 def test_oracle_matrix_size_on_r8_at_length_6():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lpa.center import _rref, kernel_basis, oracle_commutant
-from lpa.engine import LeavittAlgebra, Monomial
+from lpa.engine import LeavittAlgebra
 from lpa.fields import QQ, PrimeField
 from lpa.graphs import Graph
 from lpa.randomgen import random_graph
@@ -73,7 +73,7 @@ def raw_terms(alg, rng, paths):
         a = rng.choice(paths)
         b = rng.choice([p for p in paths if alg.path_range(p) == alg.path_range(a)])
         k = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 3, 5]))
-        out.append((Monomial(a, b), k if k.denominator > 1 else int(k)))
+        out.append((a + b, k if k.denominator > 1 else int(k)))
     return out
 
 

@@ -53,6 +53,14 @@ def test_parse_duplicate_vertex_names_token():
         parse_graph(json.dumps(doc))
 
 
+def test_duplicate_vertex_is_reported_before_any_edge():
+    """A document with a duplicate vertex and an edge from an undeclared
+    source is refused for the duplicate, which is checked first."""
+    doc = {"vertices": ["a", "b", "a"], "edges": [{"id": "e", "src": "z", "dst": "a"}]}
+    with pytest.raises(GraphError, match="^duplicate vertex id: 'a'$"):
+        parse_graph(json.dumps(doc))
+
+
 def test_parse_duplicate_edge_names_token():
     doc = {
         "vertices": ["a"],

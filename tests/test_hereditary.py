@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lpa.engine import GPath, LeavittAlgebra
+from lpa.engine import LeavittAlgebra
 from lpa.graphs import Edge, Graph, GraphError, parse_graph
 from lpa.hereditary import (
     HereditarySet,
@@ -212,7 +212,7 @@ def test_resolve_vertex_engine_identity():
         total = alg.zero()
         for p in resolve_vertex(g, v, h):
             src = g.edge(p[0]).src if p else v
-            alpha = GPath(src, p)
+            alpha = (src, p)
             total = total + monomial_element(alg, alpha, alpha)
         assert total == alg.vertex(v)
 

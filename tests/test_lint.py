@@ -271,7 +271,7 @@ def print_cli_calls(workdir: str) -> None:
 # The functions no CLI path runs, each with the reason it stays:
 REASONS = {
     "a": "lpabench/tracing.py wraps it by name, or it is the element arithmetic "
-    "or the path and monomial building that those names rest on",
+    "or the monomial order that those names rest on",
     "b": "the product from the algebra's defining relations, kept for a check "
     "that does not rest on `generator_action`",
     "c": "it runs only when a check fails; the named test reaches it",
@@ -288,9 +288,7 @@ UNREACHED = {
     "engine.py:LeavittAlgebra.commutator": "a",
     "engine.py:LeavittAlgebra.enumerate_paths": "a",
     "engine.py:LeavittAlgebra.normal_monomials": "a",
-    "engine.py:LeavittAlgebra.trivial_path": "a",
     "engine.py:LeavittAlgebra.zero": "a",
-    "engine.py:Monomial.__new__": "a",
     "engine.py:sort_key": "a",
     "engine.py:LeavittAlgebra.mono_mul_raw": "b",
     "engine.py:LeavittAlgebra.multiply": "b",
