@@ -454,14 +454,6 @@ class _OracleTables:
         return layers
 
 
-def _oracle_tables(alg: LeavittAlgebra) -> _OracleTables:
-    """The algebra's oracle tables, built on first use."""
-    tables = alg._oracle_tables
-    if tables is None:
-        tables = alg._oracle_tables = _OracleTables(alg)
-    return tables
-
-
 def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[tuple]:
     """The normal monomials alpha beta* of the degree with |alpha| + |beta|
     <= max_len and s(alpha) = s(beta) that the length bound does not force
@@ -485,7 +477,9 @@ def _oracle_candidates(alg: LeavittAlgebra, degree: int, max_len: int) -> list[t
     """
     if abs(degree) > max_len:
         return []
-    tables = _oracle_tables(alg)
+    tables = alg._oracle_tables
+    if tables is None:
+        tables = alg._oracle_tables = _OracleTables(alg)
     layers = tables.reach((max_len + abs(degree)) // 2)
     buckets, sole_special, specials = tables.buckets, tables.sole_special, alg._specials
     into = alg._in

@@ -379,7 +379,7 @@ def ideal_structure(g: Graph, report: ClassificationReport) -> IdealStructureRep
         else:
             sub = restriction_graph(g, eps)
             extreme.append(ExtremeSummand(xc, is_purely_infinite_simple(sub)))
-    dense = is_dense_ideal(g, HereditarySet(g, report.p)) if report.p else False
+    dense = is_dense_ideal(g, HereditarySet(g, report.p))
     return IdealStructureReport(
         graph=g,
         sinks=sinks,

@@ -134,20 +134,9 @@ class LeavittAlgebra:
         self._in: dict[str, list] = {v: [] for v in graph.vertices}
         for e in graph.edges:
             self._in[e.dst].append(e)
-        self._range_cache: dict[tuple, str] = {}
         # the oracle's path tables (`center._OracleTables`), built on its
         # first solve on this algebra
         self._oracle_tables = None
-
-    # -- paths and monomials ----------------------------------------------
-
-    def path_range(self, p: tuple) -> str:
-        """The range of the path p = (source, edges)."""
-        r = self._range_cache.get(p)
-        if r is None:
-            r = self.graph.path_range(*p)
-            self._range_cache[p] = r
-        return r
 
     # -- constructors -------------------------------------------------------
 
@@ -182,30 +171,22 @@ class LeavittAlgebra:
 
         Every raw term is checked: both sides must be paths of the graph
         with one range, or `Graph.path_range` raises its `GraphError` and a
-        mismatch raises `EngineError`.  Each distinct side is checked once
-        per algebra and its range kept in `_range_cache`; a term with
-        alpha = beta needs one side looked up.  The rewrites read the
-        algebra's special-edge set and the graph's own edge and adjacency
-        tables, since every edge they meet is an edge of a checked term.
+        mismatch raises `EngineError`.  A term with alpha = beta has its
+        one side checked once, and nothing is kept between calls.  The
+        rewrites read the algebra's special-edge set and the graph's own
+        edge and adjacency tables, since every edge they meet is an edge of
+        a checked term.
         """
         coerce = self.field.coerce
         specials = self._specials
         out_of, edge_by_id = self.graph._out, self.graph._edge_by_id
-        ranges = self._range_cache
+        path_range = self.graph.path_range
         out: dict[tuple, object] = {}
         stack = [(m, coerce(k)) for m, k in raw_terms]
         for m, _ in stack:
-            alpha = m[:2]
-            r = ranges.get(alpha)
-            if r is None:
-                r = self.path_range(alpha)
-            if m[1] == m[3] and m[0] == m[2]:
-                continue
-            beta = m[2:]
-            rb = ranges.get(beta)
-            if rb is None:
-                rb = self.path_range(beta)
-            if r != rb:
+            sa, p, sb, q = m
+            r = path_range(sa, p)
+            if (p != q or sa != sb) and r != path_range(sb, q):
                 raise EngineError(f"range mismatch in raw term: {m}")
         # every coefficient on the stack is a field value, so a monomial met
         # for the first time is stored as it is
@@ -434,7 +415,7 @@ class LeavittAlgebra:
                 break  # no path is longer: the bound may be far past the longest
             nxt = []
             for p in frontier:
-                at = self.path_range(p)
+                at = self.graph.path_range(*p)
                 for e in self.graph.out_edges(at):
                     nxt.append((p[0], p[1] + (e.id,)))
             paths.extend(nxt)
@@ -457,7 +438,7 @@ class LeavittAlgebra:
             return []
         buckets: dict[tuple[str, int], list[tuple]] = {}
         for p in self.enumerate_paths((max_len + abs(degree)) // 2):
-            buckets.setdefault((self.path_range(p), len(p[1])), []).append(p)
+            buckets.setdefault((self.graph.path_range(*p), len(p[1])), []).append(p)
         specials = self._specials
         out = []
         for (r, i), alphas in buckets.items():

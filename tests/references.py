@@ -3,13 +3,15 @@ edge record's keys as a set, the all-pairs candidate enumeration, the
 matrix built from one ``commutators`` call per candidate and the single
 global-pivot elimination the oracle replaced, the classification read
 from every enumerated cycle that the pass over the components replaced,
-plus the graph families and graph documents the tests draw from.
+plus the graph families and graph documents the tests draw from, among
+them every small multigraph up to isomorphism.
 
 Also the helpers that tests read and no command runs: trees, reachability
 and the cycle vertices as vertex sets, cycles made from edge sequences,
 brute-force path lists, disjoint unions, the generators as elements, and
 elements built from paths or parsed from their rendering."""
 
+import itertools
 import json
 import random
 import re
@@ -110,6 +112,38 @@ def chained(seed, parts=3, max_vertices=5, max_edges=8):
 def chained_graphs(parts=3, max_vertices=5, max_edges=8):
     """Seeded `chained` graphs, shrinking towards seed 0."""
     return st.integers(0, 10**6).map(lambda s: chained(s, parts, max_vertices, max_edges))
+
+
+def small_multigraphs(n, max_edges, simple=False):
+    """Every graph on the vertices v0, ..., v{n-1} with at most max_edges
+    edges, one per isomorphism class, by edge count and then canonical
+    form.  Loops are allowed, and parallel edges unless `simple`.
+
+    The canonical form is the naive one: the least sorted list of
+    (source, range) index pairs over all permutations of the vertices.
+    The classes with k + 1 edges are the classes of one more edge on a
+    class with k edges, since deleting an edge leaves a graph with one
+    edge fewer, so each layer is built from the one before."""
+    perms = list(itertools.permutations(range(n)))
+    pairs = list(itertools.product(range(n), repeat=2))
+
+    def canonical(edges):
+        return min(tuple(sorted((p[a], p[b]) for a, b in edges)) for p in perms)
+
+    layer, forms = [()], [()]
+    for _ in range(max_edges):
+        layer = sorted({
+            canonical(form + (pair,))
+            for form in layer
+            for pair in pairs
+            if not (simple and pair in form)
+        })
+        forms += layer
+    vs = [f"v{i}" for i in range(n)]
+    return [
+        Graph(vs, [Edge(f"e{j}", vs[a], vs[b]) for j, (a, b) in enumerate(form)])
+        for form in forms
+    ]
 
 
 @st.composite
@@ -272,13 +306,13 @@ def path_from_edges(alg, edges):
     if not eids:
         raise EngineError("a path from edges needs at least one edge")
     p = (alg.graph.edge(eids[0]).src, eids)
-    alg.path_range(p)  # validates
+    alg.graph.path_range(*p)  # validates
     return p
 
 
 def path_element(alg, p):
     """The path p as the element p r(p)*."""
-    return alg.normal_form([(p + (alg.path_range(p), ()), 1)])
+    return alg.normal_form([(p + (alg.graph.path_range(*p), ()), 1)])
 
 
 def monomial_element(alg, alpha, beta, k=1):
@@ -329,7 +363,7 @@ def parse_element(alg, text):
         if beta_s:
             beta = path_from_edges(alg, beta_s.split())
         else:
-            beta = alg.path_range(alpha), ()
+            beta = alg.graph.path_range(*alpha), ()
         raw.append((alpha + beta, parse_coefficient(alg.field, coef_s)))
     return alg.normal_form(raw)
 
@@ -386,7 +420,7 @@ def ref_normal_monomials(alg, degree, max_len):
     paths = alg.enumerate_paths(max_len)
     by_range = {}
     for p in paths:
-        by_range.setdefault(alg.path_range(p), []).append(p)
+        by_range.setdefault(alg.graph.path_range(*p), []).append(p)
     out = []
     for ps in by_range.values():
         for a in ps:

@@ -618,7 +618,7 @@ def random_span(alg, rng, coefficient):
         x = alg.zero()
         for _ in range(rng.randint(1, 3)):
             a = rng.choice(paths)
-            b = rng.choice([p for p in paths if alg.path_range(p) == alg.path_range(a)])
+            b = rng.choice([p for p in paths if alg.graph.path_range(*p) == alg.graph.path_range(*a)])
             x = x + monomial_element(alg, a, b, coefficient(rng))
         out.append(x)
     return out

@@ -248,6 +248,17 @@ def campaign_documents(out):
     return docs
 
 
+def test_random_documents_validate(schema, capsys):
+    """Every per-graph document `lpa random` prints, each ending in its
+    "index", is one the schema accepts."""
+    args = ["random", "--seed", "11", "--count", "10", "--max-vertices", "4", "--max-edges", "6"]
+    assert main(args) == 0
+    docs = campaign_documents(capsys.readouterr().out)
+    assert [doc["index"] for doc in docs] == list(range(10))
+    for doc in docs:
+        jsonschema.validate(doc, schema)
+
+
 def test_random_failure_prints_replay_witness(monkeypatch, capsys, tmp_path):
     """A campaign graph that fails verification is named on stderr by seed,
     index and witness generator, followed by its document on one line, and

@@ -71,7 +71,7 @@ def raw_terms(alg, rng, paths):
     out = []
     for _ in range(rng.randint(1, 5)):
         a = rng.choice(paths)
-        b = rng.choice([p for p in paths if alg.path_range(p) == alg.path_range(a)])
+        b = rng.choice([p for p in paths if alg.graph.path_range(*p) == alg.graph.path_range(*a)])
         k = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 3, 5]))
         out.append((a + b, k if k.denominator > 1 else int(k)))
     return out
