@@ -62,13 +62,14 @@ def a_class(alg: LeavittAlgebra, xclass: XClass) -> CentralBasisElement:
     """The degree-0 idempotent of a finite class: closure vertices plus
     alpha alpha* over the entry paths of the closure.
 
-    The raw terms are built as plain tuples, each path's source read from
-    the graph's edge table; `normal_form` checks every term's ranges, so
-    each path is validated once, there."""
+    The vertex terms are listed from the closure's bitset, in declared
+    order.  The raw terms are built as plain tuples, each path's source
+    read from the graph's edge table; `normal_form` checks every term's
+    ranges, so each path is validated once, there."""
     if not xclass.is_finite:
         raise CenterError(f"class [{xclass.rep}] has infinitely many entry paths")
     g = alg.graph
-    raw = [((u, (), u, ()), 1) for u in g.sorted_vertices(xclass.closure)]
+    raw = [((u, (), u, ()), 1) for u in g.names_of(xclass.closure)]
     edge_by_id = g._edge_by_id
     for p in xclass.entry.paths:
         s = edge_by_id[p[0]].src
@@ -98,18 +99,20 @@ def _laurent_basis(
     by_degree: dict[int, list[CentralBasisElement]] = {}
     for c in _s_cycles(report):
         # an S cycle has no exits, so its component is the cycle: K = c^0
-        eps = entry_paths(g, HereditarySet.from_bits(g, g.component_bits(c.base)))
+        k = g.component_bits(c.base)
+        eps = entry_paths(g, HereditarySet.from_bits(g, k))
         # c's vertices are in P and, by rule (ii), inside one ~ class, so
-        # the X-class that holds c.base is the one that holds c
-        class_id = next(xc.rep for xc in report.x_classes if c.base in xc.members)
+        # the X-class that meets K is the one that holds c
+        class_id = next(xc.rep for xc in report.x_classes if xc.members & k)
         rotations = {u: c.rotation_at(u) for u in c.sources}  # c read from u
         # each entry path p with its source and the rotation of c at its range
         entries = [
             (edge_by_id[p[0]].src, p, rotations[edge_by_id[p[-1]].dst]) for p in eps.paths
         ]
+        vertices = g.names_of(k)  # c's vertices in declared order
         for m in range(1, degree_window // len(c.edges) + 1):
             # raw terms as plain tuples, checked once, by normal_form
-            raw = [((u, rotations[u] * m, u, ()), 1) for u in g.sorted_vertices(c.sources)]
+            raw = [((u, rotations[u] * m, u, ()), 1) for u in vertices]
             raw += [((s, p + rot * m, s, p), 1) for s, p, rot in entries]
             elem = alg.normal_form(raw)
             n = m * len(c.edges)

@@ -35,38 +35,45 @@ class CycleInfo(NamedTuple):
     wrap_count: object  # int | INFINITE: paths into c^0 missing some edge of c
 
 
+# Every vertex set below is an int bitset over the graph's declared
+# vertices, bit i standing for ``g.vertices[i]``, as the reachability index
+# makes it; `Graph.names_of` lists its members in declared order.
+
+
 class ExtremeClass(NamedTuple):
     class_id: str  # least base vertex among member cycles
     cycles: tuple[Cycle, ...]
-    vertices: frozenset[str]  # the hereditary set T(c^0)
+    vertices: int  # bitset: the hereditary set T(c^0), the component K
 
 
 class XClass(NamedTuple):
-    members: frozenset[str]  # the full ~ class in E^0
+    members: int  # bitset: the full ~ class in E^0
     rep: str  # least member in declared order
-    closure: frozenset[str]
+    closure: int  # bitset: the saturated closure of the members' trees
     entry: EntryPathSet
     is_finite: bool  # in X_f
     class_type: Optional[str]  # line | cycle_laurent | cycle_degenerate | extreme
 
 
 class ClassificationReport(NamedTuple):
-    p_l: frozenset[str]
-    p_c: frozenset[str]
-    p_c_plus: frozenset[str]
-    p_c_minus: frozenset[str]
-    p_e: frozenset[str]
-    p_ec: frozenset[str]
-    p_binf: frozenset[str]
+    # the vertex sets are bitsets
+    p_l: int
+    p_c: int
+    p_c_plus: int
+    p_c_minus: int
+    p_e: int
+    p_ec: int
+    p_binf: int
     cycles: tuple[CycleInfo, ...]
     x_ec: tuple[ExtremeClass, ...]
-    sim_classes: tuple[frozenset[str], ...]
+    sim_classes: tuple[int, ...]  # bitsets, by least member in declared order
     x_classes: tuple[XClass, ...]  # classes meeting P
-    h_f: frozenset[str]
-    h_inf: frozenset[str]
+    h_f: int  # bitset: the union of the closures of X_f
+    h_inf: int  # bitset: the union of the other closures
 
     @property
-    def p(self) -> frozenset[str]:
+    def p(self) -> int:
+        """P = P_l | P_c | P_ec, as a bitset."""
         return self.p_l | self.p_c | self.p_ec
 
     @property
@@ -74,14 +81,20 @@ class ClassificationReport(NamedTuple):
         return tuple(c for c in self.x_classes if c.is_finite)
 
 
-def line_points(g: Graph) -> frozenset[str]:
-    """Vertices whose tree has no bifurcations and no cycle vertices."""
+def line_points(g: Graph) -> int:
+    """Vertices whose tree has no bifurcations and no cycle vertices, as a
+    bitset."""
     blocked = g.cycle_bits() | g.bifurcation_bits()
-    return frozenset(v for v, t in zip(g.vertices, g.all_tree_bits()) if not t & blocked)
+    bits = 0
+    for i, t in enumerate(g.all_tree_bits()):
+        if not t & blocked:
+            bits |= 1 << i
+    return bits
 
 
-def sim_classes(g: Graph) -> list[frozenset[str]]:
-    """Equivalence classes of ~ (transitive closure of ~1) on all vertices.
+def sim_classes(g: Graph) -> list[int]:
+    """Equivalence classes of ~ (transitive closure of ~1) on all vertices,
+    as bitsets, in the declared order of their least members.
 
     Both rules come down to linking the two ends of single edges.  Rule
     (ii) relates a cycle vertex to everything in its tree, and that tree
@@ -97,7 +110,7 @@ def sim_classes(g: Graph) -> list[frozenset[str]]:
         for e in g.edges
         if below_cycle >> (i := index[e.src]) & 1 or not trees[i] & bifs
     ]
-    return [frozenset(vs) for vs in _linked_groups(g, linking)]
+    return _linked_groups(g, linking)
 
 
 def x_decomposition(g: Graph) -> ClassificationReport:
@@ -200,12 +213,11 @@ def x_decomposition(g: Graph) -> ClassificationReport:
             pe |= bits
             if is_extreme:
                 pec |= bits
-                vertices = g.vertices_of(bits)
                 x_ec.append(
                     ExtremeClass(
-                        class_id=min(vertices),
+                        class_id=min(g.names_of(bits)),
                         cycles=tuple(cycles[i] for i in members),
-                        vertices=vertices,
+                        vertices=bits,
                     )
                 )
         lone = len(members) == 1  # K is c
@@ -231,32 +243,25 @@ def x_decomposition(g: Graph) -> ClassificationReport:
                 wrap_count=wrap,
             )
     x_ec.sort(key=lambda xc: xc.class_id)
-    # each union as a vertex set, built once
-    pc, pc_plus, pc_minus, pe, pec = map(g.vertices_of, (pc, pc_plus, pc_minus, pe, pec))
     pl = line_points(g)
     p = pl | pc | pec
     classes = sim_classes(g)
 
     x_classes = []
-    h_f = h_inf = 0  # bitsets, the unions of the closures
-    index = g._vertex_index
+    h_f = h_inf = 0  # the unions of the closures
     for cls in classes:
         inter = cls & p
         if not inter:
             continue
-        # the class's vertices come from g, so their bits need no check
-        bits = 0
-        for v in cls:
-            bits |= 1 << index[v]
-        closure = saturated_closure(g, HereditarySet.from_bits(g, g.tree_union_bits(bits)))
+        closure = saturated_closure(g, HereditarySet.from_bits(g, g.tree_union_bits(cls)))
         eps = entry_paths(g, closure)
         if eps.is_infinite:
             h_inf |= closure.bits
         else:
             h_f |= closure.bits
-        if inter <= pl:
+        if not inter & ~pl:
             ctype = "line"
-        elif inter <= pec:
+        elif not inter & ~pec:
             ctype = "extreme"
         elif cls & pc_minus:
             ctype = "cycle_laurent"
@@ -265,15 +270,13 @@ def x_decomposition(g: Graph) -> ClassificationReport:
         x_classes.append(
             XClass(
                 members=cls,
-                rep=min(cls, key=index.__getitem__),
-                closure=closure.members,
+                rep=g.vertices[(cls & -cls).bit_length() - 1],
+                closure=closure.bits,
                 entry=eps,
                 is_finite=not eps.is_infinite,
                 class_type=ctype,
             )
         )
-
-    h_f, h_inf = g.vertices_of(h_f), g.vertices_of(h_inf)
 
     return ClassificationReport(
         p_l=pl,
@@ -284,7 +287,7 @@ def x_decomposition(g: Graph) -> ClassificationReport:
         p_ec=pec,
         # the vertices whose tree meets infinitely many bifurcations: none
         # on a finite graph, so the report carries the field empty
-        p_binf=frozenset(),
+        p_binf=0,
         cycles=tuple(infos),
         x_ec=tuple(x_ec),
         sim_classes=tuple(classes),
@@ -320,8 +323,8 @@ def is_purely_infinite_simple(g: Graph) -> PisCertificate:
         if not g.tree_bits(v) & cyc:
             return PisCertificate(False, "connects-to-cycle", v)
     exitless = [
-        (c.bit_count(), min(g.vertices_of(c)))
-        for c in {g.component_bits(v) for v in g.vertices_of(cyc)}
+        (c.bit_count(), min(g.names_of(c)))
+        for c in {g.component_bits(v) for v in g.names_of(cyc)}
         if not c & g.bifurcation_bits()
     ]
     if exitless:
@@ -364,14 +367,13 @@ def ideal_structure(g: Graph, report: ClassificationReport) -> IdealStructureRep
         if not ci.has_exits
     )
     # F_E(H) depends only on the members of H, so an extreme class whose
-    # T(c^0) is the closure of an X-class reuses that class's entry paths;
-    # T(c^0) is the class's component, whose bits the index holds
+    # T(c^0) is the closure of an X-class reuses that class's entry paths
     entry_of = {c.closure: c.entry for c in report.x_classes}
     extreme = []
     for xc in report.x_ec:
         eps = entry_of.get(xc.vertices)
         if eps is None:
-            eps = entry_paths(g, HereditarySet.from_bits(g, g.component_bits(xc.class_id)))
+            eps = entry_paths(g, HereditarySet.from_bits(g, xc.vertices))
         if eps.is_infinite:
             extreme.append(
                 ExtremeSummand(xc, None, "entry paths infinite; certificate skipped")
@@ -379,7 +381,7 @@ def ideal_structure(g: Graph, report: ClassificationReport) -> IdealStructureRep
         else:
             sub = restriction_graph(g, eps)
             extreme.append(ExtremeSummand(xc, is_purely_infinite_simple(sub)))
-    dense = is_dense_ideal(g, HereditarySet(g, report.p))
+    dense = is_dense_ideal(g, HereditarySet.from_bits(g, report.p))
     return IdealStructureReport(
         graph=g,
         sinks=sinks,

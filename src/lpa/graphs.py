@@ -8,7 +8,8 @@ immutable; all functions here are pure.
 from __future__ import annotations
 
 import json
-from typing import Iterable, NamedTuple, Optional
+from itertools import compress
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -34,6 +35,11 @@ class _Infinite:
 
 
 INFINITE = _Infinite()
+
+# `Graph.names_of` walks a bitset of at most this many members bit by bit
+_FEW = 8
+# the binary digits "0" and "1" as the bytes 0 and 1, a selector for `compress`
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class Edge(NamedTuple):
@@ -106,9 +112,6 @@ class Graph:
     def sinks(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if not self._out[v])
 
-    def sorted_vertices(self, vs: Iterable[str]) -> list[str]:
-        return sorted(vs, key=self._vertex_index.__getitem__)
-
     def path_range(self, source: str, edge_ids: tuple[str, ...]) -> str:
         """Range of the path starting at `source` along `edge_ids`."""
         self.check_vertex(source)
@@ -137,12 +140,33 @@ class Graph:
 
     def vertices_of(self, bits: int) -> frozenset[str]:
         """The vertex set of a bitset."""
+        return frozenset(self.names_of(bits))
+
+    def names_of(self, bits: int, names: Optional[Sequence[str]] = None) -> list[str]:
+        """The members of the bitset `bits` in declared order, each as its
+        entry in `names`, a list in declared order (the vertex ids when
+        None), such as the report writer's escaped ids.
+
+        A set of at most `_FEW` members is walked one bit at a time, lowest
+        first; a larger one is read by `compress` over `names`, selected by
+        its binary digits, lowest first.  Either way nothing is sorted.  The
+        walk costs about 0.13 µs a member, and `compress` about 0.45 µs plus
+        0.009 µs a vertex up to the highest member, so on 20 to 200 vertices
+        the walk is ahead up to 6 to 16 members (2 vCPUs, Python 3.11.7).
+        Writing the reports of one lpabench `structure` pass took 15.5 ms
+        with the cutoff at 8 or 12, and 17.5 and 17.8 ms with the walk or
+        `compress` alone (best of 9).
+        """
+        if names is None:
+            names = self.vertices
+        if bits.bit_count() > _FEW:
+            return list(compress(names, bin(bits)[:1:-1].encode().translate(_DIGITS)))
         out = []
         while bits:
             low = bits & -bits
-            out.append(self.vertices[low.bit_length() - 1])
+            out.append(names[low.bit_length() - 1])
             bits ^= low
-        return frozenset(out)
+        return out
 
     def tree_bits(self, v: str) -> int:
         """T(v), the vertices forward-reachable from v (v included), as a bitset."""
@@ -421,10 +445,12 @@ def parse_graph(text: str) -> Graph:
 # -- components ------------------------------------------------------------
 
 
-def _linked_groups(g: Graph, edges: Iterable[Edge]) -> list[list[str]]:
-    """Vertices grouped by undirected connection through `edges`.
+def _linked_groups(g: Graph, edges: Iterable[Edge]) -> list[int]:
+    """Vertices grouped by undirected connection through `edges`, each
+    group as a bitset.
 
-    Union-find; groups and their members come in declared vertex order.
+    Union-find; the groups come in the declared order of their first
+    members.
     """
     parent = list(range(len(g.vertices)))
 
@@ -439,9 +465,10 @@ def _linked_groups(g: Graph, edges: Iterable[Edge]) -> list[list[str]]:
         a, b = find(index_of[src]), find(index_of[dst])
         if a != b:
             parent[a] = b
-    groups: dict[int, list[str]] = {}
-    for i, v in enumerate(g.vertices):
-        groups.setdefault(find(i), []).append(v)
+    groups: dict[int, int] = {}
+    for i in range(len(g.vertices)):
+        root = find(i)
+        groups[root] = groups.get(root, 0) | 1 << i
     return list(groups.values())
 
 
@@ -464,7 +491,7 @@ def simple_cycles(g: Graph) -> list[Cycle]:
     """
     found: list[Cycle] = []
     out, index_of = g._out, g._vertex_index
-    for start in sorted(g.vertices_of(g.cycle_bits())):
+    for start in sorted(g.names_of(g.cycle_bits())):
         component = g.component_bits(start)
         ids: list[str] = []  # the search path's edges
         sources = [start]  # their sources, then the vertex the path ends at

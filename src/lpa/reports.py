@@ -31,7 +31,7 @@ def count_json(n):
 
 
 def _classification_json(g: Graph, rep: ClassificationReport) -> dict:
-    sv = g.sorted_vertices
+    sv = g.names_of
     return {
         "p_l": sv(rep.p_l),
         "p_c": sv(rep.p_c),
@@ -92,7 +92,7 @@ def _ideal_json(rep: IdealStructureReport) -> dict:
         "extreme": [
             {
                 "class_id": x.extreme_class.class_id,
-                "vertices": rep.graph.sorted_vertices(x.extreme_class.vertices),
+                "vertices": rep.graph.names_of(x.extreme_class.vertices),
                 "certificate": None
                 if x.certificate is None
                 else {
@@ -193,14 +193,6 @@ def _strings(items, d: int) -> str:
     return "[" + i + ("," + i).join(map(_string, items)) + _NL[d] + "]"
 
 
-def _vertices(names: list[str], at, vs, d: int) -> str:
-    """A vertex set at depth d, in declared order: `at` maps a vertex to
-    its declared index, and `names` holds the written vertex names in
-    declared order, so the indices are sorted as ints and no name is
-    escaped again."""
-    return _list([names[j] for j in sorted(map(at, vs))], d)
-
-
 def _bool(b: bool) -> str:
     return "true" if b else "false"
 
@@ -248,7 +240,7 @@ def _graph_text(names: list[str], g: Graph) -> str:
     return _record(_GRAPH, (_list(names, 2), _list(edges, 2)), 1)
 
 
-def _classification_text(names: list[str], at, rep: ClassificationReport) -> str:
+def _classification_text(vertices, rep: ClassificationReport) -> str:
     cycles = [
         _record(_CYCLE, (
             _strings(ci.cycle.edges, 4),
@@ -265,15 +257,15 @@ def _classification_text(names: list[str], at, rep: ClassificationReport) -> str
         _record(_EXTREME_CLASS, (
             _string(xc.class_id),
             _list([_strings(c.edges, 5) for c in xc.cycles], 4),
-            _vertices(names, at, xc.vertices, 4),
+            vertices(xc.vertices, 4),
         ), 3)
         for xc in rep.x_ec
     ]
     x_classes = [
         _record(_X_CLASS, (
             _string(xc.rep),
-            _vertices(names, at, xc.members, 4),
-            _vertices(names, at, xc.closure, 4),
+            vertices(xc.members, 4),
+            vertices(xc.closure, 4),
             '"INFINITE"' if xc.entry.is_infinite
             else _list([_strings(p, 5) for p in xc.entry.paths], 4),
             _bool(xc.is_finite),
@@ -282,23 +274,23 @@ def _classification_text(names: list[str], at, rep: ClassificationReport) -> str
         for xc in rep.x_classes
     ]
     return _record(_CLASSIFICATION, (
-        _vertices(names, at, rep.p_l, 2),
-        _vertices(names, at, rep.p_c, 2),
-        _vertices(names, at, rep.p_c_plus, 2),
-        _vertices(names, at, rep.p_c_minus, 2),
-        _vertices(names, at, rep.p_e, 2),
-        _vertices(names, at, rep.p_ec, 2),
-        _vertices(names, at, rep.p_binf, 2),
+        vertices(rep.p_l, 2),
+        vertices(rep.p_c, 2),
+        vertices(rep.p_c_plus, 2),
+        vertices(rep.p_c_minus, 2),
+        vertices(rep.p_e, 2),
+        vertices(rep.p_ec, 2),
+        vertices(rep.p_binf, 2),
         _list(cycles, 2),
         _list(x_ec, 2),
-        _list([_vertices(names, at, c, 3) for c in rep.sim_classes], 2),
+        _list([vertices(c, 3) for c in rep.sim_classes], 2),
         _list(x_classes, 2),
-        _vertices(names, at, rep.h_f, 2),
-        _vertices(names, at, rep.h_inf, 2),
+        vertices(rep.h_f, 2),
+        vertices(rep.h_inf, 2),
     ), 1)
 
 
-def _ideal_text(names: list[str], at, rep: IdealStructureReport) -> str:
+def _ideal_text(vertices, rep: IdealStructureReport) -> str:
     sinks = [_record(_SINK, (_string(s.sink), _count(s.matrix_size)), 3) for s in rep.sinks]
     no_exit = [
         _record(_NO_EXIT, (_strings(c.cycle.edges, 4), _count(c.matrix_size)), 3)
@@ -309,7 +301,7 @@ def _ideal_text(names: list[str], at, rep: IdealStructureReport) -> str:
         cert = x.certificate
         extreme.append(_record(_EXTREME, (
             _string(x.extreme_class.class_id),
-            _vertices(names, at, x.extreme_class.vertices, 4),
+            vertices(x.extreme_class.vertices, 4),
             "null" if cert is None else _record(_CERTIFICATE, (
                 _bool(cert.purely_infinite_simple),
                 _optional(cert.failing_condition),
@@ -444,17 +436,23 @@ class Envelope:
         through `int.__repr__`, and true, false, null and "INFINITE" are
         literals.  Each vertex name is escaped once per report, into a list
         in declared order that the graph's vertex list and every vertex set
-        are written from; a set is sorted as the ints of the graph's vertex
-        index.  Edge records are filled into one template."""
+        are written from: `Graph.names_of` lists a set's bitset as those
+        names, in declared order, with no sort.  Edge records are filled
+        into one template."""
         g, alg = self.graph, self.algebra
         names = list(map(_string, g.vertices))
-        at = g._vertex_index.__getitem__
+        names_of = g.names_of
+
+        def vertices(bits: int, d: int) -> str:
+            """The vertex set of `bits` at depth d."""
+            return _list(names_of(bits, names), d)
+
         keys = ["tool_version", "graph", "classification", "ideal_structure", "prime_trichotomy"]
         values = [
             _string(__version__),
             _graph_text(names, g),
-            _classification_text(names, at, self.classification),
-            _ideal_text(names, at, self.ideal),
+            _classification_text(vertices, self.classification),
+            _ideal_text(vertices, self.ideal),
             _prime_text(self.prime),
         ]
         if self.center is not None:

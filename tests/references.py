@@ -596,24 +596,25 @@ def ref_extreme_classes(g, infos):
 
 
 def ref_x_decomposition(g, infos):
-    """The classification report read from the per-cycle `infos`: P_c,
-    P_c+, P_e and P_ec as unions of cycle vertex sets, a class is
-    cycle_laurent when it holds a whole cycle of S, and the extreme classes
-    are joined by their trees.  The line points, the ~ classes, the
-    closures and the entry paths come from lpa; the tests compare each of
-    them with its own reference."""
+    """The classification report read from the per-cycle `infos`, with
+    every vertex set a frozenset of names: P_c, P_c+, P_e and P_ec as
+    unions of cycle vertex sets, a class is cycle_laurent when it holds a
+    whole cycle of S, and the extreme classes are joined by their trees.
+    The line points, the ~ classes, the closures and the entry paths come
+    from lpa; the tests compare each of them with its own reference.  Its
+    fields are those of `named_report` of lpa's bitset report."""
 
     def union(keep):
         return frozenset().union(*(ci.cycle.vertex_set for ci in infos if keep(ci)))
 
-    pl = line_points(g)
+    pl = g.vertices_of(line_points(g))
     pc = union(lambda ci: not ci.has_exits)
     pc_plus = union(lambda ci: not ci.has_exits and ci.wrap_count is INFINITE)
     pe = union(lambda ci: ci.has_exits)
     pec = union(lambda ci: ci.is_extreme)
     p = pl | pc | pec
     s_cycles = [ci.cycle for ci in infos if ci.in_S]
-    classes = sim_classes(g)
+    classes = [g.vertices_of(c) for c in sim_classes(g)]
     x_classes = []
     for cls in classes:
         if not cls & p:
@@ -654,3 +655,38 @@ def ref_x_decomposition(g, infos):
         h_f=frozenset().union(*(xc.closure for xc in x_classes if xc.is_finite)),
         h_inf=frozenset().union(*(xc.closure for xc in x_classes if not xc.is_finite)),
     )
+
+
+def named_report(g, rep):
+    """The classification report `rep` of g with every vertex bitset, in
+    the report, its extreme classes and its X-classes, turned into the
+    frozenset of the names it holds: the form `ref_x_decomposition` gives."""
+    names = g.vertices_of
+    return rep._replace(
+        p_l=names(rep.p_l),
+        p_c=names(rep.p_c),
+        p_c_plus=names(rep.p_c_plus),
+        p_c_minus=names(rep.p_c_minus),
+        p_e=names(rep.p_e),
+        p_ec=names(rep.p_ec),
+        p_binf=names(rep.p_binf),
+        x_ec=tuple(xc._replace(vertices=names(xc.vertices)) for xc in rep.x_ec),
+        sim_classes=tuple(map(names, rep.sim_classes)),
+        x_classes=tuple(
+            xc._replace(members=names(xc.members), closure=names(xc.closure))
+            for xc in rep.x_classes
+        ),
+        h_f=names(rep.h_f),
+        h_inf=names(rep.h_inf),
+    )
+
+
+def sorted_vertices(g, vs):
+    """The vertices `vs` of g in declared order, sorted by their indices."""
+    return sorted(vs, key=g.vertices.index)
+
+
+def names_by_walk(bits, names):
+    """The entries of `names` at the set bits of `bits`, lowest bit first,
+    found one bit at a time: the reference of `Graph.names_of`."""
+    return [name for i, name in enumerate(names) if bits >> i & 1]

@@ -31,6 +31,7 @@ from references import (
     monomial_element,
     path_element,
     path_from_edges,
+    sorted_vertices,
     tree,
 )
 
@@ -190,7 +191,7 @@ def test_criterion_07_density(campaign500):
     for g in campaign500:
         rep = x_decomposition(g)
         assert rep.p, g.to_document()
-        assert is_dense_ideal(g, HereditarySet(g, rep.p)), g.to_document()
+        assert is_dense_ideal(g, HereditarySet.from_bits(g, rep.p)), g.to_document()
 
 
 # -- criterion 8: restriction-graph soundness -------------------------------------------
@@ -226,7 +227,7 @@ def test_criterion_08_restriction_graph_soundness(campaign100):
 
     for g in graphs:
         for xc in x_decomposition(g).x_ec:
-            eps = entry_paths(g, HereditarySet(g, xc.vertices))
+            eps = entry_paths(g, HereditarySet.from_bits(g, xc.vertices))
             if eps.is_infinite:
                 continue
             rg = restriction_graph(g, eps)
@@ -303,7 +304,7 @@ def test_criterion_10_bn_annihilates(campaign500):
             if n <= 0:
                 continue
             for b in es:
-                for u in g.sorted_vertices(targets):
+                for u in g.names_of(targets):
                     assert not (b.element * alg.vertex(u)), (
                         g.to_document(), b.label, u,
                     )
@@ -346,7 +347,7 @@ def test_criterion_11_resolve_soundness():
         if not h.members:
             continue
         closure = saturated_closure(g, h).members
-        v = rng.choice(g.sorted_vertices(closure))
+        v = rng.choice(sorted_vertices(g, closure))
         alg = LeavittAlgebra(g)
         total = alg.zero()
         for p in resolve_vertex(g, v, h):

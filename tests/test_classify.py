@@ -17,17 +17,30 @@ from lpa.graphs import INFINITE, Cycle, Edge, Graph, InvariantError, count_paths
 from lpa.hereditary import HereditarySet, entry_paths, restriction_graph
 from lpa.reports import build_envelope
 from corpus import FIXTURE_NAMES, graph
-from references import chained, complete_digraph, disjoint_union, random_graphs, sparse, tree
+from references import (
+    chained,
+    complete_digraph,
+    disjoint_union,
+    named_report,
+    random_graphs,
+    sparse,
+    tree,
+)
 from test_reachability import counted, counted_from, ref_is_saturated
 
 
 # -- line points ---------------------------------------------------------------
 
 
+def named_line_points(name):
+    g = graph(name)
+    return g.vertices_of(line_points(g))
+
+
 def test_line_points_examples():
-    assert line_points(graph("g_toeplitz")) == {"v"}
-    assert line_points(graph("g_loop")) == frozenset()
-    assert line_points(graph("g_line3")) == {"v1", "v2", "v3"}
+    assert named_line_points("g_toeplitz") == {"v"}
+    assert named_line_points("g_loop") == frozenset()
+    assert named_line_points("g_line3") == {"v1", "v2", "v3"}
 
 
 # -- cycle classification --------------------------------------------------------
@@ -65,7 +78,7 @@ def test_cycle_info_invariants_on_fixtures():
 def test_extreme_classes_ext2():
     g = graph("g_ext2")
     (xc,) = x_decomposition(g).x_ec
-    assert xc.vertices == {"u", "w"} and len(xc.cycles) == 2
+    assert g.vertices_of(xc.vertices) == {"u", "w"} and len(xc.cycles) == 2
 
 
 def test_extreme_classes_loop_empty():
@@ -89,7 +102,9 @@ def test_extreme_classes_sorted_by_class_id():
     )
     rep = x_decomposition(g)
     assert [ci.cycle.base for ci in rep.cycles] == ["b", "b", "a", "a"]
-    assert [(xc.class_id, xc.vertices) for xc in rep.x_ec] == [("a", {"a", "c"}), ("b", {"b"})]
+    assert [(xc.class_id, g.vertices_of(xc.vertices)) for xc in rep.x_ec] == [
+        ("a", {"a", "c"}), ("b", {"b"})
+    ]
 
 
 def test_extreme_classes_read_each_component_once():
@@ -103,7 +118,7 @@ def test_extreme_classes_read_each_component_once():
     assert len(rep.cycles) == 20 and all(ci.is_extreme for ci in rep.cycles)
     assert len(trees) == 1
     (xc,) = rep.x_ec
-    assert xc.vertices == set(g.vertices) and len(xc.cycles) == 20
+    assert g.vertices_of(xc.vertices) == set(g.vertices) and len(xc.cycles) == 20
     assert list(xc.cycles) == [ci.cycle for ci in rep.cycles]
     trees.clear()
     with mock.patch.object(Graph, "tree_bits", counted_from(trees, Graph.tree_bits, x_decomposition)):
@@ -136,7 +151,7 @@ def test_x_decomposition_builds_no_cycle_vertex_sets():
     ):
         report = x_decomposition(g)
     assert built == []
-    assert report.p_e == report.p_ec == set(g.vertices)
+    assert g.vertices_of(report.p_e) == g.vertices_of(report.p_ec) == set(g.vertices)
     assert not report.p_c and not report.p_c_plus
 
 
@@ -186,9 +201,10 @@ def test_center_builds_no_cycle_vertex_set(g):
     """Every set the envelope builds for an S cycle or an extreme class is
     a component, read from the index's bits: `Cycle.vertex_set` is built
     only for `x_decomposition`'s general count, and `vertex_bits`, which
-    checks every member again, runs at most once, for P's density test.
-    The sparse graphs hold S cycles; chained(18) holds an extreme class
-    whose set is no X-class's closure, so `ideal_structure` builds it."""
+    checks every member again, never runs: P's density test reads P's
+    bits too.  The sparse graphs hold S cycles; chained(18) holds an
+    extreme class whose set is no X-class's closure, so `ideal_structure`
+    builds it."""
     built, bits = [], []
     vertex_set = Cycle.vertex_set.fget
 
@@ -200,16 +216,15 @@ def test_center_builds_no_cycle_vertex_set(g):
     with mock.patch.object(Cycle, "vertex_set", property(counting_vertex_set)), \
             mock.patch.object(Graph, "vertex_bits", counted(bits, Graph.vertex_bits)), \
             mock.patch.object(lpa.classify, "count_paths_into", counted(paths, count_paths_into)):
-        env = build_envelope(g, with_center=True, verify=True)
+        build_envelope(g, with_center=True, verify=True)
     assert built == ["x_decomposition"] * len(paths)
-    p = env.classification.p
-    assert bits == ([(g, p)] if p else [])
+    assert bits == []
 
 
 @given(random_graphs())
 @settings(max_examples=80, deadline=None)
 def test_extreme_class_laws(g):
-    classes = x_decomposition(g).x_ec
+    classes = named_report(g, x_decomposition(g)).x_ec
     for xc in classes:
         # connected cycles share their tree; the class set is that tree
         for c in xc.cycles:
@@ -227,16 +242,22 @@ def test_extreme_class_laws(g):
 
 def test_p_binf_empty_on_finite_graphs():
     for name in ("g_cwe", "g_r2", "g_line3"):
-        assert x_decomposition(graph(name)).p_binf == frozenset()
+        g = graph(name)
+        assert g.vertices_of(x_decomposition(g).p_binf) == frozenset()
 
 
 # -- similarity classes -----------------------------------------------------------
 
 
+def named_sim_classes(name):
+    g = graph(name)
+    return [g.vertices_of(c) for c in sim_classes(g)]
+
+
 def test_sim_classes_examples():
-    assert sim_classes(graph("g_toeplitz")) == [frozenset({"u", "v"})]
-    assert sim_classes(graph("g_line3")) == [frozenset({"v1", "v2", "v3"})]
-    assert sim_classes(graph("g_cwe")) == [frozenset({"w", "z"})]
+    assert named_sim_classes("g_toeplitz") == [frozenset({"u", "v"})]
+    assert named_sim_classes("g_line3") == [frozenset({"v1", "v2", "v3"})]
+    assert named_sim_classes("g_cwe") == [frozenset({"w", "z"})]
 
 
 # -- X decomposition ---------------------------------------------------------------
@@ -249,24 +270,26 @@ def test_x_decomposition_loop():
 
 
 def test_x_decomposition_toeplitz():
-    rep = x_decomposition(graph("g_toeplitz"))
+    g = graph("g_toeplitz")
+    rep = x_decomposition(g)
     (xc,) = rep.x_f
-    assert xc.closure == {"u", "v"}
+    assert g.vertices_of(xc.closure) == {"u", "v"}
     assert xc.entry.paths == ()
     assert xc.class_type == "line"
 
 
 def test_x_decomposition_cwe():
-    rep = x_decomposition(graph("g_cwe"))
+    g = graph("g_cwe")
+    rep = x_decomposition(g)
     (xc,) = rep.x_f
-    assert xc.closure == {"w", "z"}
+    assert g.vertices_of(xc.closure) == {"w", "z"}
     assert xc.class_type == "cycle_degenerate"
 
 
 @given(random_graphs())
 @settings(max_examples=100, deadline=None)
 def test_classification_invariants(g):
-    rep = x_decomposition(g)
+    rep = named_report(g, x_decomposition(g))
     # the three P parts are pairwise disjoint
     assert not (rep.p_l & rep.p_c)
     assert not (rep.p_l & rep.p_ec)
@@ -324,9 +347,9 @@ def test_ideal_structure_entry_paths_match_a_fresh_enumeration(g):
     calls = []
     with mock.patch.object(lpa.classify, "entry_paths", counted(calls, entry_paths)):
         ideal = ideal_structure(g, rep)
-    assert not {xc.closure for xc in rep.x_classes} & {h.members for _g, h in calls}
+    assert not {g.vertices_of(xc.closure) for xc in rep.x_classes} & {h.members for _g, h in calls}
     for summand in ideal.extreme:
-        eps = entry_paths(g, HereditarySet(g, summand.extreme_class.vertices))
+        eps = entry_paths(g, HereditarySet.from_bits(g, summand.extreme_class.vertices))
         if eps.is_infinite:
             assert summand.certificate is None
         else:
@@ -364,7 +387,7 @@ def test_pis_examples():
 def test_pis_restriction_graph_of_extreme_class():
     g = graph("g_ext2")
     (xc,) = x_decomposition(g).x_ec
-    eps = entry_paths(g, HereditarySet(g, xc.vertices))
+    eps = entry_paths(g, HereditarySet.from_bits(g, xc.vertices))
     if not eps.is_infinite:
         sub = restriction_graph(g, eps)
         assert is_purely_infinite_simple(sub).purely_infinite_simple

@@ -35,22 +35,31 @@ def schema():
     return load_schema()
 
 
-def test_classify_toeplitz(schema):
+@pytest.fixture(scope="module")
+def validator(schema):
+    """The report schema's validator, built once and the schema checked
+    once: `jsonschema.validate` does both again on every call."""
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def test_classify_toeplitz(validator):
     code, out, _err = run_cli("classify", str(FIXTURES / "g_toeplitz.json"))
     assert code == 0
     doc = json.loads(out)
-    jsonschema.validate(doc, schema)
+    validator.validate(doc)
     assert doc["classification"]["p_l"] == ["v"]
     assert doc["classification"]["p_c"] == []
     assert doc["classification"]["p_ec"] == []
     assert doc["ideal_structure"]["dense"] is True
 
 
-def test_classify_ext2(schema):
+def test_classify_ext2(validator):
     code, out, _err = run_cli("classify", str(FIXTURES / "g_ext2.json"))
     assert code == 0
     doc = json.loads(out)
-    jsonschema.validate(doc, schema)
+    validator.validate(doc)
     assert doc["classification"]["p_ec"] == ["u", "w"]
     (xcert,) = doc["ideal_structure"]["extreme"]
     assert xcert["certificate"]["purely_infinite_simple"] is True
@@ -58,7 +67,7 @@ def test_classify_ext2(schema):
 
 @pytest.mark.parametrize("name", sorted(PATH_ID_CLASHES))
 @pytest.mark.parametrize("command", [["classify"], ["center", "--verify"]])
-def test_entry_path_ids_never_clash(schema, tmp_path, name, command):
+def test_entry_path_ids_never_clash(validator, tmp_path, name, command):
     """Two entry paths into an extreme class once got the same vertex id in
     its restriction graph, or one of the class's own, and the run exited 2."""
     path = tmp_path / "g.json"
@@ -66,7 +75,7 @@ def test_entry_path_ids_never_clash(schema, tmp_path, name, command):
     code, out, err = run_cli(command[0], str(path), *command[1:])
     assert code == 0, err
     doc = json.loads(out)
-    jsonschema.validate(doc, schema)
+    validator.validate(doc)
     (xcert,) = doc["ideal_structure"]["extreme"]
     assert xcert["certificate"]["purely_infinite_simple"] is True
 
@@ -113,22 +122,22 @@ def test_classify_missing_file_exits_2(tmp_path):
     assert code == 2
 
 
-def test_center_loop_verify(schema):
+def test_center_loop_verify(validator):
     code, out, _err = run_cli("center", str(FIXTURES / "g_loop.json"), "--verify")
     assert code == 0
     doc = json.loads(out)
-    jsonschema.validate(doc, schema)
+    validator.validate(doc)
     assert doc["center"]["iso_type"] == {"K": 0, "Laurent": 1}
     assert all(v["central"] for v in doc["verification"])
 
 
-def test_center_cwe_verify_oracle(schema):
+def test_center_cwe_verify_oracle(validator):
     code, out, _err = run_cli(
         "center", str(FIXTURES / "g_cwe.json"), "--verify", "--oracle"
     )
     assert code == 0
     doc = json.loads(out)
-    jsonschema.validate(doc, schema)
+    validator.validate(doc)
     assert doc["center"]["iso_type"] == {"K": 1, "Laurent": 0}
     assert doc["center"]["divergence_flags"]
     assert all(o["agrees"] for o in doc["oracle"])
@@ -169,7 +178,7 @@ BOUND_AFTER_FIRST_DEGREES = {
 @pytest.mark.parametrize(
     "max_len, required", [(3, 4), (1, 2)], ids=["later-degree", "first-degree"]
 )
-def test_bound_error_emits_no_oracle_block(capsys, tmp_path, schema, max_len, required):
+def test_bound_error_emits_no_oracle_block(capsys, tmp_path, validator, max_len, required):
     # every degree's bound is checked before the first solve: a bound too
     # small for a later degree must not report the earlier ones as agreeing
     path = tmp_path / "g.json"
@@ -178,7 +187,7 @@ def test_bound_error_emits_no_oracle_block(capsys, tmp_path, schema, max_len, re
     assert main(argv) == 4
     out, err = capsys.readouterr()
     report = json.loads(out)
-    jsonschema.validate(report, schema)
+    validator.validate(report)
     assert "oracle" not in report
     assert f"requires at least {required}" in err
 
@@ -248,7 +257,7 @@ def campaign_documents(out):
     return docs
 
 
-def test_random_documents_validate(schema, capsys):
+def test_random_documents_validate(validator, capsys):
     """Every per-graph document `lpa random` prints, each ending in its
     "index", is one the schema accepts."""
     args = ["random", "--seed", "11", "--count", "10", "--max-vertices", "4", "--max-edges", "6"]
@@ -256,7 +265,7 @@ def test_random_documents_validate(schema, capsys):
     docs = campaign_documents(capsys.readouterr().out)
     assert [doc["index"] for doc in docs] == list(range(10))
     for doc in docs:
-        jsonschema.validate(doc, schema)
+        validator.validate(doc)
 
 
 def test_random_failure_prints_replay_witness(monkeypatch, capsys, tmp_path):
@@ -313,10 +322,10 @@ def test_text_format_rendering(capsys):
     assert "a[u] = 1·u + 1·v" in out
 
 
-def test_envelope_schema_on_all_fixtures(schema):
+def test_envelope_schema_on_all_fixtures(validator):
     for name in FIXTURE_NAMES:
         env = build_envelope(graph(name), verify=True)
-        jsonschema.validate(env.to_json(), schema)
+        validator.validate(env.to_json())
 
 
 def test_envelope_byte_identical():
@@ -637,11 +646,11 @@ def document_path(tmp_path_factory):
 
 @given(documents, st.sampled_from([["classify"], ["center", "--verify"]]))
 @settings(max_examples=200, deadline=None)
-def test_any_document_ends_cleanly(schema, document_path, text, command):
+def test_any_document_ends_cleanly(validator, document_path, text, command):
     document_path.write_text(text)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main([command[0], str(document_path), *command[1:]])
     assert code in (0, 2, 3, 4)
     if code == 0:
-        jsonschema.validate(json.loads(out.getvalue()), schema)
+        validator.validate(json.loads(out.getvalue()))

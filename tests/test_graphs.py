@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lpa.graphs
 from lpa.classify import x_decomposition
 from lpa.graphs import (
     INFINITE,
@@ -21,6 +22,7 @@ from references import (
     graph_documents,
     json_values,
     make_cycle,
+    names_by_walk,
     random_graphs,
     ref_parse_graph,
     tree,
@@ -142,6 +144,29 @@ def test_parse_rejects_malformed_edge_record(case):
 
 
 # -- reachability ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("few", [None, -1, 160], ids=["cutoff", "compress", "walk"])
+def test_names_of_matches_the_per_bit_walk(monkeypatch, few):
+    """`Graph.names_of` on a 160-vertex graph, as its own cutoff chooses
+    and with each branch forced, against the plain per-bit walk: the
+    empty set, the last vertex alone, every vertex, and sets one below, at
+    and one above the cutoff, both as the vertex ids and as a second list
+    of names, such as the writer's escaped ids."""
+    g = Graph([f"v{i}" for i in range(160)], [])
+    escaped = [json.dumps(v) for v in g.vertices]
+    rng = random.Random(160)
+    cutoff = lpa.graphs._FEW
+    sets = [0, 1 << 159, (1 << 160) - 1]
+    for k in (cutoff - 1, cutoff, cutoff + 1):
+        sets.append(sum(1 << i for i in rng.sample(range(160), k)))
+        sets.append(((1 << k) - 1) << (160 - k))  # the last k vertices
+    if few is not None:
+        monkeypatch.setattr(lpa.graphs, "_FEW", few)
+    for bits in sets:
+        assert g.names_of(bits) == names_by_walk(bits, g.vertices)
+        assert g.names_of(bits, escaped) == names_by_walk(bits, escaped)
+        assert g.vertices_of(bits) == frozenset(names_by_walk(bits, g.vertices))
 
 
 def test_tree_sink():

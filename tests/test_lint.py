@@ -304,6 +304,7 @@ UNREACHED = {
     "engine.py:LeavittAlgebra.one": "d",
     "engine.py:LeavittAlgebra.vertex": "d",
     "graphs.py:Graph.__repr__": "d",
+    "graphs.py:Graph.vertex_bits": "d",
     "graphs.py:_Infinite.__repr__": "d",
     "hereditary.py:HereditarySet.__eq__": "d",
     "hereditary.py:HereditarySet.__hash__": "d",

@@ -54,6 +54,7 @@ from references import (
     disjoint_union,
     line,
     make_cycle,
+    named_report,
     random_graphs,
     ref_extreme_classes,
     ref_tree,
@@ -308,13 +309,13 @@ def test_trees_and_connectivity_match_reference(g, salt):
         union = g.vertices_of(g.tree_union_bits(g.vertex_bits(hs)))
         assert union == frozenset().union(*(ref_tree(g, w) for w in hs))
     assert cycle_vertices(g) == ref_cycle_vertices(g)
-    assert line_points(g) == ref_line_points(g)
+    assert g.vertices_of(line_points(g)) == ref_line_points(g)
 
 
 @given(graphs)
 @settings(max_examples=150, deadline=None)
 def test_classes_and_primeness_match_reference(g):
-    assert sim_classes(g) == ref_sim_classes(g)
+    assert [g.vertices_of(c) for c in sim_classes(g)] == ref_sim_classes(g)
     witness = ref_not_prime_witness(g)
     rep = x_decomposition(g)
     pt = prime_trichotomy(g, rep, ideal_structure(g, rep))
@@ -332,7 +333,7 @@ def test_cycle_infos_match_reference(g):
     rep = x_decomposition(g)
     infos = ref_classify_cycles(g)
     assert list(rep.cycles) == infos
-    assert list(rep.x_ec) == ref_extreme_classes(g, infos)
+    assert list(named_report(g, rep).x_ec) == ref_extreme_classes(g, infos)
 
 
 @given(st.one_of(graphs, dense_graphs(), chained_graphs()))
@@ -341,7 +342,7 @@ def test_x_decomposition_matches_reference(g):
     """Every report field against the route through every cycle: the
     P-sets as unions of cycle vertex sets, the S cycles tested against
     each class, and the extreme classes joined by their trees."""
-    rep = x_decomposition(g)
+    rep = named_report(g, x_decomposition(g))
     expected = ref_x_decomposition(g, ref_classify_cycles(g))
     for name in ClassificationReport._fields:
         assert getattr(rep, name) == getattr(expected, name), name
@@ -592,7 +593,7 @@ def test_sparse_graphs_classify_from_the_index(seed):
     whose component holds another edge (checked against the component
     found from the reference trees)."""
     g = sparse(seed)
-    sets = [hereditary_closure(g, cls) for cls in sim_classes(g)]
+    sets = [hereditary_closure(g, g.vertices_of(cls)) for cls in sim_classes(g)]
     sets += [saturated_closure(g, h) for h in sets]
     lookups = []
     tree_bits = Graph.tree_bits
@@ -688,8 +689,8 @@ def test_ideal_structure_computes_entry_paths_once_per_class():
         ideal = ideal_structure(g, rep)
     assert len(rep.x_ec) == 2
     assert [x.certificate.purely_infinite_simple for x in ideal.extreme] == [True, True]
-    assert [h.members for _g, h in calls] == [xc.closure for xc in rep.x_classes]
-    assert {xc.vertices for xc in rep.x_ec} == {h.members for _g, h in calls}
+    assert [h.members for _g, h in calls] == [g.vertices_of(xc.closure) for xc in rep.x_classes]
+    assert {g.vertices_of(xc.vertices) for xc in rep.x_ec} == {h.members for _g, h in calls}
 
 
 def test_saturated_closure_is_closed_form():

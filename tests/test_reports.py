@@ -1,5 +1,7 @@
 """`Envelope.dumps` writes the report text straight from the records; the
-reference is `json.dumps(env.to_json(), indent=2)`, the dict API's text."""
+reference is `json.dumps(env.to_json(), indent=2)`, the dict API's text.
+The vertex sets of the records are bitsets; their reference is the
+classification read as frozensets of names, `ref_x_decomposition`."""
 
 import json
 
@@ -11,7 +13,14 @@ from lpa.fields import QQ, PrimeField
 from lpa.graphs import Edge, Graph
 from lpa.reports import build_envelope
 from corpus import FIXTURE_NAMES, graph
-from references import random_graphs
+from references import (
+    named_report,
+    random_graphs,
+    ref_x_decomposition,
+    small_multigraphs,
+    sorted_vertices,
+)
+from test_reachability import ref_classify_cycles
 
 
 def reference(env, index=None):
@@ -72,3 +81,54 @@ def test_dumps_matches_json_dumps_on_escaped_ids(g, index):
     env = build_envelope(g, verify=True)
     assert env.dumps() == reference(env)
     assert env.dumps(index=index) == reference(env, index)
+
+
+# the keys of the classification's top-level vertex sets
+SET_KEYS = ("p_l", "p_c", "p_c_plus", "p_c_minus", "p_e", "p_ec", "p_binf", "h_f", "h_inf")
+
+
+def written_sets(doc):
+    """Every vertex list of a report's classification and ideal structure."""
+    cl = doc["classification"]
+    return (
+        [cl[k] for k in SET_KEYS],
+        [xc["vertices"] for xc in cl["x_ec"]],
+        cl["sim_classes"],
+        [[xc["members"], xc["closure"]] for xc in cl["x_classes"]],
+        [x["vertices"] for x in doc["ideal_structure"]["extreme"]],
+    )
+
+
+def check_sets_against_frozensets(g):
+    """Each bitset of g's report names exactly the vertices of the frozenset
+    route's set, and `dumps` and `to_json` write it as that set sorted in
+    declared order; an extreme summand's set is its class's."""
+    env = build_envelope(g, with_center=False)
+    ref = ref_x_decomposition(g, ref_classify_cycles(g))
+    assert named_report(g, env.classification) == ref, g.to_document()
+    def sv(vs):
+        return sorted_vertices(g, vs)
+
+    expected = (
+        [sv(getattr(ref, k)) for k in SET_KEYS],
+        [sv(xc.vertices) for xc in ref.x_ec],
+        [sv(c) for c in ref.sim_classes],
+        [[sv(xc.members), sv(xc.closure)] for xc in ref.x_classes],
+        [sv(xc.vertices) for xc in ref.x_ec],
+    )
+    assert written_sets(json.loads(env.dumps())) == expected, g.to_document()
+    assert written_sets(env.to_json()) == expected, g.to_document()
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "campaign100", "small"])
+def test_vertex_sets_match_the_frozenset_route(corpus, request):
+    """On the fixtures, campaign100 and every multigraph with at most 4
+    vertices and 5 edges, once per isomorphism class."""
+    if corpus == "fixtures":
+        graphs = [graph(name) for name in FIXTURE_NAMES]
+    elif corpus == "campaign100":
+        graphs = request.getfixturevalue("campaign100")
+    else:
+        graphs = [g for n in range(1, 5) for g in small_multigraphs(n, 5)]
+    for g in graphs:
+        check_sets_against_frozensets(g)
