@@ -62,20 +62,32 @@ def a_class(alg: LeavittAlgebra, xclass: XClass) -> CentralBasisElement:
     """The degree-0 idempotent of a finite class: closure vertices plus
     alpha alpha* over the entry paths of the closure.
 
-    The vertex terms are listed from the closure's bitset, in declared
-    order.  The raw terms are built as plain tuples, each path's source
-    read from the graph's edge table; `normal_form` checks every term's
-    ranges, so each path is validated once, there."""
+    The vertex terms are the closure's own vertex ids, listed from its
+    bitset in declared order, each with coefficient 1: a vertex is in
+    normal form and needs no range check.  Only the alpha alpha* terms go
+    through `normal_form`, built as plain tuples with each path's source
+    read from the graph's edge table, so it checks each path once.  Its
+    range rewrite of an alpha ending in a special edge can give vertex
+    terms, so its terms are added into the vertex terms, and a sum that is
+    0 in the field is dropped."""
     if not xclass.is_finite:
         raise CenterError(f"class [{xclass.rep}] has infinitely many entry paths")
     g = alg.graph
-    raw = [((u, (), u, ()), 1) for u in g.names_of(xclass.closure)]
-    edge_by_id = g._edge_by_id
-    for p in xclass.entry.paths:
-        s = edge_by_id[p[0]].src
-        raw.append(((s, p, s, p), 1))
+    coerce = alg.field.coerce
+    terms = dict.fromkeys([(u, (), u, ()) for u in g.names_of(xclass.closure)], coerce(1))
+    if xclass.entry.paths:
+        edge_by_id = g._edge_by_id
+        raw = []
+        for p in xclass.entry.paths:
+            s = edge_by_id[p[0]].src
+            raw.append(((s, p, s, p), 1))
+        for m, k in alg.normal_form(raw).terms.items():
+            if c := coerce(terms.get(m, 0) + k):
+                terms[m] = c
+            else:
+                terms.pop(m, None)
     return CentralBasisElement(
-        degree=0, element=alg.normal_form(raw), class_id=xclass.rep
+        degree=0, element=AlgebraElement(alg, terms), class_id=xclass.rep
     )
 
 

@@ -372,19 +372,56 @@ class LeavittAlgebra:
         """{(kind, id): [x, g]} for every generator g with [x, g] != 0, keyed
         as in generator_labels(); x must be in normal form.
 
-        Equal to ``commutator(x, g)`` for each g, from one generator_action
-        pass over x's terms into one dict.  Its entries that are nonzero as
-        numbers are put into the field, those still nonzero there are
-        grouped by (kind, id) at the end, each under its monomial, the last
-        four fields of its key, and elements are made only for the
-        generators whose commutator is nonzero, so a central x builds none.
-        Over Q the entries of a central x cancel to an exact 0, so verifying
-        it ends after one `any` over the entries, with no per-entry loop and
-        no `coerce`; over F_p an entry may be a nonzero multiple of p, and
-        the loop puts each into the field.
+        Equal to ``commutator(x, g)`` for each g, summed into one dict under
+        the flat keys of generator_action.  x's vertex terms (alpha = beta
+        trivial) are summed in closed form, and only its other terms go
+        through generator_action.  By the vertex relations v e =
+        [v = s(e)] e and e v = [v = r(e)] e, with e* = r(e) e* s(e), the
+        vertex sum y = sum_u k_u u, k_u = 0 where u has no term, has
+
+        - [y, v] = 0 for every vertex v, since vertices commute;
+        - [y, e] = (k_a - k_b) e and [y, e*] = (k_b - k_a) e* for an edge
+          e = (a -> b), under the keys ("edge", e, a, (e,), b, ()) and
+          ("ghost", e, b, (), a, (e,)).
+
+        So the vertex part costs one difference per edge that meets a vertex
+        term.  The edges out of each such u are read with c = k_u - k_b,
+        skipped when c = 0, as on a loop; an edge into u is read only when
+        its source has no term, so each edge is counted once.  The range
+        relation is never needed: generator_action rewrites only a term with
+        a nonempty alpha or beta.  A central vertex sum, such as the
+        identity, leaves acc empty.
+
+        Entries that are nonzero as numbers are put into the field, those
+        still nonzero there are grouped by (kind, id) at the end, each under
+        its monomial, the last four fields of its key, and elements are made
+        only for the generators whose commutator is nonzero, so a central x
+        builds none.  Over Q the entries of a central x cancel to an exact
+        0, so verifying it ends after one `any` over the entries, with no
+        per-entry loop and no `coerce`; over F_p an entry may be a nonzero
+        multiple of p, and the loop puts each into the field.
         """
+        ks: dict[str, object] = {}  # vertex -> coefficient of its vertex term
+        rest = []
+        for t in x.terms.items():
+            (sa, p, _, q), k = t
+            if p or q:
+                rest.append(t)
+            else:
+                ks[sa] = k
+        # each edge's two keys are set once, into an empty acc
         acc: dict[tuple, object] = {}
-        self.generator_action(x.terms.items(), acc)
+        out, into = self.graph._out, self._in
+        for u, k in ks.items():
+            for eid, _, b in out[u]:
+                if c := k - ks.get(b, 0):
+                    acc[("edge", eid, u, (eid,), b, ())] = c
+                    acc[("ghost", eid, b, (), u, (eid,))] = -c
+            for eid, a, _ in into[u]:
+                if a not in ks:
+                    acc[("edge", eid, a, (eid,), u, ())] = -k
+                    acc[("ghost", eid, u, (), a, (eid,))] = k
+        self.generator_action(rest, acc)
         if not any(acc.values()):
             return {}  # every entry cancelled as a number: x is central
         coerce = self.field.coerce

@@ -1,10 +1,11 @@
 """Slow references for the fast paths: the graph parser that read each
-edge record's keys as a set, the all-pairs candidate enumeration, the
-matrix built from one ``commutators`` call per candidate and the single
-global-pivot elimination the oracle replaced, the classification read
-from every enumerated cycle that the pass over the components replaced,
-plus the graph families and graph documents the tests draw from, among
-them every small multigraph up to isomorphism.
+edge record's keys as a set, the commutators and the degree-0 idempotents
+with their vertex terms on the general route, the all-pairs candidate
+enumeration, the matrix built from one ``commutators`` call per
+candidate and the single global-pivot elimination the oracle replaced,
+the classification read from every enumerated cycle that the pass over
+the components replaced, plus the graph families and graph documents the
+tests draw from, among them every small multigraph up to isomorphism.
 
 Also the helpers that tests read and no command runs: trees, reachability
 and the cycle vertices as vertex sets, cycles made from edge sequences,
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from lpa.center import CentralBasisElement
 from lpa.classify import (
     ClassificationReport,
     ExtremeClass,
@@ -399,6 +401,31 @@ def ref_involution(alg, x):
     """x* through `normal_form`: each term's sides swapped, then normalized,
     as `LeavittAlgebra.involution` did before it swapped the terms alone."""
     return alg.normal_form([((sb, q, sa, p), k) for (sa, p, sb, q), k in x.terms.items()])
+
+
+def ref_commutators(alg, x):
+    """`LeavittAlgebra.commutators` with every term of x, vertex terms too,
+    through `generator_action`, as it was before x's vertex part was summed
+    in closed form."""
+    acc = {}
+    alg.generator_action(x.terms.items(), acc)
+    grouped = {}
+    for t, c in acc.items():
+        if c := alg.field.coerce(c):
+            grouped.setdefault(t[:2], {})[t[2:]] = c
+    return {key: AlgebraElement(alg, terms) for key, terms in grouped.items()}
+
+
+def ref_a_class(alg, xclass):
+    """`center.a_class` with every raw term, the closure's vertices too,
+    through `normal_form`, as it was before the vertex terms were built
+    directly."""
+    g = alg.graph
+    raw = [((u, (), u, ()), 1) for u in g.names_of(xclass.closure)]
+    for p in xclass.entry.paths:
+        s = g.edge(p[0]).src
+        raw.append(((s, p, s, p), 1))
+    return CentralBasisElement(degree=0, element=alg.normal_form(raw), class_id=xclass.rep)
 
 
 def ref_reducible(alg, alpha_edges, beta_edges):

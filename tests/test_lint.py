@@ -202,13 +202,18 @@ def test_unreached_functions_are_found(tmp_path):
 
 
 # Documents besides the fixtures: a rose, a vertex with two sinks below it,
-# whose oracle elimination meets a pivot of -1 and so takes its inverse
-# through a Fraction, and documents that `parse_graph` or `Graph` rejects.
+# a loop with a tail into it, whose oracle elimination meets a pivot of -1
+# and so takes its inverse through a Fraction, and documents that
+# `parse_graph` or `Graph` rejects.
 CLI_DOCUMENTS = {
     "rose3": {"vertices": ["v"], "edges": [{"id": f"e{i}", "src": "v", "dst": "v"} for i in range(3)]},
     "two_sinks": {
         "vertices": ["u", "v", "w"],
         "edges": [{"id": "a", "src": "u", "dst": "v"}, {"id": "b", "src": "u", "dst": "w"}],
+    },
+    "loop_with_tail": {
+        "vertices": ["v", "t"],
+        "edges": [{"id": "c", "src": "v", "dst": "v"}, {"id": "e", "src": "t", "dst": "v"}],
     },
 }
 BAD_DOCUMENTS = {
