@@ -83,13 +83,10 @@ class ClassificationReport(NamedTuple):
 
 def line_points(g: Graph) -> int:
     """Vertices whose tree has no bifurcations and no cycle vertices, as a
-    bitset."""
-    blocked = g.cycle_bits() | g.bifurcation_bits()
-    bits = 0
-    for i, t in enumerate(g.all_tree_bits()):
-        if not t & blocked:
-            bits |= 1 << i
-    return bits
+    bitset: the vertices that are not ancestors of a bifurcation or a
+    cycle vertex."""
+    everything = (1 << len(g.vertices)) - 1
+    return everything & ~g.ancestor_bits(g.cycle_bits() | g.bifurcation_bits())
 
 
 def sim_classes(g: Graph) -> list[int]:
@@ -100,17 +97,13 @@ def sim_classes(g: Graph) -> list[int]:
     (ii) relates a cycle vertex to everything in its tree, and that tree
     is joined up by the edges leaving its members.  Rule (i) relates
     comparable vertices whose trees have no bifurcation; such a vertex
-    has at most one edge, and its target's tree lies inside its own.
+    has at most one edge, and its target's tree lies inside its own.  So
+    an edge links its ends when its source lies below a cycle or is no
+    ancestor of a bifurcation, and one bit test per edge reads that.
     """
-    bifs = g.bifurcation_bits()
-    below_cycle = g.tree_union_bits(g.cycle_bits())
-    trees, index = g.all_tree_bits(), g._vertex_index
-    linking = [
-        e
-        for e in g.edges
-        if below_cycle >> (i := index[e.src]) & 1 or not trees[i] & bifs
-    ]
-    return _linked_groups(g, linking)
+    blocked = g.ancestor_bits(g.bifurcation_bits()) & ~g.tree_union_bits(g.cycle_bits())
+    index = g._vertex_index
+    return _linked_groups(g, [e for e in g.edges if not blocked >> index[e.src] & 1])
 
 
 def x_decomposition(g: Graph) -> ClassificationReport:

@@ -57,12 +57,14 @@ class Graph:
     Reachability is indexed once, on first use: a Tarjan decomposition
     into strongly connected components, and from it T(v) and the
     ancestors of v for every vertex as int bitsets whose bit i stands for
-    ``vertices[i]``, and each component's inflow, from which `path_count`
-    and the cycle classification read their counts.  A graph never
-    changes after construction, so the index never goes stale.  The
-    vertex sets are ints rather than frozensets because callers may keep
-    many graphs alive: over the 44 graphs of the lpabench structure
-    workload (up to 200 vertices) the whole index takes 0.23 MB, and a
+    ``vertices[i]``, each component's inflow, from which `path_count`
+    and the cycle classification read their counts, and the vertices of
+    the condensation's end and start components, which the unions of
+    trees and of ancestors read first.  A graph never changes after
+    construction, so the index never goes stale.  The vertex sets are
+    ints rather than frozensets because callers may keep many graphs
+    alive: over the 44 graphs of the lpabench structure workload (up to
+    200 vertices) the whole index takes 0.21 MB (tracemalloc), and a
     frozenset per vertex for the trees alone would add 4.7 MB.
     """
 
@@ -181,30 +183,23 @@ class Graph:
     def tree_union_bits(self, bits: int) -> int:
         """The union of the trees T(v), v in the bitset `bits`.
 
-        A vertex w already in the union adds nothing, since T(w) lies
-        inside the tree that holds w, so only the vertices outside the
-        union so far are looked up.
+        `_union` reads the members in a start component of the
+        condensation first, so a set closed under ancestors costs one tree
+        per start component it holds (see `_ReachIndex`).
         """
-        trees = self._reach().trees
-        out = 0
-        while bits:
-            out |= trees[(bits & -bits).bit_length() - 1]
-            bits &= ~out
-        return out
+        idx = self._reach()
+        return _union(idx.trees, bits, idx.starts)
 
     def ancestor_bits(self, bits: int) -> int:
         """The vertices that reach some vertex of the bitset `bits`, those
         vertices included.
 
-        The dual of `tree_union_bits`: a vertex w that already reaches the
-        set has its ancestors inside the union so far.
+        The dual of `tree_union_bits`: `_union` reads the members in an end
+        component first, so a hereditary set costs one entry per end
+        component it holds, whichever way the graph is declared.
         """
-        ancestors = self._reach().ancestors
-        out = 0
-        while bits:
-            out |= ancestors[(bits & -bits).bit_length() - 1]
-            bits &= ~out
-        return out
+        idx = self._reach()
+        return _union(idx.ancestors, bits, idx.ends)
 
     def component_bits(self, v: str) -> int:
         """The strongly connected component of v as a bitset."""
@@ -252,21 +247,34 @@ class Graph:
 
 
 class _ReachIndex:
-    """Strongly connected components, forward trees, ancestors and path
-    counts of one graph.
+    """Strongly connected components, forward trees, ancestors, path
+    counts and the ends of the condensation of one graph.
 
-    Iterative Tarjan (1972) over vertex indices.  It emits components in
-    reverse topological order, so every component a component reaches
-    has a smaller id and its tree is known when the component is closed.
-    While closing a component it also notes whether an edge lies inside
-    it, which makes it cyclic.
+    The condensation is the graph with each component collapsed to one
+    node; it is acyclic.  ``ends`` holds the vertices of the components
+    that no edge leaves, ``starts`` those of the components that no edge
+    enters.  Every vertex of a hereditary set H reaches an end component
+    inside H: a walk along the condensation's edges from its component
+    stops, since the condensation is finite and acyclic, and it stops at
+    an end, which lies in the vertex's tree and so in H.  Dually, every
+    vertex of a set closed under ancestors is reached from a start
+    component inside the set.  `Graph.ancestor_bits` and
+    `Graph.tree_union_bits` read those members first.
+
+    Iterative Tarjan (1972) over vertex indices, with one iterator over
+    the successors per frame.  It emits components in reverse topological
+    order, so every component a component reaches has a smaller id and
+    its tree is known when the component is closed.  A component of one
+    vertex is the top of the stack, popped with no scan of the stack; it
+    is cyclic when the vertex has a loop.  A component of more vertices
+    is always cyclic.  It is an end when its tree is itself.
 
     A second pass walks the components in topological order, the reverse
     of emission, so every edge into a component is seen before the
     component itself.  For each component k it keeps
     - ``ancestors[k]``: the vertices that reach k, k included;
     - ``inflow[k]``: the number of paths whose last edge enters k from
-      outside, or INFINITE.
+      outside, or INFINITE; it stays 0 exactly when k is a start.
     Both are pushed along the edges leaving k, once k is final.  A vertex
     v on no cycle is a component of its own, and a path ending at v is
     either v itself or a path ending at the source of an edge into v
@@ -277,26 +285,31 @@ class _ReachIndex:
     Both passes are O(V + E) bitset operations.
 
     Graphs keep their index for life, so it is stored compactly, in slots
-    and tuples, and the vertices of a component share its entries.  Its
-    members are the vertices both in the tree and among the ancestors of
-    any one of them, so they are not stored.
+    and tuples, and the vertices of a component share its entries, each
+    per-vertex table filled by one `map` over the vertices' component ids.
+    A component's members are the vertices both in the tree and among the
+    ancestors of any one of them, so they are not stored.
     """
 
-    __slots__ = ("trees", "ancestors", "inflow", "cyclic", "sinks", "bifurcations")
+    __slots__ = (
+        "trees", "ancestors", "inflow", "cyclic", "sinks", "bifurcations", "ends", "starts"
+    )
 
     def __init__(self, g: Graph):
         n = len(g.vertices)
         index_of = g._vertex_index
-        succ = [[index_of[e.dst] for e in g._out[v]] for v in g.vertices]
-        order = [-1] * n  # discovery number
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for _, src, dst in g.edges:
+            succ[index_of[src]].append(index_of[dst])
+        order = [-1] * n  # discovery number; n once the vertex's component is closed
         low = [0] * n
-        on_stack = [False] * n
-        stack: list[int] = []
-        component_of = [-1] * n
-        members_of: list[list[int]] = []  # scratch: members per component
+        stack: list[int] = []  # the visited vertices whose component is open
+        component_of = [0] * n
+        members_of: list = []  # scratch: members per component
+        looped: list[bool] = []  # scratch: whether the component is cyclic
         ancestors: list[int] = []  # the component's members until the second pass
         comp_trees: list[int] = []
-        cyclic = 0
+        cyclic = ends = 0
         counter = 0
         for root in range(n):
             if order[root] != -1:
@@ -304,59 +317,73 @@ class _ReachIndex:
             order[root] = low[root] = counter
             counter += 1
             stack.append(root)
-            on_stack[root] = True
-            work = [(root, 0)]
+            work = [(root, iter(succ[root]))]
             while work:
-                v, i = work[-1]
-                if i < len(succ[v]):
-                    work[-1] = (v, i + 1)
-                    w = succ[v][i]
+                v, successors = work[-1]
+                for w in successors:
                     if order[w] == -1:
                         order[w] = low[w] = counter
                         counter += 1
                         stack.append(w)
-                        on_stack[w] = True
-                        work.append((w, 0))
-                    elif on_stack[w] and order[w] < low[v]:
-                        low[v] = order[w]
-                    continue
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] != order[v]:
-                    continue
-                k = len(members_of)
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component_of[w] = k
-                    members.append(w)
-                    if w == v:
+                        work.append((w, iter(succ[w])))
                         break
-                own = 0
-                for w in members:
-                    own |= 1 << w
-                bits = own
-                internal = False
-                for w in members:
-                    for x in succ[w]:
-                        if component_of[x] == k:
-                            internal = True
-                        else:
-                            bits |= comp_trees[component_of[x]]
-                members_of.append(members)
-                ancestors.append(own)
-                comp_trees.append(bits)
-                if internal:
-                    cyclic |= own
-        inflow: list = [0] * len(members_of)
-        for k in range(len(members_of) - 1, -1, -1):
-            up = ancestors[k]
-            if cyclic >> members_of[k][0] & 1 or inflow[k] is INFINITE:
-                paths = INFINITE
-            else:
-                paths = 1 + inflow[k]
+                    if order[w] < low[v]:  # w is on the stack: a closed w has order n
+                        low[v] = order[w]
+                else:
+                    work.pop()
+                    lv = low[v]
+                    if lv != order[v]:  # v is not its component's root, so has a parent
+                        u = work[-1][0]
+                        if lv < low[u]:
+                            low[u] = lv
+                        continue
+                    k = len(comp_trees)
+                    if stack[-1] == v:  # a component of one vertex
+                        stack.pop()
+                        order[v] = n
+                        own = tree = 1 << v
+                        loop = False
+                        for x in succ[v]:
+                            if x == v:
+                                loop = True
+                            else:
+                                tree |= comp_trees[component_of[x]]
+                        component_of[v] = k
+                        members_of.append((v,))
+                        looped.append(loop)
+                        if loop:
+                            cyclic |= own
+                    else:
+                        members = []
+                        own = 0
+                        while True:
+                            w = stack.pop()
+                            members.append(w)
+                            own |= 1 << w
+                            order[w] = n
+                            component_of[w] = k
+                            if w == v:
+                                break
+                        tree = own
+                        for w in members:
+                            for x in succ[w]:
+                                j = component_of[x]
+                                if j != k:
+                                    tree |= comp_trees[j]
+                        members_of.append(members)
+                        looped.append(True)
+                        cyclic |= own
+                    comp_trees.append(tree)
+                    ancestors.append(own)
+                    if tree == own:
+                        ends |= own
+        inflow: list = [0] * len(comp_trees)
+        starts = 0
+        for k in range(len(comp_trees) - 1, -1, -1):
+            up, into = ancestors[k], inflow[k]
+            if into == 0:  # no edge enters k, so its ancestors are k itself
+                starts |= up
+            paths = INFINITE if looped[k] or into is INFINITE else 1 + into
             for w in members_of[k]:
                 for x in succ[w]:
                     j = component_of[x]
@@ -367,16 +394,37 @@ class _ReachIndex:
                         else:
                             inflow[j] += paths
         # one entry per vertex, shared by the vertices of a component
-        self.trees = tuple(comp_trees[k] for k in component_of)
-        self.ancestors = tuple(ancestors[k] for k in component_of)
-        self.inflow = tuple(inflow[k] for k in component_of)
-        self.cyclic = cyclic
+        self.trees = tuple(map(comp_trees.__getitem__, component_of))
+        self.ancestors = tuple(map(ancestors.__getitem__, component_of))
+        self.inflow = tuple(map(inflow.__getitem__, component_of))
+        self.cyclic, self.ends, self.starts = cyclic, ends, starts
         self.sinks = self.bifurcations = 0
         for i, out in enumerate(succ):
             if not out:
                 self.sinks |= 1 << i
             elif len(out) >= 2:
                 self.bifurcations |= 1 << i
+
+
+def _union(table: Sequence[int], bits: int, first: int) -> int:
+    """The union of the entries of `table`, the index's trees or ancestor
+    sets, over the members of the bitset `bits`, those in `first` read
+    first.
+
+    Each entry holds its own vertex, and a member w already in the union
+    adds nothing: its entry lies inside the entry that put w there.  So
+    each loop reads the lowest member not yet in the union.  The members in
+    `first`, the ends or starts of the condensation, read first, cover a
+    hereditary set or a set closed under ancestors (see `_ReachIndex`),
+    and the second loop finds nothing left.
+    """
+    out = 0
+    for part in (bits & first, bits):
+        part &= ~out
+        while part:
+            out |= table[(part & -part).bit_length() - 1]
+            part &= ~out
+    return out
 
 
 class Cycle(NamedTuple):
@@ -449,25 +497,25 @@ def _linked_groups(g: Graph, edges: Iterable[Edge]) -> list[int]:
     """Vertices grouped by undirected connection through `edges`, each
     group as a bitset.
 
-    Union-find; the groups come in the declared order of their first
-    members.
+    Union-find with path halving, the finds written out in the loop; the
+    groups come in the declared order of their first members.
     """
     parent = list(range(len(g.vertices)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     index_of = g._vertex_index
     for _, src, dst in edges:
-        a, b = find(index_of[src]), find(index_of[dst])
+        a, b = index_of[src], index_of[dst]
+        # each step points a vertex at its grandparent, then moves there
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a != b:
             parent[a] = b
     groups: dict[int, int] = {}
-    for i in range(len(g.vertices)):
-        root = find(i)
+    for i in range(len(parent)):
+        root = i
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
         groups[root] = groups.get(root, 0) | 1 << i
     return list(groups.values())
 

@@ -124,20 +124,21 @@ def entry_paths(g: Graph, H: HereditarySet) -> EntryPathSet:
     # reaches H too, and none is inside, since H is hereditary
     if reaching & g.cycle_bits():
         return EntryPathSet(H, INFINITE)
-    outside_reaching = g.vertices_of(reaching)
 
     # the paths are sorted at the end, so the order they are found in is free;
     # the walk meets only vertices of g, so it reads the adjacency g validated
-    # at construction instead of checking each vertex again in out_edges
-    out, members = g._out, H.members
+    # at construction instead of checking each vertex again in out_edges, and
+    # tests each edge's target by its bit in H and in the reaching set
+    out, index_of, inside = g._out, g._vertex_index, H.bits
     paths: list[tuple[str, ...]] = []
-    stack: list[tuple[str, tuple[str, ...]]] = [(v, ()) for v in outside_reaching]
+    stack: list[tuple[str, tuple[str, ...]]] = [(v, ()) for v in g.names_of(reaching)]
     while stack:
         at, acc = stack.pop()
         for e in out[at]:
-            if e.dst in members:
+            i = index_of[e.dst]
+            if inside >> i & 1:
                 paths.append(acc + (e.id,))
-            elif e.dst in outside_reaching:
+            elif reaching >> i & 1:
                 stack.append((e.dst, acc + (e.id,)))
     paths.sort()
     paths.sort(key=len)  # stable: by length, then as sorted before

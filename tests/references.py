@@ -4,8 +4,11 @@ with their vertex terms on the general route, the all-pairs candidate
 enumeration, the matrix built from one ``commutators`` call per
 candidate and the single global-pivot elimination the oracle replaced,
 the classification read from every enumerated cycle that the pass over
-the components replaced, plus the graph families and graph documents the
-tests draw from, among them every small multigraph up to isomorphism.
+the components replaced, the reachability index and its unions read
+lowest member first, the line points scanned tree by tree and the ~
+classes linked edge by edge that the reads from the condensation's ends
+replaced, plus the graph families and graph documents the tests draw
+from, among them every small multigraph up to isomorphism.
 
 Also the helpers that tests read and no command runs: trees, reachability
 and the cycle vertices as vertex sets, cycles made from edge sequences,
@@ -64,10 +67,12 @@ def rose(n):
     return Graph(["v"], [Edge(f"e{i}", "v", "v") for i in range(1, n + 1)])
 
 
-def line(n):
-    """L_n: v_0 -> v_1 -> ... -> v_{n-1}, names in declared order."""
+def line(n, reverse=False):
+    """L_n: v_0 -> v_1 -> ... -> v_{n-1}, names in declared order; with
+    `reverse`, the same edges with the vertices declared sink first."""
     vs = [f"v{i:05d}" for i in range(n)]
-    return Graph(vs, [Edge(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)])
+    es = [Edge(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)]
+    return Graph(vs[::-1] if reverse else vs, es)
 
 
 def cycle_with_tail(n):
@@ -579,6 +584,171 @@ def ref_tree(g, v):
                 seen.add(e.dst)
                 stack.append(e.dst)
     return frozenset(seen)
+
+
+class RefReachIndex:
+    """The reachability index before it recorded the condensation's ends:
+    Tarjan with an index per frame and a scan of the stack for every
+    component, then the pass in topological order, each per-vertex table
+    filled by a generator.  Its tables are those of `lpa.graphs._ReachIndex`
+    but `ends` and `starts`."""
+
+    __slots__ = ("trees", "ancestors", "inflow", "cyclic", "sinks", "bifurcations")
+
+    def __init__(self, g):
+        n = len(g.vertices)
+        index_of = g._vertex_index
+        succ = [[index_of[e.dst] for e in g.out_edges(v)] for v in g.vertices]
+        order = [-1] * n
+        low = [0] * n
+        on_stack = [False] * n
+        stack = []
+        component_of = [-1] * n
+        members_of = []
+        ancestors = []
+        comp_trees = []
+        cyclic = 0
+        counter = 0
+        for root in range(n):
+            if order[root] != -1:
+                continue
+            order[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, 0)]
+            while work:
+                v, i = work[-1]
+                if i < len(succ[v]):
+                    work[-1] = (v, i + 1)
+                    w = succ[v][i]
+                    if order[w] == -1:
+                        order[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        on_stack[w] = True
+                        work.append((w, 0))
+                    elif on_stack[w] and order[w] < low[v]:
+                        low[v] = order[w]
+                    continue
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] != order[v]:
+                    continue
+                k = len(members_of)
+                members = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component_of[w] = k
+                    members.append(w)
+                    if w == v:
+                        break
+                own = 0
+                for w in members:
+                    own |= 1 << w
+                bits = own
+                internal = False
+                for w in members:
+                    for x in succ[w]:
+                        if component_of[x] == k:
+                            internal = True
+                        else:
+                            bits |= comp_trees[component_of[x]]
+                members_of.append(members)
+                ancestors.append(own)
+                comp_trees.append(bits)
+                if internal:
+                    cyclic |= own
+        inflow = [0] * len(members_of)
+        for k in range(len(members_of) - 1, -1, -1):
+            up = ancestors[k]
+            if cyclic >> members_of[k][0] & 1 or inflow[k] is INFINITE:
+                paths = INFINITE
+            else:
+                paths = 1 + inflow[k]
+            for w in members_of[k]:
+                for x in succ[w]:
+                    j = component_of[x]
+                    if j != k:
+                        ancestors[j] |= up
+                        if paths is INFINITE or inflow[j] is INFINITE:
+                            inflow[j] = INFINITE
+                        else:
+                            inflow[j] += paths
+        self.trees = tuple(comp_trees[k] for k in component_of)
+        self.ancestors = tuple(ancestors[k] for k in component_of)
+        self.inflow = tuple(inflow[k] for k in component_of)
+        self.cyclic = cyclic
+        self.sinks = self.bifurcations = 0
+        for i, out in enumerate(succ):
+            if not out:
+                self.sinks |= 1 << i
+            elif len(out) >= 2:
+                self.bifurcations |= 1 << i
+
+
+def ref_union(table, bits):
+    """The union of the entries of `table`, a per-vertex table of trees or
+    of ancestor sets, over the members of the bitset `bits`, the lowest
+    member not yet in the union read first: `tree_union_bits` and
+    `ancestor_bits` before they read the condensation's ends first."""
+    out = 0
+    while bits:
+        out |= table[(bits & -bits).bit_length() - 1]
+        bits &= ~out
+    return out
+
+
+def ref_line_point_scan(g):
+    """The line points as a bitset, one tree at a time: the vertices whose
+    tree holds no cycle vertex and no bifurcation."""
+    idx = RefReachIndex(g)
+    blocked = idx.cyclic | idx.bifurcations
+    bits = 0
+    for i, t in enumerate(idx.trees):
+        if not t & blocked:
+            bits |= 1 << i
+    return bits
+
+
+def ref_linked_groups(g, edges):
+    """Vertices grouped by undirected connection through `edges`, as
+    bitsets in the declared order of their first members, by union-find
+    with its find a closure called per end."""
+    parent = list(range(len(g.vertices)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    index_of = g._vertex_index
+    for _, src, dst in edges:
+        a, b = find(index_of[src]), find(index_of[dst])
+        if a != b:
+            parent[a] = b
+    groups = {}
+    for i in range(len(g.vertices)):
+        root = find(i)
+        groups[root] = groups.get(root, 0) | 1 << i
+    return list(groups.values())
+
+
+def ref_edge_filter_classes(g):
+    """The ~ classes as bitsets, each edge kept when its source lies below
+    a cycle or its source's tree holds no bifurcation."""
+    idx = RefReachIndex(g)
+    below_cycle = ref_union(idx.trees, idx.cyclic)
+    index = g._vertex_index
+    linking = [
+        e
+        for e in g.edges
+        if below_cycle >> (i := index[e.src]) & 1 or not idx.trees[i] & idx.bifurcations
+    ]
+    return ref_linked_groups(g, linking)
 
 
 def union_find_classes(n, related):
