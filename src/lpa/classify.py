@@ -3,8 +3,6 @@ the ~ relation, the X_f decomposition, ideal structure, and primeness."""
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import and_
 from typing import NamedTuple, Optional
 
 from .graphs import (
@@ -155,7 +153,8 @@ def x_decomposition(g: Graph) -> ClassificationReport:
          c costs at most the total length of K's cycles, and usually far
          less, since a short cycle that misses c comes early.
        - Otherwise finite, and `count_paths_into` counts it on the graph
-         without c's edges, which the index does not cover.
+         without c's edges: g's index does not cover that graph, so it
+         builds the index of the part that reaches c^0.
     4. Wrap count: the paths ending at c^0 that miss at least one edge of
        c.  It is INFINITE exactly when a simple cycle d != c reaches c^0:
        d misses some edge e of c, and going round d before a shortest
@@ -396,11 +395,19 @@ def prime_trichotomy(
 ) -> PrimeTrichotomy:
     """The prime case of g.  The sink case reads the sink and its matrix
     size from `ideal`, the ideal structure of g, which has counted the paths
-    into each sink already."""
-    trees = g.all_tree_bits()
-    # the trees meet pairwise iff they share a vertex (the one terminal
-    # component), so the pair search runs only when a witness exists
-    if not reduce(and_, trees):
+    into each sink already.
+
+    g is prime (downward directed) when the trees T(v) meet pairwise, and
+    that holds exactly when the condensation has one end component.  Every
+    vertex reaches an end, so with one end E every tree holds E.  Two ends
+    E and E' share no vertex, and the tree of a vertex of an end is that
+    end, so trees of their vertices are disjoint.  The tree of any one end
+    vertex is its own component, so it is all of the ends iff there is one.
+    The pair search for the not-prime witness runs only when one exists.
+    """
+    ends = g.end_bits()
+    if g.tree_bits(g.vertices[(ends & -ends).bit_length() - 1]) != ends:
+        trees = [g.tree_bits(v) for v in g.vertices]
         for u, tu in zip(g.vertices, trees):
             for v, tv in zip(g.vertices, trees):
                 if not tu & tv:

@@ -175,11 +175,6 @@ class Graph:
         self.check_vertex(v)
         return self._reach().trees[self._vertex_index[v]]
 
-    def all_tree_bits(self) -> tuple[int, ...]:
-        """T(v) for every vertex v, in declared order, as bitsets: the
-        index's own table, read in one go."""
-        return self._reach().trees
-
     def tree_union_bits(self, bits: int) -> int:
         """The union of the trees T(v), v in the bitset `bits`.
 
@@ -216,8 +211,8 @@ class Graph:
 
     def path_count(self, v: str):
         """The number of paths ending at v, length 0 included, or INFINITE
-        when a cycle reaches v: count_paths_into(g, {v}) read from the
-        index."""
+        when a cycle reaches v, read from the index.  `count_paths_into`
+        reads its counts here, on the graph it keeps."""
         self.check_vertex(v)
         idx, i = self._reach(), self._vertex_index[v]
         if idx.cyclic >> i & 1 or idx.inflow[i] is INFINITE:
@@ -235,6 +230,11 @@ class Graph:
     def bifurcation_bits(self) -> int:
         """Vertices with at least two outgoing edges."""
         return self._reach().bifurcations
+
+    def end_bits(self) -> int:
+        """The vertices of the condensation's end components, those that no
+        edge leaves (see `_ReachIndex`)."""
+        return self._reach().ends
 
     def __repr__(self):
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -571,6 +571,19 @@ def count_paths_into(g: Graph, targets: Iterable[str], forbidden: Iterable[str] 
 
     Length-0 paths count, one per target vertex.  Returns INFINITE when a
     forbidden-free cycle can reach the targets; otherwise the exact count.
+
+    The count is read from the reachability index of one graph: `keep`,
+    the targets' ancestors in g, with the edges of g that end in `keep`
+    and are not forbidden (an edge into `keep` starts there too).  Every
+    vertex of a path that ends at a target reaches that target, so the
+    forbidden-free paths of g ending at a target are exactly the paths of
+    that graph ending there, and summing `path_count` over the targets
+    counts each once, by its last vertex.  A forbidden-free cycle that
+    reaches a target lies in `keep` with all its edges, so the sum is
+    INFINITE exactly when some target's count is.  g's own index does not
+    answer once edges are forbidden, so each call indexes that new graph,
+    and it holds only the ancestors because no other vertex lies on a
+    counted path.
     """
     tset = set(targets)
     for v in tset:
@@ -578,43 +591,11 @@ def count_paths_into(g: Graph, targets: Iterable[str], forbidden: Iterable[str] 
     fset = set(forbidden)
     for eid in fset:
         g.edge(eid)
-    allowed = [e for e in g.edges if e.id not in fset]
-
-    # vertices that reach the targets through allowed edges
-    rev: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for e in allowed:
-        rev[e.dst].append(e.src)
-    reach = set(tset)
-    stack = list(tset)
-    while stack:
-        u = stack.pop()
-        for w in rev[u]:
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-
-    # any allowed cycle inside `reach` makes the count infinite
-    sub = {v: [] for v in reach}
-    indeg = {v: 0 for v in reach}
-    for e in allowed:
-        if e.src in reach and e.dst in reach:
-            sub[e.src].append(e.dst)
-            indeg[e.dst] += 1
-    order = [v for v in reach if indeg[v] == 0]
-    topo = []
-    queue = list(order)
-    while queue:
-        u = queue.pop()
-        topo.append(u)
-        for w in sub[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(topo) != len(reach):
-        return INFINITE
-
-    # f(v) = number of paths from v ending in targets; total over sources
-    f = {v: 0 for v in reach}
-    for v in reversed(topo):
-        f[v] = (1 if v in tset else 0) + sum(f[w] for w in sub[v])
-    return sum(f.values())
+    if not tset:
+        return 0
+    index_of = g._vertex_index
+    keep = g.ancestor_bits(sum(1 << index_of[v] for v in tset))
+    edges = [e for e in g.edges if keep >> index_of[e.dst] & 1 and e.id not in fset]
+    sub = Graph(g.names_of(keep), edges)
+    counts = [sub.path_count(v) for v in tset]
+    return INFINITE if INFINITE in counts else sum(counts)

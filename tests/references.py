@@ -7,6 +7,7 @@ the classification read from every enumerated cycle that the pass over
 the components replaced, the reachability index and its unions read
 lowest member first, the line points scanned tree by tree and the ~
 classes linked edge by edge that the reads from the condensation's ends
+replaced, the path count by a Kahn sort that the reachability index
 replaced, plus the graph families and graph documents the tests draw
 from, among them every small multigraph up to isomorphism.
 
@@ -253,6 +254,60 @@ def make_cycle(g, edge_ids):
         raise GraphError("cycle is not simple: repeated source vertex")
     i = sources.index(min(sources))
     return Cycle(edges=eids[i:] + eids[:i], sources=tuple(sources[i:] + sources[:i]))
+
+
+def ref_count_paths_into(g, targets, forbidden=()):
+    """`count_paths_into` before it read the reachability index: the
+    targets' ancestors through allowed edges, a Kahn sort of the graph
+    they span, INFINITE when the sort leaves a cycle, and then the number
+    of paths from each vertex into the targets, in reverse topological
+    order."""
+    tset = set(targets)
+    for v in tset:
+        g.check_vertex(v)
+    fset = set(forbidden)
+    for eid in fset:
+        g.edge(eid)
+    allowed = [e for e in g.edges if e.id not in fset]
+
+    # vertices that reach the targets through allowed edges
+    rev: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for e in allowed:
+        rev[e.dst].append(e.src)
+    reach = set(tset)
+    stack = list(tset)
+    while stack:
+        u = stack.pop()
+        for w in rev[u]:
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+
+    # any allowed cycle inside `reach` makes the count infinite
+    sub = {v: [] for v in reach}
+    indeg = {v: 0 for v in reach}
+    for e in allowed:
+        if e.src in reach and e.dst in reach:
+            sub[e.src].append(e.dst)
+            indeg[e.dst] += 1
+    order = [v for v in reach if indeg[v] == 0]
+    topo = []
+    queue = list(order)
+    while queue:
+        u = queue.pop()
+        topo.append(u)
+        for w in sub[u]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    if len(topo) != len(reach):
+        return INFINITE
+
+    # f(v) = number of paths from v ending in targets; total over sources
+    f = {v: 0 for v in reach}
+    for v in reversed(topo):
+        f[v] = (1 if v in tset else 0) + sum(f[w] for w in sub[v])
+    return sum(f.values())
 
 
 def enumerate_paths_into(g, targets, forbidden=()):

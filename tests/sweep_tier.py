@@ -3,7 +3,8 @@ vertices and at most 6 edges, once per isomorphism class (3,395 graphs),
 through the same checks as `test_sweep.py`: each basis element central,
 the oracle's commutant with the emitted span at every degree |d| <= 4 at
 L = max(the basis's bound, |d|) and at L + 2, and `lpa center --verify`
-exiting 0 with a schema-valid document.
+exiting 0 with a schema-valid document, and through `test_count_paths.py`'s
+comparison of `count_paths_into` with its Kahn-sort reference.
 
 The name has no ``test_`` prefix, so Tier-1 does not collect it.  Run from
 the repository root:
@@ -23,6 +24,7 @@ import jsonschema
 
 from lpa.reports import load_schema
 from references import small_multigraphs
+from test_count_paths import mismatches
 from test_sweep import _check
 
 
@@ -36,8 +38,9 @@ def main(argv: list[str]) -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.json"
-        for g in graphs:
+        for i, g in enumerate(graphs):
             failures = _check(g, path, validator)
+            failures += [("count_paths_into", d) for d in mismatches(g, seed=i)]
             if failures:
                 failed += 1
                 print(json.dumps(g.to_document()), failures)

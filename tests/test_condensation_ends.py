@@ -10,7 +10,10 @@ fixtures, campaign100, every multigraph with n <= 4 vertices and m <= 5
 edges, `sparse(0..9)`, K_2..K_6, and lines declared either way and no-exit
 cycles with a tail up to 300 vertices.  The work counts check that a
 hereditary set costs one read of the ancestor table per end component it
-holds, on a line declared either way.
+holds, on a line declared either way.  Primeness reads the ends too: the
+trees meet pairwise exactly when there is one end component, and
+`prime_trichotomy` agrees with the pairwise test, reading one tree on a
+prime graph.
 """
 
 import random
@@ -18,7 +21,13 @@ from unittest import mock
 
 import pytest
 
-from lpa.classify import line_points, sim_classes
+from lpa.classify import (
+    ideal_structure,
+    line_points,
+    prime_trichotomy,
+    sim_classes,
+    x_decomposition,
+)
 from lpa.graphs import Graph
 from lpa.hereditary import HereditarySet, entry_paths
 from lpa.reports import build_envelope
@@ -33,6 +42,7 @@ from references import (
     small_multigraphs,
     sparse,
 )
+from test_reachability import counted, ref_not_prime_witness
 
 LADDER_SIZES = (1, 2, 3, 10, 100, 300)
 
@@ -113,10 +123,10 @@ def test_ends_and_starts_of_the_ladders():
     for reverse in (False, True):
         g = line(300, reverse)
         idx = g._reach()
-        assert g.names_of(idx.ends) == ["v00299"]
+        assert g.names_of(g.end_bits()) == ["v00299"]
         assert g.names_of(idx.starts) == ["v00000"]
     g = cycle_with_tail(299)
-    assert g.vertices_of(g._reach().ends) == frozenset(g.vertices) - {"t"}
+    assert g.vertices_of(g.end_bits()) == frozenset(g.vertices) - {"t"}
     assert g.names_of(g._reach().starts) == ["t"]
 
 
@@ -161,13 +171,40 @@ def test_hereditary_ancestor_unions_read_one_entry_on_a_line(reverse):
 
 
 def test_line_points_and_sim_classes_read_no_tree_table(fixture_graphs):
-    """Neither reads the per-vertex trees through `all_tree_bits`."""
+    """Neither reads a per-vertex tree through `tree_bits`."""
     graphs = [*fixture_graphs.values(), line(2000), line(2000, reverse=True), sparse(0)]
-    with mock.patch.object(Graph, "all_tree_bits", side_effect=AssertionError) as all_trees:
+    with mock.patch.object(Graph, "tree_bits", side_effect=AssertionError) as trees:
         for g in graphs:
             line_points(g)
             sim_classes(g)
-    assert all_trees.call_count == 0
+    assert trees.call_count == 0
+
+
+def primeness_mismatches(g):
+    """The primeness verdict and witness of `prime_trichotomy` against the
+    pairwise search over the reference trees, and its tree reads: one on a prime graph, one more
+    per vertex for the witness search otherwise."""
+    witness = ref_not_prime_witness(g)
+    rep = x_decomposition(g)
+    ideal = ideal_structure(g, rep)
+    reads = []
+    with mock.patch.object(Graph, "tree_bits", counted(reads, Graph.tree_bits)):
+        pt = prime_trichotomy(g, rep, ideal)
+    got = (pt.witness if pt.kind == "not-prime" else None, len(reads))
+    want = (witness, 1 if witness is None else 1 + len(g.vertices))
+    return [] if got == want else [(got, want)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_primeness_from_the_ends_on_every_small_multigraph(n):
+    failed = [(g.to_document(), d) for g in small_multigraphs(n, 5) if (d := primeness_mismatches(g))]
+    assert failed == []
+
+
+def test_primeness_from_the_ends_on_the_ladders(fixture_graphs):
+    graphs = [*fixture_graphs.values(), *ladders(), sparse(0), complete_digraph(4)]
+    failed = [(g, d) for g in graphs if (d := primeness_mismatches(g))]
+    assert failed == []
 
 
 def test_entry_paths_names_no_vertex_set(fixture_graphs):

@@ -4,8 +4,9 @@ The references below are the earlier direct computations: a fresh search
 per tree, all-pairs tree intersections, inclusion-exclusion for the wrap
 count, the saturation fixpoint, a Kahn pass for infinite entry paths, and
 cycle enumeration and a closure per vertex for Condition (L).  They are
-kept here and in `references.py` (the tree search and the classification
-read from every cycle), off the production path, as oracles.
+kept here and in `references.py` (the tree search, the path count by a
+Kahn sort and the classification read from every cycle), off the
+production path, as oracles.
 """
 
 import random
@@ -56,6 +57,7 @@ from references import (
     make_cycle,
     named_report,
     random_graphs,
+    ref_count_paths_into,
     ref_extreme_classes,
     ref_tree,
     ref_x_decomposition,
@@ -141,13 +143,13 @@ def ref_wrap_count(g, c):
     assert len(c.edges) <= 8, "2^|c| path counts: keep the reference to short cycles"
     edges = sorted(c.edge_set)
     for e in edges:
-        if count_paths_into(g, c.vertex_set, {e}) is INFINITE:
+        if ref_count_paths_into(g, c.vertex_set, {e}) is INFINITE:
             return INFINITE
     total = 0
     for r in range(1, len(edges) + 1):
         sign = 1 if r % 2 == 1 else -1
         for subset in combinations(edges, r):
-            total += sign * count_paths_into(g, c.vertex_set, subset)
+            total += sign * ref_count_paths_into(g, c.vertex_set, subset)
     return total
 
 
@@ -171,7 +173,7 @@ def ref_classify_cycles(g):
                 has_exits=has_exits,
                 is_extreme=is_extreme,
                 in_S=not has_exits and wrap_count is not INFINITE,
-                entry_count=count_paths_into(g, c.vertex_set, c.edge_set),
+                entry_count=ref_count_paths_into(g, c.vertex_set, c.edge_set),
                 wrap_count=wrap_count,
             )
         )
@@ -431,13 +433,14 @@ def test_ancestors_match_transposed_trees(g, salt):
 @settings(max_examples=150, deadline=None)
 def test_path_counts_match_count_paths_into(g):
     """P(v) for every vertex, INFINITE included, and the per-component
-    facts it is read from: the members and the paths entering."""
+    facts it is read from: the members and the paths entering, against
+    the Kahn-sort path count that `count_paths_into` was."""
     component = ref_components(g)
     for v in g.vertices:
-        assert g.path_count(v) == count_paths_into(g, {v})
+        assert g.path_count(v) == ref_count_paths_into(g, {v})
         k = component[v]
         assert g.vertices_of(g.component_bits(v)) == k
-        entering = [count_paths_into(g, {e.src}) for e in g.edges if e.dst in k and e.src not in k]
+        entering = [ref_count_paths_into(g, {e.src}) for e in g.edges if e.dst in k and e.src not in k]
         inflow = INFINITE if INFINITE in entering else sum(entering)
         assert g.component_inflow(v) == inflow
 
@@ -468,7 +471,7 @@ def test_cycle_counts_match_reference_on_chained_graphs(g):
     inclusion-exclusion, where cycles of one part feed those of the next."""
     for ci in x_decomposition(g).cycles:
         c = ci.cycle
-        assert ci.entry_count == count_paths_into(g, c.vertex_set, c.edge_set)
+        assert ci.entry_count == ref_count_paths_into(g, c.vertex_set, c.edge_set)
         assert ci.wrap_count == ref_wrap_count(g, c)
 
 
@@ -483,7 +486,7 @@ def test_entry_count_is_infinite_exactly_when_a_cycle_feeds_or_partners_c(g):
     for ci in x_decomposition(g).cycles:
         c = ci.cycle
         k = component[c.base]
-        assert ci.entry_count == count_paths_into(g, c.vertex_set, c.edge_set)
+        assert ci.entry_count == ref_count_paths_into(g, c.vertex_set, c.edge_set)
         fed = any(d.base not in k and c.base in ref_tree(g, d.base) for d in cycles)
         partnered = any(d.base in k and not d.edge_set & c.edge_set for d in cycles)
         assert (ci.entry_count is INFINITE) == (fed or partnered)
