@@ -176,7 +176,7 @@ def center_report(
 
 def extended_centroid_report(g: Graph, report: ClassificationReport) -> ExtendedCentroidReport:
     return ExtendedCentroidReport(
-        sinks=len(g.sinks()),
+        sinks=g.sink_bits().bit_count(),
         no_exit_cycles=sum(1 for ci in report.cycles if not ci.has_exits),
         extreme_classes=len(report.x_ec),
     )

@@ -298,6 +298,10 @@ class PisCertificate(NamedTuple):
 def is_purely_infinite_simple(g: Graph) -> PisCertificate:
     """Graph-side criteria: cycle reach, Condition (L), trivial H-lattice.
 
+    The "connects-to-cycle" witness is the first vertex in declared order
+    that reaches no cycle vertex: the first outside the ancestors of the
+    cycle vertices.
+
     A cycle without exits is a cyclic strongly connected component with no
     bifurcation.  The "exit" witness is the base of the first one in
     `simple_cycles` order, the least (length, least vertex).
@@ -311,9 +315,9 @@ def is_purely_infinite_simple(g: Graph) -> PisCertificate:
     T(v) holds every cycle vertex.
     """
     cyc = g.cycle_bits()
-    for v in g.vertices:
-        if not g.tree_bits(v) & cyc:
-            return PisCertificate(False, "connects-to-cycle", v)
+    if missing := ~g.ancestor_bits(cyc) & ((1 << len(g.vertices)) - 1):
+        v = g.vertices[(missing & -missing).bit_length() - 1]
+        return PisCertificate(False, "connects-to-cycle", v)
     exitless = [
         (c.bit_count(), min(g.names_of(c)))
         for c in {g.component_bits(v) for v in g.names_of(cyc)}
@@ -352,7 +356,7 @@ class IdealStructureReport(NamedTuple):
 
 
 def ideal_structure(g: Graph, report: ClassificationReport) -> IdealStructureReport:
-    sinks = tuple(SinkSummand(v, g.path_count(v)) for v in g.sinks())
+    sinks = tuple(SinkSummand(v, g.path_count(v)) for v in g.names_of(g.sink_bits()))
     no_exit = tuple(
         CycleSummand(ci.cycle, ci.entry_count)
         for ci in report.cycles
@@ -403,15 +407,22 @@ def prime_trichotomy(
     E and E' share no vertex, and the tree of a vertex of an end is that
     end, so trees of their vertices are disjoint.  The tree of any one end
     vertex is its own component, so it is all of the ends iff there is one.
-    The pair search for the not-prime witness runs only when one exists.
+
+    The not-prime witness is the first pair (u, v) in declared order whose
+    trees are disjoint, found by two scans.  A tree is closed under
+    successors, so one that holds a vertex of an end component holds all
+    of it.  So when T(u) holds every end vertex, every T(v) meets it, in
+    the end that T(v) holds; and when T(u) misses an end vertex w, it
+    misses w's whole component, which is T(w).  So u is the first vertex
+    whose tree does not hold every end vertex, and v the first vertex whose
+    tree misses T(u), the pair the scan over all pairs finds first.
     """
     ends = g.end_bits()
     if g.tree_bits(g.vertices[(ends & -ends).bit_length() - 1]) != ends:
-        trees = [g.tree_bits(v) for v in g.vertices]
-        for u, tu in zip(g.vertices, trees):
-            for v, tv in zip(g.vertices, trees):
-                if not tu & tv:
-                    return PrimeTrichotomy(kind="not-prime", witness=(u, v))
+        u = next(u for u in g.vertices if ends & ~g.tree_bits(u))
+        tu = g.tree_bits(u)
+        v = next(v for v in g.vertices if not g.tree_bits(v) & tu)
+        return PrimeTrichotomy(kind="not-prime", witness=(u, v))
     if ideal.sinks:
         if len(ideal.sinks) > 1:
             raise InvariantError("downward-directed graph with two sinks")

@@ -155,10 +155,7 @@ class LeavittAlgebra:
         return self.normal_form([((e.dst, (), e.src, (eid,)), 1)])
 
     def one(self) -> AlgebraElement:
-        out = self.zero()
-        for v in self.graph.vertices:
-            out = out + self.vertex(v)
-        return out
+        return self.normal_form([((v, (), v, ()), 1) for v in self.graph.vertices])
 
     # -- normal form ---------------------------------------------------------
 
@@ -301,72 +298,53 @@ class LeavittAlgebra:
           a beta0* - sum_{f != e} f (beta0 f)*, which is normal.
         - ghost e*: [x, e*] = -([x*, e])*, because (x e* - e* x)* =
           e x* - x* e.  The swap alpha beta* -> beta alpha* keeps normal
-          form, since the condition is symmetric in alpha and beta, so the
-          edge case runs on the swapped term and its results are swapped
-          back and negated.
+          form, since the condition is symmetric in alpha and beta.
 
-        Both the edge and the ghost case are written out below, the ghost
-        case with the swap, the swap back and the negation already applied.
+        So the edge case is written once and runs on two orientations of
+        each term: on m, giving the edge entries, and on the swapped term
+        m* with -k, giving the ghost entries once each result is swapped
+        back.  The vertex case runs once, since vertices are self-adjoint.
         """
         # an in-edge of sa or sb leaves its source a, and `specials` holds one
         # edge per source, so it is special at a exactly when it is there
         specials, into = self._specials, self._in
         out, edge_by_id = self.graph._out, self.graph._edge_by_id
         get = acc.get
-        for (sa, p, sb, q), k in terms:
-            neg_k = -k
+        for m, k in terms:
+            sa, p, sb, q = m
             # vertices
             if sa != sb:
                 key = ("vertex", sb, sa, p, sb, q)
                 acc[key] = get(key, 0) + k
                 key = ("vertex", sa, sa, p, sb, q)
-                acc[key] = get(key, 0) + neg_k
-            # edges: m e
-            if q:
-                eid, _, b = edge_by_id[q[0]]
-                key = ("edge", eid, sa, p, b, q[1:])
-                acc[key] = get(key, 0) + k
-            else:
-                for eid, _, b in out[sb]:
-                    key = ("edge", eid, sa, p + (eid,), b, ())
-                    acc[key] = get(key, 0) + k
-            # edges: -e m, with the range relation when it applies
-            for eid, a, _ in into[sa]:
-                if not p and q and q[-1] == eid and eid in specials:
-                    beta0 = q[:-1]
-                    key = ("edge", eid, a, (), sb, beta0)
-                    acc[key] = get(key, 0) + neg_k
-                    for fid, _, _ in out[a]:
-                        if fid != eid:
-                            fe = (fid,)
-                            key = ("edge", eid, a, fe, sb, beta0 + fe)
-                            acc[key] = get(key, 0) + k
+                acc[key] = get(key, 0) - k
+            # the edge case on c·m1, m1 = s1 a1 (s2 b2)*: m with k, then m* with -k
+            for ghost, (s1, a1, s2, b2), c in ((False, m, k), (True, (sb, q, sa, p), -k)):
+                found = []  # (e, s(alpha), alpha, s(beta), beta, coefficient)
+                # m1 e
+                if b2:
+                    eid, _, b = edge_by_id[b2[0]]
+                    found.append((eid, s1, a1, b, b2[1:], c))
                 else:
-                    key = ("edge", eid, a, (eid,) + p, sb, q)
-                    acc[key] = get(key, 0) + neg_k
-            # ghosts: -(m* e)*
-            if p:
-                eid, _, b = edge_by_id[p[0]]
-                key = ("ghost", eid, b, p[1:], sb, q)
-                acc[key] = get(key, 0) + neg_k
-            else:
-                for eid, _, b in out[sa]:
-                    key = ("ghost", eid, b, (), sb, q + (eid,))
-                    acc[key] = get(key, 0) + neg_k
-            # ghosts: (e m*)*, with the range relation when it applies
-            for eid, a, _ in into[sb]:
-                if not q and p and p[-1] == eid and eid in specials:
-                    alpha0 = p[:-1]
-                    key = ("ghost", eid, sa, alpha0, a, ())
-                    acc[key] = get(key, 0) + k
-                    for fid, _, _ in out[a]:
-                        if fid != eid:
-                            fe = (fid,)
-                            key = ("ghost", eid, sa, alpha0 + fe, a, fe)
-                            acc[key] = get(key, 0) + neg_k
-                else:
-                    key = ("ghost", eid, sa, p, a, (eid,) + q)
-                    acc[key] = get(key, 0) + k
+                    for eid, _, b in out[s2]:
+                        found.append((eid, s1, a1 + (eid,), b, (), c))
+                # -e m1, with the range relation when it applies
+                for eid, a, _ in into[s1]:
+                    if not a1 and b2 and b2[-1] == eid and eid in specials:
+                        beta0 = b2[:-1]
+                        found.append((eid, a, (), s2, beta0, -c))
+                        for fid, _, _ in out[a]:
+                            if fid != eid:
+                                fe = (fid,)
+                                found.append((eid, a, fe, s2, beta0 + fe, c))
+                    else:
+                        found.append((eid, a, (eid,) + a1, s2, b2, -c))
+                for eid, x1, y1, x2, y2, v in found:
+                    if ghost:  # swapped back, as [m, e*] = -([m*, e])*
+                        key = ("ghost", eid, x2, y2, x1, y1)
+                    else:
+                        key = ("edge", eid, x1, y1, x2, y2)
+                    acc[key] = get(key, 0) + v
 
     def commutators(self, x: AlgebraElement) -> dict:
         """{(kind, id): [x, g]} for every generator g with [x, g] != 0, keyed

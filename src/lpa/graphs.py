@@ -111,9 +111,6 @@ class Graph:
         self.check_vertex(v)
         return self._out[v]
 
-    def sinks(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if not self._out[v])
-
     def path_range(self, source: str, edge_ids: tuple[str, ...]) -> str:
         """Range of the path starting at `source` along `edge_ids`."""
         self.check_vertex(source)

@@ -5,8 +5,9 @@ enumeration, the matrix built from one ``commutators`` call per
 candidate and the single global-pivot elimination the oracle replaced,
 the classification read from every enumerated cycle that the pass over
 the components replaced, the reachability index and its unions read
-lowest member first, the line points scanned tree by tree and the ~
-classes linked edge by edge that the reads from the condensation's ends
+lowest member first, the line points scanned tree by tree, the ~
+classes linked edge by edge and the primeness and cycle-reach witnesses
+scanned tree by tree that the reads from the condensation's ends
 replaced, the path count by a Kahn sort that the reachability index
 replaced, plus the graph families and graph documents the tests draw
 from, among them every small multigraph up to isomorphism.
@@ -639,6 +640,28 @@ def ref_tree(g, v):
                 seen.add(e.dst)
                 stack.append(e.dst)
     return frozenset(seen)
+
+
+def ref_not_prime_witness(g):
+    """The first pair (u, v) in declared order whose trees are disjoint, by
+    the scan over all pairs of trees that `prime_trichotomy` ran before it
+    read the pair from the condensation's ends; None when the trees meet
+    pairwise."""
+    trees = {v: ref_tree(g, v) for v in g.vertices}
+    for u in g.vertices:
+        for v in g.vertices:
+            if not (trees[u] & trees[v]):
+                return (u, v)
+    return None
+
+
+def ref_cycle_reach_witness(g):
+    """The first vertex in declared order whose tree holds no cycle vertex,
+    by the scan tree by tree that `is_purely_infinite_simple` ran before it
+    read the ancestors of the cycle vertices; None when every vertex
+    reaches a cycle."""
+    cyc = cycle_vertices(g)
+    return next((v for v in g.vertices if not ref_tree(g, v) & cyc), None)
 
 
 class RefReachIndex:

@@ -3,8 +3,10 @@ vertices and at most 6 edges, once per isomorphism class (3,395 graphs),
 through the same checks as `test_sweep.py`: each basis element central,
 the oracle's commutant with the emitted span at every degree |d| <= 4 at
 L = max(the basis's bound, |d|) and at L + 2, and `lpa center --verify`
-exiting 0 with a schema-valid document, and through `test_count_paths.py`'s
-comparison of `count_paths_into` with its Kahn-sort reference.
+exiting 0 with a schema-valid document, through `test_count_paths.py`'s
+comparison of `count_paths_into` with its Kahn-sort reference, and through
+`test_sweep.py`'s comparison of the generator action with the defining
+relations over Q and F_2.
 
 The name has no ``test_`` prefix, so Tier-1 does not collect it.  Run from
 the repository root:
@@ -22,10 +24,11 @@ from pathlib import Path
 
 import jsonschema
 
+from lpa.fields import QQ, PrimeField
 from lpa.reports import load_schema
 from references import small_multigraphs
 from test_count_paths import mismatches
-from test_sweep import _check
+from test_sweep import _check, kernel_mismatches
 
 
 def main(argv: list[str]) -> int:
@@ -41,6 +44,8 @@ def main(argv: list[str]) -> int:
         for i, g in enumerate(graphs):
             failures = _check(g, path, validator)
             failures += [("count_paths_into", d) for d in mismatches(g, seed=i)]
+            for name, field in (("Q", QQ), ("F_2", PrimeField(2))):
+                failures += [("generator_action", name, d) for d in kernel_mismatches(g, field)]
             if failures:
                 failed += 1
                 print(json.dumps(g.to_document()), failures)

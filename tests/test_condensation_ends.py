@@ -13,7 +13,10 @@ hereditary set costs one read of the ancestor table per end component it
 holds, on a line declared either way.  Primeness reads the ends too: the
 trees meet pairwise exactly when there is one end component, and
 `prime_trichotomy` agrees with the pairwise test, reading one tree on a
-prime graph.
+prime graph and finding the not-prime witness by two scans.  The
+connects-to-cycle witness of `is_purely_infinite_simple`, read from the
+ancestors of the cycle vertices, agrees with the scan tree by tree.  Both
+are also compared on campaign500 and campaign100.
 """
 
 import random
@@ -23,6 +26,7 @@ import pytest
 
 from lpa.classify import (
     ideal_structure,
+    is_purely_infinite_simple,
     line_points,
     prime_trichotomy,
     sim_classes,
@@ -36,13 +40,15 @@ from references import (
     complete_digraph,
     cycle_with_tail,
     line,
+    ref_cycle_reach_witness,
     ref_edge_filter_classes,
     ref_line_point_scan,
+    ref_not_prime_witness,
     ref_union,
     small_multigraphs,
     sparse,
 )
-from test_reachability import counted, ref_not_prime_witness
+from test_reachability import counted
 
 LADDER_SIZES = (1, 2, 3, 10, 100, 300)
 
@@ -182,8 +188,9 @@ def test_line_points_and_sim_classes_read_no_tree_table(fixture_graphs):
 
 def primeness_mismatches(g):
     """The primeness verdict and witness of `prime_trichotomy` against the
-    pairwise search over the reference trees, and its tree reads: one on a prime graph, one more
-    per vertex for the witness search otherwise."""
+    pairwise search over the reference trees, and its tree reads: one on a
+    prime graph, and otherwise one more for each vertex up to u, one for
+    T(u), and one for each vertex up to v, for the witness (u, v)."""
     witness = ref_not_prime_witness(g)
     rep = x_decomposition(g)
     ideal = ideal_structure(g, rep)
@@ -191,7 +198,20 @@ def primeness_mismatches(g):
     with mock.patch.object(Graph, "tree_bits", counted(reads, Graph.tree_bits)):
         pt = prime_trichotomy(g, rep, ideal)
     got = (pt.witness if pt.kind == "not-prime" else None, len(reads))
-    want = (witness, 1 if witness is None else 1 + len(g.vertices))
+    if witness is None:
+        want = (None, 1)
+    else:
+        u, v = map(g.vertices.index, witness)
+        want = (witness, u + v + 4)
+    return [] if got == want else [(got, want)]
+
+
+def cycle_reach_mismatches(g):
+    """The "connects-to-cycle" witness of `is_purely_infinite_simple`
+    against the scan tree by tree."""
+    cert = is_purely_infinite_simple(g)
+    got = cert.witness if cert.failing_condition == "connects-to-cycle" else None
+    want = ref_cycle_reach_witness(g)
     return [] if got == want else [(got, want)]
 
 
@@ -204,6 +224,23 @@ def test_primeness_from_the_ends_on_every_small_multigraph(n):
 def test_primeness_from_the_ends_on_the_ladders(fixture_graphs):
     graphs = [*fixture_graphs.values(), *ladders(), sparse(0), complete_digraph(4)]
     failed = [(g, d) for g in graphs if (d := primeness_mismatches(g))]
+    assert failed == []
+
+
+def test_primeness_from_the_ends_on_the_campaigns(campaign500, campaign100):
+    failed = [(g, d) for g in campaign500 + campaign100 if (d := primeness_mismatches(g))]
+    assert failed == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cycle_reach_from_the_ancestors_on_every_small_multigraph(n):
+    failed = [(g.to_document(), d) for g in small_multigraphs(n, 5) if (d := cycle_reach_mismatches(g))]
+    assert failed == []
+
+
+def test_cycle_reach_from_the_ancestors_elsewhere(fixture_graphs, campaign500, campaign100):
+    graphs = [*fixture_graphs.values(), *ladders(), *campaign500, *campaign100, sparse(0)]
+    failed = [(g, d) for g in graphs if (d := cycle_reach_mismatches(g))]
     assert failed == []
 
 

@@ -59,6 +59,7 @@ from references import (
     random_graphs,
     ref_count_paths_into,
     ref_extreme_classes,
+    ref_not_prime_witness,
     ref_tree,
     ref_x_decomposition,
     rose,
@@ -196,15 +197,6 @@ def ref_sim_classes(g):
     classes = [frozenset(verts[i] for i in idxs) for idxs in union_find_classes(len(verts), related)]
     classes.sort(key=lambda c: min(map(g.vertices.index, c)))
     return classes
-
-
-def ref_not_prime_witness(g):
-    trees = {v: ref_tree(g, v) for v in g.vertices}
-    for u in g.vertices:
-        for v in g.vertices:
-            if not (trees[u] & trees[v]):
-                return (u, v)
-    return None
 
 
 def ref_hereditary_closure(g, X):

@@ -1,6 +1,7 @@
 """Every small graph, not a sample: each multigraph with at most 4
 vertices and 5 edges, once per isomorphism class, is run through both of
-the center's checks and the CLI."""
+the center's checks and the CLI, and each with at most 3 vertices through
+the generator action against the defining relations."""
 
 import contextlib
 import io
@@ -18,12 +19,14 @@ from lpa.center import (
 )
 from lpa.classify import x_decomposition
 from lpa.cli import main
-from lpa.engine import LeavittAlgebra
+from lpa.engine import AlgebraElement, LeavittAlgebra
+from lpa.fields import QQ
 from lpa.reports import load_schema
-from references import small_multigraphs
+from references import generators, small_multigraphs
 
 WINDOW = 4  # the degrees |d| <= WINDOW are emitted and checked
 MAX_EDGES = 5
+KERNEL_LEN = 3  # the monomials of |alpha| + |beta| <= KERNEL_LEN, |d| <= KERNEL_LEN
 
 
 @pytest.mark.parametrize(
@@ -89,4 +92,46 @@ def test_every_small_multigraph(n, tmp_path):
         failures = _check(g, path, validator)
         if failures:
             failed.append((g.to_document(), failures))
+    assert failed == []
+
+
+def kernel_mismatches(g, field=QQ):
+    """(monomial, generator label) for every normal monomial m with
+    |alpha| + |beta| <= KERNEL_LEN and |deg m| <= KERNEL_LEN, and every
+    generator g, where the entries of `generator_action` on the term (m, 1)
+    under g, put into the field, are not ``commutator(m, g)``.  That route
+    runs `mono_mul_raw` and `normal_form` on the raw products, the
+    defining relations, and not the generator action."""
+    alg = LeavittAlgebra(g, field)
+    gens = [
+        (label, kind, gid, gen)
+        for (label, gen), (_, kind, gid) in zip(generators(alg), alg.generator_labels())
+    ]
+    coerce = field.coerce
+    failed = []
+    for d in range(-KERNEL_LEN, KERNEL_LEN + 1):
+        for m in alg.normal_monomials(d, KERNEL_LEN):
+            acc = {}
+            alg.generator_action([(m, 1)], acc)
+            grouped = {}
+            for key, c in acc.items():
+                if c := coerce(c):
+                    grouped.setdefault(key[:2], {})[key[2:]] = c
+            x = alg.normal_form([(m, 1)])
+            for label, kind, gid, gen in gens:
+                got = AlgebraElement(alg, grouped.get((kind, gid), {}))
+                if got != alg.commutator(x, gen):
+                    failed.append((m, label))
+    return failed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generator_action_obeys_the_relations(n):
+    """On every graph with at most 3 vertices and 5 edges, the generator
+    action on each normal monomial of length and degree at most 3 gives
+    the commutator with every generator that the relations give."""
+    failed = []
+    for g in small_multigraphs(n, MAX_EDGES):
+        if bad := kernel_mismatches(g):
+            failed.append((g.to_document(), bad[:5]))
     assert failed == []
