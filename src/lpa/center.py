@@ -190,120 +190,80 @@ def verify_basis(alg: LeavittAlgebra, elements) -> list[tuple[str, object]]:
 # -- exact linear algebra ----------------------------------------------------
 
 
-def _eliminate(rows: list[dict], field) -> dict[int, dict]:
-    """Gauss-Jordan on the rows in the field's own values: each row is taken
-    into the field when its turn comes, reduced by the pivot rows, made
-    monic, and its lead column is cleared from the earlier pivot rows.
-    Every entry it stores goes through `field.coerce`, so it is a field
-    value in the one form of `fields`: a residue in [0, p) over F_p, and
-    over Q an int where it is integral, also where clearing a column leaves
-    an integral Fraction.  Returns pivot column -> monic row; the pivot
-    rows are kept fully reduced against each other throughout, so they are
-    the RREF rows as they stand."""
-    coerce = field.coerce
-    width = len({c for row in rows for c in row})
-    pivots: dict[int, dict] = {}
-
-    def clear(row: dict, c: int) -> None:
-        """row -= row[c] * pivots[c], in place; pivots[c] is monic at c."""
-        a = row[c]
-        for j, k in pivots[c].items():
-            s = coerce(row.get(j, 0) - a * k)
-            if s:
-                row[j] = s
-            else:
-                del row[j]
-
-    for row in rows:
-        if len(pivots) == width:
-            break  # full rank: every later row reduces to zero
-        row = {c: v for c, k in row.items() if (v := coerce(k))}
-        # a pivot row is zero at every other pivot column, so clearing one
-        # pivot column changes no other
-        for c in [c for c in row if c in pivots]:
-            clear(row, c)
-        row = _monic(row, field)
-        if not row:
-            continue
-        lead = min(row)
-        pivots[lead] = row
-        for c, prow in pivots.items():
-            if lead in prow and c != lead:
-                clear(prow, lead)
-    return pivots
-
-
-def _monic(row: dict, field) -> dict:
-    """The row divided by its entry at its least column, as field values.
-    Entries that `coerce` sends to 0 are dropped first; a row with none
-    left gives {}.  The inverse of the pivot is `coerce(Fraction(1, piv))`:
-    the int -1 for a pivot of -1, the Fraction 1/piv otherwise over Q, and
-    over F_p the residue of piv^-1, which `coerce` finds with pow(piv, -1,
-    p).  Each entry k becomes coerce(k * inv), so no `/` is needed and the
-    result is in the one form of `fields` whatever the input's form.  A
-    pivot of 1, the common case, leaves the coerced row as it is."""
-    coerce = field.coerce
-    row = {c: v for c, k in row.items() if (v := coerce(k))}
-    if not row:
-        return {}
-    piv = row[min(row)]
-    if piv == 1:
-        return row
-    inv = coerce(Fraction(1, piv))
-    return {c: coerce(k * inv) for c, k in row.items()}
-
-
 def _rref(rows: list[dict], field) -> list[dict]:
-    """Reduced row echelon form of sparse rows (col index -> scalar).
+    """Reduced row echelon form of sparse rows (col index -> scalar), in
+    three steps, with every stored entry put into the field by
+    `field.coerce`; the rows may hold ints, Fractions or residues that are
+    not yet reduced, and each test for zero is a test of a coerced value.
 
-    Unit rows are settled first.  A row whose one entry k at column j is
-    nonzero in the field puts e_j in the row space R.  Every vector of R is
-    the sum of the RREF rows weighted by its own entries at the pivot
-    columns, so e_j, whose only nonzero entry is at j, makes j a pivot
-    column, and the RREF row r with pivot j is e_j: r - e_j lies in R and is
-    zero at every pivot column, so it is 0.  Every unit column j therefore
-    gives the RREF row {j: 1}, the other RREF rows are zero at j, and they
-    are the RREF of the remaining rows with the unit columns deleted.  A
-    one-entry row that is zero in the field (a multiple of p over F_p) is
-    the zero row and is dropped.  A longer row over F_p with all entries but
-    one multiples of p is left to what follows, which reaches the same
-    RREF.
+    1. Unit rows.  A row whose one entry at column j is nonzero in the
+    field puts e_j in the row space R.  Every vector of R is the sum of the
+    RREF rows weighted by its own entries at the pivot columns, so e_j
+    makes j a pivot column, and the RREF row r with pivot j is e_j: r - e_j
+    lies in R and is zero at every pivot column, so it is 0.  Each unit
+    column j therefore gives the RREF row {j: 1}, the other RREF rows are
+    zero at j, and they are the RREF of the remaining rows with the unit
+    columns deleted.  A one-entry row that is zero in the field (a
+    multiple of p over F_p) is the zero row and is dropped.
 
-    What is left is settled by its shape.  No rows, or none left once the
-    unit rows are settled: the RREF is the unit rows alone.  Exactly one
-    row r left: its span is the line through r, and a nonzero vector
-    spanning a line has exactly one multiple whose entry at its least
-    column is 1, so `_monic(r)` is the one RREF row beside the unit rows
-    (none when r is zero in the field, the zero row).
+    2. Echelon.  The rows of two or more entries, their unit columns
+    deleted, are put into the field, and each in turn is reduced by the
+    stored row whose lead is its least column, until that column is the
+    lead of no stored row or the row is zero.  A row is stored monic at
+    its lead: each entry is multiplied by coerce(Fraction(1, piv)), over Q
+    the int -1 for a pivot of -1 and the Fraction 1/piv otherwise, over
+    F_p the residue of piv^-1, so no `/` is needed.  The stored rows have
+    distinct leads, each is zero left of its lead, and they span what the
+    rows span, since each step subtracts a multiple of a stored row.
 
-    Two or more rows left go to `_eliminate`, one Gauss-Jordan over the
-    field's own values, whose pivot rows are monic and in the one form of
-    `fields`, as `_monic`'s are, so both ways give equal entries of equal
-    types.  A row equal to an earlier one or to its negation is reduced to
-    zero there.  There is one path for every field: each test for zero is
-    a test of `field.coerce(k)`, and the rows may hold ints, Fractions or
-    residues that are not yet reduced.
-    Few systems get this far: in a seed-1 pass of the oracle workload, 214
-    of 972 calls, none over F_p and none wider than 15 columns.
-    """
-    if not rows:
-        return []
+    3. Back-substitution, from the last lead to the first.  A stored row
+    is zero at every lead left of its own, and when its turn comes the
+    rows of the later leads are already final, zero at every lead but
+    their own, so subtracting them at its other lead columns leaves it
+    zero at every lead but its own, with no new entry at a lead.  The rows
+    then have one 1 at each pivot column and 0 at the others, and span R:
+    they are the RREF, which is unique, so they are the rows of any
+    elimination, with entries in the one form of `fields`.
+
+    On a chain such as the vertex rows k_s(e) - k_r(e) of a line, each row
+    is reduced a few times and substituted once, so the work is linear."""
     coerce = field.coerce
     units = {c for row in rows if len(row) == 1 for c, k in row.items() if coerce(k)}
-    reduced: dict[int, dict] = {c: {c: 1} for c in units}
     rest = [
-        row if units.isdisjoint(row) else {c: k for c, k in row.items() if c not in units}
+        {c: v for c, k in row.items() if c not in units and (v := coerce(k))}
         for row in rows
         if len(row) > 1
     ]
-    if len(rest) == 1:
-        rest = [_monic(rest[0], field)]
-    elif rest:
-        rest = list(_eliminate(rest, field).values())
+    pivots: dict[int, dict] = {}
     for row in rest:
-        if row:
-            reduced[min(row)] = row
-    return [reduced[lead] for lead in sorted(reduced)]
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                piv = row[lead]
+                if piv != 1:
+                    inv = coerce(Fraction(1, piv))
+                    row = {c: coerce(k * inv) for c, k in row.items()}
+                pivots[lead] = row
+                break
+            _subtract(row, lead, prow, coerce)
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for c in [c for c in row if c != lead and c in pivots]:
+            _subtract(row, c, pivots[c], coerce)
+    pivots.update({c: {c: 1} for c in units})
+    return [pivots[lead] for lead in sorted(pivots)]
+
+
+def _subtract(row: dict, c: int, prow: dict, coerce) -> None:
+    """row -= row[c] * prow, in place; prow is monic at c."""
+    a = row[c]
+    for j, k in prow.items():
+        s = coerce(row.get(j, 0) - a * k)
+        if s:
+            row[j] = s
+        else:
+            del row[j]
 
 
 def kernel_basis(rows: list[dict], ncols: int, field) -> list[dict]:

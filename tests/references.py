@@ -9,7 +9,8 @@ lowest member first, the line points scanned tree by tree, the ~
 classes linked edge by edge and the primeness and cycle-reach witnesses
 scanned tree by tree that the reads from the condensation's ends
 replaced, the path count by a Kahn sort that the reachability index
-replaced, plus the graph families and graph documents the tests draw
+replaced, and the degree-0 center's dimension counted from the blocks of
+the AF core, plus the graph families and graph documents the tests draw
 from, among them every small multigraph up to isomorphism.
 
 Also the helpers that tests read and no command runs: trees, reachability
@@ -624,6 +625,65 @@ def ref_same_span(alg, xs, ys):
         return [tuple(sorted(r.items())) for r in ref_rref(rows, alg.field)]
 
     return canon(xs) == canon(ys)
+
+
+# -- the degree-0 center from the AF core ------------------------------------------
+
+
+def ref_af_center_zero(g, n):
+    """dim Z(L)_0 ∩ L_{0,n}, counted from the graph alone: no monomial, no
+    engine call and no elimination.  The oracle's V_L at degree 0 is
+    L_{0,n} for L = 2n, so this is len(oracle_commutant(alg, 0, 2n)).
+
+    L_{0,n} = span{αβ* : |α| = |β| ≤ n} is the direct sum of the matrix
+    algebras with matrix units αβ*, α and β in one block: a block (m, w)
+    holds the paths of length m < n ending at the sink w, and a block
+    (n, v) the paths of length n ending at v (Ara, Moreno and Pardo,
+    "Nonstable K-theory for graph algebras", 2007).  An element of L_{0,n}
+    central in L commutes with L_{0,n}, so it lies in the center of that
+    sum, spanned by the block identities 1_B = Σ_{α in B} αα* of the
+    nonempty blocks, which are linearly independent.  So the count is the
+    dimension of the space of x = Σ c_B 1_B central in L.
+
+    Such an x commutes with every vertex v, since v·αα* = αα*·v is αα*
+    when s(α) = v and 0 otherwise, and x* = x, so [e*, x] = [x, e]*: x is
+    central iff it commutes with every edge e.  Let u = r(e).  Every term
+    of x·e begins with e, so x·e = ee*·x·e, and e·x = e·u·x; as e*e = u,
+    e·x = x·e iff u·x = e*·x·e.  For n = 0, where 1_(0,v) = v, that reads
+    c_(0,u)·u = c_(0,s(e))·u: c_(0,s(e)) = c_(0,r(e)).  For n ≥ 1,
+    u·x = Σ c_B Σ αα* over the α in B with s(α) = u, and
+    e*·x·e = Σ c_B Σ α'α'* over the α' with eα' in B.  Write both in the
+    diagonal matrix units ββ* (|β| = m < n with r(β) a sink, or |β| = n),
+    which are independent, expanding α'α'* with |α'| = n - 1 and r(α') not
+    a sink by the CK relation r(α') = Σ_{s(f) = r(α')} ff*.  Comparing the
+    coefficients of ββ* with s(β) = u gives:
+    - β of length m < n ending at a sink w: c_(m,w) on the left and, from
+      α' = β with eβ in (m + 1, w), c_(m+1,w) on the right;
+    - β = α'f of length n: c_(n,r(f)) on the left and, from eα' in
+      (n, s(f)), c_(n,s(f)) on the right.
+    Every block named is nonempty, as β or eβ, or α' and eα', is a path of
+    its length.  So x is central iff its coefficients are equal along
+    these identifications, and the count is the number of classes of
+    nonempty blocks under them."""
+    sinks = {v for v in g.vertices if not g.out_edges(v)}
+    ends = [set(g.vertices)]  # ends[m]: where some path of length m ends
+    for _ in range(n):
+        ends.append({f.dst for v in ends[-1] for f in g.out_edges(v)})
+    blocks = [(m, w) for m in range(n) for w in ends[m] & sinks]
+    blocks += [(n, v) for v in ends[n]]
+    index = {b: i for i, b in enumerate(blocks)}
+    if n == 0:
+        related = [((0, e.src), (0, e.dst)) for e in g.edges]
+    else:
+        related = []
+        for u in {e.dst for e in g.edges}:
+            layer = {u}  # where the paths of length m from u end
+            for m in range(n):
+                related += [((m, w), (m + 1, w)) for w in layer & sinks]
+                last = [f for v in layer for f in g.out_edges(v)]
+                layer = {f.dst for f in last}
+            related += [((n, f.dst), (n, f.src)) for f in last]
+    return len(union_find_classes(len(blocks), [(index[a], index[b]) for a, b in related]))
 
 
 # -- classification ---------------------------------------------------------------

@@ -36,6 +36,7 @@ from references import (
     dense_graphs,
     disjoint_union,
     generators,
+    line,
     monomial_element,
     parse_coefficient,
     plain_monomial,
@@ -649,28 +650,32 @@ def test_same_span_matches_reference(seed, field):
     assert _rref(rows, field) == ref_rref(rows, field)
 
 
-def test_oracle_unit_rows_settle_every_column(monkeypatch):
+class CountingField:
+    """The field, with a count of the `coerce` calls made through it."""
+
+    def __init__(self, field):
+        self.field, self.calls = field, 0
+
+    def coerce(self, k):
+        self.calls += 1
+        return self.field.coerce(k)
+
+
+def test_oracle_unit_rows_settle_every_column():
     # R_6 at degree 0 and L = 4: of the 1,296 normal monomials the 1,260
     # with |alpha| = |beta| = 2 are forced to 0 by the bound, which leaves 36
     # candidates and 490 rows, all of them unit rows.  Every candidate but
     # the vertex v, which commutes with every generator and so is in no row,
-    # has a unit row of its own, so all 35 pivot columns are settled and no
-    # column reaches the elimination.
-    eliminated = []
-    eliminate = lpa.center._eliminate
-
-    def recording_eliminate(rows, field):
-        eliminated.extend(c for row in rows for c in row)
-        return eliminate(rows, field)
-
-    monkeypatch.setattr(lpa.center, "_eliminate", recording_eliminate)
+    # has a unit row of its own, so all 35 pivot columns are settled: each
+    # row is coerced once, to test it for zero, and none is reduced.
     alg = LeavittAlgebra(rose(6))
     cands, rows = _oracle_matrix(alg, 0, 4)
-    reduced = _rref(rows, QQ)
+    field = CountingField(QQ)
+    reduced = _rref(rows, field)
     assert len(cands) == 36
     assert len(rows) == 490 and all(len(row) == 1 for row in rows)
     assert reduced == [{c: 1} for c in range(1, 36)]
-    assert eliminated == []
+    assert field.calls == len(rows)
     assert len(oracle_commutant(alg, 0, 4)) == 1
 
 
@@ -700,14 +705,7 @@ def test_rref_with_unit_rows_matches_reference(field, data):
     assert _rref(rows, field) == ref_rref(rows, field)
 
 
-# -- the shapes _rref settles without elimination ------------------------------------
-
-
-def settled(monkeypatch, rows, field):
-    """_rref of the rows, and whether it called _eliminate."""
-    calls = []
-    monkeypatch.setattr(lpa.center, "_eliminate", counted(calls, lpa.center._eliminate))
-    return _rref(rows, field), bool(calls)
+# -- the shapes of the systems _rref meets -----------------------------------------
 
 
 def field_typed(rows, field):
@@ -727,18 +725,18 @@ def typed(rows):
 
 
 @pytest.mark.parametrize("field", [QQ, F7, F2], ids=["q", "p7", "p2"])
-def test_rref_of_no_rows_is_empty(monkeypatch, field):
-    assert settled(monkeypatch, [], field) == ([], False)
+def test_rref_of_no_rows_is_empty(field):
+    assert _rref([], field) == []
     assert ref_rref([], field) == []
 
 
 @pytest.mark.parametrize("field", [QQ, F7, F2], ids=["q", "p7", "p2"])
-def test_rref_of_unit_rows_alone(monkeypatch, field):
+def test_rref_of_unit_rows_alone(field):
     # over F_2 the rows {3: 2} and {0: 14} are zero; over F_7, {0: 14} is
     rows = [{3: 2}, {1: -5}, {3: 7}, {0: 14}, {1: 3}]
-    got, eliminated = settled(monkeypatch, rows, field)
+    got = _rref(rows, field)
     assert got == ref_rref(rows, field)
-    assert not eliminated and field_typed(got, field)
+    assert field_typed(got, field)
     assert [min(r) for r in got] == {QQ: [0, 1, 3], F7: [1, 3], F2: [1, 3]}[field]
 
 
@@ -759,17 +757,15 @@ one_row_cases = [
 
 
 @pytest.mark.parametrize("rows, field", one_row_cases)
-def test_rref_of_one_multi_entry_row(monkeypatch, rows, field):
-    """The direct path gives the reference RREF, and the same entries and
-    types as the elimination, which the last row and its double go
-    through."""
-    got, eliminated = settled(monkeypatch, rows, field)
-    assert not eliminated
+def test_rref_of_one_multi_entry_row(rows, field):
+    """One row made monic gives the reference RREF, and the last row's
+    double, which the echelon pass reduces to zero, changes no entry and
+    no type."""
+    got = _rref(rows, field)
     assert got == ref_rref(rows, field)
     assert field_typed(got, field)
     double = {c: k + k for c, k in rows[-1].items()}
-    doubled, eliminated = settled(monkeypatch, rows + [double], field)
-    assert eliminated and typed(doubled) == typed(got)
+    assert typed(_rref(rows + [double], field)) == typed(got)
 
 
 @st.composite
@@ -804,7 +800,7 @@ def test_rref_shapes_match_reference(field, data):
 
 eliminated_cases = [
     # (rows, field): two or more multi-entry rows are left once the unit rows
-    # are settled, so _rref eliminates
+    # are settled, so the echelon pass reduces rows and back-substitutes
     ([{0: Fraction(1, 3), 1: 2, 3: -1}, {1: Fraction(5, 2), 2: 4}, {0: 3, 2: 1, 3: 7}], QQ),
     ([{0: 1, 1: 2}, {1: 3, 2: 1}, {0: 2, 1: 7, 2: 1}, {2: 6, 4: 1}], QQ),  # rank 3
     ([{3: 1}, {0: 4, 3: 2, 5: -6}, {0: -2, 5: 9}, {1: Fraction(-7, 4), 5: 1}], QQ),
@@ -823,23 +819,56 @@ eliminated_cases = [
 
 
 @pytest.mark.parametrize("rows, field", eliminated_cases)
-def test_eliminated_systems_match_reference(monkeypatch, rows, field):
+def test_eliminated_systems_match_reference(rows, field):
     """The elimination gives the reference RREF with field-typed entries:
     ints where integral and Fractions otherwise over Q, residues over F_p."""
-    got, eliminated = settled(monkeypatch, rows, field)
-    assert eliminated
+    got = _rref(rows, field)
     ref = coerced(ref_rref(rows, field), field)
     assert typed(got) == typed(ref)
     assert field_typed(got, field)
 
 
-def test_back_elimination_leaves_ints(monkeypatch):
-    # clearing column 1 from the first pivot row {0: 1, 1: 1/2, 2: 1/2}
-    # leaves Fraction(1, 1) at column 2; the final _monic makes it an int
-    got, eliminated = settled(monkeypatch, [{0: 2, 1: 1, 2: 1}, {1: 1, 2: -1}], QQ)
-    assert eliminated
+def test_back_elimination_leaves_ints():
+    # back-substituting {1: 1, 2: -1} into the first pivot row
+    # {0: 1, 1: 1/2, 2: 1/2} leaves Fraction(1, 1) at column 2, which
+    # coerce makes an int
+    got = _rref([{0: 2, 1: 1, 2: 1}, {1: 1, 2: -1}], QQ)
     assert typed(got) == typed([{0: 1, 2: 1}, {1: 1, 2: -1}])
     assert all(type(k) is int for row in got for k in row.values())
+
+
+# -- chains: the vertex rows of lines and cycles ------------------------------------
+
+
+CHAINS = {
+    "line": line,
+    "line reversed": lambda n: line(n, reverse=True),
+    "cycle with tail": cycle_with_tail,
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["q", "p7"])
+@pytest.mark.parametrize("max_len", [0, 2])
+@pytest.mark.parametrize("n", [250, 1000])
+@pytest.mark.parametrize("family", CHAINS)
+def test_chain_systems_match_reference(family, n, max_len, field):
+    # the vertex rows k_s(e) - k_r(e) of a line or a cycle form a chain
+    _, rows = _oracle_matrix(LeavittAlgebra(CHAINS[family](n), field), 0, max_len)
+    got = _rref(rows, field)
+    assert got == ref_rref(rows, field)
+    assert field_typed(got, field)
+
+
+@pytest.mark.parametrize("n", [1000, 2000, 4000, 8000])
+def test_rref_work_is_linear_on_chains(n):
+    # each row is coerced, reduced by a few stored rows and substituted
+    # into once: 4 coerce calls a row on a line, under 7.5 on a cycle
+    for family in CHAINS.values():
+        for max_len in (0, 2):
+            _, rows = _oracle_matrix(LeavittAlgebra(family(n)), 0, max_len)
+            field = CountingField(QQ)
+            _rref(rows, field)
+            assert field.calls <= 8 * len(rows), (family, max_len)
 
 
 def test_same_span_of_disjoint_and_empty_sides():
