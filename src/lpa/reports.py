@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from operator import add
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .center import (
@@ -30,133 +30,11 @@ def count_json(n):
     return "INFINITE" if n is INFINITE else n
 
 
-def _classification_json(g: Graph, rep: ClassificationReport) -> dict:
-    sv = g.names_of
-    return {
-        "p_l": sv(rep.p_l),
-        "p_c": sv(rep.p_c),
-        "p_c_plus": sv(rep.p_c_plus),
-        "p_c_minus": sv(rep.p_c_minus),
-        "p_e": sv(rep.p_e),
-        "p_ec": sv(rep.p_ec),
-        "p_binf": sv(rep.p_binf),
-        "cycles": [
-            {
-                "edges": list(ci.cycle.edges),
-                "base": ci.cycle.base,
-                "has_exits": ci.has_exits,
-                "is_extreme": ci.is_extreme,
-                "in_S": ci.in_S,
-                "entry_count": count_json(ci.entry_count),
-                "wrap_count": count_json(ci.wrap_count),
-            }
-            for ci in rep.cycles
-        ],
-        "x_ec": [
-            {
-                "class_id": xc.class_id,
-                "cycles": [list(c.edges) for c in xc.cycles],
-                "vertices": sv(xc.vertices),
-            }
-            for xc in rep.x_ec
-        ],
-        "sim_classes": [sv(c) for c in rep.sim_classes],
-        "x_classes": [
-            {
-                "rep": xc.rep,
-                "members": sv(xc.members),
-                "closure": sv(xc.closure),
-                "entry_paths": "INFINITE"
-                if xc.entry.is_infinite
-                else [list(p) for p in xc.entry.paths],
-                "in_x_f": xc.is_finite,
-                "class_type": xc.class_type,
-            }
-            for xc in rep.x_classes
-        ],
-        "h_f": sv(rep.h_f),
-        "h_inf": sv(rep.h_inf),
-    }
-
-
-def _ideal_json(rep: IdealStructureReport) -> dict:
-    return {
-        "sinks": [
-            {"sink": s.sink, "matrix_size": count_json(s.matrix_size)}
-            for s in rep.sinks
-        ],
-        "no_exit_cycles": [
-            {"cycle": list(c.cycle.edges), "matrix_size": count_json(c.matrix_size)}
-            for c in rep.no_exit_cycles
-        ],
-        "extreme": [
-            {
-                "class_id": x.extreme_class.class_id,
-                "vertices": rep.graph.names_of(x.extreme_class.vertices),
-                "certificate": None
-                if x.certificate is None
-                else {
-                    "purely_infinite_simple": x.certificate.purely_infinite_simple,
-                    "failing_condition": x.certificate.failing_condition,
-                    "witness": x.certificate.witness,
-                },
-                "note": x.note,
-            }
-            for x in rep.extreme
-        ],
-        "dense": rep.dense,
-    }
-
-
-def _center_json(alg: LeavittAlgebra, rep: CenterReport) -> dict:
-    def basis_json(elems):
-        return [
-            {
-                "label": b.label,
-                "degree": b.degree,
-                "class_id": b.class_id,
-                "cycle_base": b.cycle_base,
-                "power": b.power,
-                "element": alg.render(b.element),
-            }
-            for b in elems
-        ]
-
-    return {
-        "iso_type": dict(rep.iso_type),
-        "basis_zero": basis_json(rep.basis_zero),
-        "basis_nonzero": {
-            str(n): basis_json(elems) for n, elems in rep.basis_nonzero.items()
-        },
-        "degree_window": rep.degree_window,
-        "divergence_flags": list(rep.divergence_flags),
-        "extended_centroid": {
-            "sinks": rep.centroid.sinks,
-            "no_exit_cycles": rep.centroid.no_exit_cycles,
-            "extreme_classes": rep.centroid.extreme_classes,
-            "formula": rep.centroid.formula,
-            "note": rep.centroid.note,
-        },
-    }
-
-
-def _prime_json(pt: PrimeTrichotomy) -> dict:
-    witness = pt.witness
-    if isinstance(witness, Cycle):
-        witness = list(witness.edges)
-    elif isinstance(witness, ExtremeClass):
-        witness = witness.class_id
-    elif isinstance(witness, tuple):
-        witness = list(witness)
-    return {
-        "kind": pt.kind,
-        "witness": witness,
-        "matrix_size": count_json(pt.matrix_size),
-        "note": pt.note,
-    }
-
-
-# -- the indent-2 JSON text, written straight from the records --------------
+# -- one layout, written as indent-2 JSON text or as a dict -------------------
+#
+# Each section of a report is one function of a writer and the records, and
+# `Envelope._document` lays out the top level.  `dumps` passes the text
+# writer, `to_json` the dict writer; a schema change edits one function.
 
 _string = json.encoder.encode_basestring_ascii
 _int = int.__repr__
@@ -164,17 +42,20 @@ _int = int.__repr__
 _NL = tuple("\n" + "  " * d for d in range(8))
 
 
-def _keys(*names: str) -> tuple[str, ...]:
-    """The written keys of a record, each followed by its separator."""
-    return tuple(f'"{name}": ' for name in names)
+def _keys(names) -> tuple:
+    """The keys of a record: its names, and each name written with its
+    separator."""
+    return names, tuple(_string(name) + ": " for name in names)
 
 
 def _record(keys, values, d: int) -> str:
-    """The JSON object at depth d of the written keys and values."""
-    if not keys:
+    """The JSON object at depth d of a record's keys, as `_keys` makes
+    them, and its written values."""
+    written = keys[1]
+    if not written:
         return "{}"
     i = _NL[d + 1]
-    return "{" + i + ("," + i).join(map(add, keys, values)) + _NL[d] + "}"
+    return "{" + i + ("," + i).join(map(add, written, values)) + _NL[d] + "}"
 
 
 def _list(items: list[str], d: int) -> str:
@@ -205,75 +86,126 @@ def _count(n) -> str:
     return '"INFINITE"' if n is INFINITE else _int(n)
 
 
-_GRAPH = _keys("vertices", "edges")
-_EDGE = _keys("id", "src", "dst")
+class _Writer(NamedTuple):
+    """How each value of a report is written.  A record takes keys made by
+    `_keys` (or by `keys`, when its keys are data), its values and its
+    depth; a list takes its written items and its depth.  Only the text
+    writer reads the depths."""
+
+    record: Callable
+    keys: Callable
+    list: Callable
+    strings: Callable
+    string: Callable
+    int: Callable
+    bool: Callable
+    optional: Callable
+    count: Callable
+    null: object
+    vertices: Callable  # (bitset, depth) -> the vertex set, in declared order
+    graph: object  # the written graph document
+
+
+_GRAPH = _keys(("vertices", "edges"))
+_EDGE = _keys(("id", "src", "dst"))
 # an edge record with its three written strings put in by one `%`
 _EDGE_TEXT = _record(_EDGE, ("%s",) * 3, 3)
-_CLASSIFICATION = _keys(
+_TEXT = (_record, _keys, _list, _strings, _string, _int, _bool, _optional, _count, "null")
+_DICT = (
+    lambda keys, values, d: dict(zip(keys[0], values)),
+    lambda names: (names, None),
+    lambda items, d: items,
+    lambda items, d: list(items),
+    str, int, bool,
+    lambda s: s,
+    count_json,
+    None,
+)
+
+
+def _text_writer(g: Graph) -> _Writer:
+    """The writer of `dumps`.  Each vertex name is escaped once, into a
+    list in declared order that the graph's vertex list and every vertex set
+    are written from, and each edge record is one fill of `_EDGE_TEXT`."""
+    names = list(map(_string, g.vertices))
+    names_of = g.names_of
+
+    def vertices(bits: int, d: int) -> str:
+        return _list(names_of(bits, names), d)
+
+    edges = [_EDGE_TEXT % (_string(e), _string(a), _string(b)) for e, a, b in g.edges]
+    graph = _record(_GRAPH, (_list(names, 2), _list(edges, 2)), 1)
+    return _Writer(*_TEXT, vertices, graph)
+
+
+def _dict_writer(g: Graph) -> _Writer:
+    """The writer of `to_json`: plain names and values, and the graph's own
+    document."""
+    names_of = g.names_of
+    return _Writer(*_DICT, lambda bits, d: names_of(bits), g.to_document())
+
+
+_CLASSIFICATION = _keys((
     "p_l", "p_c", "p_c_plus", "p_c_minus", "p_e", "p_ec", "p_binf",
     "cycles", "x_ec", "sim_classes", "x_classes", "h_f", "h_inf",
-)
-_CYCLE = _keys("edges", "base", "has_exits", "is_extreme", "in_S", "entry_count", "wrap_count")
-_EXTREME_CLASS = _keys("class_id", "cycles", "vertices")
-_X_CLASS = _keys("rep", "members", "closure", "entry_paths", "in_x_f", "class_type")
-_IDEAL = _keys("sinks", "no_exit_cycles", "extreme", "dense")
-_SINK = _keys("sink", "matrix_size")
-_NO_EXIT = _keys("cycle", "matrix_size")
-_EXTREME = _keys("class_id", "vertices", "certificate", "note")
-_CERTIFICATE = _keys("purely_infinite_simple", "failing_condition", "witness")
-_PRIME = _keys("kind", "witness", "matrix_size", "note")
-_CENTER = _keys(
+))
+_CYCLE = _keys(("edges", "base", "has_exits", "is_extreme", "in_S", "entry_count", "wrap_count"))
+_EXTREME_CLASS = _keys(("class_id", "cycles", "vertices"))
+_X_CLASS = _keys(("rep", "members", "closure", "entry_paths", "in_x_f", "class_type"))
+_IDEAL = _keys(("sinks", "no_exit_cycles", "extreme", "dense"))
+_SINK = _keys(("sink", "matrix_size"))
+_NO_EXIT = _keys(("cycle", "matrix_size"))
+_EXTREME = _keys(("class_id", "vertices", "certificate", "note"))
+_CERTIFICATE = _keys(("purely_infinite_simple", "failing_condition", "witness"))
+_PRIME = _keys(("kind", "witness", "matrix_size", "note"))
+_CENTER = _keys((
     "iso_type", "basis_zero", "basis_nonzero", "degree_window", "divergence_flags",
     "extended_centroid",
-)
-_BASIS = _keys("label", "degree", "class_id", "cycle_base", "power", "element")
-_CENTROID = _keys("sinks", "no_exit_cycles", "extreme_classes", "formula", "note")
-_VERIFICATION = _keys("element", "central", "witness", "commutator")
-_ORACLE = _keys("degree", "max_len", "agrees")
+))
+_BASIS = _keys(("label", "degree", "class_id", "cycle_base", "power", "element"))
+_CENTROID = _keys(("sinks", "no_exit_cycles", "extreme_classes", "formula", "note"))
+_VERIFICATION = _keys(("element", "central", "witness", "commutator"))
+_ORACLE = _keys(("degree", "max_len", "agrees"))
 
 
 # Each section is a value of the top-level object, so it sits at depth 1.
 
 
-def _graph_text(names: list[str], g: Graph) -> str:
-    edges = [_EDGE_TEXT % (_string(e), _string(a), _string(b)) for e, a, b in g.edges]
-    return _record(_GRAPH, (_list(names, 2), _list(edges, 2)), 1)
-
-
-def _classification_text(vertices, rep: ClassificationReport) -> str:
+def _classification(w: _Writer, rep: ClassificationReport):
+    vertices, strings, string, bool_, count = w.vertices, w.strings, w.string, w.bool, w.count
     cycles = [
-        _record(_CYCLE, (
-            _strings(ci.cycle.edges, 4),
-            _string(ci.cycle.sources[0]),
-            _bool(ci.has_exits),
-            _bool(ci.is_extreme),
-            _bool(ci.in_S),
-            _count(ci.entry_count),
-            _count(ci.wrap_count),
+        w.record(_CYCLE, (
+            strings(ci.cycle.edges, 4),
+            string(ci.cycle.sources[0]),
+            bool_(ci.has_exits),
+            bool_(ci.is_extreme),
+            bool_(ci.in_S),
+            count(ci.entry_count),
+            count(ci.wrap_count),
         ), 3)
         for ci in rep.cycles
     ]
     x_ec = [
-        _record(_EXTREME_CLASS, (
-            _string(xc.class_id),
-            _list([_strings(c.edges, 5) for c in xc.cycles], 4),
+        w.record(_EXTREME_CLASS, (
+            string(xc.class_id),
+            w.list([strings(c.edges, 5) for c in xc.cycles], 4),
             vertices(xc.vertices, 4),
         ), 3)
         for xc in rep.x_ec
     ]
     x_classes = [
-        _record(_X_CLASS, (
-            _string(xc.rep),
+        w.record(_X_CLASS, (
+            string(xc.rep),
             vertices(xc.members, 4),
             vertices(xc.closure, 4),
-            '"INFINITE"' if xc.entry.is_infinite
-            else _list([_strings(p, 5) for p in xc.entry.paths], 4),
-            _bool(xc.is_finite),
-            _optional(xc.class_type),
+            count(INFINITE) if xc.entry.is_infinite
+            else w.list([strings(p, 5) for p in xc.entry.paths], 4),
+            bool_(xc.is_finite),
+            w.optional(xc.class_type),
         ), 3)
         for xc in rep.x_classes
     ]
-    return _record(_CLASSIFICATION, (
+    return w.record(_CLASSIFICATION, (
         vertices(rep.p_l, 2),
         vertices(rep.p_c, 2),
         vertices(rep.p_c_plus, 2),
@@ -281,88 +213,86 @@ def _classification_text(vertices, rep: ClassificationReport) -> str:
         vertices(rep.p_e, 2),
         vertices(rep.p_ec, 2),
         vertices(rep.p_binf, 2),
-        _list(cycles, 2),
-        _list(x_ec, 2),
-        _list([vertices(c, 3) for c in rep.sim_classes], 2),
-        _list(x_classes, 2),
+        w.list(cycles, 2),
+        w.list(x_ec, 2),
+        w.list([vertices(c, 3) for c in rep.sim_classes], 2),
+        w.list(x_classes, 2),
         vertices(rep.h_f, 2),
         vertices(rep.h_inf, 2),
     ), 1)
 
 
-def _ideal_text(vertices, rep: IdealStructureReport) -> str:
-    sinks = [_record(_SINK, (_string(s.sink), _count(s.matrix_size)), 3) for s in rep.sinks]
+def _ideal(w: _Writer, rep: IdealStructureReport):
+    record, optional = w.record, w.optional
+    sinks = [record(_SINK, (w.string(s.sink), w.count(s.matrix_size)), 3) for s in rep.sinks]
     no_exit = [
-        _record(_NO_EXIT, (_strings(c.cycle.edges, 4), _count(c.matrix_size)), 3)
+        record(_NO_EXIT, (w.strings(c.cycle.edges, 4), w.count(c.matrix_size)), 3)
         for c in rep.no_exit_cycles
     ]
     extreme = []
     for x in rep.extreme:
         cert = x.certificate
-        extreme.append(_record(_EXTREME, (
-            _string(x.extreme_class.class_id),
-            vertices(x.extreme_class.vertices, 4),
-            "null" if cert is None else _record(_CERTIFICATE, (
-                _bool(cert.purely_infinite_simple),
-                _optional(cert.failing_condition),
-                _optional(cert.witness),
+        extreme.append(record(_EXTREME, (
+            w.string(x.extreme_class.class_id),
+            w.vertices(x.extreme_class.vertices, 4),
+            w.null if cert is None else record(_CERTIFICATE, (
+                w.bool(cert.purely_infinite_simple),
+                optional(cert.failing_condition),
+                optional(cert.witness),
             ), 4),
-            _optional(x.note),
+            optional(x.note),
         ), 3))
-    return _record(
-        _IDEAL, (_list(sinks, 2), _list(no_exit, 2), _list(extreme, 2), _bool(rep.dense)), 1
+    return record(
+        _IDEAL, (w.list(sinks, 2), w.list(no_exit, 2), w.list(extreme, 2), w.bool(rep.dense)), 1
     )
 
 
-def _prime_text(pt: PrimeTrichotomy) -> str:
+def _prime(w: _Writer, pt: PrimeTrichotomy):
     witness = pt.witness
     if isinstance(witness, Cycle):
-        witness = _strings(witness.edges, 2)
+        witness = w.strings(witness.edges, 2)
     elif isinstance(witness, ExtremeClass):
-        witness = _string(witness.class_id)
+        witness = w.string(witness.class_id)
     elif isinstance(witness, tuple):
-        witness = _strings(witness, 2)
+        witness = w.strings(witness, 2)
     else:
-        witness = _optional(witness)
+        witness = w.optional(witness)
     size = pt.matrix_size
-    return _record(_PRIME, (
-        _string(pt.kind), witness, "null" if size is None else _count(size), _string(pt.note)
+    return w.record(_PRIME, (
+        w.string(pt.kind), witness, w.null if size is None else w.count(size), w.string(pt.note)
     ), 1)
 
 
-def _center_text(alg: LeavittAlgebra, rep: CenterReport) -> str:
-    render = alg.render
+def _center(w: _Writer, alg: LeavittAlgebra, rep: CenterReport):
+    record, string, int_, render = w.record, w.string, w.int, alg.render
 
     def basis(elems, d):
-        return _list([
-            _record(_BASIS, (
-                _string(b.label),
-                _int(b.degree),
-                _string(b.class_id),
-                _optional(b.cycle_base),
-                _int(b.power),
-                _string(render(b.element)),
+        return w.list([
+            record(_BASIS, (
+                string(b.label),
+                int_(b.degree),
+                string(b.class_id),
+                w.optional(b.cycle_base),
+                int_(b.power),
+                string(render(b.element)),
             ), d + 1)
             for b in elems
         ], d)
 
     c = rep.centroid
-    return _record(_CENTER, (
-        _record([_string(k) + ": " for k in rep.iso_type], map(_int, rep.iso_type.values()), 2),
+    nonzero = rep.basis_nonzero
+    return record(_CENTER, (
+        record(w.keys(rep.iso_type), [int_(n) for n in rep.iso_type.values()], 2),
         basis(rep.basis_zero, 2),
-        _record(
-            [_string(str(n)) + ": " for n in rep.basis_nonzero],
-            [basis(elems, 3) for elems in rep.basis_nonzero.values()],
-            2,
-        ),
-        _int(rep.degree_window),
-        _strings(rep.divergence_flags, 2),
-        _record(_CENTROID, (
-            _int(c.sinks),
-            _int(c.no_exit_cycles),
-            _int(c.extreme_classes),
-            _string(c.formula),
-            _string(c.note),
+        record(w.keys([str(n) for n in nonzero]), [basis(es, 3) for es in nonzero.values()], 2),
+        int_(rep.degree_window),
+        w.strings(rep.divergence_flags, 2),
+        record(_CENTROID, (
+            int_(c.sinks),
+            int_(c.no_exit_cycles),
+            int_(c.extreme_classes),
+            string(c.formula),
+            string(c.note),
         ), 2),
     ), 1)
 
@@ -394,33 +324,9 @@ class Envelope:
         self.oracle_checks: Optional[list] = None
 
     def to_json(self) -> dict:
-        doc = {
-            "tool_version": __version__,
-            "graph": self.graph.to_document(),
-            "classification": _classification_json(self.graph, self.classification),
-            "ideal_structure": _ideal_json(self.ideal),
-            "prime_trichotomy": _prime_json(self.prime),
-        }
-        if self.center is not None:
-            doc["center"] = _center_json(self.algebra, self.center)
-        if self.verification is not None:
-            doc["verification"] = [
-                {
-                    "element": label,
-                    "central": bool(res.central),
-                    "witness": res.witness,
-                    "commutator": None
-                    if res.commutator is None
-                    else self.algebra.render(res.commutator),
-                }
-                for label, res in self.verification
-            ]
-        if self.oracle_checks is not None:
-            doc["oracle"] = [
-                {"degree": n, "max_len": L, "agrees": ok}
-                for n, L, ok in self.oracle_checks
-            ]
-        return doc
+        """The report as a dict: what `dumps` writes, built by the same
+        section functions through the dict writer."""
+        return self._document(_dict_writer(self.graph))
 
     def dumps(self, index: Optional[int] = None) -> str:
         """`json.dumps(self.to_json(), indent=2)`, byte for byte, written
@@ -428,57 +334,51 @@ class Envelope:
         `index`, the document `lpa random` prints, whose last key is
         "index".
 
-        The layout of a report lives here and in `to_json`, the dict that
-        `render_text` and library callers read, and the tests hold the two
-        together by comparing this text with `json.dumps` of the dict.  So a
-        schema change, such as naming the field or adding a block of run
-        counters, edits both.  Strings go through json's C escaper, ints
-        through `int.__repr__`, and true, false, null and "INFINITE" are
-        literals.  Each vertex name is escaped once per report, into a list
-        in declared order that the graph's vertex list and every vertex set
-        are written from: `Graph.names_of` lists a set's bitset as those
-        names, in declared order, with no sort.  Edge records are filled
-        into one template."""
-        g, alg = self.graph, self.algebra
-        names = list(map(_string, g.vertices))
-        names_of = g.names_of
+        `to_json` and this method lay the report out with the same section
+        functions, each passing its own writer; the tests compare this text
+        with `json.dumps` of the dict, which checks the text writer's
+        encoding against `json`'s.  Strings go through json's C escaper,
+        ints through `int.__repr__`, and true, false, null and "INFINITE"
+        are literals.  `Graph.names_of` lists a vertex set's bitset as the
+        once-escaped names, in declared order, with no sort."""
+        return self._document(_text_writer(self.graph), index)
 
-        def vertices(bits: int, d: int) -> str:
-            """The vertex set of `bits` at depth d."""
-            return _list(names_of(bits, names), d)
-
-        keys = ["tool_version", "graph", "classification", "ideal_structure", "prime_trichotomy"]
+    def _document(self, w: _Writer, index: Optional[int] = None):
+        """The top level of the report, and its verification, oracle and
+        index entries."""
+        alg = self.algebra
+        names = ["tool_version", "graph", "classification", "ideal_structure", "prime_trichotomy"]
         values = [
-            _string(__version__),
-            _graph_text(names, g),
-            _classification_text(vertices, self.classification),
-            _ideal_text(vertices, self.ideal),
-            _prime_text(self.prime),
+            w.string(__version__),
+            w.graph,
+            _classification(w, self.classification),
+            _ideal(w, self.ideal),
+            _prime(w, self.prime),
         ]
         if self.center is not None:
-            keys.append("center")
-            values.append(_center_text(alg, self.center))
+            names.append("center")
+            values.append(_center(w, alg, self.center))
         if self.verification is not None:
-            keys.append("verification")
-            values.append(_list([
-                _record(_VERIFICATION, (
-                    _string(label),
-                    _bool(res.central),
-                    _optional(res.witness),
-                    "null" if res.commutator is None else _string(alg.render(res.commutator)),
+            names.append("verification")
+            values.append(w.list([
+                w.record(_VERIFICATION, (
+                    w.string(label),
+                    w.bool(res.central),
+                    w.optional(res.witness),
+                    w.optional(None if res.commutator is None else alg.render(res.commutator)),
                 ), 2)
                 for label, res in self.verification
             ], 1))
         if self.oracle_checks is not None:
-            keys.append("oracle")
-            values.append(_list([
-                _record(_ORACLE, (_int(n), _int(L), _bool(ok)), 2)
+            names.append("oracle")
+            values.append(w.list([
+                w.record(_ORACLE, (w.int(n), w.int(L), w.bool(ok)), 2)
                 for n, L, ok in self.oracle_checks
             ], 1))
         if index is not None:
-            keys.append("index")
-            values.append(_int(index))
-        return _record(_keys(*keys), values, 0)
+            names.append("index")
+            values.append(w.int(index))
+        return w.record(w.keys(names), values, 0)
 
 
 def build_envelope(

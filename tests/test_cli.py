@@ -385,6 +385,10 @@ def test_only_invariant_errors_exit_5(monkeypatch, capsys, exc, code, breach):
 # before the corner-reduction API, the inline fixture corpus and the other
 # code no command reaches were deleted; any change to these bytes is a
 # change of behaviour.  Fixture names stand for their fixtures/*.json path.
+# The `--format text` runs of `classify` on g_cwe, g_ext2, g_line3, g_loop and g_r2, of
+# `center` on g_cwe, g_line3, g_loop, g_r2 and g_toeplitz, and of `random`
+# at the campaign500 settings were recorded at the commit before `dumps`
+# and `to_json` came to write one layout through two writers.
 VERIFY_ORACLE = ("--verify", "--oracle")
 CAMPAIGN500 = ("--seed", "20260823", "--count", "500", "--max-vertices", "6", "--max-edges", "12")
 CLI_DIGESTS = {
@@ -444,9 +448,53 @@ CLI_DIGESTS = {
         ("center", "g_ext2", *VERIFY_ORACLE, "--format", "text"),
         "14aaab2862d33d1b9739f492cab2de52ec58dcd65db79c4bcaa2630025ccbd9d",
     ),
+    "classify-g_cwe-text": (
+        ("classify", "g_cwe", "--format", "text"),
+        "322650219d42a05957e46a054ef61ea89cacbd412e3eed7d7d6a00c107e023d1",
+    ),
+    "classify-g_ext2-text": (
+        ("classify", "g_ext2", "--format", "text"),
+        "2a217fdbf9facb4ff26038a62ba59c16c7333030dc1075e842d96d3ff85bdd94",
+    ),
+    "classify-g_line3-text": (
+        ("classify", "g_line3", "--format", "text"),
+        "766a4022a8b343a5adc733c839db3ac46f6f74594bbab94fa28d7fb6f605948c",
+    ),
+    "classify-g_loop-text": (
+        ("classify", "g_loop", "--format", "text"),
+        "566206d798d7823445ad736c0cace7b00125b58243ac0f33fad80c131fa0c71b",
+    ),
+    "classify-g_r2-text": (
+        ("classify", "g_r2", "--format", "text"),
+        "48579ee012f3cb03d6db1ef15ed860577a6c459eee774c7a5ae495b0b5616737",
+    ),
+    "center-g_cwe-text": (
+        ("center", "g_cwe", *VERIFY_ORACLE, "--format", "text"),
+        "e4a2fd4ba2e385cf049733e8197762cabf9de2d45c2a242e0d61bd07ae7c30e3",
+    ),
+    "center-g_line3-text": (
+        ("center", "g_line3", *VERIFY_ORACLE, "--format", "text"),
+        "c6fcf90f67c26a0d362acc531cb403dc94c4f97741f48b3c7d6ea339d1fb12d4",
+    ),
+    "center-g_loop-text": (
+        ("center", "g_loop", *VERIFY_ORACLE, "--format", "text"),
+        "55777f455d2e4316bb61ae9d0bb4c281cc6c8b7cdcf1de44546ae2319822ebf5",
+    ),
+    "center-g_r2-text": (
+        ("center", "g_r2", *VERIFY_ORACLE, "--format", "text"),
+        "c13bb1844d74954a6880e2908f91e77c6cefa4de4baf791d5c1f6374c4ab363b",
+    ),
+    "center-g_toeplitz-text": (
+        ("center", "g_toeplitz", *VERIFY_ORACLE, "--format", "text"),
+        "50ad80837eec49611249fe14958b25b2fa423e4f1e2a5cfe9526a7bc8318e149",
+    ),
     "random-campaign500": (
         ("random", *CAMPAIGN500),
         "b70eeeaf30bbbeb8e42ed3dab291cd7a4161e5ba3e0dd6bc1fcf083d178975f5",
+    ),
+    "random-campaign500-text": (
+        ("random", *CAMPAIGN500, "--format", "text"),
+        "7abc336113c2d00119cde739fe9f33ecccf5d74c62c626d7b34ac4e42298faa8",
     ),
     "center-two_cycle": (
         ("center", "two_cycle", *VERIFY_ORACLE),

@@ -108,6 +108,48 @@ def test_exact_modules_never_divide_or_use_floats(name):
     assert inexact_operations((PACKAGE / name).read_text(encoding="utf-8")) == []
 
 
+def non_stdlib_imports(source: str) -> list[str]:
+    """The modules a source imports by absolute name, nested imports
+    included, whose top-level package is neither in the standard library
+    (`sys.stdlib_module_names`) nor `lpa`, as "line: module".  Relative
+    imports stay in the package and are not listed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            f"{node.lineno}: {m}"
+            for m in modules
+            if m.partition(".")[0] not in sys.stdlib_module_names | {"lpa"}
+        ]
+    return found
+
+
+def test_non_stdlib_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, numpy.linalg as la\n"
+        "from lpa.graphs import Graph\n"
+        "from . import engine\n"
+        "from .fields import QQ\n"
+        "from jsonschema import validate\n"
+        "def f():\n"
+        "    import importlib.resources, sympy\n"
+        "    from os import path\n"
+    )
+    assert non_stdlib_imports(source) == ["2: numpy.linalg", "6: jsonschema", "8: sympy"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    """`lpa` runs on the standard library alone."""
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
 # modules that `import lpa.cli` must not load: records are NamedTuples and
 # slotted classes, so nothing needs `dataclasses` or the `inspect` it
 # imports, and only `lpa schema` needs `importlib.resources`

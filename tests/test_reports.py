@@ -1,5 +1,8 @@
-"""`Envelope.dumps` writes the report text straight from the records; the
-reference is `json.dumps(env.to_json(), indent=2)`, the dict API's text.
+"""`Envelope.dumps` and `Envelope.to_json` lay a report out with the same
+section functions, through a text writer and a dict writer.  Comparing
+`dumps` with `json.dumps(env.to_json(), indent=2)` checks the text
+writer's encoding (escapes, literals, indents) against `json`'s; the layout
+itself is pinned by the golden digests and `test_cli.py`'s `CLI_DIGESTS`.
 The vertex sets of the records are bitsets; their reference is the
 classification read as frozensets of names, `ref_x_decomposition`."""
 
