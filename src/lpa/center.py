@@ -60,35 +60,52 @@ class CenterReport(NamedTuple):
 
 def a_class(alg: LeavittAlgebra, xclass: XClass) -> CentralBasisElement:
     """The degree-0 idempotent of a finite class: closure vertices plus
-    alpha alpha* over the entry paths of the closure.
-
-    The vertex terms are the closure's own vertex ids, listed from its
-    bitset in declared order, each with coefficient 1: a vertex is in
-    normal form and needs no range check.  Only the alpha alpha* terms go
-    through `normal_form`, built as plain tuples with each path's source
-    read from the graph's edge table, so it checks each path once.  Its
-    range rewrite of an alpha ending in a special edge can give vertex
-    terms, so its terms are added into the vertex terms, and a sum that is
-    0 in the field is dropped."""
+    alpha alpha* over the entry paths of the closure, built by `_dressed`
+    with every loop trivial."""
     if not xclass.is_finite:
         raise CenterError(f"class [{xclass.rep}] has infinitely many entry paths")
-    g = alg.graph
+    loops = dict.fromkeys(alg.graph.names_of(xclass.closure), ())
+    return CentralBasisElement(
+        degree=0, element=_dressed(alg, loops, xclass.entry.paths), class_id=xclass.rep
+    )
+
+
+def _dressed(alg: LeavittAlgebra, loops: dict, paths) -> AlgebraElement:
+    """sum_u u loops[u] + sum_{p in paths} p loops[r(p)] p*, over the
+    vertices u that key `loops` and paths p that each end at one of them.
+    Every center basis element has this shape: a[X] with every loop
+    trivial, over the closure of X and its entry paths, and b[c; m] with
+    loops[u] the cycle c read from u, m times, over c^0 and F_E(c^0).
+
+    A vertex term (u, loops[u], u, ()) has for alpha a closed path of the
+    graph at u, so its range is that of its trivial beta, and with beta
+    trivial no rewrite applies: it goes into the term dict as it is, with
+    coefficient 1, unchecked.
+    Only the entry terms (s(p), p loops[r(p)], s(p), p) are built as plain
+    tuples, with each source read from the graph's edge table, and go
+    through `normal_form`, which checks their ranges.  Its terms are added
+    into the vertex terms, and a sum that is 0 in the field is dropped.
+
+    When the loops are not trivial (b[c; m], m >= 1), an entry term's
+    alpha ends in an edge of c.  Its beta ends in p's last edge, whose
+    source is outside c^0, so that edge is not on c: the two sides end in
+    different edges, and `normal_form` rewrites nothing.  Its range
+    rewrite fires only on alpha = beta = p ending in a special edge, which
+    needs a trivial loop: a[X]'s case, where it can give vertex terms."""
     coerce = alg.field.coerce
-    terms = dict.fromkeys([(u, (), u, ()) for u in g.names_of(xclass.closure)], coerce(1))
-    if xclass.entry.paths:
-        edge_by_id = g._edge_by_id
+    terms = dict.fromkeys([(u, loop, u, ()) for u, loop in loops.items()], coerce(1))
+    if paths:
+        edge_by_id = alg.graph._edge_by_id
         raw = []
-        for p in xclass.entry.paths:
+        for p in paths:
             s = edge_by_id[p[0]].src
-            raw.append(((s, p, s, p), 1))
+            raw.append(((s, p + loops[edge_by_id[p[-1]].dst], s, p), 1))
         for m, k in alg.normal_form(raw).terms.items():
             if c := coerce(terms.get(m, 0) + k):
                 terms[m] = c
             else:
                 terms.pop(m, None)
-    return CentralBasisElement(
-        degree=0, element=AlgebraElement(alg, terms), class_id=xclass.rep
-    )
+    return AlgebraElement(alg, terms)
 
 
 def basis_zero(alg: LeavittAlgebra, report: ClassificationReport) -> list[CentralBasisElement]:
@@ -104,29 +121,22 @@ def _laurent_basis(
 ) -> dict[int, tuple[CentralBasisElement, ...]]:
     """The nonzero-degree basis: for each no-exit cycle c in S and each
     m >= 1 with m|c| in the window, one element at degree m|c|, the m-th
-    power of c dressed with the entry paths F_E(c^0), and its involution at
-    degree -m|c|.  Within a degree the elements follow the order of S."""
+    power of c dressed with the entry paths F_E(c^0) by `_dressed`, and its
+    involution at degree -m|c|.  Within a degree the elements follow the
+    order of S."""
     g = alg.graph
-    edge_by_id = g._edge_by_id
     by_degree: dict[int, list[CentralBasisElement]] = {}
     for c in _s_cycles(report):
         # an S cycle has no exits, so its component is the cycle: K = c^0
         k = g.component_bits(c.base)
-        eps = entry_paths(g, HereditarySet.from_bits(g, k))
+        paths = entry_paths(g, HereditarySet.from_bits(g, k)).paths
         # c's vertices are in P and, by rule (ii), inside one ~ class, so
         # the X-class that meets K is the one that holds c
         class_id = next(xc.rep for xc in report.x_classes if xc.members & k)
-        rotations = {u: c.rotation_at(u) for u in c.sources}  # c read from u
-        # each entry path p with its source and the rotation of c at its range
-        entries = [
-            (edge_by_id[p[0]].src, p, rotations[edge_by_id[p[-1]].dst]) for p in eps.paths
-        ]
-        vertices = g.names_of(k)  # c's vertices in declared order
+        # c read from each of its vertices, in declared order
+        rotations = {u: c.rotation_at(u) for u in g.names_of(k)}
         for m in range(1, degree_window // len(c.edges) + 1):
-            # raw terms as plain tuples, checked once, by normal_form
-            raw = [((u, rotations[u] * m, u, ()), 1) for u in vertices]
-            raw += [((s, p + rot * m, s, p), 1) for s, p, rot in entries]
-            elem = alg.normal_form(raw)
+            elem = _dressed(alg, {u: rot * m for u, rot in rotations.items()}, paths)
             n = m * len(c.edges)
             for degree, x, power in ((n, elem, m), (-n, alg.involution(elem), -m)):
                 by_degree.setdefault(degree, []).append(

@@ -1,17 +1,18 @@
-"""Slow references for the fast paths: the graph parser that read each
-edge record's keys as a set, the commutators and the degree-0 idempotents
-with their vertex terms on the general route, the all-pairs candidate
-enumeration, the matrix built from one ``commutators`` call per
-candidate and the single global-pivot elimination the oracle replaced,
-the classification read from every enumerated cycle that the pass over
-the components replaced, the reachability index and its unions read
-lowest member first, the line points scanned tree by tree, the ~
-classes linked edge by edge and the primeness and cycle-reach witnesses
-scanned tree by tree that the reads from the condensation's ends
-replaced, the path count by a Kahn sort that the reachability index
-replaced, and the degree-0 center's dimension counted from the blocks of
-the AF core, plus the graph families and graph documents the tests draw
-from, among them every small multigraph up to isomorphism.
+"""Slow references for the fast paths: the graph parser that read each edge
+record's keys as a set, the commutators, the degree-0 idempotents and
+the Laurent basis elements with their vertex terms on the general route,
+the all-pairs candidate enumeration, the matrix built from one
+``commutators`` call per candidate and the single global-pivot
+elimination the oracle replaced, the classification read from every
+enumerated cycle that the pass over the components replaced, the
+reachability index and its unions read lowest member first, the line
+points scanned tree by tree, the ~ classes linked edge by edge and the
+primeness and cycle-reach witnesses scanned tree by tree that the reads
+from the condensation's ends replaced, the path count by a Kahn sort
+that the reachability index replaced, and the degree-0 center's
+dimension counted from the blocks of the AF core, plus the graph
+families and graph documents the tests draw from, among them every small
+multigraph up to isomorphism.
 
 Also the helpers that tests read and no command runs: trees, reachability
 and the cycle vertices as vertex sets, cycles made from edge sequences,
@@ -36,7 +37,7 @@ from lpa.classify import (
 )
 from lpa.engine import AlgebraElement, EngineError, sort_key
 from lpa.graphs import INFINITE, Cycle, Edge, Graph, GraphError
-from lpa.hereditary import entry_paths, hereditary_closure, saturated_closure
+from lpa.hereditary import HereditarySet, entry_paths, hereditary_closure, saturated_closure
 from lpa.randomgen import random_graph
 
 
@@ -478,16 +479,51 @@ def ref_commutators(alg, x):
     return {key: AlgebraElement(alg, terms) for key, terms in grouped.items()}
 
 
-def ref_a_class(alg, xclass):
-    """`center.a_class` with every raw term, the closure's vertices too,
-    through `normal_form`, as it was before the vertex terms were built
-    directly."""
+def ref_dressed(alg, loops, paths):
+    """`center._dressed` with every raw term, the vertex terms u loops[u]
+    too, through `normal_form`, as both basis builders were before their
+    vertex terms were built directly."""
     g = alg.graph
-    raw = [((u, (), u, ()), 1) for u in g.names_of(xclass.closure)]
-    for p in xclass.entry.paths:
+    raw = [((u, loop, u, ()), 1) for u, loop in loops.items()]
+    for p in paths:
         s = g.edge(p[0]).src
-        raw.append(((s, p, s, p), 1))
-    return CentralBasisElement(degree=0, element=alg.normal_form(raw), class_id=xclass.rep)
+        raw.append(((s, p + loops[g.edge(p[-1]).dst], s, p), 1))
+    return alg.normal_form(raw)
+
+
+def ref_a_class(alg, xclass):
+    """`center.a_class` on the general route: the closure's vertices and
+    the alpha alpha* over its entry paths, all through `normal_form`."""
+    loops = dict.fromkeys(alg.graph.names_of(xclass.closure), ())
+    return CentralBasisElement(
+        degree=0, element=ref_dressed(alg, loops, xclass.entry.paths), class_id=xclass.rep
+    )
+
+
+def ref_laurent_basis(alg, report, degree_window):
+    """`center_report(...).basis_nonzero` on the general route: for each
+    no-exit cycle c in S and each m >= 1 with m|c| in the window, the
+    vertex terms u c_u^m of c's vertices and the terms p c^m p* of its
+    entry paths all through `normal_form`, then the involution at degree
+    -m|c|."""
+    g = alg.graph
+    by_degree = {}
+    for ci in report.cycles:
+        if not ci.in_S:
+            continue
+        c = ci.cycle
+        k = g.component_bits(c.base)
+        paths = entry_paths(g, HereditarySet.from_bits(g, k)).paths
+        class_id = next(xc.rep for xc in report.x_classes if xc.members & k)
+        for m in range(1, degree_window // len(c.edges) + 1):
+            loops = {u: c.rotation_at(u) * m for u in g.names_of(k)}
+            elem = ref_dressed(alg, loops, paths)
+            n = m * len(c.edges)
+            for degree, x, power in ((n, elem, m), (-n, alg.involution(elem), -m)):
+                by_degree.setdefault(degree, []).append(
+                    CentralBasisElement(degree, x, class_id, c.base, power)
+                )
+    return {n: tuple(by_degree[n]) for n in sorted(by_degree)}
 
 
 def ref_reducible(alg, alpha_edges, beta_edges):

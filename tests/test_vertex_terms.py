@@ -1,10 +1,15 @@
 """The vertex part of an element in closed form.
 
 `LeavittAlgebra.commutators` sums x's vertex terms by one integer
-difference per edge, and `center.a_class` builds the closure's vertex
-terms without `normal_form`.  Both are checked against the general route
-they replaced (`references.ref_commutators` and `ref_a_class`): on every basis element, on perturbed copies of it that
-are mostly not central, and on random elements, over Q, F_2 and F_7."""
+difference per edge, and `center._dressed`, the one builder of the
+center's basis elements, puts their vertex terms u c_u^m (a vertex alone
+in a[X]) into the term dict without `normal_form`, which sees only the
+entry terms p c^m p*.  Both are checked against the general route they
+replaced: `references.ref_commutators` on every basis element, on
+perturbed copies of it that are mostly not central, and on random
+elements, and `ref_a_class` and `ref_laurent_basis`, type for type, on
+every basis element, over Q, F_2 and F_7.  A work count checks that the
+vertex terms of b[c; m] no longer reach `normal_form`."""
 
 import random
 import sys
@@ -19,10 +24,12 @@ from lpa.engine import AlgebraElement, LeavittAlgebra
 from lpa.fields import QQ, PrimeField
 from lpa.graphs import Edge, Graph
 from references import (
+    cycle_with_tail,
     dense_graphs,
     line,
     ref_a_class,
     ref_commutators,
+    ref_laurent_basis,
     rose,
     small_multigraphs,
 )
@@ -73,19 +80,37 @@ def check_against_reference(alg, x) -> bool:
     return res.central
 
 
-def check_graph(g, field) -> tuple[int, int]:
-    """Every basis element of g's center and every perturbed copy of it
-    checked against the reference, and every a[c] against `ref_a_class`;
-    returns the numbers of copies checked and of those not central."""
+def basis_mismatches(g, field) -> list[str]:
+    """The labels of the basis elements of g's center over the field that
+    differ from their reference on the general route, `ref_a_class` for
+    a[X] and `ref_laurent_basis` for b[c; m], in any of their fields, a
+    term, a coefficient or a coefficient's type; or a note on the counts
+    when the two bases differ in length."""
     alg = LeavittAlgebra(g, field)
     rep = x_decomposition(g)
-    for xc in rep.x_f:
-        fast, ref = a_class(alg, xc), ref_a_class(alg, xc)
-        assert fast == ref
-        assert {m: type(k) for m, k in fast.element.terms.items()} == {
-            m: type(k) for m, k in ref.element.terms.items()
-        }
     cr = center_report(alg, rep)
+    fast = [*cr.basis_zero, *(b for bs in cr.basis_nonzero.values() for b in bs)]
+    ref = [
+        *(ref_a_class(alg, xc) for xc in rep.x_f),
+        *(b for bs in ref_laurent_basis(alg, rep, cr.degree_window).values() for b in bs),
+    ]
+    if len(fast) != len(ref):
+        return [f"{len(fast)} basis elements against {len(ref)} on the general route"]
+
+    def typed(b):
+        return b, {m: type(k) for m, k in b.element.terms.items()}
+
+    return [b.label for b, r in zip(fast, ref) if typed(b) != typed(r)]
+
+
+def check_graph(g, field) -> tuple[int, int]:
+    """Every basis element of g's center and every perturbed copy of it
+    checked against the reference, and every element against its
+    reference on the general route; returns the numbers of copies checked
+    and of those not central."""
+    assert basis_mismatches(g, field) == []
+    alg = LeavittAlgebra(g, field)
+    cr = center_report(alg, x_decomposition(g))
     copies = not_central = 0
     for b in cr.basis_zero + tuple(b for bs in cr.basis_nonzero.values() for b in bs):
         assert check_against_reference(alg, b.element), b.label
@@ -113,6 +138,19 @@ def test_vertex_part_matches_reference_on_every_small_multigraph(field):
         c, n = check_graph(g, field)
         copies, not_central = copies + c, not_central + n
     assert not_central > copies // 2
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_basis_matches_reference_on_campaign500(field, campaign500):
+    assert [basis_mismatches(g, field) for g in campaign500] == [[]] * len(campaign500)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("n", [*range(1, 15), 250])
+def test_laurent_basis_matches_reference_on_cycles_with_a_tail(n, field):
+    """C_n with a tail: b[c; 1] and b[c; 2] and their involutions, each
+    with n vertex terms of length n or 2n, and a[c]."""
+    assert basis_mismatches(cycle_with_tail(n), field) == []
 
 
 # Graphs where a vertex emits several edges, loops among them, so that
@@ -232,3 +270,26 @@ def test_vertex_part_of_a_class_keys_its_boundary_edges(monkeypatch, fixture_gra
                     e.id for e in g.edges if e.dst in closure and e.src not in closure
                 }
     assert entering_only and with_added
+
+
+def test_center_report_hands_normal_form_only_the_entry_terms(monkeypatch):
+    """On C_n with a tail, `center_report` hands `normal_form` two raw
+    terms whatever n: f c^m f* for the one entry path f and m = 1, 2, the
+    powers of the default window 2n.  a[c] passes none, since its closure
+    takes in the tail vertex and so has no entry path.  The general route,
+    which also sends the n vertex terms of each power, hands it 2n + 2."""
+    handed = []
+    for n in (10, 100, 1000):
+        g = cycle_with_tail(n)
+        alg = LeavittAlgebra(g)
+        normal_form, sizes = alg.normal_form, []
+
+        def counting(raw, normal_form=normal_form, sizes=sizes):
+            raw = list(raw)
+            sizes.append(len(raw))
+            return normal_form(raw)
+
+        monkeypatch.setattr(alg, "normal_form", counting)
+        center_report(alg, x_decomposition(g))
+        handed.append(sum(sizes))
+    assert handed == [2, 2, 2]
