@@ -259,27 +259,40 @@ class _ReachIndex:
     `Graph.tree_union_bits` read those members first.
 
     Iterative Tarjan (1972) over vertex indices, with one iterator over
-    the successors per frame.  It emits components in reverse topological
-    order, so every component a component reaches has a smaller id and
-    its tree is known when the component is closed.  A component of one
-    vertex is the top of the stack, popped with no scan of the stack; it
-    is cyclic when the vertex has a loop.  A component of more vertices
-    is always cyclic.  It is an end when its tree is itself.
+    the successors per frame.  When the search leaves a component's root
+    v, one loop closes the component: it pops the stack down to v, vertex
+    by vertex, appends each popped vertex w to the flat list ``popped``
+    and reads w's out-edges once.  A target x that is closed
+    (``order[x] == n``) with another component id adds that component's
+    tree.  Any other target lies in this component and makes it cyclic.
+    For x is never an open vertex below v on the stack: then
+    low[w] <= order[x], and low passes from w up the search tree to v,
+    so low[v] <= order[x] < order[v] and v would not be a root.  So an
+    open x is a member still to be popped, and a closed x with this id
+    one already popped.  A component of several vertices is cyclic,
+    since each member has an edge to another; one of one vertex is cyclic
+    when it has a loop.  Components close in reverse topological order,
+    so every component a component reaches has a smaller id and its tree
+    is known when the component closes.  It is an end when no edge leaves
+    it, so that its tree is itself.
 
-    A second pass walks the components in topological order, the reverse
-    of emission, so every edge into a component is seen before the
-    component itself.  For each component k it keeps
+    A second pass walks ``reversed(popped)``.  Tarjan pops each
+    component's members together, and the components in reverse
+    topological order, so the reversed pop order reaches a component only
+    after every component with an edge into it.  For each component k it
+    keeps
     - ``ancestors[k]``: the vertices that reach k, k included;
     - ``inflow[k]``: the number of paths whose last edge enters k from
       outside, or INFINITE; it stays 0 exactly when k is a start.
-    Both are pushed along the edges leaving k, once k is final.  A vertex
-    v on no cycle is a component of its own, and a path ending at v is
-    either v itself or a path ending at the source of an edge into v
-    followed by that edge, so the number P(v) of paths ending at v is
-    1 + inflow[k].  P is INFINITE on a cyclic component, and an edge
-    leaving a vertex with P INFINITE makes the inflow it enters INFINITE,
-    so inflow[k] is INFINITE exactly when a cycle outside k reaches k.
-    Both passes are O(V + E) bitset operations.
+    Both are final when the pass reaches k's first member, and are pushed
+    along the edges leaving each member.  A vertex v on no cycle is a
+    component of its own, and a path ending at v is either v itself or a
+    path ending at the source of an edge into v followed by that edge, so
+    the number P(v) of paths ending at v is 1 + inflow[k].  P is INFINITE
+    on a cyclic component, and an edge leaving a vertex with P INFINITE
+    makes the inflow it enters INFINITE, so inflow[k] is INFINITE exactly
+    when a cycle outside k reaches k.  Both passes are O(V + E) bitset
+    operations.
 
     Graphs keep their index for life, so it is stored compactly, in slots
     and tuples, and the vertices of a component share its entries, each
@@ -301,8 +314,8 @@ class _ReachIndex:
         order = [-1] * n  # discovery number; n once the vertex's component is closed
         low = [0] * n
         stack: list[int] = []  # the visited vertices whose component is open
-        component_of = [0] * n
-        members_of: list = []  # scratch: members per component
+        component_of = [0] * n  # stale until the vertex is closed
+        popped: list[int] = []  # the vertices in the order their components close
         looped: list[bool] = []  # scratch: whether the component is cyclic
         ancestors: list[int] = []  # the component's members until the second pass
         comp_trees: list[int] = []
@@ -335,61 +348,44 @@ class _ReachIndex:
                             low[u] = lv
                         continue
                     k = len(comp_trees)
-                    if stack[-1] == v:  # a component of one vertex
-                        stack.pop()
-                        order[v] = n
-                        own = tree = 1 << v
-                        loop = False
-                        for x in succ[v]:
-                            if x == v:
-                                loop = True
+                    own = tree = 0
+                    loop = False
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        popped.append(w)
+                        own |= 1 << w
+                        order[w] = n
+                        component_of[w] = k
+                        for x in succ[w]:
+                            j = component_of[x]
+                            if j != k and order[x] == n:
+                                tree |= comp_trees[j]
                             else:
-                                tree |= comp_trees[component_of[x]]
-                        component_of[v] = k
-                        members_of.append((v,))
-                        looped.append(loop)
-                        if loop:
-                            cyclic |= own
-                    else:
-                        members = []
-                        own = 0
-                        while True:
-                            w = stack.pop()
-                            members.append(w)
-                            own |= 1 << w
-                            order[w] = n
-                            component_of[w] = k
-                            if w == v:
-                                break
-                        tree = own
-                        for w in members:
-                            for x in succ[w]:
-                                j = component_of[x]
-                                if j != k:
-                                    tree |= comp_trees[j]
-                        members_of.append(members)
-                        looped.append(True)
-                        cyclic |= own
-                    comp_trees.append(tree)
+                                loop = True
+                    comp_trees.append(tree | own)
                     ancestors.append(own)
-                    if tree == own:
+                    looped.append(loop)
+                    if loop:
+                        cyclic |= own
+                    if not tree:  # no edge leaves the component
                         ends |= own
         inflow: list = [0] * len(comp_trees)
         starts = 0
-        for k in range(len(comp_trees) - 1, -1, -1):
+        for w in reversed(popped):
+            k = component_of[w]
             up, into = ancestors[k], inflow[k]
             if into == 0:  # no edge enters k, so its ancestors are k itself
                 starts |= up
             paths = INFINITE if looped[k] or into is INFINITE else 1 + into
-            for w in members_of[k]:
-                for x in succ[w]:
-                    j = component_of[x]
-                    if j != k:
-                        ancestors[j] |= up
-                        if paths is INFINITE or inflow[j] is INFINITE:
-                            inflow[j] = INFINITE
-                        else:
-                            inflow[j] += paths
+            for x in succ[w]:
+                j = component_of[x]
+                if j != k:
+                    ancestors[j] |= up
+                    if paths is INFINITE or inflow[j] is INFINITE:
+                        inflow[j] = INFINITE
+                    else:
+                        inflow[j] += paths
         # one entry per vertex, shared by the vertices of a component
         self.trees = tuple(map(comp_trees.__getitem__, component_of))
         self.ancestors = tuple(map(ancestors.__getitem__, component_of))

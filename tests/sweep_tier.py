@@ -3,11 +3,14 @@ vertices and at most 6 edges, once per isomorphism class (3,395 graphs),
 through the same checks as `test_sweep.py`: each basis element central,
 the oracle's commutant with the emitted span at every degree |d| <= 4 at
 L = max(the basis's bound, |d|) and at L + 2, and `lpa center --verify`
-exiting 0 with a schema-valid document, through `test_count_paths.py`'s
-comparison of `count_paths_into` with its Kahn-sort reference, and, over
-Q and F_2, through `test_sweep.py`'s comparison of the generator action
-with the defining relations and `test_vertex_terms.py`'s comparison of
-every basis element with its reference on the general route.
+exiting 0 with a schema-valid document.  Each graph also goes through
+`test_count_paths.py`'s comparison of `count_paths_into` with its
+Kahn-sort reference; through `test_condensation_ends.py`'s comparison of
+the reachability index with `RefReachIndex` (every table, the ends and
+starts, both unions, the line points and the ~ classes); and, over Q and
+F_2, through `test_sweep.py`'s comparison of the generator action with
+the defining relations and `test_vertex_terms.py`'s comparison of every
+basis element with its reference on the general route.
 
 The name has no ``test_`` prefix, so Tier-1 does not collect it.  Run from
 the repository root:
@@ -28,6 +31,7 @@ import jsonschema
 from lpa.fields import QQ, PrimeField
 from lpa.reports import load_schema
 from references import small_multigraphs
+from test_condensation_ends import check as index_mismatches
 from test_count_paths import mismatches
 from test_sweep import _check, kernel_mismatches
 from test_vertex_terms import basis_mismatches
@@ -46,6 +50,7 @@ def main(argv: list[str]) -> int:
         for i, g in enumerate(graphs):
             failures = _check(g, path, validator)
             failures += [("count_paths_into", d) for d in mismatches(g, seed=i)]
+            failures += [("reach_index", d) for d in index_mismatches(g)]
             for name, field in (("Q", QQ), ("F_2", PrimeField(2))):
                 failures += [("generator_action", name, d) for d in kernel_mismatches(g, field)]
                 failures += [("basis_reference", name, d) for d in basis_mismatches(g, field)]

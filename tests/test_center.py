@@ -23,7 +23,7 @@ from lpa.center import (
     same_span,
     verify_basis,
 )
-from lpa.classify import x_decomposition
+from lpa.classify import ideal_structure, prime_trichotomy, x_decomposition
 from lpa.engine import AlgebraElement, LeavittAlgebra, sort_key
 from lpa.fields import QQ, PrimeField
 from lpa.graphs import Edge, Graph
@@ -48,6 +48,7 @@ from references import (
     ref_same_span,
     renamed,
     rose,
+    small_multigraphs,
     sparse,
 )
 
@@ -276,6 +277,57 @@ def test_extended_centroid_examples():
     r = centroid("g_ext2")
     assert (r.sinks, r.no_exit_cycles, r.extreme_classes) == (0, 0, 1)
     assert "not independently verified" in r.note
+
+
+# -- consistency with the prime case ------------------------------------------------
+
+# the extended centroid's count that each prime kind names
+PRIME_KIND_COUNT = {
+    "sink-case": "sinks",
+    "no-exit-cycle-case": "no_exit_cycles",
+    "extreme-case": "extreme_classes",
+}
+
+
+def prime_case_mismatches(g):
+    """g's prime kind and what in its report disagrees with it.  The
+    extended centroid is a field exactly when L is prime, so its three
+    counts sum to 1 exactly when g is prime, and the 1 is the count the
+    prime kind names; the center of a prime ring is a domain, so it has
+    one summand, K or K[x, x^-1]; and the ideal of P is dense."""
+    rep = x_decomposition(g)
+    ideal = ideal_structure(g, rep)
+    kind = prime_trichotomy(g, rep, ideal).kind
+    center = center_report(LeavittAlgebra(g), rep, degree_window=0)
+    counts = center.centroid
+    out = []
+    if (sum(counts) == 1) != (kind != "not-prime"):
+        out.append(("centroid sum", tuple(counts)))
+    if kind != "not-prime":
+        if getattr(counts, PRIME_KIND_COUNT[kind]) != 1:
+            out.append(("centroid count", tuple(counts)))
+        if center.iso_type["K"] + center.iso_type["Laurent"] != 1:
+            out.append(("iso_type", center.iso_type))
+    if not ideal.dense:
+        out.append("dense")
+    return kind, out
+
+
+def test_prime_case_consistency_on_fixtures_and_campaign500(fixture_graphs, campaign500):
+    results = [(g, *prime_case_mismatches(g)) for g in [*fixture_graphs.values(), *campaign500]]
+    assert [(g.to_document(), kind, d) for g, kind, d in results if d] == []
+    assert {kind for _, kind, _ in results} == {"not-prime", *PRIME_KIND_COUNT}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prime_case_consistency_on_every_small_multigraph(n):
+    failed = [
+        (g.to_document(), kind, d)
+        for g in small_multigraphs(n, 5)
+        for kind, d in [prime_case_mismatches(g)]
+        if d
+    ]
+    assert failed == []
 
 
 # -- commutant oracle ---------------------------------------------------------------
