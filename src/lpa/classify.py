@@ -130,7 +130,8 @@ def x_decomposition(g: Graph) -> ClassificationReport:
        an edge of c.  So every cycle of K has exits, and K has a
        bifurcation.  Either way c has an exit iff K has a bifurcation.
        It is extreme iff it has exits and every vertex it reaches returns
-       to it, that is T(c^0) = K.
+       to it, that is T(c^0) = K, which holds exactly when no edge leaves
+       K: when K is an end of the condensation.
     3. Entry count: the paths ending at c^0 that share no edge with c,
        length 0 included.
        - INFINITE when K's inflow is: a shortest path from a cycle d
@@ -166,52 +167,59 @@ def x_decomposition(g: Graph) -> ClassificationReport:
        entry count.
     c lies in S iff it has no exits and a finite wrap count.
 
-    So the vertex sets are unions of components.  Every vertex of a cyclic
-    K lies on one of K's simple cycles (by the argument of 1), so the union
-    of the vertices of K's cycles is K itself:
-    - P_c holds the components without exits, P_e those with exits and
-      P_ec the extreme ones.
-    - A component without exits is a single cycle (by 2 and 1), whose wrap
-      count is INFINITE exactly when K's inflow is (by 4).  P_c+ holds
-      those; the others are the cycles of S, and their vertices are P_c-.
+    So the vertex sets are unions of components, and each is one bitset
+    expression over the index: every vertex of a cyclic K lies on one of
+    K's simple cycles (by the argument of 1), so the vertices of K's
+    cycles are K itself.
+    - A cyclic K without a bifurcation gives each member exactly one
+      out-edge, and that edge stays inside K, so K is an end and reaches
+      no bifurcation.  A cyclic K with exits holds a bifurcation (by 2),
+      and every member reaches it.  So P_c, the components without
+      exits, is the cycle vertices that reach no cycle bifurcation, and
+      P_e is the other cycle vertices.
+    - A K with exits is extreme exactly when K is an end (by 2), so P_ec
+      is the end vertices of P_e.
+    - A no-exit K has an INFINITE inflow exactly when a cycle outside K
+      reaches it, and that cycle lies in P_e, because a component of P_c
+      is an end and reaches only itself.  So P_c+ is the part of P_c in
+      the trees of P_e.
+    - A no-exit K is one cycle (by 2 and 1), so its wrap count is finite
+      exactly when its inflow is (by 4).  Its cycle is in S exactly when
+      K lies in P_c- = P_c - P_c+.
     - An extreme class is one extreme component: the tree of an extreme
       cycle is its component, so two extreme cycles are connected exactly
       when they share one.  It lists K's cycles in `simple_cycles` order,
       and its id, the least base among them, is K's least vertex, since a
       cycle's base is its least vertex.
+    So a cycle has exits, is extreme or lies in S when its component
+    meets P_e, P_ec or P_c-, and only the entry and wrap counts and the
+    extreme classes read the cycle list.
     A cycle lies inside one ~ class, by rule (ii), so a class holds a cycle
     of S, and is cycle_laurent, exactly when it meets P_c-.
     """
     cycles = simple_cycles(g)
-    bifs = g.bifurcation_bits()
+    cyc = g.cycle_bits()
+    pc = cyc & ~g.ancestor_bits(g.bifurcation_bits() & cyc)
+    pe = cyc & ~pc
+    pec = pe & g.end_bits()
+    pc_plus = pc & g.tree_union_bits(pe)
+    pc_minus = pc & ~pc_plus
     groups: dict[int, list[int]] = {}
     for i, c in enumerate(cycles):
         groups.setdefault(g.component_bits(c.base), []).append(i)
     infos: list = [None] * len(cycles)
-    pc = pc_plus = pc_minus = pe = pec = 0  # bitsets, unions of components
     x_ec = []
     for bits, members in groups.items():
-        first = cycles[members[0]].base
-        inflow = g.component_inflow(first)
-        has_exits = bool(bits & bifs)
-        is_extreme = has_exits and g.tree_bits(first) == bits
-        if not has_exits:
-            pc |= bits
-            if inflow is INFINITE:
-                pc_plus |= bits
-            else:
-                pc_minus |= bits
-        else:
-            pe |= bits
-            if is_extreme:
-                pec |= bits
-                x_ec.append(
-                    ExtremeClass(
-                        class_id=min(g.names_of(bits)),
-                        cycles=tuple(cycles[i] for i in members),
-                        vertices=bits,
-                    )
+        inflow = g.component_inflow(cycles[members[0]].base)
+        has_exits, is_extreme, in_s = bool(bits & pe), bool(bits & pec), bool(bits & pc_minus)
+        if is_extreme:
+            x_ec.append(
+                ExtremeClass(
+                    class_id=min(g.names_of(bits)),
+                    cycles=tuple(cycles[i] for i in members),
+                    vertices=bits,
                 )
+            )
         lone = len(members) == 1  # K is c
         for i in members:
             c = cycles[i]
@@ -230,7 +238,7 @@ def x_decomposition(g: Graph) -> ClassificationReport:
                 cycle=c,
                 has_exits=has_exits,
                 is_extreme=is_extreme,
-                in_S=not has_exits and wrap is not INFINITE,
+                in_S=in_s,
                 entry_count=entry,
                 wrap_count=wrap,
             )
@@ -303,8 +311,14 @@ def is_purely_infinite_simple(g: Graph) -> PisCertificate:
     cycle vertices.
 
     A cycle without exits is a cyclic strongly connected component with no
-    bifurcation.  The "exit" witness is the base of the first one in
-    `simple_cycles` order, the least (length, least vertex).
+    bifurcation, and those components make up P_c, read as
+    `x_decomposition` reads it.  Such a component gives each member
+    exactly one out-edge, which stays inside, so it is an end and reaches
+    no bifurcation; every member of a cyclic component with a bifurcation
+    reaches it.  So the cycles without exits cover the cycle vertices that
+    reach no cycle bifurcation.  Each is its component, so the "exit"
+    witness, the base of the first one in `simple_cycles` order, is the
+    least vertex of the least (size, least vertex) component among them.
 
     The lattice is trivial when the saturated closure of every T(v) is E^0;
     the "lattice" witness is the first v in declared order for which it is
@@ -318,13 +332,10 @@ def is_purely_infinite_simple(g: Graph) -> PisCertificate:
     if missing := ~g.ancestor_bits(cyc) & ((1 << len(g.vertices)) - 1):
         v = g.vertices[(missing & -missing).bit_length() - 1]
         return PisCertificate(False, "connects-to-cycle", v)
-    exitless = [
-        (c.bit_count(), min(g.names_of(c)))
-        for c in {g.component_bits(v) for v in g.names_of(cyc)}
-        if not c & g.bifurcation_bits()
-    ]
-    if exitless:
-        return PisCertificate(False, "exit", min(exitless)[1])
+    if pc := cyc & ~g.ancestor_bits(g.bifurcation_bits() & cyc):
+        exitless = {g.component_bits(v) for v in g.names_of(pc)}
+        least = min((c.bit_count(), min(g.names_of(c))) for c in exitless)
+        return PisCertificate(False, "exit", least[1])
     for v in g.vertices:
         if cyc & ~g.tree_bits(v):
             return PisCertificate(False, "lattice", v)
@@ -348,7 +359,6 @@ class ExtremeSummand(NamedTuple):
 
 
 class IdealStructureReport(NamedTuple):
-    graph: Graph
     sinks: tuple[SinkSummand, ...]
     no_exit_cycles: tuple[CycleSummand, ...]
     extreme: tuple[ExtremeSummand, ...]
@@ -379,7 +389,6 @@ def ideal_structure(g: Graph, report: ClassificationReport) -> IdealStructureRep
             extreme.append(ExtremeSummand(xc, is_purely_infinite_simple(sub)))
     dense = is_dense_ideal(g, HereditarySet.from_bits(g, report.p))
     return IdealStructureReport(
-        graph=g,
         sinks=sinks,
         no_exit_cycles=no_exit,
         extreme=tuple(extreme),

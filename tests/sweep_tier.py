@@ -7,10 +7,15 @@ exiting 0 with a schema-valid document.  Each graph also goes through
 `test_count_paths.py`'s comparison of `count_paths_into` with its
 Kahn-sort reference; through `test_condensation_ends.py`'s comparison of
 the reachability index with `RefReachIndex` (every table, the ends and
-starts, both unions, the line points and the ~ classes); and, over Q and
-F_2, through `test_sweep.py`'s comparison of the generator action with
-the defining relations and `test_vertex_terms.py`'s comparison of every
-basis element with its reference on the general route.
+starts, both unions, the line points and the ~ classes); through
+`test_reports.py`'s comparison of every vertex set of the report with the
+frozenset route, `ref_x_decomposition`; through `test_reachability.py`'s
+comparison of Condition (L) with `ref_is_purely_infinite_simple`, on the
+graph and on the restriction graph of each of its extreme classes with
+finite entry paths; and, over Q and F_2, through `test_sweep.py`'s
+comparison of the generator action with the defining relations and
+`test_vertex_terms.py`'s comparison of every basis element with its
+reference on the general route.
 
 The name has no ``test_`` prefix, so Tier-1 does not collect it.  Run from
 the repository root:
@@ -33,6 +38,8 @@ from lpa.reports import load_schema
 from references import small_multigraphs
 from test_condensation_ends import check as index_mismatches
 from test_count_paths import mismatches
+from test_reachability import condition_l_mismatches, extreme_restriction_graphs
+from test_reports import check_sets_against_frozensets
 from test_sweep import _check, kernel_mismatches
 from test_vertex_terms import basis_mismatches
 
@@ -51,6 +58,12 @@ def main(argv: list[str]) -> int:
             failures = _check(g, path, validator)
             failures += [("count_paths_into", d) for d in mismatches(g, seed=i)]
             failures += [("reach_index", d) for d in index_mismatches(g)]
+            try:
+                check_sets_against_frozensets(g)
+            except AssertionError as exc:
+                failures.append(("vertex_sets", str(exc)))
+            checked = [g, *extreme_restriction_graphs(g)]
+            failures += [("condition_l", d) for d in condition_l_mismatches(checked)]
             for name, field in (("Q", QQ), ("F_2", PrimeField(2))):
                 failures += [("generator_action", name, d) for d in kernel_mismatches(g, field)]
                 failures += [("basis_reference", name, d) for d in basis_mismatches(g, field)]

@@ -17,9 +17,14 @@ from lpa.graphs import Edge, Graph
 from lpa.reports import build_envelope
 from corpus import FIXTURE_NAMES, graph
 from references import (
+    chained,
+    complete_digraph,
+    cycle_with_tail,
+    line,
     named_report,
     random_graphs,
     ref_x_decomposition,
+    rose,
     small_multigraphs,
     sorted_vertices,
 )
@@ -123,15 +128,29 @@ def check_sets_against_frozensets(g):
     assert written_sets(env.to_json()) == expected, g.to_document()
 
 
-@pytest.mark.parametrize("corpus", ["fixtures", "campaign100", "small"])
+@pytest.mark.parametrize(
+    "corpus",
+    ["fixtures", "campaign100", "small", "campaign500", "lines", "tails", "complete-roses", "chained"],
+)
 def test_vertex_sets_match_the_frozenset_route(corpus, request):
-    """On the fixtures, campaign100 and every multigraph with at most 4
-    vertices and 5 edges, once per isomorphism class."""
+    """On the fixtures, campaign100, every multigraph with at most 4
+    vertices and 5 edges, once per isomorphism class, campaign500, L_2,
+    L_10 and L_200 declared both ways, C_1..C_8 with a tail, K_2..K_6,
+    R_1..R_5 and `chained(0..29)`.  The reference's wrap count takes only
+    cycles of at most 8 edges, so longer cycles stay out."""
     if corpus == "fixtures":
         graphs = [graph(name) for name in FIXTURE_NAMES]
-    elif corpus == "campaign100":
-        graphs = request.getfixturevalue("campaign100")
-    else:
+    elif corpus.startswith("campaign"):
+        graphs = request.getfixturevalue(corpus)
+    elif corpus == "small":
         graphs = [g for n in range(1, 5) for g in small_multigraphs(n, 5)]
+    elif corpus == "lines":
+        graphs = [line(n, reverse) for n in (2, 10, 200) for reverse in (False, True)]
+    elif corpus == "tails":
+        graphs = [cycle_with_tail(n) for n in range(1, 9)]
+    elif corpus == "complete-roses":
+        graphs = [complete_digraph(n) for n in range(2, 7)] + [rose(n) for n in range(1, 6)]
+    else:
+        graphs = [chained(seed) for seed in range(30)]
     for g in graphs:
         check_sets_against_frozensets(g)
